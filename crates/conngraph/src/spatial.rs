@@ -5,24 +5,16 @@ use sparsegossip_grid::Point;
 /// Buckets have side `max(r, 1)`, so any two points at Manhattan
 /// distance ≤ `r` fall in the same or in 8-adjacent buckets, and the
 /// component builder only needs to examine a constant number of buckets
-/// per agent. Construction is O(#buckets + k); the memory is
-/// O(#buckets + k).
+/// per agent.
 ///
-/// The hash has two storage modes with identical contents:
-///
-/// * **Grouped** (after [`build`](SpatialHash::build) /
-///   [`rebuild`](SpatialHash::rebuild)): one shared counting-sorted
-///   arena, so a steady-state rebuild into warm buffers performs zero
-///   heap allocation and [`bucket_agents`](SpatialHash::bucket_agents)
-///   hands out slices.
-/// * **Linked** (after [`apply_moves`](SpatialHash::apply_moves)): a
-///   per-bucket sorted linked list over two fixed-size arrays, so
-///   relocating an agent touches O(bucket size) cells and allocates
-///   nothing — ever — no matter how bucket occupancies drift.
-///
-/// [`candidates`](SpatialHash::candidates) and
-/// [`bucket_agents_iter`](SpatialHash::bucket_agents_iter) iterate
-/// identically in both modes (increasing agent order per bucket).
+/// Each bucket holds a linked list of its agents in increasing agent
+/// order: a list head per bucket, a next link per agent and each
+/// agent's bucket index — 4·(#buckets + 2k) bytes in all. The first
+/// [`rebuild`](SpatialHash::rebuild) at a geometry fills every head,
+/// O(#buckets + k); later rebuilds at the same geometry clear only the
+/// heads the previous agents used, O(k), and
+/// [`apply_moves`](SpatialHash::apply_moves) costs only the bucket
+/// crossings. Neither allocates once the buffers are warm.
 ///
 /// # Examples
 ///
@@ -34,8 +26,8 @@ use sparsegossip_grid::Point;
 /// let hash = SpatialHash::build(&pts, 2, 8);
 /// // Buckets have side 2, so bucket (0,0) covers x,y ∈ {0,1} and holds
 /// // agents 0 and 2; (3,3) falls in bucket (1,1).
-/// assert_eq!(hash.bucket_agents(0, 0), &[0, 2]);
-/// assert_eq!(hash.bucket_agents(1, 1), &[1]);
+/// assert!(hash.bucket_agents_iter(0, 0).eq([0, 2]));
+/// assert!(hash.bucket_agents_iter(1, 1).eq([1]));
 /// ```
 #[derive(Clone, Debug)]
 pub struct SpatialHash {
@@ -45,30 +37,18 @@ pub struct SpatialHash {
     buckets_per_side: u32,
     /// The grid side the hash was built for.
     side: u32,
-    /// Agent indices, grouped by bucket (counting-sorted). Grouped mode.
-    agents: Vec<u32>,
-    /// Start offset of each bucket in `agents`; length `buckets² + 1`.
-    /// Grouped mode.
-    offsets: Vec<u32>,
-    /// Counting-sort cursor, kept for allocation-free rebuilds.
-    cursor: Vec<u32>,
-    /// Indices of buckets holding at least one agent, in first-touch
-    /// order. Lets scans run in O(k) instead of O(#buckets) — decisive
-    /// in the contact-only regime (`r = 0`), where there are `n ≫ k`
-    /// buckets. Grouped mode.
-    occupied: Vec<u32>,
-    /// Whether the hash is in linked mode (the grouped arrays are stale
-    /// and `head`/`next` are authoritative).
-    linked: bool,
     /// First agent of each bucket (`NO_AGENT` when empty); length
-    /// `buckets²`. Linked mode.
+    /// `buckets²`.
     head: Vec<u32>,
     /// Next agent in the same bucket, in increasing agent order
-    /// (`NO_AGENT` at the end); length `k`. Linked mode.
+    /// (`NO_AGENT` at the end); length `k`.
     next: Vec<u32>,
+    /// Bucket index (`by * buckets_per_side + bx`) of each agent; length
+    /// `k`. Lists the only heads a same-geometry rebuild must clear.
+    bucket: Vec<u32>,
 }
 
-/// List terminator / empty-bucket marker for the linked mode.
+/// List terminator / empty-bucket marker.
 const NO_AGENT: u32 = u32::MAX;
 
 /// Reusable buffers for [`SpatialHash::build_into`]: the hash under
@@ -86,10 +66,10 @@ const NO_AGENT: u32 = u32::MAX;
 /// let mut scratch = SpatialScratch::new();
 /// let pts = [Point::new(0, 0), Point::new(3, 3)];
 /// let hash = SpatialHash::build_into(&mut scratch, &pts, 2, 8);
-/// assert_eq!(hash.bucket_agents(0, 0), &[0]);
+/// assert!(hash.bucket_agents_iter(0, 0).eq([0]));
 /// // The same scratch serves the next (possibly differently sized) build.
 /// let hash = SpatialHash::build_into(&mut scratch, &[Point::new(7, 7)], 1, 8);
-/// assert_eq!(hash.bucket_agents(7, 7), &[0]);
+/// assert!(hash.bucket_agents_iter(7, 7).eq([0]));
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SpatialScratch {
@@ -118,13 +98,9 @@ impl Default for SpatialHash {
             bucket_side: 1,
             buckets_per_side: 0,
             side: 0,
-            agents: Vec::new(),
-            offsets: Vec::new(),
-            cursor: Vec::new(),
-            occupied: Vec::new(),
-            linked: false,
             head: Vec::new(),
             next: Vec::new(),
+            bucket: Vec::new(),
         }
     }
 }
@@ -165,9 +141,11 @@ impl SpatialHash {
     }
 
     /// Rebuilds `self` in place for `positions`, reusing every buffer.
-    /// Content-identical to [`SpatialHash::build`]; after warm-up at
-    /// the working size this performs no heap allocation. Leaves the
-    /// hash in grouped (slice-serving) mode.
+    /// Content-identical to [`SpatialHash::build`]. When the bucket
+    /// geometry is unchanged this costs O(k): only the heads the
+    /// previous agents occupied are cleared. A new geometry refills
+    /// every head once, O(#buckets). After warm-up at the working size
+    /// it performs no heap allocation.
     ///
     /// # Panics
     ///
@@ -179,68 +157,41 @@ impl SpatialHash {
         let bucket_side = r.max(1).min(side);
         let buckets_per_side = side.div_ceil(bucket_side);
         let num_buckets = (buckets_per_side as usize).pow(2);
-        // Bucket indices are stored as u32 in `occupied`; checked before
-        // any allocation so oversize grids fail fast instead of OOMing
-        // or truncating.
+        // Bucket indices are stored as u32; checked before any
+        // allocation. The hash takes 4·(#buckets + 2k) bytes, so at
+        // r = 0 the grid dominates: side 65 535 needs about 17 GB.
         assert!(num_buckets <= u32::MAX as usize, "too many buckets");
 
-        self.bucket_side = bucket_side;
-        self.buckets_per_side = buckets_per_side;
+        if (bucket_side, buckets_per_side) == (self.bucket_side, self.buckets_per_side) {
+            // Only the heads of the previous agents' buckets can be set.
+            for &b in &self.bucket {
+                self.head[b as usize] = NO_AGENT;
+            }
+        } else {
+            self.bucket_side = bucket_side;
+            self.buckets_per_side = buckets_per_side;
+            self.head.clear();
+            self.head.resize(num_buckets, NO_AGENT);
+        }
         self.side = side;
-        self.linked = false;
-        // `offsets` doubles as the count accumulator, then prefix-sums
-        // in place.
-        self.offsets.clear();
-        self.offsets.resize(num_buckets + 1, 0);
+        self.bucket.clear();
         for p in positions {
             assert!(
                 p.x < side && p.y < side,
                 "position {p} outside side-{side} grid"
             );
-            self.offsets[self_bucket(*p, bucket_side, buckets_per_side) + 1] += 1;
+            self.bucket
+                .push(self_bucket(*p, bucket_side, buckets_per_side) as u32);
         }
-        for i in 1..self.offsets.len() {
-            self.offsets[i] += self.offsets[i - 1];
-        }
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.offsets);
-        self.agents.clear();
-        self.agents.resize(positions.len(), 0);
-        self.occupied.clear();
-        // At most min(k, #buckets) buckets can be occupied; a one-time
-        // reservation keeps later rebuilds allocation-free even as the
-        // number of occupied buckets drifts to new maxima.
-        self.occupied.reserve(positions.len().min(num_buckets));
-        for (i, p) in positions.iter().enumerate() {
-            let b = self_bucket(*p, bucket_side, buckets_per_side);
-            if self.cursor[b] == self.offsets[b] {
-                self.occupied.push(b as u32);
-            }
-            self.agents[self.cursor[b] as usize] = i as u32;
-            self.cursor[b] += 1;
-        }
-    }
-
-    /// Switches to linked mode: per-bucket sorted linked lists over two
-    /// fixed-size arrays, derived from the grouped arena. O(#buckets +
-    /// k), once per rebuild→maintenance transition.
-    fn enter_linked_mode(&mut self) {
-        let num_buckets = (self.buckets_per_side as usize).pow(2);
-        self.head.clear();
-        self.head.resize(num_buckets, NO_AGENT);
         self.next.clear();
-        self.next.resize(self.agents.len(), NO_AGENT);
-        for &b in &self.occupied {
-            let start = self.offsets[b as usize] as usize;
-            let end = self.offsets[b as usize + 1] as usize;
-            // The grouped lists are in increasing agent order; the
-            // links inherit it.
-            self.head[b as usize] = self.agents[start];
-            for w in start..end - 1 {
-                self.next[self.agents[w] as usize] = self.agents[w + 1];
-            }
+        self.next.resize(positions.len(), NO_AGENT);
+        // Prepending in decreasing agent order leaves every list
+        // increasing.
+        for a in (0..positions.len()).rev() {
+            let b = self.bucket[a] as usize;
+            self.next[a] = self.head[b];
+            self.head[b] = a as u32;
         }
-        self.linked = true;
     }
 
     /// Relocates the agents listed in `moves` — `(agent, from, to)`
@@ -255,26 +206,17 @@ impl SpatialHash {
     /// At bucket side `r` an agent crosses a bucket boundary on roughly
     /// `1/r` of its steps, and under masked mobility most agents do not
     /// move at all — this is what makes per-step hash maintenance
-    /// proportional to the *moved* set instead of `k`. The first call
-    /// after a rebuild converts the hash to linked mode (O(#buckets +
-    /// k)); subsequent calls cost only the relocations and never
-    /// allocate (both link arrays have fixed size).
-    ///
-    /// In linked mode the slice accessors
-    /// ([`bucket_agents`](SpatialHash::bucket_agents),
-    /// [`occupied_buckets`](SpatialHash::occupied_buckets)) are
-    /// unavailable; use the iterator accessors instead.
+    /// proportional to the *moved* set instead of `k`. It never
+    /// allocates (every array has fixed size).
     ///
     /// # Panics
     ///
-    /// Panics if a `from` position is not where the hash last saw that
-    /// agent, or if a `to` position lies outside the grid — either
-    /// means the move log does not match the maintained state.
+    /// Panics if a bucket-crossing `from` position is not in the bucket
+    /// where the hash last saw that agent, or if a `to` position lies
+    /// outside the grid — either means the move log does not match the
+    /// maintained state.
     // detlint: hot
     pub fn apply_moves(&mut self, moves: &[(u32, Point, Point)]) {
-        if !self.linked {
-            self.enter_linked_mode();
-        }
         let (bs, bps) = (self.bucket_side, self.buckets_per_side);
         for &(agent, from, to) in moves {
             assert!(
@@ -287,13 +229,17 @@ impl SpatialHash {
             if fb == tb {
                 continue;
             }
+            assert!(
+                self.bucket[agent as usize] as usize == fb,
+                "agent {agent} not present in bucket {fb}"
+            );
+            self.bucket[agent as usize] = tb as u32;
             // Unlink from the old bucket.
             let mut cur = self.head[fb];
             if cur == agent {
                 self.head[fb] = self.next[agent as usize];
             } else {
                 loop {
-                    assert!(cur != NO_AGENT, "agent {agent} not present in bucket {fb}");
                     let after = self.next[cur as usize];
                     if after == agent {
                         self.next[cur as usize] = self.next[agent as usize];
@@ -339,15 +285,7 @@ impl SpatialHash {
     #[inline]
     #[must_use]
     pub fn num_agents(&self) -> usize {
-        self.agents.len()
-    }
-
-    /// Whether the hash is in linked (incrementally maintained) mode,
-    /// where only the iterator accessors are available.
-    #[inline]
-    #[must_use]
-    pub fn is_linked(&self) -> bool {
-        self.linked
+        self.next.len()
     }
 
     /// The bucket coordinates of a point.
@@ -357,70 +295,29 @@ impl SpatialHash {
         (p.x / self.bucket_side, p.y / self.bucket_side)
     }
 
-    /// The indices (`by * buckets_per_side + bx`) of the buckets that
-    /// hold at least one agent, in first-touch order — at most `k`
-    /// entries, so scans driven by this list cost O(k) even when the
-    /// bucket grid has `n ≫ k` cells (`r = 0`).
-    ///
-    /// # Panics
-    ///
-    /// Panics in linked mode (after
-    /// [`apply_moves`](SpatialHash::apply_moves)), where the grouped
-    /// occupancy list is stale.
-    #[inline]
-    #[must_use]
-    pub fn occupied_buckets(&self) -> &[u32] {
-        assert!(
-            !self.linked,
-            "occupied_buckets is unavailable in linked mode"
-        );
-        &self.occupied
-    }
-
-    /// The agent indices stored in bucket `(bx, by)`, in increasing
-    /// order, as a slice of the grouped arena.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket coordinates are out of range, or in linked
-    /// mode (after [`apply_moves`](SpatialHash::apply_moves)) — use
-    /// [`bucket_agents_iter`](SpatialHash::bucket_agents_iter) there.
-    #[must_use]
-    pub fn bucket_agents(&self, bx: u32, by: u32) -> &[u32] {
-        assert!(!self.linked, "bucket_agents is unavailable in linked mode");
-        assert!(bx < self.buckets_per_side && by < self.buckets_per_side);
-        let b = (by * self.buckets_per_side + bx) as usize;
-        let start = self.offsets[b] as usize;
-        let end = self.offsets[b + 1] as usize;
-        &self.agents[start..end]
-    }
-
     /// Iterates over the agents of bucket `(bx, by)` in increasing
-    /// order — mode-independent: serves slices in grouped mode and
-    /// walks the links in linked mode, yielding identical sequences.
+    /// order.
     ///
     /// # Panics
     ///
     /// Panics if the bucket coordinates are out of range.
     pub fn bucket_agents_iter(&self, bx: u32, by: u32) -> BucketAgents<'_> {
         assert!(bx < self.buckets_per_side && by < self.buckets_per_side);
-        let b = (by * self.buckets_per_side + bx) as usize;
-        if self.linked {
-            BucketAgents::Linked {
-                next: &self.next,
-                cur: self.head[b],
-            }
-        } else {
-            let start = self.offsets[b] as usize;
-            let end = self.offsets[b + 1] as usize;
-            BucketAgents::Grouped(self.agents[start..end].iter())
+        self.list_from(self.head[(by * self.buckets_per_side + bx) as usize])
+    }
+
+    /// The list walk starting at agent `cur`.
+    #[inline]
+    fn list_from(&self, cur: u32) -> BucketAgents<'_> {
+        BucketAgents {
+            next: &self.next,
+            cur,
         }
     }
 
     /// Iterates over the agent indices in the 3×3 bucket neighborhood
     /// of `p` — a superset of every agent within the build radius of
-    /// `p` (callers still apply the exact distance test). Works in both
-    /// storage modes.
+    /// `p` (callers still apply the exact distance test).
     ///
     /// This is the shared candidate scan behind one-hop rumor exchange,
     /// predator–prey catch resolution and seed-restricted labelling.
@@ -435,22 +332,55 @@ impl SpatialHash {
                 .flat_map(move |x| self.bucket_agents_iter(x, y))
         })
     }
+
+    /// Calls `f(a, b)` once for every unordered pair of distinct agents
+    /// in the same or 8-adjacent buckets — a superset of every pair
+    /// within the build radius (callers still apply the exact test).
+    ///
+    /// The scan runs per agent: each agent `a` pairs with the agents
+    /// after it in its own bucket, then with every agent of the E, N,
+    /// NE and NW buckets, so each adjacent bucket pair is seen from one
+    /// side only. The cost is O(k + #pairs) however many buckets the
+    /// grid has — decisive at `r = 0`, where there are `n ≫ k`.
+    // detlint: hot
+    pub(crate) fn for_each_candidate_pair(&self, mut f: impl FnMut(u32, u32)) {
+        let bps = self.buckets_per_side;
+        for (a, &b) in self.bucket.iter().enumerate() {
+            let a = a as u32;
+            for c in self.list_from(self.next[a as usize]) {
+                f(a, c);
+            }
+            let (east, west, north) = (b % bps + 1 < bps, b % bps > 0, b / bps + 1 < bps);
+            let mut scan = |nb: u32| {
+                for c in self.list_from(self.head[nb as usize]) {
+                    f(a, c);
+                }
+            };
+            if east {
+                scan(b + 1);
+            }
+            if north {
+                scan(b + bps);
+                if east {
+                    scan(b + bps + 1);
+                }
+                if west {
+                    scan(b + bps - 1);
+                }
+            }
+        }
+    }
 }
 
 /// Iterator over one bucket's agents, produced by
-/// [`SpatialHash::bucket_agents_iter`]; yields increasing agent indices
-/// in either storage mode.
+/// [`SpatialHash::bucket_agents_iter`]: a walk along the bucket's linked
+/// list, yielding increasing agent indices.
 #[derive(Clone, Debug)]
-pub enum BucketAgents<'a> {
-    /// Slice walk over the grouped arena.
-    Grouped(core::slice::Iter<'a, u32>),
-    /// Pointer walk over the linked overlay.
-    Linked {
-        /// The shared next-agent array.
-        next: &'a [u32],
-        /// The agent to yield next (`NO_AGENT` when exhausted).
-        cur: u32,
-    },
+pub struct BucketAgents<'a> {
+    /// The shared next-agent array.
+    next: &'a [u32],
+    /// The agent to yield next (`NO_AGENT` when exhausted).
+    cur: u32,
 }
 
 impl Iterator for BucketAgents<'_> {
@@ -458,17 +388,12 @@ impl Iterator for BucketAgents<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<u32> {
-        match self {
-            BucketAgents::Grouped(iter) => iter.next().copied(),
-            BucketAgents::Linked { next, cur } => {
-                if *cur == NO_AGENT {
-                    None
-                } else {
-                    let agent = *cur;
-                    *cur = next[agent as usize];
-                    Some(agent)
-                }
-            }
+        if self.cur == NO_AGENT {
+            None
+        } else {
+            let agent = self.cur;
+            self.cur = self.next[agent as usize];
+            Some(agent)
         }
     }
 }
@@ -484,8 +409,8 @@ fn self_bucket(p: Point, bucket_side: u32, buckets_per_side: u32) -> usize {
 mod tests {
     use super::*;
 
-    /// Bucket-for-bucket equality via the mode-independent iterator:
-    /// dimensions and every bucket's agent sequence.
+    /// Bucket-for-bucket equality: dimensions and every bucket's agent
+    /// sequence.
     fn assert_hash_equal(a: &SpatialHash, b: &SpatialHash) {
         assert_eq!(a.bucket_side(), b.bucket_side());
         assert_eq!(a.buckets_per_side(), b.buckets_per_side());
@@ -511,12 +436,9 @@ mod tests {
         assert_eq!(h.bucket_side(), 2);
         assert_eq!(h.buckets_per_side(), 4);
         assert_eq!(h.num_agents(), 4);
-        assert_eq!(h.bucket_agents(0, 0), &[0, 1, 3]);
-        assert_eq!(h.bucket_agents(2, 2), &[2]);
-        assert_eq!(h.bucket_agents(1, 0), &[] as &[u32]);
-        // The iterator accessor agrees with the slices in grouped mode.
-        let via_iter: Vec<u32> = h.bucket_agents_iter(0, 0).collect();
-        assert_eq!(via_iter, vec![0, 1, 3]);
+        assert!(h.bucket_agents_iter(0, 0).eq([0, 1, 3]));
+        assert!(h.bucket_agents_iter(2, 2).eq([2]));
+        assert_eq!(h.bucket_agents_iter(1, 0).count(), 0);
     }
 
     #[test]
@@ -524,8 +446,8 @@ mod tests {
         let pts = [Point::new(3, 3), Point::new(3, 3), Point::new(3, 4)];
         let h = SpatialHash::build(&pts, 0, 8);
         assert_eq!(h.bucket_side(), 1);
-        assert_eq!(h.bucket_agents(3, 3), &[0, 1]);
-        assert_eq!(h.bucket_agents(3, 4), &[2]);
+        assert!(h.bucket_agents_iter(3, 3).eq([0, 1]));
+        assert!(h.bucket_agents_iter(3, 4).eq([2]));
     }
 
     #[test]
@@ -534,7 +456,7 @@ mod tests {
         let h = SpatialHash::build(&pts, 100, 8);
         assert_eq!(h.bucket_side(), 8);
         assert_eq!(h.buckets_per_side(), 1);
-        assert_eq!(h.bucket_agents(0, 0), &[0]);
+        assert!(h.bucket_agents_iter(0, 0).eq([0]));
     }
 
     #[test]
@@ -544,7 +466,7 @@ mod tests {
         let mut seen = [false; 100];
         for by in 0..h.buckets_per_side() {
             for bx in 0..h.buckets_per_side() {
-                for &a in h.bucket_agents(bx, by) {
+                for a in h.bucket_agents_iter(bx, by) {
                     assert!(!seen[a as usize], "agent {a} stored twice");
                     seen[a as usize] = true;
                     let (px, py) = h.bucket_of(pts[a as usize]);
@@ -617,7 +539,6 @@ mod tests {
             pts[a as usize] = to;
         }
         h.apply_moves(&moves);
-        assert!(h.is_linked());
         assert_hash_equal(&h, &SpatialHash::build(&pts, 2, 8));
         // The relocations kept per-bucket order increasing.
         let b00: Vec<u32> = h.bucket_agents_iter(0, 0).collect();
@@ -648,15 +569,36 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_after_maintenance_restores_grouped_mode() {
+    fn rebuild_after_maintenance_matches_fresh_build() {
         let mut pts = vec![Point::new(0, 0), Point::new(4, 4)];
         let mut h = SpatialHash::build(&pts, 1, 8);
         h.apply_moves(&[(0, Point::new(0, 0), Point::new(0, 1))]);
         pts[0] = Point::new(0, 1);
-        assert!(h.is_linked());
         h.rebuild(&pts, 1, 8);
-        assert!(!h.is_linked());
-        assert_eq!(h.bucket_agents(0, 1), &[0]);
+        assert_hash_equal(&h, &SpatialHash::build(&pts, 1, 8));
+        assert!(h.bucket_agents_iter(0, 1).eq([0]));
+    }
+
+    #[test]
+    fn candidate_pairs_cover_each_adjacent_pair_once() {
+        let pts: Vec<Point> = (0..40)
+            .map(|i| Point::new((i * 7) % 12, (i * 5) % 12))
+            .collect();
+        let h = SpatialHash::build(&pts, 2, 12);
+        let mut seen = Vec::new();
+        h.for_each_candidate_pair(|a, b| seen.push((a.min(b), a.max(b))));
+        let mut expected = Vec::new();
+        for a in 0..pts.len() {
+            for b in a + 1..pts.len() {
+                let (ax, ay) = h.bucket_of(pts[a]);
+                let (bx, by) = h.bucket_of(pts[b]);
+                if ax.abs_diff(bx) <= 1 && ay.abs_diff(by) <= 1 {
+                    expected.push((a as u32, b as u32));
+                }
+            }
+        }
+        seen.sort_unstable();
+        assert_eq!(seen, expected);
     }
 
     #[test]

@@ -54,43 +54,15 @@ impl DegreeStats {
                 isolated: 0,
             };
         }
-        let hash = SpatialHash::build(positions, r, side);
-        let bps = hash.buckets_per_side();
         let mut degree = vec![0u32; k];
-        const NEIGHBOR_OFFSETS: [(i32, i32); 4] = [(1, 0), (0, 1), (1, 1), (-1, 1)];
         let mut edges = 0u64;
-        let bump = |a: u32, b: u32, degree: &mut [u32], edges: &mut u64| {
-            degree[a as usize] += 1;
-            degree[b as usize] += 1;
-            *edges += 1;
-        };
-        for by in 0..bps {
-            for bx in 0..bps {
-                let here = hash.bucket_agents(bx, by);
-                for (i, &a) in here.iter().enumerate() {
-                    for &b in &here[i + 1..] {
-                        if positions[a as usize].manhattan(positions[b as usize]) <= r {
-                            bump(a, b, &mut degree, &mut edges);
-                        }
-                    }
-                }
-                for (dx, dy) in NEIGHBOR_OFFSETS {
-                    let nx = bx as i32 + dx;
-                    let ny = by as i32 + dy;
-                    if nx < 0 || ny < 0 || nx >= bps as i32 || ny >= bps as i32 {
-                        continue;
-                    }
-                    let there = hash.bucket_agents(nx as u32, ny as u32);
-                    for &a in here {
-                        for &b in there {
-                            if positions[a as usize].manhattan(positions[b as usize]) <= r {
-                                bump(a, b, &mut degree, &mut edges);
-                            }
-                        }
-                    }
-                }
+        SpatialHash::build(positions, r, side).for_each_candidate_pair(|a, b| {
+            if positions[a as usize].manhattan(positions[b as usize]) <= r {
+                degree[a as usize] += 1;
+                degree[b as usize] += 1;
+                edges += 1;
             }
-        }
+        });
         Self {
             edges,
             mean_degree: 2.0 * edges as f64 / k as f64,

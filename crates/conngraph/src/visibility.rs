@@ -269,10 +269,11 @@ impl ComponentsScratch {
     }
 }
 
-/// Unions every pair of agents the contact model accepts, scanning
-/// each *occupied* bucket pair of the hash exactly once — O(k) bucket
-/// work even when the grid has `n ≫ k` buckets (the `r = 0`
-/// contact-only regime), where a full-grid sweep would cost O(n).
+/// Unions every pair of agents the contact model accepts, scanning per
+/// agent through the hash's candidate pairs
+/// ([`SpatialHash::for_each_candidate_pair`]) — O(k) bucket work even
+/// when the grid has `n ≫ k` buckets (the `r = 0` contact-only regime),
+/// where a full-grid sweep would cost O(n).
 ///
 /// The hash's bucket radius must bound the contact model's reach (see
 /// the [`Contact`] contract); the homogeneous path monomorphizes to
@@ -288,47 +289,12 @@ fn union_visible_by<C: Contact>(
     contact: &C,
     uf: &mut UnionFind,
 ) {
-    let bps = hash.buckets_per_side();
-    // Half-neighbourhood scan so each bucket pair is examined once:
-    // within-bucket pairs, then (E, N, NE, NW) neighbour buckets.
-    const NEIGHBOR_OFFSETS: [(i32, i32); 4] = [(1, 0), (0, 1), (1, 1), (-1, 1)];
-    for &bucket in hash.occupied_buckets() {
-        let bx = bucket % bps;
-        let by = bucket / bps;
-        let here = hash.bucket_agents(bx, by);
-        for (idx, &a) in here.iter().enumerate() {
-            for &b in &here[idx + 1..] {
-                if contact.in_contact(
-                    a as usize,
-                    b as usize,
-                    positions[a as usize],
-                    positions[b as usize],
-                ) {
-                    uf.union(a as usize, b as usize);
-                }
-            }
+    hash.for_each_candidate_pair(|a, b| {
+        let (a, b) = (a as usize, b as usize);
+        if contact.in_contact(a, b, positions[a], positions[b]) {
+            uf.union(a, b);
         }
-        for (dx, dy) in NEIGHBOR_OFFSETS {
-            let nx = bx as i32 + dx;
-            let ny = by as i32 + dy;
-            if nx < 0 || ny < 0 || nx >= bps as i32 || ny >= bps as i32 {
-                continue;
-            }
-            let there = hash.bucket_agents(nx as u32, ny as u32);
-            for &a in here {
-                for &b in there {
-                    if contact.in_contact(
-                        a as usize,
-                        b as usize,
-                        positions[a as usize],
-                        positions[b as usize],
-                    ) {
-                        uf.union(a as usize, b as usize);
-                    }
-                }
-            }
-        }
-    }
+    });
 }
 
 /// Computes the connected components of `G_t(r)` over `positions` on a

@@ -1,13 +1,15 @@
 //! Property-based tests: the spatially-hashed component builder must
 //! agree exactly with the O(k²) brute-force reference on arbitrary
 //! agent layouts and radii; the seed-restricted builder must agree
-//! with the full builder on every seed-containing component; and a
-//! hash maintained move by move must equal a fresh build.
+//! with the full builder on every seed-containing component; a hash
+//! maintained move by move, or rebuilt warm at old and new geometries,
+//! must equal a fresh build; and the degree statistics must match a
+//! pairwise count.
 
 use proptest::prelude::*;
 use sparsegossip_conngraph::{
     components, components_brute, components_from_seeds, components_into, giant_fraction,
-    Components, ComponentsScratch, IslandStats, SpatialHash,
+    Components, ComponentsScratch, DegreeStats, IslandStats, SpatialHash,
 };
 use sparsegossip_grid::Point;
 use sparsegossip_walks::BitSet;
@@ -62,9 +64,9 @@ fn step_point(p: Point, dir: u8, side: u32) -> Point {
     }
 }
 
-/// Bucket-for-bucket hash equality via the mode-independent iterator:
-/// dimensions plus every bucket's agent sequence (which also pins the
-/// occupied set and the per-bucket increasing order).
+/// Bucket-for-bucket hash equality: dimensions plus every bucket's agent
+/// sequence (which also pins the occupied set and the per-bucket
+/// increasing order).
 fn hashes_equal(a: &SpatialHash, b: &SpatialHash) -> bool {
     if a.bucket_side() != b.bucket_side()
         || a.buckets_per_side() != b.buckets_per_side()
@@ -77,6 +79,60 @@ fn hashes_equal(a: &SpatialHash, b: &SpatialHash) -> bool {
             a.bucket_agents_iter(bx, by)
                 .eq(b.bucket_agents_iter(bx, by))
         })
+    })
+}
+
+/// One operation on a warm hash.
+#[derive(Clone, Debug)]
+enum HashOp {
+    /// Rebuild over `coords` (reduced modulo the grid side, so the agent
+    /// count shrinks or grows freely), at a new `(r, side)` if given and
+    /// at the current geometry otherwise.
+    Rebuild {
+        coords: Vec<(u32, u32)>,
+        geometry: Option<(u32, u32)>,
+    },
+    /// One clamped unit move per agent, as in [`step_point`].
+    Moves(Vec<u8>),
+}
+
+fn arb_hash_op() -> impl Strategy<Value = HashOp> {
+    (
+        0u8..3,
+        proptest::collection::vec((0u32..64, 0u32..64), 0..60),
+        (0u32..12, 1u32..40),
+        proptest::collection::vec(0u8..10, 60..61),
+    )
+        .prop_map(|(kind, coords, geometry, dirs)| match kind {
+            0 => HashOp::Rebuild {
+                coords,
+                geometry: None,
+            },
+            1 => HashOp::Rebuild {
+                coords,
+                geometry: Some(geometry),
+            },
+            _ => HashOp::Moves(dirs),
+        })
+}
+
+/// A layout whose radius is 0 a third of the time and whose agents are,
+/// half the time, packed into a 3×3 patch so most of them collide.
+fn arb_degree_layout() -> impl Strategy<Value = (Vec<Point>, u32, u32)> {
+    let radius = (0u8..3, 1u32..50).prop_map(|(zero, r)| if zero == 0 { 0 } else { r });
+    (1u32..40, radius, any::<bool>()).prop_flat_map(|(side, r, clustered)| {
+        let spread = if clustered { side.min(3) } else { side };
+        (
+            proptest::collection::vec((0..spread, 0..spread), 0..60),
+            0..=side - spread,
+        )
+            .prop_map(move |(coords, base)| {
+                let positions = coords
+                    .into_iter()
+                    .map(|(x, y)| Point::new(base + x, base + y))
+                    .collect();
+                (positions, r, side)
+            })
     })
 }
 
@@ -210,6 +266,69 @@ proptest! {
                 "maintained hash diverged after {} moves", moves.len()
             );
         }
+    }
+
+    #[test]
+    fn warm_rebuilt_hash_equals_fresh_build(
+        (positions, r, side) in arb_layout(),
+        ops in proptest::collection::vec(arb_hash_op(), 1..12),
+    ) {
+        // One hash through rebuilds at the same geometry, at new radii
+        // and sides, with k shrinking and growing, and moves in between:
+        // clearing only the previously used heads must never leave a
+        // stale list behind.
+        let (mut positions, mut r, mut side) = (positions, r, side);
+        let mut hash = SpatialHash::build(&positions, r, side);
+        for op in &ops {
+            match op {
+                HashOp::Rebuild { coords, geometry } => {
+                    if let Some(g) = *geometry {
+                        (r, side) = g;
+                    }
+                    positions = coords
+                        .iter()
+                        .map(|&(x, y)| Point::new(x % side, y % side))
+                        .collect();
+                    hash.rebuild(&positions, r, side);
+                }
+                HashOp::Moves(dirs) => {
+                    let mut moves = Vec::new();
+                    for (i, &dir) in dirs.iter().enumerate().take(positions.len()) {
+                        let from = positions[i];
+                        let to = step_point(from, dir, side);
+                        if to != from {
+                            positions[i] = to;
+                            moves.push((i as u32, from, to));
+                        }
+                    }
+                    hash.apply_moves(&moves);
+                }
+            }
+            prop_assert!(
+                hashes_equal(&hash, &SpatialHash::build(&positions, r, side)),
+                "warm hash diverged after {:?}", op
+            );
+        }
+    }
+
+    #[test]
+    fn degree_stats_match_pairwise_count((positions, r, side) in arb_degree_layout()) {
+        let k = positions.len();
+        let mut degree = vec![0u32; k];
+        let mut edges = 0u64;
+        for i in 0..k {
+            for j in i + 1..k {
+                if positions[i].manhattan(positions[j]) <= r {
+                    degree[i] += 1;
+                    degree[j] += 1;
+                    edges += 1;
+                }
+            }
+        }
+        let s = DegreeStats::compute(&positions, r, side);
+        prop_assert_eq!(s.edges, edges);
+        prop_assert_eq!(s.max_degree, degree.iter().copied().max().unwrap_or(0));
+        prop_assert_eq!(s.isolated, degree.iter().filter(|&&d| d == 0).count());
     }
 
     #[test]

@@ -187,27 +187,16 @@ impl ClementiSim {
     fn exchange_one_hop(&mut self) {
         let r = self.config.exchange_radius;
         let hash = SpatialHash::build(&self.positions, r, self.grid.side());
-        let bps = hash.buckets_per_side();
         let snapshot = self.informed.clone();
         for i in snapshot.iter_ones() {
             let p = self.positions[i];
-            let (bx, by) = hash.bucket_of(p);
-            for dy in -1i64..=1 {
-                for dx in -1i64..=1 {
-                    let nx = bx as i64 + dx;
-                    let ny = by as i64 + dy;
-                    if nx < 0 || ny < 0 || nx >= i64::from(bps) || ny >= i64::from(bps) {
-                        continue;
-                    }
-                    for &j in hash.bucket_agents(nx as u32, ny as u32) {
-                        let j = j as usize;
-                        if !self.informed.contains(j)
-                            && self.positions[j].manhattan(p) <= r
-                            && self.informed.insert(j)
-                        {
-                            self.informed_count += 1;
-                        }
-                    }
+            for j in hash.candidates(p) {
+                let j = j as usize;
+                if !self.informed.contains(j)
+                    && self.positions[j].manhattan(p) <= r
+                    && self.informed.insert(j)
+                {
+                    self.informed_count += 1;
                 }
             }
         }

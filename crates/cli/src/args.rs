@@ -30,6 +30,12 @@ pub enum ArgError {
     },
     /// A positional argument appeared where options were expected.
     UnexpectedPositional(String),
+    /// A value option was given without its value (`--radius` last, or
+    /// followed by another option).
+    MissingValue {
+        /// Option name.
+        key: String,
+    },
 }
 
 impl fmt::Display for ArgError {
@@ -40,6 +46,7 @@ impl fmt::Display for ArgError {
                 write!(f, "option --{key} has invalid value {value:?}")
             }
             Self::UnexpectedPositional(a) => write!(f, "unexpected argument {a:?}"),
+            Self::MissingValue { key } => write!(f, "option --{key} needs a value"),
         }
     }
 }
@@ -99,11 +106,24 @@ impl ParsedArgs {
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError::BadValue`] if present but unparsable.
+    /// As [`ParsedArgs::get_opt`].
     pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgError> {
+        Ok(self.get_opt(name)?.unwrap_or(default))
+    }
+
+    /// Parses `--name` as `T`, or `None` when absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError::BadValue`] if present but unparsable, and
+    /// [`ArgError::MissingValue`] if `--name` was given without a value.
+    pub fn get_opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, ArgError> {
         match self.options.get(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::BadValue {
+            None if self.flag(name) => Err(ArgError::MissingValue {
+                key: name.to_string(),
+            }),
+            None => Ok(None),
+            Some(v) => v.parse().map(Some).map_err(|_| ArgError::BadValue {
                 key: name.to_string(),
                 value: v.clone(),
             }),
@@ -169,6 +189,20 @@ mod tests {
     }
 
     #[test]
+    fn value_option_without_value_is_missing_value() {
+        let missing = ArgError::MissingValue {
+            key: "radius".into(),
+        };
+        for line in ["broadcast --side 64 --radius", "broadcast --radius --k 3"] {
+            let p = ParsedArgs::parse(to_args(line)).unwrap();
+            assert_eq!(p.get::<u32>("radius", 0), Err(missing.clone()), "{line}");
+            assert_eq!(p.get_opt::<u32>("radius"), Err(missing.clone()), "{line}");
+        }
+        let p = ParsedArgs::parse(to_args("broadcast --radius --k 3")).unwrap();
+        assert_eq!(p.get::<usize>("k", 0).unwrap(), 3);
+    }
+
+    #[test]
     fn error_messages_are_lowercase() {
         for e in [
             ArgError::MissingCommand,
@@ -177,6 +211,7 @@ mod tests {
                 value: "x".into(),
             },
             ArgError::UnexpectedPositional("y".into()),
+            ArgError::MissingValue { key: "z".into() },
         ] {
             assert!(e.to_string().chars().next().unwrap().is_lowercase());
         }

@@ -253,10 +253,9 @@ fn world_summary(w: &WorldConfig) -> String {
 /// floats, rejecting bad values here so the sweep builder's asserts
 /// can never fire on user input.
 fn unit_list(args: &ParsedArgs, name: &'static str) -> Result<Option<Vec<f64>>, CliError> {
-    if !args.has_option(name) {
+    let Some(raw) = args.get_opt::<String>(name)? else {
         return Ok(None);
-    }
-    let raw: String = args.get(name, String::new())?;
+    };
     let mut out = Vec::new();
     for part in raw.split(',') {
         let v: f64 = part.trim().parse().map_err(|_| bad(name, &raw))?;
@@ -271,10 +270,9 @@ fn unit_list(args: &ParsedArgs, name: &'static str) -> Result<Option<Vec<f64>>, 
 /// Parses an optional comma-separated list of non-negative integers
 /// (e.g. `--partition-lens 0,8,32`).
 fn u64_list(args: &ParsedArgs, name: &'static str) -> Result<Option<Vec<u64>>, CliError> {
-    if !args.has_option(name) {
+    let Some(raw) = args.get_opt::<String>(name)? else {
         return Ok(None);
-    }
-    let raw: String = args.get(name, String::new())?;
+    };
     let mut out = Vec::new();
     for part in raw.split(',') {
         let v: u64 = part.trim().parse().map_err(|_| bad(name, &raw))?;
@@ -795,8 +793,7 @@ fn sweep(args: &ParsedArgs) -> Result<(), CliError> {
         error: e.to_string(),
     })?;
     let mut sweep = ScenarioSweep::from_toml_str(&text)?;
-    if args.has_option("replicates") {
-        let reps: u32 = args.get("replicates", 1u32)?;
+    if let Some(reps) = args.get_opt::<u32>("replicates")? {
         if reps == 0 {
             return Err(CliError::Args(ArgError::BadValue {
                 key: "replicates".to_string(),
@@ -805,11 +802,11 @@ fn sweep(args: &ParsedArgs) -> Result<(), CliError> {
         }
         sweep = sweep.replicates(reps);
     }
-    if args.has_option("threads") {
-        sweep = sweep.threads(args.get("threads", 1usize)?);
+    if let Some(threads) = args.get_opt("threads")? {
+        sweep = sweep.threads(threads);
     }
-    if args.has_option("seed") {
-        sweep = sweep.seed(args.get("seed", 2011u64)?);
+    if let Some(seed) = args.get_opt("seed")? {
+        sweep = sweep.seed(seed);
     }
     let barriers = unit_list(args, "barrier-densities")?;
     let churns = unit_list(args, "churn-rates")?;
@@ -850,7 +847,9 @@ fn sweep(args: &ParsedArgs) -> Result<(), CliError> {
     // spec's own `[sweep] adaptive` keys, if any, supply defaults);
     // the budget flags require it.
     let adaptive_on = args.flag("adaptive") || sweep.adaptive_config().is_some();
-    if !adaptive_on && (args.has_option("budget") || args.has_option("replicate-budget")) {
+    let budget = args.get_opt("budget")?;
+    let replicate_budget = args.get_opt("replicate-budget")?;
+    if !adaptive_on && (budget.is_some() || replicate_budget.is_some()) {
         return Err(bad(
             "budget",
             "--budget/--replicate-budget require --adaptive",
@@ -858,11 +857,11 @@ fn sweep(args: &ParsedArgs) -> Result<(), CliError> {
     }
     if adaptive_on {
         let mut cfg = sweep.adaptive_config().unwrap_or_default();
-        if args.has_option("budget") {
-            cfg.cell_budget = args.get("budget", 0usize)?;
+        if let Some(budget) = budget {
+            cfg.cell_budget = budget;
         }
-        if args.has_option("replicate-budget") {
-            cfg.replicate_budget = args.get("replicate-budget", 0u32)?;
+        if let Some(replicate_budget) = replicate_budget {
+            cfg.replicate_budget = replicate_budget;
         }
         sweep = sweep.adaptive(cfg);
     }
@@ -1067,6 +1066,20 @@ mod tests {
             dispatch(&parsed(&format!("sweep --spec {spec} --resume"))),
             Err(CliError::MissingOption("store"))
         ));
+        // Value options given bare are typed errors, not ignored.
+        for key in [
+            "replicates",
+            "threads",
+            "seed",
+            "budget",
+            "replicate-budget",
+        ] {
+            let e = dispatch(&parsed(&format!("sweep --spec {spec} --adaptive --{key}")));
+            assert!(
+                matches!(&e, Err(CliError::Args(ArgError::MissingValue { key: k })) if k == key),
+                "--{key}: {e:?}"
+            );
+        }
         // A store-backed run checkpoints, then resumes as cache hits.
         let store = std::env::temp_dir().join(format!(
             "sparsegossip_cli_sweep_store_{}.bin",
@@ -1089,6 +1102,22 @@ mod tests {
             Err(CliError::Store(_))
         ));
         std::fs::remove_file(&store).unwrap();
+    }
+
+    #[test]
+    fn radius_without_value_is_an_error() {
+        for cmd in [
+            "broadcast --side 64 --radius",
+            "broadcast --side 64 --radius --k 3",
+            "infection --side 12 --k 4 --radius",
+            "percolation --side 16 --k 8 --radius --samples 3",
+        ] {
+            let e = dispatch(&parsed(cmd));
+            assert!(
+                matches!(&e, Err(CliError::Args(ArgError::MissingValue { key })) if key == "radius"),
+                "{cmd}: {e:?}"
+            );
+        }
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! **Contract:** every implementation must be *symmetric*
 //! (`in_contact(a, b, pa, pb) == in_contact(b, a, pb, pa)`) and must
 //! imply `pa.manhattan(pb) <= R` for some bound `R` no larger than the
-//! bucket radius the spatial hash was built with — the 3×3 bucket scan
-//! only examines pairs within one bucket side of each other.
+//! bucket radius the spatial hash was built with — the reach-aware
+//! bucket scan examines only pairs within one bucket side of each
+//! other, and at bucket radius 0 only co-located pairs.
 
 use sparsegossip_grid::Point;
 
@@ -44,8 +45,8 @@ impl Contact for UniformContact {
 /// contact-only: it connects exclusively to co-located agents.
 ///
 /// The slice is indexed by agent; build the spatial hash with the
-/// **maximum** radius so the 3×3 candidate scan stays a superset of
-/// every pair the `min` rule can accept.
+/// **maximum** radius so the reach-aware candidate scan stays a
+/// superset of every pair the `min` rule can accept.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RadiiContact<'a>(pub &'a [u32]);
 

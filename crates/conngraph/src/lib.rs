@@ -44,7 +44,7 @@ pub use seeded::{
     components_from_seeds, components_from_seeds_into, components_from_seeds_on,
     components_from_seeds_on_by, SeededScratch,
 };
-pub use spatial::{SpatialHash, SpatialScratch};
+pub use spatial::SpatialHash;
 pub use stats::DegreeStats;
 pub use union_find::UnionFind;
 pub use visibility::{

@@ -25,13 +25,14 @@ use sparsegossip_walks::BitSet;
 use crate::{Components, ComponentsScratch, Contact, SpatialHash, UniformContact};
 
 /// Reusable buffers for seed-restricted labelling: the BFS queue, the
-/// list of touched agents, the label remap table, the counting-sort
+/// covered-agent bitset, the label remap table, the counting-sort
 /// cursor and the [`Components`] under construction.
 ///
 /// One scratch amortizes every per-step seeded labelling of a
 /// simulation: after warm-up, a call performs no heap allocation, and
-/// its cost is proportional to the covered components (previously
-/// covered labels are un-set one by one rather than by an O(k) sweep).
+/// its cost is proportional to the covered components plus k/64 bitset
+/// words (previously covered labels are un-set one by one rather than
+/// by an O(k) sweep).
 ///
 /// # Examples
 ///
@@ -55,9 +56,9 @@ use crate::{Components, ComponentsScratch, Contact, SpatialHash, UniformContact}
 pub struct SeededScratch {
     /// BFS work stack of agents whose neighborhoods are unscanned.
     queue: Vec<u32>,
-    /// Every agent reached from a seed, in discovery order (sorted
-    /// before the canonical rebuild).
-    touched: Vec<u32>,
+    /// Every agent reached from a seed, read back in increasing order
+    /// by the canonical rebuild. Clear between calls.
+    covered: BitSet,
     /// Discovery-order label → canonical dense label.
     remap: Vec<u32>,
     /// Counting-sort cursor over component offsets.
@@ -121,7 +122,9 @@ pub fn components_from_seeds_on<'a>(
 /// this function at [`UniformContact`]).
 ///
 /// The hash's bucket radius must bound the contact model's reach, so
-/// the 3×3 candidate scan remains a superset of every accepted pair.
+/// the reach-aware candidate scan
+/// ([`SpatialHash::for_each_candidate`]) remains a superset of every
+/// accepted pair.
 /// The equivalence contract is unchanged: on covered components the
 /// result matches the full partition under the same contact model
 /// (e.g. [`components_brute_by`](crate::components_brute_by)).
@@ -150,22 +153,18 @@ pub fn components_from_seeds_on_by<'a, C: Contact>(
     } else {
         comps.labels.clear();
         comps.labels.resize(k, Components::NO_LABEL);
+        scratch.covered = BitSet::new(k);
         // One-time pre-reservation at the new working size: coverage
         // can only grow toward k, and reserving everything now keeps
         // every later call allocation-free no matter how the covered
         // frontier grows between calls.
         scratch.queue.reserve(k);
-        scratch.touched.reserve(k);
         scratch.remap.reserve(k);
-        scratch.cursor.reserve(k + 1);
         comps.sizes.reserve(k);
         comps.members.reserve(k);
-        comps.offsets.reserve(k + 1);
     }
     comps.sizes.clear();
-    comps.members.clear();
-    comps.offsets.clear();
-    scratch.touched.clear();
+    let covered = &mut scratch.covered;
 
     // Flood fill from the seeds, assigning discovery-order labels.
     // Visit order does not matter: the rebuild below canonicalizes.
@@ -177,52 +176,43 @@ pub fn components_from_seeds_on_by<'a, C: Contact>(
         let tmp = discovered;
         discovered += 1;
         comps.labels[s] = tmp;
-        scratch.touched.push(s as u32);
+        covered.insert(s);
         scratch.queue.push(s as u32);
         while let Some(a) = scratch.queue.pop() {
             let pa = positions[a as usize];
-            for b in hash.candidates(pa) {
-                if comps.labels[b as usize] == Components::NO_LABEL
-                    && contact.in_contact(a as usize, b as usize, pa, positions[b as usize])
+            hash.for_each_candidate(pa, |b| {
+                let b = b as usize;
+                if comps.labels[b] == Components::NO_LABEL
+                    && contact.in_contact(a as usize, b, pa, positions[b])
                 {
-                    comps.labels[b as usize] = tmp;
-                    scratch.touched.push(b);
-                    scratch.queue.push(b);
+                    comps.labels[b] = tmp;
+                    covered.insert(b);
+                    scratch.queue.push(b as u32);
                 }
-            }
+            });
         }
     }
 
-    // Canonicalize: walk the covered agents in increasing agent order,
+    // Canonicalize: walk the covered agents in increasing agent order
+    // (a word scan, O(k/64 + covered), like the seed scan above),
     // assigning dense ids at first encounter — exactly the full build's
     // labelling rule, restricted to the covered components.
-    scratch.touched.sort_unstable();
     scratch.remap.clear();
     scratch
         .remap
         .resize(discovered as usize, Components::NO_LABEL);
-    for &a in &scratch.touched {
-        let tmp = comps.labels[a as usize] as usize;
+    for a in covered.iter_ones() {
+        let tmp = comps.labels[a] as usize;
         if scratch.remap[tmp] == Components::NO_LABEL {
             scratch.remap[tmp] = comps.sizes.len() as u32;
             comps.sizes.push(0);
         }
         let lab = scratch.remap[tmp];
-        comps.labels[a as usize] = lab;
+        comps.labels[a] = lab;
         comps.sizes[lab as usize] += 1;
     }
-    comps.offsets.resize(comps.sizes.len() + 1, 0);
-    for c in 0..comps.sizes.len() {
-        comps.offsets[c + 1] = comps.offsets[c] + comps.sizes[c];
-    }
-    scratch.cursor.clear();
-    scratch.cursor.extend_from_slice(&comps.offsets);
-    comps.members.resize(scratch.touched.len(), 0);
-    for &a in &scratch.touched {
-        let lab = comps.labels[a as usize] as usize;
-        comps.members[scratch.cursor[lab] as usize] = a;
-        scratch.cursor[lab] += 1;
-    }
+    comps.group_members(&mut scratch.cursor, covered.iter_ones());
+    covered.clear();
     comps
 }
 
@@ -246,8 +236,8 @@ pub fn components_from_seeds_into<'a>(
     r: u32,
     side: u32,
 ) -> &'a Components {
-    let hash = SpatialHash::build_into(&mut scratch.spatial, positions, r, side);
-    components_from_seeds_on(hash, &mut scratch.seeded, positions, seeds, r)
+    scratch.spatial.rebuild(positions, r, side);
+    components_from_seeds_on(&scratch.spatial, &mut scratch.seeded, positions, seeds, r)
 }
 
 /// Computes the seed-containing components of `G_t(r)`, allocating a

@@ -5,7 +5,8 @@ use sparsegossip_grid::Point;
 /// Buckets have side `max(r, 1)`, so any two points at Manhattan
 /// distance ≤ `r` fall in the same or in 8-adjacent buckets, and the
 /// component builder only needs to examine a constant number of buckets
-/// per agent.
+/// per agent — only its own bucket at `r = 0`, where contacts are
+/// co-located, and the 3×3 block around it otherwise.
 ///
 /// Each bucket holds a linked list of its agents in increasing agent
 /// order: a list head per bucket, a next link per agent and each
@@ -33,6 +34,10 @@ use sparsegossip_grid::Point;
 pub struct SpatialHash {
     /// Bucket side length (`max(r, 1)`).
     bucket_side: u32,
+    /// `u64::MAX / bucket_side`, for division-free indexing ([`div_by`]).
+    recip: u64,
+    /// Build radius 0: contacts are co-located, in one bucket.
+    own_bucket_only: bool,
     /// Number of buckets along each axis.
     buckets_per_side: u32,
     /// The grid side the hash was built for.
@@ -51,51 +56,15 @@ pub struct SpatialHash {
 /// List terminator / empty-bucket marker.
 const NO_AGENT: u32 = u32::MAX;
 
-/// Reusable buffers for [`SpatialHash::build_into`]: the hash under
-/// construction.
-///
-/// One scratch amortizes every per-step hash rebuild of a simulation —
-/// after the first build at a given size, rebuilding is allocation-free.
-///
-/// # Examples
-///
-/// ```
-/// use sparsegossip_grid::Point;
-/// use sparsegossip_conngraph::{SpatialHash, SpatialScratch};
-///
-/// let mut scratch = SpatialScratch::new();
-/// let pts = [Point::new(0, 0), Point::new(3, 3)];
-/// let hash = SpatialHash::build_into(&mut scratch, &pts, 2, 8);
-/// assert!(hash.bucket_agents_iter(0, 0).eq([0]));
-/// // The same scratch serves the next (possibly differently sized) build.
-/// let hash = SpatialHash::build_into(&mut scratch, &[Point::new(7, 7)], 1, 8);
-/// assert!(hash.bucket_agents_iter(7, 7).eq([0]));
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct SpatialScratch {
-    hash: SpatialHash,
-}
-
-impl SpatialScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumes the scratch, yielding the most recently built hash.
-    #[must_use]
-    pub fn into_hash(self) -> SpatialHash {
-        self.hash
-    }
-}
-
 impl Default for SpatialHash {
     /// An empty hash over zero agents (side-1 buckets, zero buckets per
-    /// axis); useful only as scratch seed state.
+    /// axis): the starting state of a hash that is then
+    /// [`rebuild`](SpatialHash::rebuild)-ed in place every step.
     fn default() -> Self {
         Self {
             bucket_side: 1,
+            recip: u64::MAX,
+            own_bucket_only: false,
             buckets_per_side: 0,
             side: 0,
             head: Vec::new(),
@@ -118,26 +87,6 @@ impl SpatialHash {
         let mut hash = Self::default();
         hash.rebuild(positions, r, side);
         hash
-    }
-
-    /// Builds the hash inside `scratch`, clearing and refilling its
-    /// buffers instead of allocating, and returns a view of the result.
-    ///
-    /// Produces exactly the same hash as [`SpatialHash::build`]; after
-    /// the scratch has warmed up to the working size, this performs no
-    /// heap allocation.
-    ///
-    /// # Panics
-    ///
-    /// As [`SpatialHash::build`].
-    pub fn build_into<'a>(
-        scratch: &'a mut SpatialScratch,
-        positions: &[Point],
-        r: u32,
-        side: u32,
-    ) -> &'a Self {
-        scratch.hash.rebuild(positions, r, side);
-        &scratch.hash
     }
 
     /// Rebuilds `self` in place for `positions`, reusing every buffer.
@@ -169,19 +118,20 @@ impl SpatialHash {
             }
         } else {
             self.bucket_side = bucket_side;
+            self.recip = u64::MAX / u64::from(bucket_side);
             self.buckets_per_side = buckets_per_side;
             self.head.clear();
             self.head.resize(num_buckets, NO_AGENT);
         }
+        self.own_bucket_only = r == 0;
         self.side = side;
         self.bucket.clear();
-        for p in positions {
+        for &p in positions {
             assert!(
                 p.x < side && p.y < side,
                 "position {p} outside side-{side} grid"
             );
-            self.bucket
-                .push(self_bucket(*p, bucket_side, buckets_per_side) as u32);
+            self.bucket.push(self.self_bucket(p) as u32);
         }
         self.next.clear();
         self.next.resize(positions.len(), NO_AGENT);
@@ -217,15 +167,14 @@ impl SpatialHash {
     /// maintained state.
     // detlint: hot
     pub fn apply_moves(&mut self, moves: &[(u32, Point, Point)]) {
-        let (bs, bps) = (self.bucket_side, self.buckets_per_side);
         for &(agent, from, to) in moves {
             assert!(
                 to.x < self.side && to.y < self.side,
                 "moved position {to} outside side-{} grid",
                 self.side
             );
-            let fb = self_bucket(from, bs, bps);
-            let tb = self_bucket(to, bs, bps);
+            let fb = self.self_bucket(from);
+            let tb = self.self_bucket(to);
             if fb == tb {
                 continue;
             }
@@ -292,7 +241,14 @@ impl SpatialHash {
     #[inline]
     #[must_use]
     pub fn bucket_of(&self, p: Point) -> (u32, u32) {
-        (p.x / self.bucket_side, p.y / self.bucket_side)
+        (div_by(p.x, self.recip), div_by(p.y, self.recip))
+    }
+
+    /// The flat index (`by * buckets_per_side + bx`) of `p`'s bucket.
+    #[inline]
+    fn self_bucket(&self, p: Point) -> usize {
+        let (bx, by) = self.bucket_of(p);
+        (by * self.buckets_per_side + bx) as usize
     }
 
     /// Iterates over the agents of bucket `(bx, by)` in increasing
@@ -315,33 +271,51 @@ impl SpatialHash {
         }
     }
 
-    /// Iterates over the agent indices in the 3×3 bucket neighborhood
-    /// of `p` — a superset of every agent within the build radius of
-    /// `p` (callers still apply the exact distance test).
+    /// Calls `f` with every agent of the buckets that can hold a contact
+    /// of `p` — a superset of every agent within the build radius of `p`
+    /// (callers still apply the exact test): `p`'s own bucket at radius
+    /// 0, else the 3×3 block around it, read as three row slices of the
+    /// bucket heads. Does nothing on a hash with no buckets.
     ///
-    /// This is the shared candidate scan behind one-hop rumor exchange,
-    /// predator–prey catch resolution and seed-restricted labelling.
-    pub fn candidates(&self, p: Point) -> impl Iterator<Item = u32> + '_ {
+    /// # Panics
+    ///
+    /// Panics if `p` lies outside the grid the hash was built for.
+    // detlint: hot
+    pub fn for_each_candidate(&self, p: Point, mut f: impl FnMut(u32)) {
+        let bps = self.buckets_per_side as usize;
+        if bps == 0 {
+            return;
+        }
+        assert!(
+            p.x < self.side && p.y < self.side,
+            "position {p} outside side-{} grid",
+            self.side
+        );
         let (bx, by) = self.bucket_of(p);
-        let last = self.buckets_per_side - 1;
-        let x_range = bx.saturating_sub(1)..=bx.saturating_add(1).min(last);
-        let y_range = by.saturating_sub(1)..=by.saturating_add(1).min(last);
-        y_range.flat_map(move |y| {
-            x_range
-                .clone()
-                .flat_map(move |x| self.bucket_agents_iter(x, y))
-        })
+        let (bx, by) = (bx as usize, by as usize);
+        let mut walk = |head: u32| self.list_from(head).for_each(&mut f);
+        if self.own_bucket_only {
+            walk(self.head[by * bps + bx]);
+            return;
+        }
+        let (x0, x1) = (bx.saturating_sub(1), (bx + 1).min(bps - 1));
+        for y in by.saturating_sub(1)..=(by + 1).min(bps - 1) {
+            for &head in &self.head[y * bps + x0..=y * bps + x1] {
+                walk(head);
+            }
+        }
     }
 
     /// Calls `f(a, b)` once for every unordered pair of distinct agents
-    /// in the same or 8-adjacent buckets — a superset of every pair
-    /// within the build radius (callers still apply the exact test).
+    /// that [`for_each_candidate`](SpatialHash::for_each_candidate) pairs
+    /// up — a superset of every pair within the build radius.
     ///
     /// The scan runs per agent: each agent `a` pairs with the agents
-    /// after it in its own bucket, then with every agent of the E, N,
-    /// NE and NW buckets, so each adjacent bucket pair is seen from one
-    /// side only. The cost is O(k + #pairs) however many buckets the
-    /// grid has — decisive at `r = 0`, where there are `n ≫ k`.
+    /// after it in its own bucket, then (at a nonzero build radius) with
+    /// every agent of the E, N, NE and NW buckets, so each adjacent
+    /// bucket pair is seen from one side only. The cost is O(k + #pairs)
+    /// however many buckets the grid has — decisive at `r = 0`, where
+    /// there are `n ≫ k`.
     // detlint: hot
     pub(crate) fn for_each_candidate_pair(&self, mut f: impl FnMut(u32, u32)) {
         let bps = self.buckets_per_side;
@@ -349,6 +323,9 @@ impl SpatialHash {
             let a = a as u32;
             for c in self.list_from(self.next[a as usize]) {
                 f(a, c);
+            }
+            if self.own_bucket_only {
+                continue;
             }
             let (east, west, north) = (b % bps + 1 < bps, b % bps > 0, b / bps + 1 < bps);
             let mut scan = |nb: u32| {
@@ -398,11 +375,14 @@ impl Iterator for BucketAgents<'_> {
     }
 }
 
+/// `x / d` for `recip = u64::MAX / d`: the high word of `x · ⌈2⁶⁴/d⌉`,
+/// exact for every `u32` (Lemire et al., *Faster remainder by direct
+/// computation*, 2019). Adding `x` rather than storing `recip + 1` keeps
+/// `d = 1` (reciprocal 2⁶⁴) the identity.
 #[inline]
-fn self_bucket(p: Point, bucket_side: u32, buckets_per_side: u32) -> usize {
-    let bx = p.x / bucket_side;
-    let by = p.y / bucket_side;
-    (by * buckets_per_side + bx) as usize
+fn div_by(x: u32, recip: u64) -> u32 {
+    let x = u128::from(x);
+    ((u128::from(recip) * x + x) >> 64) as u32
 }
 
 #[cfg(test)]
@@ -491,8 +471,8 @@ mod tests {
     }
 
     #[test]
-    fn build_into_reuse_matches_fresh_build() {
-        let mut scratch = SpatialScratch::new();
+    fn rebuild_reuse_matches_fresh_build() {
+        let mut reused = SpatialHash::default();
         // Alternate sizes and radii so stale buffer contents would show.
         let layouts: [(&[Point], u32, u32); 3] = [
             (
@@ -513,7 +493,7 @@ mod tests {
             ),
         ];
         for &(pts, r, side) in &layouts {
-            let reused = SpatialHash::build_into(&mut scratch, pts, r, side).clone();
+            reused.rebuild(pts, r, side);
             let fresh = SpatialHash::build(pts, r, side);
             assert_hash_equal(&reused, &fresh);
         }
@@ -581,24 +561,62 @@ mod tests {
 
     #[test]
     fn candidate_pairs_cover_each_adjacent_pair_once() {
+        // At r = 0 only same-bucket pairs qualify; otherwise 8-adjacent
+        // buckets too.
         let pts: Vec<Point> = (0..40)
             .map(|i| Point::new((i * 7) % 12, (i * 5) % 12))
             .collect();
-        let h = SpatialHash::build(&pts, 2, 12);
-        let mut seen = Vec::new();
-        h.for_each_candidate_pair(|a, b| seen.push((a.min(b), a.max(b))));
-        let mut expected = Vec::new();
-        for a in 0..pts.len() {
-            for b in a + 1..pts.len() {
-                let (ax, ay) = h.bucket_of(pts[a]);
-                let (bx, by) = h.bucket_of(pts[b]);
-                if ax.abs_diff(bx) <= 1 && ay.abs_diff(by) <= 1 {
-                    expected.push((a as u32, b as u32));
+        for r in [0u32, 1, 2] {
+            let h = SpatialHash::build(&pts, r, 12);
+            let reach = u32::from(r > 0);
+            let mut seen = Vec::new();
+            h.for_each_candidate_pair(|a, b| seen.push((a.min(b), a.max(b))));
+            let mut expected = Vec::new();
+            for a in 0..pts.len() {
+                for b in a + 1..pts.len() {
+                    let (ax, ay) = h.bucket_of(pts[a]);
+                    let (bx, by) = h.bucket_of(pts[b]);
+                    if ax.abs_diff(bx) <= reach && ay.abs_diff(by) <= reach {
+                        expected.push((a as u32, b as u32));
+                    }
                 }
             }
+            seen.sort_unstable();
+            assert_eq!(seen, expected, "r={r}");
         }
-        seen.sort_unstable();
-        assert_eq!(seen, expected);
+    }
+
+    #[test]
+    fn div_by_matches_division_at_the_extremes() {
+        for d in [1u32, 2, 3, 7, 64, 65_535, 65_536, u32::MAX - 1, u32::MAX] {
+            let recip = u64::MAX / u64::from(d);
+            for x in [0, 1, d - 1, d, 65_534, u32::MAX - 1, u32::MAX] {
+                assert_eq!(div_by(x, recip), x / d, "{x} / {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn candidate_scan_is_reach_aware_and_clips_at_the_grid_edge() {
+        let scan = |h: &SpatialHash, p: Point| {
+            let mut seen = Vec::new();
+            h.for_each_candidate(p, |a| seen.push(a));
+            seen
+        };
+        // r = 0: only the own bucket; r = 1: the 3×3 block, row by row.
+        let pts = [Point::new(2, 2), Point::new(2, 2), Point::new(2, 3)];
+        assert_eq!(scan(&SpatialHash::build(&pts, 0, 8), pts[0]), [0, 1]);
+        assert_eq!(scan(&SpatialHash::build(&pts, 1, 8), pts[0]), [0, 1, 2]);
+        let pts = [Point::new(0, 0), Point::new(7, 7), Point::new(1, 1)];
+        let h = SpatialHash::build(&pts, 1, 8);
+        assert_eq!(scan(&h, Point::new(0, 0)), [0, 2]);
+        assert_eq!(scan(&h, Point::new(7, 6)), [1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn candidate_scan_rejects_out_of_grid_positions() {
+        SpatialHash::build(&[], 0, 8).for_each_candidate(Point::new(9, 0), |_| {});
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use sparsegossip_grid::Point;
 
-use crate::{Contact, SpatialHash, SpatialScratch, UniformContact, UnionFind};
+use crate::{Contact, SpatialHash, UniformContact, UnionFind};
 
 /// The connected components of a visibility graph `G_t(r)`.
 ///
@@ -38,7 +38,7 @@ pub struct Components {
 impl Default for Components {
     /// An empty partition over zero agents.
     fn default() -> Self {
-        Self::empty()
+        Self::EMPTY.clone()
     }
 }
 
@@ -58,28 +58,8 @@ impl Components {
         offsets: Vec::new(),
     };
 
-    /// An empty partition over zero agents.
-    fn empty() -> Self {
-        Self {
-            labels: Vec::new(),
-            sizes: Vec::new(),
-            members: Vec::new(),
-            offsets: Vec::new(),
-        }
-    }
-
-    /// Builds the grouped representation from a union–find over agents.
-    fn from_union_find(mut uf: UnionFind) -> Self {
-        let mut out = Self::empty();
-        let mut root_label = Vec::new();
-        let mut cursor = Vec::new();
-        Self::rebuild(&mut out, &mut uf, &mut root_label, &mut cursor);
-        out
-    }
-
     /// Rebuilds `out` in place from `uf`, reusing every buffer
     /// (including the caller-provided `root_label` / `cursor` scratch).
-    /// Produces content identical to [`Components::from_union_find`].
     fn rebuild(
         out: &mut Components,
         uf: &mut UnionFind,
@@ -107,21 +87,37 @@ impl Components {
             *label = lab;
             out.sizes[lab as usize] += 1;
         }
-        // Counting sort agents by label.
-        out.offsets.clear();
-        out.offsets.reserve(k + 1);
-        out.offsets.resize(out.sizes.len() + 1, 0);
-        for c in 0..out.sizes.len() {
-            out.offsets[c + 1] = out.offsets[c] + out.sizes[c];
+        out.group_members(cursor, 0..k);
+    }
+
+    /// Groups the labelled `agents`, given in increasing order, into
+    /// `members` by a counting sort over `sizes` — member lists come out
+    /// in increasing agent order — and fills `offsets`. Both offset
+    /// arrays reserve room for `k` components, so a component count
+    /// that drifts upward mid-run never reallocates.
+    pub(crate) fn group_members(
+        &mut self,
+        cursor: &mut Vec<u32>,
+        agents: impl Iterator<Item = usize>,
+    ) {
+        let k = self.labels.len();
+        self.offsets.clear();
+        self.offsets.reserve(k + 1);
+        self.offsets.push(0);
+        let mut end = 0;
+        for &size in &self.sizes {
+            end += size;
+            self.offsets.push(end);
         }
         cursor.clear();
         cursor.reserve(k + 1);
-        cursor.extend_from_slice(&out.offsets);
-        out.members.clear();
-        out.members.resize(k, 0);
-        for (i, &lab) in out.labels.iter().enumerate() {
-            out.members[cursor[lab as usize] as usize] = i as u32;
-            cursor[lab as usize] += 1;
+        cursor.extend_from_slice(&self.offsets);
+        self.members.clear();
+        self.members.resize(end as usize, 0);
+        for a in agents {
+            let lab = self.labels[a] as usize;
+            self.members[cursor[lab] as usize] = a as u32;
+            cursor[lab] += 1;
         }
     }
 
@@ -222,7 +218,7 @@ impl Components {
     }
 }
 
-/// Reusable buffers for [`components_into`]: the spatial-hash scratch,
+/// Reusable buffers for [`components_into`]: the spatial hash,
 /// the union–find forest, the grouped [`Components`] under construction
 /// and the counting-sort cursors.
 ///
@@ -245,7 +241,7 @@ impl Components {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ComponentsScratch {
-    pub(crate) spatial: SpatialScratch,
+    pub(crate) spatial: SpatialHash,
     uf: UnionFind,
     root_label: Vec<u32>,
     cursor: Vec<u32>,
@@ -346,8 +342,8 @@ pub fn components_into<'a>(
 ///
 /// `bucket_radius` sizes the spatial-hash buckets and must bound the
 /// contact model's reach (the maximum per-agent radius under the
-/// `min(r_i, r_j)` rule); `contact` then filters the 3×3 candidate
-/// superset pair by pair. With `UniformContact(r)` and
+/// `min(r_i, r_j)` rule); `contact` then filters the reach-aware
+/// candidate superset pair by pair. With `UniformContact(r)` and
 /// `bucket_radius = r` this is exactly [`components_into`].
 ///
 /// # Panics
@@ -368,9 +364,9 @@ pub fn components_into_by<'a, C: Contact>(
         comps,
         seeded: _,
     } = scratch;
-    let hash = SpatialHash::build_into(spatial, positions, bucket_radius, side);
+    spatial.rebuild(positions, bucket_radius, side);
     uf.reset_to(positions.len());
-    union_visible_by(hash, positions, contact, uf);
+    union_visible_by(spatial, positions, contact, uf);
     Components::rebuild(comps, uf, root_label, cursor);
     &*comps
 }
@@ -448,7 +444,9 @@ pub fn components_brute_by<C: Contact>(positions: &[Point], contact: &C, side: u
             }
         }
     }
-    Components::from_union_find(uf)
+    let mut out = Components::default();
+    Components::rebuild(&mut out, &mut uf, &mut Vec::new(), &mut Vec::new());
+    out
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 //! accepted by the symmetric `min(r_i, r_j)` rule) must agree exactly
 //! with the O(k²) brute-force reference on arbitrary configurations —
 //! including `r = 0` agents — on both the full partition and the
-//! frontier-sparse seeded path over an incrementally maintained hash.
+//! frontier-sparse seeded path, over a fresh, a reach-0 or an
+//! incrementally maintained hash.
 
 use proptest::prelude::*;
 use sparsegossip_conngraph::{
@@ -42,6 +43,39 @@ fn seeds_from_mask(mask: &[bool], k: usize) -> BitSet {
 
 fn max_radius(radii: &[u32]) -> u32 {
     radii.iter().copied().max().unwrap_or(0)
+}
+
+/// Seeded labelling over `hash` equals the brute-force partition on
+/// every seed-containing component and covers nothing else.
+fn assert_seeded_matches_brute<C: Contact>(
+    hash: &SpatialHash,
+    positions: &[Point],
+    seeds: &BitSet,
+    contact: &C,
+    side: u32,
+) {
+    let k = positions.len();
+    let full = components_brute_by(positions, contact, side);
+    let mut scratch = SeededScratch::new();
+    let seeded = components_from_seeds_on_by(hash, &mut scratch, positions, seeds, contact);
+    assert_eq!(seeded.num_agents(), k);
+
+    let mut full_has_seed = vec![false; full.count()];
+    for s in seeds.iter_ones() {
+        full_has_seed[full.label_of(s) as usize] = true;
+    }
+    let covered: Vec<usize> = (0..full.count()).filter(|&c| full_has_seed[c]).collect();
+    assert_eq!(seeded.count(), covered.len());
+    for (sc, &fc) in covered.iter().enumerate() {
+        assert_eq!(seeded.members(sc), full.members(fc));
+    }
+    for i in 0..k {
+        let in_seeded = full_has_seed[full.label_of(i) as usize];
+        assert_eq!(seeded.is_covered(i), in_seeded);
+        if !in_seeded {
+            assert_eq!(seeded.label_of(i), Components::NO_LABEL);
+        }
+    }
 }
 
 proptest! {
@@ -103,33 +137,22 @@ proptest! {
     fn hetero_seeded_matches_full_on_seed_components(
         (positions, radii, side, mask) in arb_hetero_layout(),
     ) {
-        let k = positions.len();
         let contact = RadiiContact(&radii);
-        let seeds = seeds_from_mask(&mask, k);
-        let full = components_brute_by(&positions, &contact, side);
+        let seeds = seeds_from_mask(&mask, positions.len());
         let hash = SpatialHash::build(&positions, max_radius(&radii), side);
-        let mut scratch = SeededScratch::new();
-        let seeded =
-            components_from_seeds_on_by(&hash, &mut scratch, &positions, &seeds, &contact)
-                .clone();
-        prop_assert_eq!(seeded.num_agents(), k);
+        assert_seeded_matches_brute(&hash, &positions, &seeds, &contact, side);
+    }
 
-        let mut full_has_seed = vec![false; full.count()];
-        for s in seeds.iter_ones() {
-            full_has_seed[full.label_of(s) as usize] = true;
-        }
-        let covered: Vec<usize> = (0..full.count()).filter(|&c| full_has_seed[c]).collect();
-        prop_assert_eq!(seeded.count(), covered.len());
-        for (sc, &fc) in covered.iter().enumerate() {
-            prop_assert_eq!(seeded.members(sc), full.members(fc));
-        }
-        for i in 0..k {
-            let in_seeded = full_has_seed[full.label_of(i) as usize];
-            prop_assert_eq!(seeded.is_covered(i), in_seeded);
-            if !in_seeded {
-                prop_assert_eq!(seeded.label_of(i), Components::NO_LABEL);
-            }
-        }
+    #[test]
+    fn zero_radii_seeded_on_a_reach_zero_hash_matches_brute_force(
+        (positions, _radii, side, mask) in arb_hetero_layout(),
+    ) {
+        // The contact-only world: bucket radius 0, so the candidate scan
+        // reads each agent's own bucket only.
+        let radii = vec![0; positions.len()];
+        let seeds = seeds_from_mask(&mask, positions.len());
+        let hash = SpatialHash::build(&positions, 0, side);
+        assert_seeded_matches_brute(&hash, &positions, &seeds, &RadiiContact(&radii), side);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! agent layouts and radii; the seed-restricted builder must agree
 //! with the full builder on every seed-containing component; a hash
 //! maintained move by move, or rebuilt warm at old and new geometries,
-//! must equal a fresh build; and the degree statistics must match a
-//! pairwise count.
+//! must equal a fresh build; the reach-aware candidate scan must cover
+//! every brute-force contact, with a division-free bucket index equal
+//! to `/`; and the degree statistics must match a pairwise count.
 
 use proptest::prelude::*;
 use sparsegossip_conngraph::{
@@ -343,4 +344,59 @@ proptest! {
             prop_assert!(s.mean_size <= s.max_size as f64 + 1e-12);
         }
     }
+
+    #[test]
+    fn candidate_scan_covers_every_contact(
+        (positions, r, side) in arb_degree_layout(),
+    ) {
+        // A superset of the brute-force contacts, each agent once, at
+        // every reach — and at reach 0 exactly the co-located agents.
+        let hash = SpatialHash::build(&positions, r, side);
+        for &p in &positions {
+            let mut seen = Vec::new();
+            hash.for_each_candidate(p, |a| seen.push(a as usize));
+            let listed = seen.len();
+            seen.sort_unstable();
+            seen.dedup();
+            prop_assert_eq!(seen.len(), listed, "an agent listed twice");
+            let contacts: Vec<usize> = (0..positions.len())
+                .filter(|&j| positions[j].manhattan(p) <= r)
+                .collect();
+            if r == 0 {
+                prop_assert_eq!(&seen, &contacts);
+            } else {
+                prop_assert!(contacts.iter().all(|j| seen.binary_search(j).is_ok()));
+            }
+        }
+    }
+
+    #[test]
+    fn reciprocal_bucket_index_equals_division(d in 1u32..=u32::MAX, x in any::<u32>(), y in any::<u32>()) {
+        // A single bucket of side d: `bucket_of` is then the bare index
+        // arithmetic, for coordinates anywhere in u32.
+        let hash = SpatialHash::build(&[], d, d);
+        prop_assert_eq!(hash.bucket_of(Point::new(x, y)), (x / d, y / d));
+    }
+}
+
+#[test]
+fn reciprocal_bucket_index_equals_division_for_every_side() {
+    let mut hash = SpatialHash::default();
+    for d in 1..=65_535u32 {
+        hash.rebuild(&[], d, d);
+        assert_eq!(hash.bucket_side(), d);
+        for x in [0, 1, d - 1, d, 65_534, 65_535, u32::MAX] {
+            assert_eq!(hash.bucket_of(Point::new(x, 65_534)), (x / d, 65_534 / d));
+        }
+    }
+}
+
+#[test]
+fn candidate_scan_is_empty_on_empty_hashes() {
+    let mut calls = 0;
+    SpatialHash::default().for_each_candidate(Point::new(3, 3), |_| calls += 1);
+    for r in [0, 1, 5] {
+        SpatialHash::build(&[], r, 8).for_each_candidate(Point::new(3, 3), |_| calls += 1);
+    }
+    assert_eq!(calls, 0);
 }

@@ -188,17 +188,15 @@ impl ClementiSim {
         let r = self.config.exchange_radius;
         let hash = SpatialHash::build(&self.positions, r, self.grid.side());
         let snapshot = self.informed.clone();
+        let (positions, informed) = (&self.positions, &mut self.informed);
         for i in snapshot.iter_ones() {
-            let p = self.positions[i];
-            for j in hash.candidates(p) {
+            let p = positions[i];
+            hash.for_each_candidate(p, |j| {
                 let j = j as usize;
-                if !self.informed.contains(j)
-                    && self.positions[j].manhattan(p) <= r
-                    && self.informed.insert(j)
-                {
+                if positions[j].manhattan(p) <= r && informed.insert(j) {
                     self.informed_count += 1;
                 }
-            }
+            });
         }
     }
 }

@@ -2,7 +2,7 @@ use core::fmt;
 use core::ops::ControlFlow;
 
 use rand::RngExt;
-use sparsegossip_conngraph::{Components, SpatialHash, SpatialScratch};
+use sparsegossip_conngraph::{Components, SpatialHash};
 use sparsegossip_grid::{Grid, Point, Topology};
 use sparsegossip_walks::BitSet;
 
@@ -82,7 +82,7 @@ pub struct Broadcast {
     /// Reused buffers for the one-hop exchange rule (the spatial hash
     /// over agents and the start-of-step informed snapshot), so the
     /// ablation path is as allocation-free as the component path.
-    one_hop_spatial: SpatialScratch,
+    one_hop_spatial: SpatialHash,
     one_hop_snapshot: BitSet,
 }
 
@@ -108,7 +108,7 @@ impl Broadcast {
             exchange_rule: ExchangeRule::Component,
             informed,
             informed_count: 1,
-            one_hop_spatial: SpatialScratch::new(),
+            one_hop_spatial: SpatialHash::default(),
             one_hop_snapshot: BitSet::new(k),
         })
     }
@@ -140,7 +140,7 @@ impl Broadcast {
             exchange_rule: ExchangeRule::Component,
             informed,
             informed_count: sources,
-            one_hop_spatial: SpatialScratch::new(),
+            one_hop_spatial: SpatialHash::default(),
             one_hop_snapshot: BitSet::new(k),
         })
     }
@@ -211,20 +211,19 @@ impl Broadcast {
     /// persistent buffers, so the step allocates nothing.
     // detlint: hot
     fn exchange_one_hop(&mut self, positions: &[Point], radius: u32, side: u32) -> usize {
-        let hash = SpatialHash::build_into(&mut self.one_hop_spatial, positions, radius, side);
+        self.one_hop_spatial.rebuild(positions, radius, side);
+        let hash = &self.one_hop_spatial;
         self.one_hop_snapshot.copy_from(&self.informed);
         let mut fresh = 0;
+        let informed = &mut self.informed;
         for i in self.one_hop_snapshot.iter_ones() {
             let p = positions[i];
-            for j in hash.candidates(p) {
+            hash.for_each_candidate(p, |j| {
                 let j = j as usize;
-                if !self.informed.contains(j)
-                    && positions[j].manhattan(p) <= radius
-                    && self.informed.insert(j)
-                {
+                if positions[j].manhattan(p) <= radius && informed.insert(j) {
                     fresh += 1;
                 }
-            }
+            });
         }
         self.informed_count += fresh;
         fresh

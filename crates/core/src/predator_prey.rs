@@ -2,7 +2,7 @@ use core::fmt;
 use core::ops::ControlFlow;
 
 use rand::RngExt;
-use sparsegossip_conngraph::{SpatialHash, SpatialScratch};
+use sparsegossip_conngraph::SpatialHash;
 use sparsegossip_grid::{Grid, Point, Topology};
 use sparsegossip_walks::{lazy_step, BitSet};
 
@@ -62,7 +62,7 @@ pub struct PredatorPrey {
     num_preys: usize,
     /// Reused buffers for the per-step predator hash, so catch
     /// resolution never allocates.
-    spatial: SpatialScratch,
+    spatial: SpatialHash,
 }
 
 impl PredatorPrey {
@@ -106,7 +106,7 @@ impl PredatorPrey {
             catch_radius,
             preys_mobile,
             num_preys: m,
-            spatial: SpatialScratch::new(),
+            spatial: SpatialHash::default(),
         }
     }
 
@@ -135,16 +135,18 @@ impl PredatorPrey {
     /// returns the kill count. Allocation-free: the predator hash
     /// refills a persistent scratch and preys are scanned by index.
     fn catch_preys(&mut self, predators: &[Point], side: u32) -> usize {
-        let hash = SpatialHash::build_into(&mut self.spatial, predators, self.catch_radius, side);
+        self.spatial.rebuild(predators, self.catch_radius, side);
+        let hash = &self.spatial;
         let mut caught = 0;
         for i in 0..self.prey_positions.len() {
             if !self.prey_alive.contains(i) {
                 continue;
             }
             let p = self.prey_positions[i];
-            let dead = hash
-                .candidates(p)
-                .any(|pred| predators[pred as usize].manhattan(p) <= self.catch_radius);
+            let mut dead = false;
+            hash.for_each_candidate(p, |pred| {
+                dead |= predators[pred as usize].manhattan(p) <= self.catch_radius;
+            });
             if dead {
                 self.prey_alive.remove(i);
                 self.alive_count -= 1;

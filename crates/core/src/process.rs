@@ -341,7 +341,7 @@ struct WorldState {
     /// Per-agent lazy sub-steps per time step; empty means unit speeds.
     speeds: Vec<u32>,
     /// Spatial-hash bucket radius: the maximum effective radius, so the
-    /// 3×3 candidate scan covers every acceptable pair.
+    /// reach-aware candidate scan covers every acceptable pair.
     bucket_radius: u32,
     /// Per-agent, per-step replacement probability (0 disables churn).
     churn_rate: f64,

@@ -258,8 +258,8 @@ impl WorldConfig {
 ///
 /// With neither radii nor walls this is exactly the paper's uniform
 /// Manhattan-ball contact, so the driver uses it unconditionally. Build
-/// the spatial hash with the **maximum** per-agent radius so the 3×3
-/// candidate scan stays a superset of every acceptable pair.
+/// the spatial hash with the **maximum** per-agent radius so the
+/// reach-aware candidate scan stays a superset of every acceptable pair.
 #[derive(Clone, Copy, Debug)]
 pub struct WorldContact<'a> {
     radius: u32,

@@ -153,7 +153,7 @@ fn workspace_hot_paths_carry_their_markers() {
     for (file, min) in [
         ("crates/core/src/process.rs", 1),            // Simulation::step
         ("crates/conngraph/src/seeded.rs", 1),        // components_from_seeds_on
-        ("crates/conngraph/src/spatial.rs", 2),       // rebuild + apply_moves
+        ("crates/conngraph/src/spatial.rs", 4),       // rebuild, apply_moves, both scans
         ("crates/conngraph/src/visibility.rs", 2),    // union_visible_by + components_on_by
         ("crates/walks/src/engine.rs", 4),            // step_all{,_into}, step_masked{,_into}
         ("crates/core/src/broadcast.rs", 2),          // exchange_one_hop + exchange_components

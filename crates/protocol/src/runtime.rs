@@ -563,11 +563,12 @@ impl NodeRuntime {
         self.offsets.push(0);
         for (i, &p) in positions.iter().enumerate() {
             let start = self.neighbors.len();
-            for j in self.hash.candidates(p) {
+            let neighbors = &mut self.neighbors;
+            self.hash.for_each_candidate(p, |j| {
                 if j as usize != i && positions[j as usize].manhattan(p) <= radius {
-                    self.neighbors.push(j);
+                    neighbors.push(j);
                 }
-            }
+            });
             self.neighbors[start..].sort_unstable();
             self.offsets.push(self.neighbors.len());
         }

@@ -17,7 +17,7 @@ use core::fmt;
 /// assert!(s.contains(42));
 /// assert_eq!(s.count_ones(), 1);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct BitSet {
     words: Vec<u64>,
     len: usize,

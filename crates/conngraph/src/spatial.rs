@@ -316,8 +316,24 @@ impl SpatialHash {
     /// bucket pair is seen from one side only. The cost is O(k + #pairs)
     /// however many buckets the grid has — decisive at `r = 0`, where
     /// there are `n ≫ k`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sparsegossip_grid::Point;
+    /// use sparsegossip_conngraph::SpatialHash;
+    ///
+    /// let pts = [Point::new(0, 0), Point::new(1, 1), Point::new(6, 6)];
+    /// let hash = SpatialHash::build(&pts, 1, 8);
+    /// let mut pairs = Vec::new();
+    /// hash.for_each_candidate_pair(|a, b| pairs.push((a, b)));
+    /// // Agents 0 and 1 sit in diagonal buckets, so they are a candidate
+    /// // pair although their distance 2 exceeds the radius: the exact
+    /// // test is the caller's. Agent 2 has no candidates.
+    /// assert_eq!(pairs, [(0, 1)]);
+    /// ```
     // detlint: hot
-    pub(crate) fn for_each_candidate_pair(&self, mut f: impl FnMut(u32, u32)) {
+    pub fn for_each_candidate_pair(&self, mut f: impl FnMut(u32, u32)) {
         let bps = self.buckets_per_side;
         for (a, &b) in self.bucket.iter().enumerate() {
             let a = a as u32;

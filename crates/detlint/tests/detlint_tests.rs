@@ -161,7 +161,8 @@ fn workspace_hot_paths_carry_their_markers() {
         ("crates/core/src/rumor.rs", 1),              // RumorSets::exchange
         ("crates/core/src/infection.rs", 1),          // exchange
         ("crates/analysis/src/scenario_sweep.rs", 2), // refine wave scan + top_up scan
-        ("crates/protocol/src/runtime.rs", 3),        // fault draw + retry queue + anti-entropy
+        ("crates/protocol/src/runtime.rs", 4),        // faults, retries, anti-entropy, adjacency
+        ("crates/protocol/src/message.rs", 1),        // EventLog::push
     ] {
         assert!(
             result.hot_regions_in(file) >= min,

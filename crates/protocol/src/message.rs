@@ -185,6 +185,9 @@ impl fmt::Display for Event {
 /// The runtime's event log: an always-on rolling FNV-1a hash of every
 /// event, plus (optionally) the full record sequence.
 ///
+/// The hash is FNV-1a 64 over each event's fields as little-endian
+/// `u64` words; a word's zero high bytes cost one multiply, not eight.
+///
 /// Hashing is on by default and cheap; recording the records themselves
 /// is opt-in because a long lossy run can log millions of events.
 #[derive(Clone, Debug)]
@@ -198,10 +201,27 @@ pub struct EventLog {
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-fn fold(hash: &mut u64, word: u64) {
-    for byte in word.to_le_bytes() {
-        *hash = (*hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+/// `FNV_PRIME_POW[i] = FNV_PRIME^i`: what `i` zero bytes contribute to
+/// an FNV-1a state, since XOR with a zero byte is a no-op.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut i = 1;
+    while i < pow.len() {
+        pow[i] = pow[i - 1].wrapping_mul(FNV_PRIME);
+        i += 1;
     }
+    pow
+};
+
+/// Folds the 8 little-endian bytes of `word` into an FNV-1a state: the
+/// `n` significant ones byte by byte, the zero rest as `FNV_PRIME^(8−n)`.
+fn fold(hash: &mut u64, word: u64) {
+    let n = ((71 - word.leading_zeros()) / 8) as usize;
+    let mut h = *hash;
+    for &byte in &word.to_le_bytes()[..n] {
+        h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+    }
+    *hash = h.wrapping_mul(FNV_PRIME_POW[8 - n]);
 }
 
 impl EventLog {
@@ -218,6 +238,7 @@ impl EventLog {
 
     /// Appends one event: folds it into the hash and, when recording,
     /// keeps the record.
+    // detlint: hot
     pub fn push(&mut self, event: Event) {
         let (kind, tick, round, a, b, payload) = match event {
             Event::StartGossip { tick, node } => (0u64, tick, 0, node, 0, None),
@@ -283,6 +304,74 @@ impl EventLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Textbook FNV-1a over the word's 8 little-endian bytes, one
+    /// multiply per byte: the referee for the zero-run [`fold`].
+    fn fold_reference(hash: &mut u64, word: u64) {
+        for byte in word.to_le_bytes() {
+            *hash = (*hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn fold_matches_the_reference_for_every_significant_byte_count(
+            hash in any::<u64>(),
+            word in any::<u64>(),
+            bytes in 0u32..=8,
+        ) {
+            // Force exactly `bytes` significant bytes (top bit of the
+            // top byte set), so every zero-run length 0..=8 is drawn.
+            let word = if bytes == 0 { 0 } else { (word | 1 << 63) >> (64 - 8 * bytes) };
+            prop_assert_eq!((71 - word.leading_zeros()) / 8, bytes);
+            let edges = [0, 0xFF, 0x100, u64::from(u32::MAX), 1 << 32, u64::MAX];
+            for w in edges.into_iter().chain([word]) {
+                let (mut fast, mut slow) = (hash, hash);
+                fold(&mut fast, w);
+                fold_reference(&mut slow, w);
+                prop_assert_eq!(fast, slow, "word {:#x}", w);
+            }
+        }
+    }
+
+    #[test]
+    fn push_hashes_long_words_like_the_reference() {
+        // No twin workload produces a word above 2^16; pin the
+        // long-word path on a far tick with a saturated arrival.
+        let env = Envelope {
+            src: 7,
+            dst: u32::MAX,
+            payload: Payload::Digest {
+                rumor: 0xABCD,
+                has: true,
+            },
+            sent_at: 1 << 40,
+            deliver_at: u64::MAX,
+        };
+        let tick = (1u64 << 32) + 5;
+        let mut log = EventLog::new(false);
+        log.push(Event::Send {
+            tick,
+            round: 70_000,
+            env,
+        });
+        let mut expected = FNV_OFFSET;
+        for word in [
+            1,
+            tick,
+            70_000,
+            7,
+            u64::from(u32::MAX),
+            3,
+            0xABCD,
+            1 << 40,
+            u64::MAX,
+        ] {
+            fold_reference(&mut expected, word);
+        }
+        assert_eq!(log.hash(), expected);
+    }
 
     fn sample_env() -> Envelope {
         Envelope {

@@ -111,12 +111,12 @@ struct SendAction {
 /// Each agent of the mobility model is a node; per logical tick the
 /// caller hands the runtime the walkers' current positions, and the
 /// runtime floods `Gossip` messages along the visibility graph those
-/// positions induce (Manhattan distance ≤ `radius`, found through the
-/// same [`SpatialHash`] the simulator uses). All scheduling is by
-/// logical (tick, round) order with canonical within-round sorting, and
-/// all randomness comes from per-node [`SmallRng`] streams derived via
-/// [`derive_seed`] — runs are byte-reproducible and independent of the
-/// configured worker-thread count.
+/// positions induce (Manhattan distance ≤ `radius`, found by the
+/// labelling's pair scan, [`SpatialHash::for_each_candidate_pair`]).
+/// All scheduling is by logical (tick, round) order with canonical
+/// within-round sorting, and all randomness comes from per-node
+/// [`SmallRng`] streams derived via [`derive_seed`] — runs are
+/// byte-reproducible and independent of the worker-thread count.
 ///
 /// A tick proceeds in *rounds*: messages sent with zero delay are
 /// delivered in the next round of the same tick, so on an ideal network
@@ -150,6 +150,8 @@ pub struct NodeRuntime {
     fresh: Vec<u32>,
     actions: Vec<SendAction>,
     hash: SpatialHash,
+    /// Visible pairs of the current tick, each once.
+    edges: Vec<(u32, u32)>,
     /// CSR adjacency of the current tick's visibility graph.
     neighbors: Vec<u32>,
     offsets: Vec<usize>,
@@ -204,6 +206,7 @@ impl NodeRuntime {
             fresh: Vec::new(),
             actions: Vec::new(),
             hash: SpatialHash::default(),
+            edges: Vec::new(),
             neighbors: Vec::new(),
             offsets: Vec::new(),
             log: EventLog::new(false),
@@ -556,21 +559,40 @@ impl NodeRuntime {
 
     /// Rebuilds the CSR adjacency of the visibility graph at the
     /// current positions, with per-node neighbor lists sorted ascending.
+    ///
+    /// One pair scan collects the edges and counts degrees; a prefix sum
+    /// makes the counts row ends, which the fill decrements to row starts.
+    // detlint: hot
     fn rebuild_adjacency(&mut self, positions: &[Point], radius: u32, side: u32) {
         self.hash.rebuild(positions, radius, side);
+        let (edges, offsets) = (&mut self.edges, &mut self.offsets);
+        edges.clear();
+        offsets.clear();
+        offsets.resize(positions.len() + 1, 0);
+        self.hash.for_each_candidate_pair(|a, b| {
+            if positions[a as usize].manhattan(positions[b as usize]) <= radius {
+                edges.push((a, b));
+                offsets[a as usize] += 1;
+                offsets[b as usize] += 1;
+            }
+        });
+        let mut end = 0;
+        for o in offsets.iter_mut() {
+            end += *o;
+            *o = end;
+        }
         self.neighbors.clear();
-        self.offsets.clear();
-        self.offsets.push(0);
-        for (i, &p) in positions.iter().enumerate() {
-            let start = self.neighbors.len();
-            let neighbors = &mut self.neighbors;
-            self.hash.for_each_candidate(p, |j| {
-                if j as usize != i && positions[j as usize].manhattan(p) <= radius {
-                    neighbors.push(j);
-                }
-            });
-            self.neighbors[start..].sort_unstable();
-            self.offsets.push(self.neighbors.len());
+        self.neighbors.resize(end, 0);
+        for &(a, b) in edges.iter() {
+            for (from, to) in [(a, b), (b, a)] {
+                offsets[from as usize] -= 1;
+                self.neighbors[offsets[from as usize]] = to;
+            }
+        }
+        for row in offsets.windows(2) {
+            if row[1] - row[0] >= 2 {
+                self.neighbors[row[0]..row[1]].sort_unstable();
+            }
         }
     }
 
@@ -915,6 +937,7 @@ fn retry_pass(
 mod tests {
     use super::*;
     use crate::fault::{PartitionSchedule, PartitionWindow};
+    use proptest::prelude::*;
 
     fn line(k: usize, spacing: u32) -> Vec<Point> {
         (0..k).map(|i| Point::new(i as u32 * spacing, 0)).collect()
@@ -935,6 +958,81 @@ mod tests {
             }
         }
         rt.completed_at()
+    }
+
+    /// One tick's layout for [`NodeRuntime::rebuild_adjacency`]:
+    /// `(positions, radius, side)`. A quarter of the radii are 0 and a
+    /// quarter reach past the side (a single bucket); half the layouts
+    /// crowd into a 3×3 corner, stacking agents on shared cells.
+    fn arb_tick(k: usize) -> impl Strategy<Value = (Vec<Point>, u32, u32)> {
+        (1u32..=128, 0u32..4, any::<bool>()).prop_flat_map(move |(side, pick, crowd)| {
+            let spread = if crowd { side.min(3) } else { side };
+            let coords = proptest::collection::vec((0..spread, 0..spread), k..k + 1);
+            (0..=side + 2, coords).prop_map(move |(r, coords)| {
+                let r = match pick {
+                    0 => 0,
+                    1 => side + r % 3,
+                    _ => r,
+                };
+                let positions = coords.into_iter().map(|(x, y)| Point::new(x, y)).collect();
+                (positions, r, side)
+            })
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn adjacency_equals_brute_force_neighbor_lists(
+            ticks in (2usize..=96).prop_flat_map(|k| proptest::collection::vec(arb_tick(k), 1..6)),
+        ) {
+            // One runtime over several ticks of moving positions, so the
+            // edge, offset and neighbor buffers are reused across
+            // geometries and graph sizes.
+            let k = ticks[0].0.len();
+            let mut rt = NodeRuntime::new(k, 0, NetworkConfig::IDEAL, 1, 1);
+            for (positions, r, side) in &ticks {
+                rt.rebuild_adjacency(positions, *r, *side);
+                prop_assert_eq!(rt.offsets.len(), k + 1);
+                prop_assert_eq!(rt.offsets[k], rt.neighbors.len());
+                for (i, p) in positions.iter().enumerate() {
+                    let brute: Vec<u32> = (0..k as u32)
+                        .filter(|&j| j as usize != i && positions[j as usize].manhattan(*p) <= *r)
+                        .collect();
+                    prop_assert_eq!(&rt.neighbors[rt.offsets[i]..rt.offsets[i + 1]], &brute[..]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn adjacency_links_stacks_at_radius_zero_and_all_pairs_in_one_bucket() {
+        let positions = [
+            Point::new(2, 2),
+            Point::new(0, 0),
+            Point::new(2, 2),
+            Point::new(2, 2),
+            Point::new(1, 0),
+        ];
+        let rows = |rt: &NodeRuntime| -> Vec<Vec<u32>> {
+            rt.offsets
+                .windows(2)
+                .map(|w| rt.neighbors[w[0]..w[1]].to_vec())
+                .collect()
+        };
+        let mut rt = NodeRuntime::new(5, 0, NetworkConfig::IDEAL, 1, 1);
+        rt.rebuild_adjacency(&positions, 0, 4);
+        let stacks: [&[u32]; 5] = [&[2, 3], &[], &[0, 3], &[0, 2], &[]];
+        assert_eq!(rows(&rt), stacks);
+        // r ≥ side: one bucket, and every pair is within reach.
+        rt.rebuild_adjacency(&positions, 6, 4);
+        let all: [&[u32]; 5] = [
+            &[1, 2, 3, 4],
+            &[0, 2, 3, 4],
+            &[0, 1, 3, 4],
+            &[0, 1, 2, 4],
+            &[0, 1, 2, 3],
+        ];
+        assert_eq!(rows(&rt), all);
     }
 
     #[test]
@@ -1213,46 +1311,146 @@ mod tests {
         assert_eq!(run(1), Some(1), "a digest exchange re-teaches the rumor");
     }
 
+    /// Crash ticks of `node` in a recorded log.
+    fn crash_ticks(rt: &NodeRuntime, node: u32) -> Vec<u64> {
+        rt.log()
+            .records()
+            .iter()
+            .filter_map(|e| match *e {
+                Event::Crash { tick, node: n } if n == node => Some(tick),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn anti_entropy_forgets_stale_ack_evidence() {
-        // Full exchange at t0 (both know, both acked), then node 1
-        // crashes at t1 and restarts at t2. Node 0 still "knows" node 1
-        // has the rumor — only a digest-miss can clear that evidence.
-        let positions = line(2, 1);
-        let net = NetworkConfig::new(0.0, 0, 0, 1).unwrap();
-        // Crash exactly once: hunt a seed where node 1's first two
-        // crash draws at p=0.5 are (true, false) — crash at t1, stay up
-        // at t2 and beyond long enough to relearn.
-        let plan = FaultPlan::new(0.0, 1, PartitionSchedule::EMPTY).unwrap();
-        let mut rt = NodeRuntime::new(2, 0, net, 7, 1);
-        rt.set_fault_plan(plan);
+        // Nodes 0 and 1 are adjacent and node 2 is out of range, so
+        // completion never latches and every tick runs. Node 1 learns
+        // and acks at t0, then crashes once. Gossip timers fire every
+        // tick, yet node 0 never re-offers: the ack left node 1 in its
+        // `peers_known`. Only a digest-miss clears that stale evidence.
+        let positions = [Point::new(0, 0), Point::new(1, 0), Point::new(6, 6)];
+        let plan = FaultPlan::new(0.05, 2, PartitionSchedule::EMPTY).unwrap();
+        let ticks = 40;
+        let run = |seed: u64, anti_entropy: u64| {
+            let mut rt = NodeRuntime::new(3, 0, NetworkConfig::IDEAL, seed, 1);
+            rt.set_fault_plan(plan.clone());
+            rt.set_recovery(RecoveryConfig::new(false, anti_entropy));
+            rt.set_recording(true);
+            assert_eq!(run_static(&mut rt, &positions, 1, 8, ticks), None);
+            rt
+        };
+        let crashes_once = |rt: &NodeRuntime| matches!(crash_ticks(rt, 1)[..], [t] if t > 0);
+        let seed = (0..256)
+            .find(|&s| crashes_once(&run(s, 1)) && crashes_once(&run(s, 0)))
+            .expect("some seed crashes node 1 exactly once after t0");
+
+        let off = run(seed, 0);
+        let acked_at_t0 = |rt: &NodeRuntime| {
+            rt.log().records().iter().any(|e| {
+                matches!(e, Event::Send { tick: 0, env, .. }
+                    if env.src == 1 && env.payload == Payload::GossipAck { rumor: 0 })
+            })
+        };
+        assert!(acked_at_t0(&off));
+        assert!(off.is_up(1));
+        assert_eq!(off.informed_at(1), None, "stale evidence pins node 1 dark");
+        assert!(off.nodes[0].peers_known.contains(1));
+
+        // Replay the anti-entropy run up to the crash tick: node 0 still
+        // holds node 1's ack although node 1 lost the rumor.
+        let crash = crash_ticks(&run(seed, 1), 1)[0];
+        let mut rt = NodeRuntime::new(3, 0, NetworkConfig::IDEAL, seed, 1);
+        rt.set_fault_plan(plan.clone());
         rt.set_recovery(RecoveryConfig::new(false, 1));
-        assert!(rt.tick(0, &positions, 1, 8).expect("tick runs"));
-        assert_eq!(rt.completed_at(), Some(0));
-        // Completion latches; later ticks are no-ops. The stale-ack
-        // path is exercised end to end by `crashes_are_survivable_
-        // with_full_recovery` below, which cannot complete without it.
-        assert!(rt.tick(1, &positions, 1, 8).expect("tick runs"));
+        rt.set_recording(true);
+        for t in 0..=crash {
+            rt.tick(t, &positions, 1, 8).expect("tick runs");
+        }
+        assert!(acked_at_t0(&rt));
+        assert!(!rt.informed().contains(1));
+        assert!(rt.nodes[0].peers_known.contains(1), "stale ack evidence");
+
+        // A digest-miss from node 1 makes node 0 forget the evidence and
+        // push the rumor straight back.
+        let mut probe = rt.clone();
+        let miss = Envelope {
+            src: 1,
+            dst: 0,
+            payload: Payload::Digest {
+                rumor: 0,
+                has: false,
+            },
+            sent_at: crash,
+            deliver_at: crash,
+        };
+        probe.deliver(miss, crash, 0);
+        assert!(!probe.nodes[0].peers_known.contains(1));
+        assert!(probe
+            .next_pending
+            .iter()
+            .any(|e| e.src == 0 && e.dst == 1 && e.payload == Payload::Gossip { rumor: 0 }));
+
+        // End to end: after the restart, node 1's digest-miss reaches
+        // node 0, which pushes `Gossip` in the same tick and re-informs
+        // node 1.
+        for t in crash + 1..ticks {
+            rt.tick(t, &positions, 1, 8).expect("tick runs");
+        }
+        let records = rt.log().records();
+        let at = records
+            .iter()
+            .position(|e| {
+                matches!(e, Event::Deliver { tick, env, .. }
+                    if *tick > crash && env.src == 1 && env.payload == miss.payload)
+            })
+            .expect("the restarted node confesses its miss");
+        let Event::Deliver { tick: healed, .. } = records[at] else {
+            unreachable!("position matched a delivery")
+        };
+        assert!(records[at..].iter().any(|e| {
+            matches!(e, Event::Send { tick, env, .. }
+                if *tick == healed && env.src == 0 && env.dst == 1
+                    && env.payload == Payload::Gossip { rumor: 0 })
+        }));
+        assert_eq!(rt.informed_at(1), Some(healed));
     }
 
     #[test]
     fn crashes_are_survivable_with_full_recovery() {
-        // A modest crash rate with retransmission + anti-entropy still
-        // reaches completion; without recovery the same fault draws
-        // leave the run incomplete (stale ack evidence pins crashed
-        // nodes dark). Completion requires every node simultaneously
-        // informed, so the run must thread crash gaps — give it room.
-        let positions: Vec<Point> = (0..16).map(|i| Point::new(i % 4, i / 4)).collect();
+        // Fifteen nodes on a connected patch plus one out of range, so
+        // completion never latches and all 600 ticks run. With
+        // retransmission and anti-entropy the patch stays informed
+        // through the crashes; without recovery the neighbors' stale
+        // ack evidence pins every crashed node dark for good.
+        let mut positions: Vec<Point> = (0..15).map(|i| Point::new(i % 4, i / 4)).collect();
+        positions.push(Point::new(7, 7));
         let net = NetworkConfig::new(0.1, 0, 0, 1).unwrap();
         let plan = FaultPlan::new(0.02, 2, PartitionSchedule::EMPTY).unwrap();
+        // Mean informed count over the second half of the run.
         let run = |rec: RecoveryConfig| {
             let mut rt = NodeRuntime::new(16, 0, net, 2011, 1);
             rt.set_fault_plan(plan.clone());
             rt.set_recovery(rec);
-            run_static(&mut rt, &positions, 2, 8, 600)
+            let mut informed = 0;
+            for t in 0..600 {
+                assert!(!rt.tick(t, &positions, 2, 8).expect("tick runs"));
+                if t >= 300 {
+                    informed += rt.informed_count();
+                }
+            }
+            assert!(rt.stats().crashes >= 15, "crashes keep hitting the patch");
+            (informed as f64 / 300.0, rt)
         };
-        let with = run(RecoveryConfig::new(true, 2));
-        assert!(with.is_some(), "recovery must carry the rumor to everyone");
+        let (with, rt) = run(RecoveryConfig::new(true, 2));
+        assert!(rt.stats().digests > 0 && rt.stats().retransmits > 0);
+        let (without, _) = run(RecoveryConfig::OFF);
+        assert!(with >= 13.0, "recovery keeps the patch informed: {with}");
+        assert!(
+            without <= 2.0,
+            "without recovery crashed nodes stay dark: {without}"
+        );
     }
 
     #[test]

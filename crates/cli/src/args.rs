@@ -36,6 +36,12 @@ pub enum ArgError {
         /// Option name.
         key: String,
     },
+    /// The command does not accept this option, or a value was given
+    /// to one of its bare flags (`--json 1`).
+    UnknownOption {
+        /// Option name.
+        key: String,
+    },
 }
 
 impl fmt::Display for ArgError {
@@ -47,6 +53,10 @@ impl fmt::Display for ArgError {
             }
             Self::UnexpectedPositional(a) => write!(f, "unexpected argument {a:?}"),
             Self::MissingValue { key } => write!(f, "option --{key} needs a value"),
+            Self::UnknownOption { key } => write!(
+                f,
+                "unknown option --{key} (or a value given to a flag); try `sparsegossip help`"
+            ),
         }
     }
 }
@@ -88,6 +98,27 @@ impl ParsedArgs {
             }
         }
         Ok(parsed)
+    }
+
+    /// Checks that every `--key value` option is one of `values` and
+    /// every bare `--flag` is one of `flags` or `values` (a bare value
+    /// option is left to [`ParsedArgs::get_opt`]'s
+    /// [`ArgError::MissingValue`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError::UnknownOption`] for the first option or flag
+    /// outside those lists, including a flag that was given a value.
+    pub fn expect_only(&self, values: &[&str], flags: &[&str]) -> Result<(), ArgError> {
+        let unknown_option = self.options.keys().find(|k| !values.contains(&k.as_str()));
+        let unknown_flag = self
+            .flags
+            .iter()
+            .find(|f| !flags.contains(&f.as_str()) && !values.contains(&f.as_str()));
+        match unknown_option.or(unknown_flag) {
+            Some(key) => Err(ArgError::UnknownOption { key: key.clone() }),
+            None => Ok(()),
+        }
     }
 
     /// Whether the bare flag `--name` was given.
@@ -203,6 +234,29 @@ mod tests {
     }
 
     #[test]
+    fn expect_only_rejects_undeclared_options_and_valued_flags() {
+        let values = ["side", "radius"];
+        let flags = ["json"];
+        let unknown = |key: &str| {
+            Err(ArgError::UnknownOption {
+                key: key.to_string(),
+            })
+        };
+        let check = |line: &str| {
+            ParsedArgs::parse(to_args(line))
+                .unwrap()
+                .expect_only(&values, &flags)
+        };
+        assert_eq!(check("broadcast --side 8 --radius 2 --json"), Ok(()));
+        assert_eq!(check("broadcast --side 8 --radus 5"), unknown("radus"));
+        assert_eq!(check("broadcast --side 8 --frog"), unknown("frog"));
+        assert_eq!(check("broadcast --side 8 --json 1"), unknown("json"));
+        // A bare value option is not unknown; reading it reports
+        // `MissingValue`.
+        assert_eq!(check("broadcast --side 8 --radius"), Ok(()));
+    }
+
+    #[test]
     fn error_messages_are_lowercase() {
         for e in [
             ArgError::MissingCommand,
@@ -212,6 +266,7 @@ mod tests {
             },
             ArgError::UnexpectedPositional("y".into()),
             ArgError::MissingValue { key: "z".into() },
+            ArgError::UnknownOption { key: "w".into() },
         ] {
             assert!(e.to_string().chars().next().unwrap().is_lowercase());
         }

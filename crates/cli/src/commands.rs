@@ -76,7 +76,9 @@ COMMANDS:
                run; --resume replays a prior store as cache hits)
   help         this text
 
-All run commands accept --json for machine-readable outcome output.
+Every command but percolation and cover accepts --json for
+machine-readable outcome output. An option a command does not take is
+an error.
 Defaults: --side 64, --k 32, --radius 0, --seed 2011.
 ";
 
@@ -161,20 +163,77 @@ impl From<sparsegossip_walks::WalkError> for CliError {
     }
 }
 
-/// Routes a parsed command line to its implementation.
+/// A command's implementation, the groups of `--key value` options it
+/// reads and the bare `--flag`s it reads.
+type Command = (
+    fn(&ParsedArgs) -> Result<(), CliError>,
+    &'static [&'static [&'static str]],
+    &'static [&'static str],
+);
+
+/// The value options [`common`] reads.
+const COMMON: &[&str] = &["side", "k", "radius", "seed"];
+
+/// The value options [`world_config`] reads; its flag is `adversarial`.
+const WORLD: &[&str] = &[
+    "barrier-density",
+    "churn-rate",
+    "hetero-fraction",
+    "hetero-factor",
+    "speed-fraction",
+    "speed-factor",
+    "sources",
+];
+
+/// Routes a parsed command line to its implementation, after rejecting
+/// any option or flag the command does not read.
 pub fn dispatch(args: &ParsedArgs) -> Result<(), CliError> {
-    match args.command.as_str() {
-        "broadcast" => broadcast(args),
-        "gossip" => gossip(args),
-        "infection" => infection(args),
-        "coverage" => coverage(args),
-        "protocol" => protocol(args),
-        "percolation" => percolation(args),
-        "cover" => cover(args),
-        "predator" => predator(args),
-        "sweep" => sweep(args),
-        other => Err(CliError::UnknownCommand(other.to_string())),
-    }
+    let (run, values, flags): Command = match args.command.as_str() {
+        "broadcast" => (
+            broadcast,
+            &[COMMON, WORLD, &["max-steps", "reps", "threads"]],
+            &["json", "frog", "one-hop", "adversarial"],
+        ),
+        "gossip" => (gossip, &[COMMON, &["rumors"]], &["json"]),
+        // `--radius` is read only to note that it is ignored; the world
+        // options are read so the spec builder rejects every axis but
+        // the sources with its own error.
+        "infection" => (
+            infection,
+            &[COMMON, WORLD, &["max-steps"]],
+            &["json", "adversarial"],
+        ),
+        "coverage" => (coverage, &[COMMON], &["json"]),
+        "protocol" => (
+            protocol,
+            &[
+                COMMON,
+                &["max-steps", "drop", "delay", "cap", "interval", "workers"],
+                &["crash", "restart-delay", "partition-start", "partition-len"],
+                &["anti-entropy"],
+            ],
+            &["json", "retransmit"],
+        ),
+        "percolation" => (percolation, &[COMMON, &["samples"]], &[]),
+        "cover" => (cover, &[&["side", "k", "seed", "cap"]], &[]),
+        "predator" => (
+            predator,
+            &[&["side", "radius", "seed", "predators", "preys"]],
+            &["json", "static-preys"],
+        ),
+        "sweep" => (
+            sweep,
+            &[
+                &["spec", "replicates", "threads", "seed", "budget"],
+                &["barrier-densities", "churn-rates", "radius-mixes"],
+                &["crash-probs", "partition-lens", "replicate-budget", "store"],
+            ],
+            &["json", "adaptive", "resume"],
+        ),
+        other => return Err(CliError::UnknownCommand(other.to_string())),
+    };
+    args.expect_only(&values.concat(), flags)?;
+    run(args)
 }
 
 struct Common {
@@ -595,15 +654,25 @@ fn coverage(args: &ParsedArgs) -> Result<(), CliError> {
         println!("{}", coverage_json(&out));
         return Ok(());
     }
-    println!("T_B = {:?}", out.broadcast_time);
+    println!("{}", reached("T_B", out.broadcast_time));
     println!(
-        "T_C = {:?} ({}/{} nodes)",
-        out.coverage_time, out.covered, out.num_nodes
+        "{} ({}/{} nodes)",
+        reached("T_C", out.coverage_time),
+        out.covered,
+        out.num_nodes
     );
     if let Some(r) = out.ratio() {
         println!("T_C/T_B = {r:.2}");
     }
     Ok(())
+}
+
+/// `"T_B = 87"`, or `"T_B not reached"` for a time the run never hit.
+fn reached(label: &str, time: Option<u64>) -> String {
+    time.map_or_else(
+        || format!("{label} not reached"),
+        |t| format!("{label} = {t}"),
+    )
 }
 
 fn protocol_json(out: &ProtocolOutcome, faults: &FaultConfig) -> String {
@@ -1333,6 +1402,37 @@ mod tests {
              \"crashes\":1,\"restarts\":1,\"retransmits\":3,\"digests\":2,\
              \"log_hash\":\"00000000000000ab\"}"
         );
+    }
+
+    #[test]
+    fn coverage_text_prints_times_not_options() {
+        assert_eq!(reached("T_B", Some(87)), "T_B = 87");
+        assert_eq!(reached("T_C", None), "T_C not reached");
+    }
+
+    #[test]
+    fn undeclared_options_are_rejected_before_the_run() {
+        let unknown = |key: &str| ArgError::UnknownOption {
+            key: key.to_string(),
+        };
+        for (cmd, key) in [
+            // A misspelt option used to run at the default radius.
+            ("broadcast --side 8 --k 4 --radus 5", "radus"),
+            // `broadcast` has no `--source`.
+            ("broadcast --side 8 --k 4 --source 9", "source"),
+            // A value given to a flag used to turn the flag off.
+            ("broadcast --side 8 --k 4 --json 1", "json"),
+            ("predator --side 8 --k 4", "k"),
+            ("cover --side 8 --k 4 --radius 2", "radius"),
+            ("sweep --spec x.toml --frog", "frog"),
+        ] {
+            match dispatch(&parsed(cmd)) {
+                Err(CliError::Args(e)) => assert_eq!(e, unknown(key), "{cmd}"),
+                other => panic!("{cmd}: {other:?}"),
+            }
+        }
+        // Infection still takes `--radius`, with its "ignored" note.
+        dispatch(&parsed("infection --side 12 --k 4 --radius 3 --seed 1")).unwrap();
     }
 
     #[test]

@@ -1,0 +1,49 @@
+//! The binary refuses options a command does not take: it exits
+//! nonzero with an error on stderr and prints no run output.
+
+use std::process::Command;
+
+fn run(line: &str) -> (String, String, bool) {
+    let out = Command::new(env!("CARGO_BIN_EXE_sparsegossip"))
+        .args(line.split_whitespace())
+        .output()
+        .expect("binary runs");
+    (
+        String::from_utf8(out.stdout).expect("utf-8 stdout"),
+        String::from_utf8(out.stderr).expect("utf-8 stderr"),
+        out.status.success(),
+    )
+}
+
+#[test]
+fn unknown_options_fail_before_the_run() {
+    for (line, key) in [
+        ("broadcast --side 8 --k 4 --radus 5", "--radus"),
+        ("broadcast --side 8 --k 4 --source 9", "--source"),
+        ("broadcast --side 8 --k 4 --json 1", "--json"),
+    ] {
+        let (stdout, stderr, ok) = run(line);
+        assert!(!ok, "`{line}` succeeded");
+        assert!(stdout.is_empty(), "`{line}` ran: {stdout}");
+        assert!(
+            stderr.contains(&format!("unknown option {key}")),
+            "`{line}`: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn infection_still_takes_radius_with_a_note() {
+    let (stdout, stderr, ok) = run("infection --side 12 --k 4 --radius 3 --seed 1");
+    assert!(ok, "{stderr}");
+    assert!(stdout.starts_with("T_I = "), "{stdout}");
+    assert!(stderr.contains("--radius is ignored"), "{stderr}");
+}
+
+#[test]
+fn coverage_prints_plain_times() {
+    let (stdout, stderr, ok) = run("coverage --side 10 --k 6 --seed 1");
+    assert!(ok, "{stderr}");
+    assert!(!stdout.contains("Some("), "{stdout}");
+    assert!(stdout.starts_with("T_B = "), "{stdout}");
+}

@@ -3,13 +3,10 @@ use core::ops::ControlFlow;
 
 use rand::RngExt;
 use sparsegossip_conngraph::{Components, SpatialHash};
-use sparsegossip_grid::{Grid, Point, Topology};
+use sparsegossip_grid::{Grid, Point};
 use sparsegossip_walks::BitSet;
 
-use crate::{
-    ExchangeCtx, ExchangeRule, Mobility, NullObserver, Observer, Process, SimConfig, SimError,
-    Simulation,
-};
+use crate::{ExchangeCtx, ExchangeRule, Mobility, Process, SimConfig, SimError, Simulation};
 
 /// Outcome of a broadcast run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -169,18 +166,6 @@ impl Broadcast {
     pub fn exchange_rule(mut self, rule: ExchangeRule) -> Self {
         self.exchange_rule = rule;
         self
-    }
-
-    /// The exchange rule in force.
-    #[inline]
-    #[must_use]
-    pub fn rule(&self) -> ExchangeRule {
-        self.exchange_rule
-    }
-
-    /// Switches the exchange rule (used by the hop-count ablation).
-    pub fn set_exchange_rule(&mut self, rule: ExchangeRule) {
-        self.exchange_rule = rule;
     }
 
     /// The informed-agent set.
@@ -351,17 +336,35 @@ impl Simulation<Broadcast, Grid> {
         )
     }
 
-    /// Builds a Frog-model broadcast (§4): the `config`'s mobility rule
-    /// is overridden to [`Mobility::InformedOnly`].
+    /// Builds a broadcast in the Frog model of §4: only informed agents
+    /// walk; uninformed agents sit at their initial positions until an
+    /// informed agent comes within the transmission radius, at which
+    /// point they activate. The paper shows the same `Θ̃(n/√k)` bounds
+    /// hold here (with Lemma 3 replaced by Lemma 1 in the upper-bound
+    /// argument).
     ///
-    /// Unlike the legacy `FrogSim::new` (which always flooded
-    /// components), the configured
-    /// [`exchange_rule`](SimConfig::exchange_rule) is honored — with a
-    /// non-default rule the two constructors produce different runs.
+    /// The Frog model is [`Broadcast`] with [`Mobility::InformedOnly`]:
+    /// the `config`'s mobility rule is overridden, and its
+    /// [`exchange_rule`](SimConfig::exchange_rule) is honored.
     ///
     /// # Errors
     ///
     /// As [`Simulation::broadcast`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rand::rngs::SmallRng;
+    /// use rand::SeedableRng;
+    /// use sparsegossip_core::{SimConfig, Simulation};
+    ///
+    /// let config = SimConfig::builder(24, 12).radius(0).build()?;
+    /// let mut rng = SmallRng::seed_from_u64(5);
+    /// let mut sim = Simulation::frog(&config, &mut rng)?;
+    /// let outcome = sim.run(&mut rng);
+    /// assert!(outcome.completed());
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
     pub fn frog<R: RngExt>(config: &SimConfig, rng: &mut R) -> Result<Self, SimError> {
         let grid = Grid::new(config.side())?;
         Simulation::new(
@@ -375,221 +378,10 @@ impl Simulation<Broadcast, Grid> {
     }
 }
 
-/// Pre-redesign single-rumor broadcast simulator; now a thin shim over
-/// [`Simulation<Broadcast, T>`].
-///
-/// Prefer [`Simulation::broadcast`] / [`Simulation::new`] in new code:
-/// the generic driver exposes the same pipeline for every process.
-///
-/// # Examples
-///
-/// ```
-/// # #![allow(deprecated)]
-/// use rand::rngs::SmallRng;
-/// use rand::SeedableRng;
-/// use sparsegossip_core::{BroadcastSim, SimConfig};
-///
-/// let config = SimConfig::builder(48, 24).radius(1).build()?;
-/// let mut rng = SmallRng::seed_from_u64(7);
-/// let mut sim = BroadcastSim::new(&config, &mut rng)?;
-/// let outcome = sim.run(&mut rng);
-/// assert!(outcome.completed());
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Clone, Debug)]
-pub struct BroadcastSim<T> {
-    sim: Simulation<Broadcast, T>,
-}
-
-impl BroadcastSim<Grid> {
-    /// Creates a broadcast simulation on the bounded grid described by
-    /// `config`, with agents placed uniformly at random.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors ([`SimError::Grid`],
-    /// [`SimError::Walk`]).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the unified `Simulation` driver (`Simulation::broadcast`); \
-                see the migration table in README.md"
-    )]
-    pub fn new<R: RngExt>(config: &SimConfig, rng: &mut R) -> Result<Self, SimError> {
-        Simulation::broadcast(config, rng).map(|sim| Self { sim })
-    }
-}
-
-impl<T: Topology> BroadcastSim<T> {
-    /// Creates a broadcast simulation on an arbitrary topology with
-    /// uniform random placement.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::TooFewAgents`] if `k < 2`;
-    /// * [`SimError::SourceOutOfRange`] if `source ≥ k`;
-    /// * [`SimError::ZeroStepCap`] if `max_steps == 0`;
-    /// * [`SimError::Walk`] if the engine rejects the placement.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the unified `Simulation` driver (`Simulation::new`); \
-                see the migration table in README.md"
-    )]
-    pub fn on_topology<R: RngExt>(
-        topo: T,
-        k: usize,
-        radius: u32,
-        source: usize,
-        mobility: Mobility,
-        max_steps: u64,
-        rng: &mut R,
-    ) -> Result<Self, SimError> {
-        let process = Broadcast::new(k, source)?.mobility(mobility);
-        Simulation::new(topo, k, radius, max_steps, process, rng).map(|sim| Self { sim })
-    }
-
-    /// Creates a simulation from explicit starting positions (useful
-    /// for worst-case placements in lower-bound experiments).
-    ///
-    /// # Errors
-    ///
-    /// As [`BroadcastSim::on_topology`], plus [`SimError::Walk`] if any
-    /// position is outside the topology.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the unified `Simulation` driver (`Simulation::from_positions`); \
-                see the migration table in README.md"
-    )]
-    pub fn from_positions(
-        topo: T,
-        positions: Vec<Point>,
-        radius: u32,
-        source: usize,
-        mobility: Mobility,
-        max_steps: u64,
-    ) -> Result<Self, SimError> {
-        let process = Broadcast::new(positions.len(), source)?.mobility(mobility);
-        Simulation::from_positions(topo, positions, radius, max_steps, process)
-            .map(|sim| Self { sim })
-    }
-
-    /// The underlying generic simulation.
-    #[inline]
-    #[must_use]
-    pub fn as_simulation(&self) -> &Simulation<Broadcast, T> {
-        &self.sim
-    }
-
-    /// Consumes the shim, yielding the generic simulation.
-    #[inline]
-    #[must_use]
-    pub fn into_simulation(self) -> Simulation<Broadcast, T> {
-        self.sim
-    }
-
-    /// The number of agents.
-    #[inline]
-    #[must_use]
-    pub fn k(&self) -> usize {
-        self.sim.k()
-    }
-
-    /// The transmission radius.
-    #[inline]
-    #[must_use]
-    pub fn radius(&self) -> u32 {
-        self.sim.radius()
-    }
-
-    /// Steps taken so far.
-    #[inline]
-    #[must_use]
-    pub fn time(&self) -> u64 {
-        self.sim.time()
-    }
-
-    /// Current agent positions.
-    #[inline]
-    #[must_use]
-    pub fn positions(&self) -> &[Point] {
-        self.sim.positions()
-    }
-
-    /// The informed-agent set.
-    #[inline]
-    #[must_use]
-    pub fn informed(&self) -> &BitSet {
-        self.sim.process().informed_set()
-    }
-
-    /// The number of informed agents.
-    #[inline]
-    #[must_use]
-    pub fn informed_count(&self) -> usize {
-        self.sim.process().informed_count()
-    }
-
-    /// Whether every agent is informed.
-    #[inline]
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.sim.is_complete()
-    }
-
-    /// The visibility-graph components at the current positions.
-    #[must_use]
-    pub fn current_components(&self) -> Components {
-        self.sim.current_components()
-    }
-
-    /// The exchange rule in force.
-    #[inline]
-    #[must_use]
-    pub fn exchange_rule(&self) -> ExchangeRule {
-        self.sim.process().rule()
-    }
-
-    /// Switches the exchange rule (used by the hop-count ablation).
-    pub fn set_exchange_rule(&mut self, rule: ExchangeRule) {
-        self.sim.process_mut().set_exchange_rule(rule);
-    }
-
-    /// Advances one step (move, rebuild `G_t(r)`, exchange), invoking
-    /// the observer with the post-exchange snapshot. Returns the number
-    /// of newly informed agents.
-    pub fn step<R: RngExt, O: Observer>(&mut self, rng: &mut R, observer: &mut O) -> usize {
-        let before = self.sim.process().informed_count();
-        let _ = self.sim.step(rng, observer);
-        self.sim.process().informed_count() - before
-    }
-
-    /// Runs to completion or the step cap; equivalent to
-    /// [`run_with`](Self::run_with) with a [`NullObserver`].
-    pub fn run<R: RngExt>(&mut self, rng: &mut R) -> BroadcastOutcome {
-        self.run_with(rng, &mut NullObserver)
-    }
-
-    /// Runs to completion or the step cap with an observer.
-    pub fn run_with<R: RngExt, O: Observer>(
-        &mut self,
-        rng: &mut R,
-        observer: &mut O,
-    ) -> BroadcastOutcome {
-        self.sim.run_with(rng, observer)
-    }
-
-    /// The outcome at the current state.
-    pub fn outcome(&self) -> BroadcastOutcome {
-        self.sim.outcome()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    // The legacy-shim tests exercise the deprecated constructors on
-    // purpose: they are the compatibility surface under test.
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::NullObserver;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -600,7 +392,7 @@ mod tests {
     #[test]
     fn completes_on_small_grid() {
         let mut rng = SmallRng::seed_from_u64(1);
-        let mut sim = BroadcastSim::new(&config(16, 8, 0), &mut rng).unwrap();
+        let mut sim = Simulation::broadcast(&config(16, 8, 0), &mut rng).unwrap();
         let out = sim.run(&mut rng);
         assert!(out.completed(), "informed only {}", out.informed);
         assert_eq!(out.informed, 8);
@@ -611,12 +403,13 @@ mod tests {
     #[test]
     fn informed_set_is_monotone() {
         let mut rng = SmallRng::seed_from_u64(2);
-        let mut sim = BroadcastSim::new(&config(32, 16, 1), &mut rng).unwrap();
-        let mut prev = sim.informed().clone();
+        let mut sim = Simulation::broadcast(&config(32, 16, 1), &mut rng).unwrap();
+        let mut prev = sim.process().informed_set().clone();
         for _ in 0..500 {
-            sim.step(&mut rng, &mut NullObserver);
-            assert!(prev.is_subset(sim.informed()), "an agent forgot the rumor");
-            prev = sim.informed().clone();
+            let _ = sim.step(&mut rng, &mut NullObserver);
+            let informed = sim.process().informed_set();
+            assert!(prev.is_subset(informed), "an agent forgot the rumor");
+            prev = informed.clone();
             if sim.is_complete() {
                 break;
             }
@@ -627,7 +420,7 @@ mod tests {
     fn step_cap_yields_incomplete_outcome() {
         let mut rng = SmallRng::seed_from_u64(3);
         let cfg = SimConfig::builder(64, 4).max_steps(1).build().unwrap();
-        let mut sim = BroadcastSim::new(&cfg, &mut rng).unwrap();
+        let mut sim = Simulation::broadcast(&cfg, &mut rng).unwrap();
         let out = sim.run(&mut rng);
         // With k=4 on a 64-grid, one step almost surely does not finish.
         assert!(!out.completed());
@@ -639,7 +432,7 @@ mod tests {
     fn radius_as_large_as_grid_finishes_at_step_zero() {
         let mut rng = SmallRng::seed_from_u64(4);
         let cfg = SimConfig::builder(16, 8).radius(32).build().unwrap();
-        let mut sim = BroadcastSim::new(&cfg, &mut rng).unwrap();
+        let mut sim = Simulation::broadcast(&cfg, &mut rng).unwrap();
         assert!(
             sim.is_complete(),
             "radius ≥ diameter must flood at placement"
@@ -656,8 +449,8 @@ mod tests {
             .max_steps(1)
             .build()
             .unwrap();
-        let sim = BroadcastSim::new(&cfg, &mut rng).unwrap();
-        assert!(sim.informed().contains(5));
+        let sim = Simulation::broadcast(&cfg, &mut rng).unwrap();
+        assert!(sim.process().informed_set().contains(5));
     }
 
     #[test]
@@ -666,7 +459,8 @@ mod tests {
         // finish in a handful of steps (distance ≫ steps).
         let g = Grid::new(64).unwrap();
         let positions = vec![Point::new(0, 32), Point::new(63, 32)];
-        let mut sim = BroadcastSim::from_positions(g, positions, 0, 0, Mobility::All, 20).unwrap();
+        let process = Broadcast::new(positions.len(), 0).unwrap();
+        let mut sim = Simulation::from_positions(g, positions, 0, 20, process).unwrap();
         let mut rng = SmallRng::seed_from_u64(6);
         let out = sim.run(&mut rng);
         assert!(!out.completed(), "agents 63 apart cannot meet in 20 steps");
@@ -677,15 +471,16 @@ mod tests {
         let g = Grid::new(8).unwrap();
         let mut rng = SmallRng::seed_from_u64(7);
         assert!(matches!(
-            BroadcastSim::on_topology(g, 1, 0, 0, Mobility::All, 10, &mut rng),
+            Broadcast::new(1, 0),
             Err(SimError::TooFewAgents { k: 1 })
         ));
         assert!(matches!(
-            BroadcastSim::on_topology(g, 4, 0, 9, Mobility::All, 10, &mut rng),
+            Broadcast::new(4, 9),
             Err(SimError::SourceOutOfRange { source: 9, k: 4 })
         ));
+        let process = Broadcast::new(4, 0).unwrap();
         assert!(matches!(
-            BroadcastSim::on_topology(g, 4, 0, 0, Mobility::All, 0, &mut rng),
+            Simulation::new(g, 4, 0, 0, process, &mut rng),
             Err(SimError::ZeroStepCap)
         ));
     }
@@ -699,7 +494,7 @@ mod tests {
             let mut total = 0u64;
             for i in 0..reps {
                 let mut rng = SmallRng::seed_from_u64(seed + i);
-                let mut sim = BroadcastSim::new(&config(24, 12, r), &mut rng).unwrap();
+                let mut sim = Simulation::broadcast(&config(24, 12, r), &mut rng).unwrap();
                 total += sim.run(&mut rng).broadcast_time.expect("must finish");
             }
             total as f64 / reps as f64
@@ -723,5 +518,79 @@ mod tests {
             k: 8,
         };
         assert_eq!(capped.to_string(), "incomplete (3/8 informed)");
+    }
+
+    #[test]
+    fn frog_completes_on_small_grid() {
+        let cfg = SimConfig::builder(12, 8).radius(0).build().unwrap();
+        let mut rng = SmallRng::seed_from_u64(31);
+        let mut sim = Simulation::frog(&cfg, &mut rng).unwrap();
+        let out = sim.run(&mut rng);
+        assert!(out.completed(), "informed only {}", out.informed);
+    }
+
+    #[test]
+    fn frog_constructor_matches_generic_driver() {
+        let cfg = SimConfig::builder(16, 8).radius(0).build().unwrap();
+        let mut rng_a = SmallRng::seed_from_u64(35);
+        let mut rng_b = SmallRng::seed_from_u64(35);
+        let process = Broadcast::new(8, 0)
+            .unwrap()
+            .mobility(Mobility::InformedOnly);
+        let grid = Grid::new(16).unwrap();
+        let mut generic =
+            Simulation::new(grid, 8, 0, cfg.max_steps(), process, &mut rng_a).unwrap();
+        let mut frog = Simulation::frog(&cfg, &mut rng_b).unwrap();
+        assert_eq!(generic.run(&mut rng_a), frog.run(&mut rng_b));
+    }
+
+    #[test]
+    fn uninformed_agents_do_not_move() {
+        let cfg = SimConfig::builder(32, 10)
+            .radius(0)
+            .max_steps(50)
+            .build()
+            .unwrap();
+        let mut rng = SmallRng::seed_from_u64(32);
+        let mut sim = Simulation::frog(&cfg, &mut rng).unwrap();
+        let initial: Vec<Point> = sim.positions().to_vec();
+        for _ in 0..20 {
+            let _ = sim.step(&mut rng, &mut NullObserver);
+        }
+        for (i, start) in initial.iter().enumerate() {
+            // Agents informed at some point may have moved; only
+            // dormant ones are constrained.
+            if !sim.process().informed_set().contains(i) {
+                assert_eq!(sim.positions()[i], *start, "dormant frog {i} moved");
+            }
+        }
+    }
+
+    #[test]
+    fn frog_is_slower_than_free_mobility_on_average() {
+        // With fewer walkers active, meetings are rarer; the Frog model
+        // should not beat the fully mobile model by a large margin. We
+        // check only the direction on averages (noise-tolerant).
+        let reps = 10;
+        let mean = |frog: bool| {
+            let mut total = 0u64;
+            for i in 0..reps {
+                let cfg = SimConfig::builder(16, 8).radius(0).build().unwrap();
+                let mut rng = SmallRng::seed_from_u64(5000 + i);
+                let mut sim = if frog {
+                    Simulation::frog(&cfg, &mut rng).unwrap()
+                } else {
+                    Simulation::broadcast(&cfg, &mut rng).unwrap()
+                };
+                total += sim.run(&mut rng).broadcast_time.unwrap();
+            }
+            total as f64 / reps as f64
+        };
+        let frog = mean(true);
+        let free = mean(false);
+        assert!(
+            frog >= free * 0.8,
+            "frog mean {frog} suspiciously below free {free}"
+        );
     }
 }

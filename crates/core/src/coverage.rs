@@ -9,7 +9,7 @@ use rand::RngExt;
 use sparsegossip_grid::{Grid, Topology};
 use sparsegossip_walks::{BitSet, CoverTracker};
 
-use crate::{Broadcast, ExchangeCtx, NullObserver, Process, SimConfig, SimError, Simulation};
+use crate::{Broadcast, ExchangeCtx, Process, SimConfig, SimError, Simulation};
 
 /// Outcome of a joint broadcast + coverage run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -166,10 +166,28 @@ impl Process for Coverage {
 
 impl Simulation<Coverage, Grid> {
     /// Builds a joint broadcast + coverage simulation per `config`.
+    /// Its run continues past `T_B` until coverage completes or the
+    /// cap is hit.
     ///
     /// # Errors
     ///
     /// As [`Simulation::broadcast`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rand::rngs::SmallRng;
+    /// use rand::SeedableRng;
+    /// use sparsegossip_core::{SimConfig, Simulation};
+    ///
+    /// let config = SimConfig::builder(16, 8).build()?;
+    /// let mut rng = SmallRng::seed_from_u64(3);
+    /// let out = Simulation::coverage(&config, &mut rng)?.run(&mut rng);
+    /// assert!(out.completed());
+    /// // Informed agents must physically visit every node.
+    /// assert!(out.covered == out.num_nodes);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
     pub fn coverage<R: RngExt>(config: &SimConfig, rng: &mut R) -> Result<Self, SimError> {
         let grid = Grid::new(config.side())?;
         Simulation::new(
@@ -183,53 +201,10 @@ impl Simulation<Coverage, Grid> {
     }
 }
 
-/// Runs a broadcast while tracking the coverage of informed agents,
-/// continuing past `T_B` until coverage completes or the cap is hit.
-///
-/// # Errors
-///
-/// Propagates construction errors from [`Simulation::coverage`].
-///
-/// # Examples
-///
-/// ```
-/// use rand::rngs::SmallRng;
-/// use rand::SeedableRng;
-/// use sparsegossip_core::{broadcast_with_coverage, SimConfig};
-///
-/// let config = SimConfig::builder(16, 8).build()?;
-/// let mut rng = SmallRng::seed_from_u64(3);
-/// let out = broadcast_with_coverage(&config, &mut rng)?;
-/// assert!(out.completed());
-/// // Coverage cannot precede the broadcast by construction of the model
-/// // here: informed agents must physically visit every node.
-/// assert!(out.covered == out.num_nodes);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn broadcast_with_coverage<R: RngExt>(
-    config: &SimConfig,
-    rng: &mut R,
-) -> Result<CoverageOutcome, SimError> {
-    let mut sim = Simulation::coverage(config, rng)?;
-    Ok(sim.run(rng))
-}
-
-/// Runs only the broadcast part (convenience for matched comparisons).
-///
-/// # Errors
-///
-/// Propagates construction errors from [`Simulation::broadcast`].
-pub fn broadcast_only<R: RngExt>(
-    config: &SimConfig,
-    rng: &mut R,
-) -> Result<crate::BroadcastOutcome, SimError> {
-    let mut sim = Simulation::broadcast(config, rng)?;
-    Ok(sim.run_with(rng, &mut NullObserver))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NullObserver;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -237,7 +212,7 @@ mod tests {
     fn coverage_completes_and_dominates_broadcast() {
         let cfg = SimConfig::builder(12, 8).radius(0).build().unwrap();
         let mut rng = SmallRng::seed_from_u64(21);
-        let out = broadcast_with_coverage(&cfg, &mut rng).unwrap();
+        let out = Simulation::coverage(&cfg, &mut rng).unwrap().run(&mut rng);
         assert!(out.completed());
         let tb = out.broadcast_time.unwrap();
         let tc = out.coverage_time.unwrap();
@@ -255,7 +230,7 @@ mod tests {
     fn tiny_cap_reports_partial_coverage() {
         let cfg = SimConfig::builder(32, 4).max_steps(2).build().unwrap();
         let mut rng = SmallRng::seed_from_u64(22);
-        let out = broadcast_with_coverage(&cfg, &mut rng).unwrap();
+        let out = Simulation::coverage(&cfg, &mut rng).unwrap().run(&mut rng);
         assert!(!out.completed());
         assert!(out.covered < out.num_nodes);
         assert!(out.ratio().is_none());
@@ -285,10 +260,10 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_only_matches_sim_api() {
+    fn broadcast_on_the_coverage_config_completes() {
         let cfg = SimConfig::builder(16, 8).build().unwrap();
         let mut rng = SmallRng::seed_from_u64(23);
-        let out = broadcast_only(&cfg, &mut rng).unwrap();
+        let out = Simulation::broadcast(&cfg, &mut rng).unwrap().run(&mut rng);
         assert!(out.completed());
     }
 

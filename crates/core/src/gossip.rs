@@ -2,11 +2,9 @@ use core::fmt;
 use core::ops::ControlFlow;
 
 use rand::RngExt;
-use sparsegossip_grid::{Grid, Point, Topology};
+use sparsegossip_grid::Grid;
 
-use crate::{
-    ExchangeCtx, NullObserver, Observer, Process, RumorSets, SimConfig, SimError, Simulation,
-};
+use crate::{ExchangeCtx, Process, RumorSets, SimConfig, SimError, Simulation};
 
 /// Outcome of a gossip run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -187,187 +185,10 @@ impl Simulation<Gossip, Grid> {
     }
 }
 
-/// Pre-redesign all-to-all gossip simulator; now a thin shim over
-/// [`Simulation<Gossip, T>`] — and, through it, gossip runs gained
-/// observer hooks ([`run_with`](GossipSim::run_with)).
-///
-/// Prefer [`Simulation::gossip`] / [`Simulation::new`] in new code.
-///
-/// # Examples
-///
-/// ```
-/// # #![allow(deprecated)]
-/// use rand::rngs::SmallRng;
-/// use rand::SeedableRng;
-/// use sparsegossip_core::{GossipSim, SimConfig};
-///
-/// let config = SimConfig::builder(32, 8).radius(1).build()?;
-/// let mut rng = SmallRng::seed_from_u64(9);
-/// let mut sim = GossipSim::new(&config, &mut rng)?;
-/// let outcome = sim.run(&mut rng);
-/// assert!(outcome.completed());
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Clone, Debug)]
-pub struct GossipSim<T> {
-    sim: Simulation<Gossip, T>,
-}
-
-impl GossipSim<Grid> {
-    /// Creates a gossip simulation per `config` (one rumor per agent,
-    /// uniform placement). The configured source is ignored — gossip is
-    /// symmetric.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors, as [`BroadcastSim::new`].
-    ///
-    /// [`BroadcastSim::new`]: crate::BroadcastSim::new
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the unified `Simulation` driver (`Simulation::gossip`); \
-                see the migration table in README.md"
-    )]
-    pub fn new<R: RngExt>(config: &SimConfig, rng: &mut R) -> Result<Self, SimError> {
-        Simulation::gossip(config, rng).map(|sim| Self { sim })
-    }
-}
-
-impl<T: Topology> GossipSim<T> {
-    /// Creates a gossip simulation on an arbitrary topology.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::TooFewAgents`] if `k < 2`;
-    /// * [`SimError::ZeroStepCap`] if `max_steps == 0`;
-    /// * [`SimError::Walk`] on placement failure.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the unified `Simulation` driver (`Simulation::new`); \
-                see the migration table in README.md"
-    )]
-    pub fn on_topology<R: RngExt>(
-        topo: T,
-        k: usize,
-        radius: u32,
-        max_steps: u64,
-        rng: &mut R,
-    ) -> Result<Self, SimError> {
-        let process = Gossip::distinct(k)?;
-        Simulation::new(topo, k, radius, max_steps, process, rng).map(|sim| Self { sim })
-    }
-
-    /// Creates a gossip simulation where only the first `num_rumors`
-    /// agents start with a (distinct) rumor — the paper's general
-    /// setting where the number of rumors is at most the number of
-    /// agents.
-    ///
-    /// # Errors
-    ///
-    /// As [`GossipSim::on_topology`], plus
-    /// [`SimError::SourceOutOfRange`] if `num_rumors` is zero or
-    /// exceeds `k`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the unified `Simulation` driver (`Simulation::new`); \
-                see the migration table in README.md"
-    )]
-    pub fn with_rumors<R: RngExt>(
-        topo: T,
-        k: usize,
-        num_rumors: usize,
-        radius: u32,
-        max_steps: u64,
-        rng: &mut R,
-    ) -> Result<Self, SimError> {
-        let process = Gossip::with_rumors(k, num_rumors)?;
-        Simulation::new(topo, k, radius, max_steps, process, rng).map(|sim| Self { sim })
-    }
-
-    /// The underlying generic simulation.
-    #[inline]
-    #[must_use]
-    pub fn as_simulation(&self) -> &Simulation<Gossip, T> {
-        &self.sim
-    }
-
-    /// The number of agents.
-    #[inline]
-    #[must_use]
-    pub fn k(&self) -> usize {
-        self.sim.k()
-    }
-
-    /// Steps taken so far.
-    #[inline]
-    #[must_use]
-    pub fn time(&self) -> u64 {
-        self.sim.time()
-    }
-
-    /// Current agent positions.
-    #[inline]
-    #[must_use]
-    pub fn positions(&self) -> &[Point] {
-        self.sim.positions()
-    }
-
-    /// The per-agent rumor sets.
-    #[inline]
-    #[must_use]
-    pub fn rumors(&self) -> &RumorSets {
-        self.sim.process().rumor_sets()
-    }
-
-    /// Whether gossip is complete.
-    #[inline]
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.sim.is_complete()
-    }
-
-    /// Advances one step (move, rebuild graph, exchange).
-    pub fn step<R: RngExt>(&mut self, rng: &mut R) {
-        let _ = self.sim.step(rng, &mut NullObserver);
-    }
-
-    /// Advances one step, invoking the observer with the post-exchange
-    /// snapshot (the rumor sets arrive via
-    /// [`StepContext::rumors`](crate::StepContext::rumors)).
-    pub fn step_with<R: RngExt, O: Observer>(&mut self, rng: &mut R, observer: &mut O) {
-        let _ = self.sim.step(rng, observer);
-    }
-
-    /// Runs until completion or the step cap.
-    pub fn run<R: RngExt>(&mut self, rng: &mut R) -> GossipOutcome {
-        self.sim.run(rng)
-    }
-
-    /// Runs until completion or the step cap with an observer — e.g.
-    /// [`MinRumorsCurve`](crate::MinRumorsCurve) for the gossip
-    /// analogue of the epidemic curve.
-    pub fn run_with<R: RngExt, O: Observer>(
-        &mut self,
-        rng: &mut R,
-        observer: &mut O,
-    ) -> GossipOutcome {
-        self.sim.run_with(rng, observer)
-    }
-
-    /// The outcome at the current state.
-    pub fn outcome(&self) -> GossipOutcome {
-        self.sim.outcome()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    // The legacy-shim tests exercise the deprecated constructors on
-    // purpose: they are the compatibility surface under test.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::MinRumorsCurve;
+    use crate::{MinRumorsCurve, NullObserver};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -375,7 +196,7 @@ mod tests {
     fn gossip_completes_on_small_grid() {
         let cfg = SimConfig::builder(16, 6).radius(0).build().unwrap();
         let mut rng = SmallRng::seed_from_u64(11);
-        let mut sim = GossipSim::new(&cfg, &mut rng).unwrap();
+        let mut sim = Simulation::gossip(&cfg, &mut rng).unwrap();
         let out = sim.run(&mut rng);
         assert!(out.completed());
         assert_eq!(out.min_rumors, 6);
@@ -393,10 +214,10 @@ mod tests {
         for i in 0..reps {
             let cfg = SimConfig::builder(20, 8).radius(0).build().unwrap();
             let mut rng = SmallRng::seed_from_u64(1000 + i);
-            let mut b = crate::BroadcastSim::new(&cfg, &mut rng).unwrap();
+            let mut b = Simulation::broadcast(&cfg, &mut rng).unwrap();
             tb += b.run(&mut rng).broadcast_time.unwrap();
             let mut rng = SmallRng::seed_from_u64(1000 + i);
-            let mut g = GossipSim::new(&cfg, &mut rng).unwrap();
+            let mut g = Simulation::gossip(&cfg, &mut rng).unwrap();
             tg += g.run(&mut rng).gossip_time.unwrap();
         }
         assert!(tg >= tb, "mean T_G {tg} below mean T_B {tb}");
@@ -406,11 +227,11 @@ mod tests {
     fn min_rumors_is_monotone() {
         let cfg = SimConfig::builder(24, 8).radius(1).build().unwrap();
         let mut rng = SmallRng::seed_from_u64(12);
-        let mut sim = GossipSim::new(&cfg, &mut rng).unwrap();
-        let mut prev = sim.rumors().min_count();
+        let mut sim = Simulation::gossip(&cfg, &mut rng).unwrap();
+        let mut prev = sim.process().rumor_sets().min_count();
         for _ in 0..300 {
-            sim.step(&mut rng);
-            let cur = sim.rumors().min_count();
+            let _ = sim.step(&mut rng, &mut NullObserver);
+            let cur = sim.process().rumor_sets().min_count();
             assert!(cur >= prev, "an agent forgot rumors");
             prev = cur;
             if sim.is_complete() {
@@ -423,7 +244,7 @@ mod tests {
     fn observer_sees_min_rumors_curve() {
         let cfg = SimConfig::builder(16, 6).radius(0).build().unwrap();
         let mut rng = SmallRng::seed_from_u64(17);
-        let mut sim = GossipSim::new(&cfg, &mut rng).unwrap();
+        let mut sim = Simulation::gossip(&cfg, &mut rng).unwrap();
         let mut curve = MinRumorsCurve::new();
         let out = sim.run_with(&mut rng, &mut curve);
         assert!(out.completed());
@@ -437,7 +258,7 @@ mod tests {
     fn cap_reports_partial_progress() {
         let cfg = SimConfig::builder(64, 4).max_steps(1).build().unwrap();
         let mut rng = SmallRng::seed_from_u64(13);
-        let mut sim = GossipSim::new(&cfg, &mut rng).unwrap();
+        let mut sim = Simulation::gossip(&cfg, &mut rng).unwrap();
         let out = sim.run(&mut rng);
         assert!(!out.completed());
         assert!(out.min_rumors >= 1);
@@ -445,25 +266,24 @@ mod tests {
 
     #[test]
     fn partial_rumor_gossip_completes_and_validates() {
-        use sparsegossip_grid::Grid;
         let g = Grid::new(12).unwrap();
         let mut rng = SmallRng::seed_from_u64(15);
-        let mut sim = GossipSim::with_rumors(g, 6, 2, 0, 1_000_000, &mut rng).unwrap();
+        let process = Gossip::with_rumors(6, 2).unwrap();
+        let mut sim = Simulation::new(g, 6, 0, 1_000_000, process, &mut rng).unwrap();
         let out = sim.run(&mut rng);
         assert!(out.completed());
         assert_eq!(out.num_rumors, 2);
         assert_eq!(out.min_rumors, 2);
         // Validation errors.
-        let mut rng = SmallRng::seed_from_u64(16);
-        assert!(GossipSim::with_rumors(g, 6, 0, 0, 10, &mut rng).is_err());
-        assert!(GossipSim::with_rumors(g, 6, 7, 0, 10, &mut rng).is_err());
+        assert!(Gossip::with_rumors(6, 0).is_err());
+        assert!(Gossip::with_rumors(6, 7).is_err());
     }
 
     #[test]
     fn whole_grid_radius_completes_at_zero() {
         let cfg = SimConfig::builder(8, 4).radius(16).build().unwrap();
         let mut rng = SmallRng::seed_from_u64(14);
-        let mut sim = GossipSim::new(&cfg, &mut rng).unwrap();
+        let mut sim = Simulation::gossip(&cfg, &mut rng).unwrap();
         assert!(sim.is_complete());
         assert_eq!(sim.run(&mut rng).gossip_time, Some(0));
     }

@@ -5,7 +5,7 @@ use rand::RngExt;
 use sparsegossip_grid::Grid;
 use sparsegossip_walks::BitSet;
 
-use crate::{Broadcast, ExchangeCtx, Observer, Process, SimConfig, SimError, Simulation};
+use crate::{Broadcast, ExchangeCtx, Process, SimConfig, SimError, Simulation};
 
 /// Outcome of an infection run: broadcast at `r = 0` with per-agent
 /// infection times, the quantity studied by Dimitriou, Nikoletseas and
@@ -53,6 +53,22 @@ impl fmt::Display for InfectionOutcome {
 /// This is exactly [`Broadcast`] plus per-agent bookkeeping; the
 /// wrapper exists because the infection literature reports *per-agent*
 /// and *mean* infection times rather than just the completion time.
+///
+/// # Examples
+///
+/// ```
+/// use rand::rngs::SmallRng;
+/// use rand::SeedableRng;
+/// use sparsegossip_core::{SimConfig, Simulation};
+///
+/// let config = SimConfig::builder(24, 8).build()?;
+/// let mut rng = SmallRng::seed_from_u64(4);
+/// let mut sim = Simulation::infection(&config, &mut rng)?;
+/// let out = sim.run(&mut rng);
+/// assert!(out.completed());
+/// assert_eq!(out.per_agent.len(), 8);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 #[derive(Clone, Debug)]
 pub struct Infection {
     inner: Broadcast,
@@ -203,99 +219,6 @@ impl Simulation<Infection, Grid> {
     }
 }
 
-/// The infection-time framing of the dynamic model: `k` walking agents,
-/// one initially infected, transmission on contact (`r = 0`).
-///
-/// Constructed then run like every other simulator (the pre-redesign
-/// static one-shot survives as the deprecated
-/// [`run_once`](InfectionSim::run_once)).
-///
-/// # Examples
-///
-/// ```
-/// use rand::rngs::SmallRng;
-/// use rand::SeedableRng;
-/// use sparsegossip_core::{InfectionSim, SimConfig};
-///
-/// let config = SimConfig::builder(24, 8).build()?;
-/// let mut rng = SmallRng::seed_from_u64(4);
-/// let mut sim = InfectionSim::new(&config, &mut rng)?;
-/// let out = sim.run(&mut rng);
-/// assert!(out.completed());
-/// assert_eq!(out.per_agent.len(), 8);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Clone, Debug)]
-pub struct InfectionSim {
-    sim: Simulation<Infection, Grid>,
-}
-
-impl InfectionSim {
-    /// Creates an infection simulation per `config` (radius forced
-    /// to 0), with agents placed uniformly at random.
-    ///
-    /// # Errors
-    ///
-    /// As [`BroadcastSim::new`](crate::BroadcastSim::new).
-    pub fn new<R: RngExt>(config: &SimConfig, rng: &mut R) -> Result<Self, SimError> {
-        Simulation::infection(config, rng).map(|sim| Self { sim })
-    }
-
-    /// The underlying generic simulation.
-    #[inline]
-    #[must_use]
-    pub fn as_simulation(&self) -> &Simulation<Infection, Grid> {
-        &self.sim
-    }
-
-    /// Steps taken so far.
-    #[inline]
-    #[must_use]
-    pub fn time(&self) -> u64 {
-        self.sim.time()
-    }
-
-    /// Whether every agent is infected.
-    #[inline]
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.sim.is_complete()
-    }
-
-    /// Advances one step (move, contact detection, infection spread).
-    pub fn step<R: RngExt, O: Observer>(&mut self, rng: &mut R, observer: &mut O) {
-        let _ = self.sim.step(rng, observer);
-    }
-
-    /// Runs until every agent is infected or the step cap.
-    pub fn run<R: RngExt>(&mut self, rng: &mut R) -> InfectionOutcome {
-        self.sim.run(rng)
-    }
-
-    /// The outcome at the current state.
-    pub fn outcome(&self) -> InfectionOutcome {
-        self.sim.outcome()
-    }
-
-    /// Pre-redesign one-shot API: runs an infection process per
-    /// `config` and reports per-agent infection times.
-    ///
-    /// # Errors
-    ///
-    /// As [`InfectionSim::new`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `InfectionSim::new` + `run` instead; see the migration table in README.md"
-    )]
-    pub fn run_once<R: RngExt>(
-        config: &SimConfig,
-        rng: &mut R,
-    ) -> Result<InfectionOutcome, SimError> {
-        let mut sim = Self::new(config, rng)?;
-        Ok(sim.run(rng))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,7 +229,7 @@ mod tests {
     fn per_agent_times_are_recorded_and_bounded() {
         let cfg = SimConfig::builder(16, 6).build().unwrap();
         let mut rng = SmallRng::seed_from_u64(51);
-        let mut sim = InfectionSim::new(&cfg, &mut rng).unwrap();
+        let mut sim = Simulation::infection(&cfg, &mut rng).unwrap();
         let out = sim.run(&mut rng);
         assert!(out.completed());
         let t_total = out.infection_time.unwrap();
@@ -328,7 +251,7 @@ mod tests {
             .build()
             .unwrap();
         let mut rng = SmallRng::seed_from_u64(52);
-        let mut sim = InfectionSim::new(&cfg, &mut rng).unwrap();
+        let mut sim = Simulation::infection(&cfg, &mut rng).unwrap();
         let out = sim.run(&mut rng);
         assert!(!out.completed(), "r must be forced to 0");
     }
@@ -338,7 +261,7 @@ mod tests {
         // The source is always infected at step 0, so mean is Some.
         let cfg = SimConfig::builder(32, 4).max_steps(1).build().unwrap();
         let mut rng = SmallRng::seed_from_u64(53);
-        let mut sim = InfectionSim::new(&cfg, &mut rng).unwrap();
+        let mut sim = Simulation::infection(&cfg, &mut rng).unwrap();
         let out = sim.run(&mut rng);
         assert!(out.mean_time.is_some());
     }
@@ -362,17 +285,6 @@ mod tests {
                 assert_eq!(sim.positions()[i], *start, "uninfected agent {i} moved");
             }
         }
-    }
-
-    #[test]
-    fn deprecated_one_shot_matches_constructed_run() {
-        let cfg = SimConfig::builder(16, 6).build().unwrap();
-        let mut rng = SmallRng::seed_from_u64(54);
-        #[allow(deprecated)]
-        let once = InfectionSim::run_once(&cfg, &mut rng).unwrap();
-        let mut rng = SmallRng::seed_from_u64(54);
-        let mut sim = InfectionSim::new(&cfg, &mut rng).unwrap();
-        assert_eq!(once, sim.run(&mut rng));
     }
 
     #[test]

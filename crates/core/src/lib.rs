@@ -37,9 +37,9 @@
 //!   into the driver — the unit the `sparsegossip_analysis`
 //!   `ScenarioSweep` engine fans out over {side, k, r} axes.
 //!
-//! The pre-redesign per-process structs ([`BroadcastSim`],
-//! [`GossipSim`], [`InfectionSim`], [`FrogSim`], [`PredatorPreySim`])
-//! remain as thin shims over the driver.
+//! Every process runs only through the driver; the workspace test
+//! `tests/api_equivalence.rs` pins [`Simulation`] to the outcomes of
+//! the pre-redesign per-process structs, seed for seed.
 //!
 //! # Examples
 //!
@@ -65,7 +65,6 @@ mod config;
 pub mod coverage;
 mod error;
 mod fault_config;
-mod frog;
 mod gossip;
 mod infection;
 mod observer;
@@ -78,20 +77,19 @@ pub mod theory;
 pub mod toml;
 mod world;
 
-pub use broadcast::{Broadcast, BroadcastOutcome, BroadcastSim};
+pub use broadcast::{Broadcast, BroadcastOutcome};
 pub use cellkey::{cell_seed, fnv1a};
 pub use config::{ExchangeRule, Mobility, SimConfig, SimConfigBuilder};
-pub use coverage::{broadcast_with_coverage, Coverage, CoverageOutcome};
+pub use coverage::{Coverage, CoverageOutcome};
 pub use error::SimError;
 pub use fault_config::FaultConfig;
-pub use frog::FrogSim;
-pub use gossip::{Gossip, GossipOutcome, GossipSim};
-pub use infection::{Infection, InfectionOutcome, InfectionSim};
+pub use gossip::{Gossip, GossipOutcome};
+pub use infection::{Infection, InfectionOutcome};
 pub use observer::{
     CellReachTimes, ComponentSizeCurve, FrontierTracker, InfectionTimes, InformedCurve,
     MinRumorsCurve, NullObserver, Observer, StepContext,
 };
-pub use predator_prey::{ExtinctionOutcome, PredatorPrey, PredatorPreySim};
+pub use predator_prey::{ExtinctionOutcome, PredatorPrey};
 pub use process::{ComponentsScope, ExchangeCtx, Process, SimScratch, Simulation};
 pub use protocol_broadcast::{ProtocolBroadcast, ProtocolOutcome};
 pub use rumor::RumorSets;

@@ -106,11 +106,11 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
 /// ```
 /// use rand::rngs::SmallRng;
 /// use rand::SeedableRng;
-/// use sparsegossip_core::{BroadcastSim, InformedCurve, SimConfig};
+/// use sparsegossip_core::{InformedCurve, SimConfig, Simulation};
 ///
 /// let config = SimConfig::builder(32, 16).build()?;
 /// let mut rng = SmallRng::seed_from_u64(2);
-/// let mut sim = BroadcastSim::new(&config, &mut rng)?;
+/// let mut sim = Simulation::broadcast(&config, &mut rng)?;
 /// let mut curve = InformedCurve::new();
 /// sim.run_with(&mut rng, &mut curve);
 /// // The curve is non-decreasing.

@@ -3,10 +3,10 @@ use core::ops::ControlFlow;
 
 use rand::RngExt;
 use sparsegossip_conngraph::SpatialHash;
-use sparsegossip_grid::{Grid, Point, Topology};
+use sparsegossip_grid::{Point, Topology};
 use sparsegossip_walks::{lazy_step, BitSet};
 
-use crate::{ExchangeCtx, NullObserver, Observer, Process, SimError, Simulation};
+use crate::{ExchangeCtx, Process, SimError};
 
 /// Outcome of a predator–prey run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,6 +52,25 @@ impl fmt::Display for ExtinctionOutcome {
 /// [`Process::post_move`]) or static. Catch resolution does not use the
 /// visibility components, so the process opts out of the rebuild
 /// ([`Process::NEEDS_COMPONENTS`] is `false`).
+///
+/// # Examples
+///
+/// ```
+/// use rand::rngs::SmallRng;
+/// use rand::SeedableRng;
+/// use sparsegossip_core::{PredatorPrey, Simulation};
+/// use sparsegossip_grid::Grid;
+///
+/// let grid = Grid::new(16)?;
+/// let mut rng = SmallRng::seed_from_u64(2);
+/// // Preys are placed first, then the 8 predators.
+/// let process = PredatorPrey::uniform(&grid, 4, 0, true, &mut rng)?;
+/// let mut sim = Simulation::new(grid, 8, 0, 1_000_000, process, &mut rng)?;
+/// let out = sim.run(&mut rng);
+/// assert!(out.completed());
+/// assert_eq!(out.survivors, 0);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 #[derive(Clone, Debug)]
 pub struct PredatorPrey {
     prey_positions: Vec<Point>,
@@ -196,175 +215,35 @@ impl Process for PredatorPrey {
     }
 }
 
-/// Pre-redesign predator–prey simulator; now a thin shim over
-/// [`Simulation<PredatorPrey, T>`].
-///
-/// # Examples
-///
-/// ```
-/// # #![allow(deprecated)]
-/// use rand::rngs::SmallRng;
-/// use rand::SeedableRng;
-/// use sparsegossip_core::PredatorPreySim;
-/// use sparsegossip_grid::Grid;
-///
-/// let grid = Grid::new(16)?;
-/// let mut rng = SmallRng::seed_from_u64(2);
-/// let mut sim = PredatorPreySim::new(grid, 8, 4, 0, true, 1_000_000, &mut rng)?;
-/// let out = sim.run(&mut rng);
-/// assert!(out.completed());
-/// assert_eq!(out.survivors, 0);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Clone, Debug)]
-pub struct PredatorPreySim<T> {
-    sim: Simulation<PredatorPrey, T>,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{NullObserver, Simulation};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+    use sparsegossip_grid::Grid;
 
-impl<T: Topology> PredatorPreySim<T> {
-    /// Creates a system of `k` predators and `m` preys, both uniformly
-    /// placed. Preys within `catch_radius` of a predator at placement
-    /// are caught at step 0.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::TooFewAgents`] if `k == 0` or `m == 0`;
-    /// * [`SimError::ZeroStepCap`] if `max_steps == 0`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the unified `Simulation` driver (`Simulation::new`); \
-                see the migration table in README.md"
-    )]
-    #[allow(clippy::too_many_arguments)]
-    pub fn new<R: RngExt>(
-        topo: T,
-        k: usize,
-        m: usize,
-        catch_radius: u32,
-        preys_mobile: bool,
-        max_steps: u64,
-        rng: &mut R,
-    ) -> Result<Self, SimError> {
-        if k == 0 {
-            return Err(SimError::TooFewAgents { k });
-        }
-        if m == 0 {
-            return Err(SimError::TooFewAgents { k: m });
-        }
-        if max_steps == 0 {
-            return Err(SimError::ZeroStepCap);
-        }
-        // Prey placement draws first, then the predator engine — the
-        // pre-redesign draw order, preserved for seed equivalence.
-        let process = PredatorPrey::uniform(&topo, m, catch_radius, preys_mobile, rng)?;
-        Simulation::new(topo, k, catch_radius, max_steps, process, rng).map(|sim| Self { sim })
-    }
-
-    /// The underlying generic simulation.
-    #[inline]
-    #[must_use]
-    pub fn as_simulation(&self) -> &Simulation<PredatorPrey, T> {
-        &self.sim
-    }
-
-    /// The number of predators.
-    #[inline]
-    #[must_use]
-    pub fn num_predators(&self) -> usize {
-        self.sim.k()
-    }
-
-    /// The number of surviving preys.
-    #[inline]
-    #[must_use]
-    pub fn survivors(&self) -> usize {
-        self.sim.process().survivors()
-    }
-
-    /// Steps taken so far.
-    #[inline]
-    #[must_use]
-    pub fn time(&self) -> u64 {
-        self.sim.time()
-    }
-
-    /// Whether every prey has been caught.
-    #[inline]
-    #[must_use]
-    pub fn is_extinct(&self) -> bool {
-        self.sim.is_complete()
-    }
-
-    /// Advances one step: predators (and mobile preys) walk, then
-    /// catches are resolved. Returns the number of preys caught.
-    pub fn step<R: RngExt>(&mut self, rng: &mut R) -> usize {
-        let before = self.sim.process().survivors();
-        let _ = self.sim.step(rng, &mut NullObserver);
-        before - self.sim.process().survivors()
-    }
-
-    /// Advances one step with an observer (positions and step index;
-    /// predator–prey has no informed set or components).
-    pub fn step_with<R: RngExt, O: Observer>(&mut self, rng: &mut R, observer: &mut O) -> usize {
-        let before = self.sim.process().survivors();
-        let _ = self.sim.step(rng, observer);
-        before - self.sim.process().survivors()
-    }
-
-    /// Runs until extinction or the step cap.
-    pub fn run<R: RngExt>(&mut self, rng: &mut R) -> ExtinctionOutcome {
-        self.sim.run(rng)
-    }
-
-    /// The outcome at the current state.
-    pub fn outcome(&self) -> ExtinctionOutcome {
-        self.sim.outcome()
-    }
-}
-
-impl<T: Topology> PredatorPreySim<T> {
-    /// Convenience constructor on a bounded grid.
-    ///
-    /// # Errors
-    ///
-    /// As [`PredatorPreySim::new`], plus [`SimError::Grid`] on a bad
-    /// side.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the unified `Simulation` driver (`Simulation::new`); \
-                see the migration table in README.md"
-    )]
-    #[allow(deprecated)]
-    pub fn on_grid<R: RngExt>(
+    /// `k` predators and `m` preys on a `side`-grid, preys placed
+    /// first, as every predator–prey run draws them.
+    fn on_grid(
         side: u32,
         k: usize,
         m: usize,
         catch_radius: u32,
         preys_mobile: bool,
         max_steps: u64,
-        rng: &mut R,
-    ) -> Result<PredatorPreySim<Grid>, SimError> {
+        rng: &mut SmallRng,
+    ) -> Result<Simulation<PredatorPrey, Grid>, SimError> {
         let grid = Grid::new(side)?;
-        PredatorPreySim::new(grid, k, m, catch_radius, preys_mobile, max_steps, rng)
+        let process = PredatorPrey::uniform(&grid, m, catch_radius, preys_mobile, rng)?;
+        Simulation::new(grid, k, catch_radius, max_steps, process, rng)
     }
-}
-
-#[cfg(test)]
-mod tests {
-    // The legacy-shim tests exercise the deprecated constructors on
-    // purpose: they are the compatibility surface under test.
-    #![allow(deprecated)]
-
-    use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn extinction_on_small_grid() {
         let mut rng = SmallRng::seed_from_u64(41);
-        let mut sim =
-            PredatorPreySim::<Grid>::on_grid(12, 6, 4, 0, true, 2_000_000, &mut rng).unwrap();
-        assert_eq!(sim.num_predators(), 6);
+        let mut sim = on_grid(12, 6, 4, 0, true, 2_000_000, &mut rng).unwrap();
+        assert_eq!(sim.k(), 6);
         let out = sim.run(&mut rng);
         assert!(out.completed());
         assert_eq!(out.survivors, 0);
@@ -374,14 +253,13 @@ mod tests {
     #[test]
     fn survivor_count_is_monotone_nonincreasing() {
         let mut rng = SmallRng::seed_from_u64(42);
-        let mut sim =
-            PredatorPreySim::<Grid>::on_grid(24, 4, 8, 1, false, 10_000, &mut rng).unwrap();
-        let mut prev = sim.survivors();
+        let mut sim = on_grid(24, 4, 8, 1, false, 10_000, &mut rng).unwrap();
+        let mut prev = sim.process().survivors();
         for _ in 0..200 {
-            sim.step(&mut rng);
-            assert!(sim.survivors() <= prev, "a prey resurrected");
-            prev = sim.survivors();
-            if sim.is_extinct() {
+            let _ = sim.step(&mut rng, &mut NullObserver);
+            assert!(sim.process().survivors() <= prev, "a prey resurrected");
+            prev = sim.process().survivors();
+            if sim.is_complete() {
                 break;
             }
         }
@@ -390,9 +268,9 @@ mod tests {
     #[test]
     fn large_catch_radius_is_instant_extinction() {
         let mut rng = SmallRng::seed_from_u64(43);
-        let sim = PredatorPreySim::<Grid>::on_grid(8, 2, 4, 16, true, 100, &mut rng).unwrap();
+        let sim = on_grid(8, 2, 4, 16, true, 100, &mut rng).unwrap();
         assert!(
-            sim.is_extinct(),
+            sim.process().is_extinct(),
             "radius covering the grid must catch at placement"
         );
         assert_eq!(sim.outcome().extinction_time, Some(0));
@@ -401,8 +279,7 @@ mod tests {
     #[test]
     fn static_preys_match_frog_style_dynamics() {
         let mut rng = SmallRng::seed_from_u64(44);
-        let mut sim =
-            PredatorPreySim::<Grid>::on_grid(10, 4, 3, 0, false, 1_000_000, &mut rng).unwrap();
+        let mut sim = on_grid(10, 4, 3, 0, false, 1_000_000, &mut rng).unwrap();
         let out = sim.run(&mut rng);
         assert!(
             out.completed(),
@@ -413,9 +290,9 @@ mod tests {
     #[test]
     fn constructor_validation() {
         let mut rng = SmallRng::seed_from_u64(45);
-        assert!(PredatorPreySim::<Grid>::on_grid(8, 0, 4, 0, true, 10, &mut rng).is_err());
-        assert!(PredatorPreySim::<Grid>::on_grid(8, 4, 0, 0, true, 10, &mut rng).is_err());
-        assert!(PredatorPreySim::<Grid>::on_grid(8, 4, 4, 0, true, 0, &mut rng).is_err());
+        assert!(on_grid(8, 0, 4, 0, true, 10, &mut rng).is_err());
+        assert!(on_grid(8, 4, 0, 0, true, 10, &mut rng).is_err());
+        assert!(on_grid(8, 4, 4, 0, true, 0, &mut rng).is_err());
     }
 
     #[test]
@@ -425,9 +302,7 @@ mod tests {
             let mut total = 0u64;
             for i in 0..reps {
                 let mut rng = SmallRng::seed_from_u64(seed + i);
-                let mut sim =
-                    PredatorPreySim::<Grid>::on_grid(16, k, 4, 0, true, 5_000_000, &mut rng)
-                        .unwrap();
+                let mut sim = on_grid(16, k, 4, 0, true, 5_000_000, &mut rng).unwrap();
                 total += sim.run(&mut rng).extinction_time.unwrap();
             }
             total as f64 / 8.0

@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Coverage: how long until data-carrying animals have swept every
     // cell of the reserve (e.g. for sensing completeness).
     let mut rng = SmallRng::seed_from_u64(1338);
-    let cov = broadcast_with_coverage(&config, &mut rng)?;
+    let cov = Simulation::coverage(&config, &mut rng)?.run(&mut rng);
     println!(
         "broadcast T_B = {:?}, informed-coverage T_C = {:?} ({}/{} cells)",
         cov.broadcast_time, cov.coverage_time, cov.covered, cov.num_nodes

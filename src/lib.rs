@@ -107,11 +107,10 @@ pub mod prelude {
         components, components_from_seeds, critical_radius, giant_fraction,
     };
     pub use sparsegossip_core::{
-        broadcast_with_coverage, Broadcast, BroadcastOutcome, BroadcastSim, ComponentsScope,
-        Coverage, ExchangeRule, FaultConfig, FrogSim, Gossip, GossipOutcome, GossipSim, Infection,
-        InfectionSim, Metric, Mobility, NetworkConfig, Observer, PredatorPrey, PredatorPreySim,
-        Process, ProcessKind, ProtocolBroadcast, ProtocolOutcome, ScenarioSpec, SimConfig,
-        SimError, SimScratch, Simulation, WorldConfig, WorldSim,
+        Broadcast, BroadcastOutcome, ComponentsScope, Coverage, ExchangeRule, FaultConfig, Gossip,
+        GossipOutcome, Infection, Metric, Mobility, NetworkConfig, Observer, PredatorPrey, Process,
+        ProcessKind, ProtocolBroadcast, ProtocolOutcome, ScenarioSpec, SimConfig, SimError,
+        SimScratch, Simulation, WorldConfig, WorldSim,
     };
     pub use sparsegossip_grid::{BarrierGrid, Grid, Point, Tessellation, Topology, Torus};
     pub use sparsegossip_protocol::NodeRuntime;

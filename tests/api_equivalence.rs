@@ -1,17 +1,13 @@
-//! Seed-for-seed equivalence of the redesigned `Process`/`Simulation`
-//! API with the pre-redesign per-process structs.
+//! Seed-for-seed equivalence of the `Process`/`Simulation` driver
+//! with the per-process structs it replaced.
 //!
 //! The golden values below were captured by running the pre-redesign
 //! implementations (`BroadcastSim`, `GossipSim`, `InfectionSim::run`,
 //! `broadcast_with_coverage`, `PredatorPreySim` as of commit c41cceb)
-//! with the exact seeds and configurations listed. The redesigned
-//! pipeline must reproduce every outcome byte for byte: same RNG draw
-//! order, same exchange semantics, same completion bookkeeping.
-//!
-//! A second layer asserts that the legacy shims and the generic driver
-//! agree pathwise on fresh seeds, so the shims really are thin.
-
-#![allow(deprecated)]
+//! with the exact seeds and configurations listed. Those structs are
+//! gone; the driver must still reproduce every outcome byte for byte:
+//! same RNG draw order, same exchange semantics, same completion
+//! bookkeeping.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -137,7 +133,7 @@ fn coverage_reproduces_pre_redesign_outcomes() {
     for (seed, tb, tc) in [(1u64, 171u64, 355u64), (2, 158, 359)] {
         let cfg = SimConfig::builder(12, 8).radius(0).build().unwrap();
         let mut rng = SmallRng::seed_from_u64(seed);
-        let out = broadcast_with_coverage(&cfg, &mut rng).unwrap();
+        let out = Simulation::coverage(&cfg, &mut rng).unwrap().run(&mut rng);
         assert_eq!(out.broadcast_time, Some(tb), "seed={seed}");
         assert_eq!(out.coverage_time, Some(tc), "seed={seed}");
         assert_eq!(out.covered, 144);
@@ -159,26 +155,6 @@ fn predator_prey_reproduces_pre_redesign_outcomes() {
             "mobile={mobile} seed={seed}"
         );
         assert_eq!(out.survivors, 0);
-    }
-}
-
-#[test]
-fn legacy_shims_agree_pathwise_with_the_driver() {
-    // The shims must be *thin*: same draws, same outcomes, any seed.
-    for seed in 100..108u64 {
-        let cfg = SimConfig::builder(20, 10).radius(1).build().unwrap();
-
-        let mut rng_a = SmallRng::seed_from_u64(seed);
-        let mut shim = BroadcastSim::new(&cfg, &mut rng_a).unwrap();
-        let mut rng_b = SmallRng::seed_from_u64(seed);
-        let mut generic = Simulation::broadcast(&cfg, &mut rng_b).unwrap();
-        assert_eq!(shim.run(&mut rng_a), generic.run(&mut rng_b), "broadcast");
-
-        let mut rng_a = SmallRng::seed_from_u64(seed);
-        let mut shim = GossipSim::new(&cfg, &mut rng_a).unwrap();
-        let mut rng_b = SmallRng::seed_from_u64(seed);
-        let mut generic = Simulation::gossip(&cfg, &mut rng_b).unwrap();
-        assert_eq!(shim.run(&mut rng_a), generic.run(&mut rng_b), "gossip");
     }
 }
 

@@ -3,9 +3,7 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sparsegossip::core::{
-    broadcast_with_coverage, ComponentSizeCurve, FrontierTracker, InformedCurve,
-};
+use sparsegossip::core::{ComponentSizeCurve, FrontierTracker, InformedCurve};
 use sparsegossip::prelude::*;
 
 fn cfg(side: u32, k: usize, r: u32) -> SimConfig {
@@ -102,7 +100,9 @@ fn coverage_time_dominates_broadcast_time_statistically() {
     for seed in 0..8 {
         let c = cfg(16, 8, 0);
         let mut rng = SmallRng::seed_from_u64(60 + seed);
-        let out = broadcast_with_coverage(&c, &mut rng).expect("sim");
+        let out = Simulation::coverage(&c, &mut rng)
+            .expect("sim")
+            .run(&mut rng);
         assert!(out.completed(), "tiny grid must complete");
         if out.coverage_time >= out.broadcast_time {
             dominated += 1;

@@ -159,6 +159,50 @@ fn predator_prey_reproduces_pre_redesign_outcomes() {
 }
 
 #[test]
+fn config_constructors_agree_pathwise_with_the_generic_driver() {
+    // `Simulation::{broadcast, gossip}` only unpack a `SimConfig` into
+    // `Simulation::new`: same draws, same outcomes, any seed.
+    for seed in 100..108u64 {
+        let cfg = SimConfig::builder(20, 10)
+            .radius(1)
+            .source(3)
+            .build()
+            .unwrap();
+        let grid = || Grid::new(cfg.side()).unwrap();
+
+        let mut rng_a = SmallRng::seed_from_u64(seed);
+        let mut named = Simulation::broadcast(&cfg, &mut rng_a).unwrap();
+        let mut rng_b = SmallRng::seed_from_u64(seed);
+        let process = Broadcast::new(cfg.k(), cfg.source()).unwrap();
+        let mut generic = Simulation::new(
+            grid(),
+            cfg.k(),
+            cfg.radius(),
+            cfg.max_steps(),
+            process,
+            &mut rng_b,
+        )
+        .unwrap();
+        assert_eq!(named.run(&mut rng_a), generic.run(&mut rng_b), "broadcast");
+
+        let mut rng_a = SmallRng::seed_from_u64(seed);
+        let mut named = Simulation::gossip(&cfg, &mut rng_a).unwrap();
+        let mut rng_b = SmallRng::seed_from_u64(seed);
+        let process = Gossip::distinct(cfg.k()).unwrap();
+        let mut generic = Simulation::new(
+            grid(),
+            cfg.k(),
+            cfg.radius(),
+            cfg.max_steps(),
+            process,
+            &mut rng_b,
+        )
+        .unwrap();
+        assert_eq!(named.run(&mut rng_a), generic.run(&mut rng_b), "gossip");
+    }
+}
+
+#[test]
 fn gossip_observer_runs_do_not_perturb_outcomes() {
     // Observer hooks are read-only: a run with the min-rumors recorder
     // must equal the unobserved run draw for draw.

@@ -6,6 +6,8 @@
 //! rumor to a single hop per step should barely change `T_B`. Above
 //! the percolation point the assumption matters enormously.
 
+use std::process::ExitCode;
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{Sweep, Table};
@@ -25,7 +27,7 @@ fn tb_with_rule(side: u32, k: usize, r: u32, rule: ExchangeRule, seed: u64) -> f
         .unwrap_or(config.max_steps()) as f64
 }
 
-fn main() {
+fn main() -> ExitCode {
     let ctx = ExpCtx::init(
         "A1",
         "ablation: component flooding vs one-hop-per-step exchange",
@@ -84,5 +86,5 @@ fn main() {
         &format!(
             "below r_c one-hop costs {sub_ratio:.2}x (small); above r_c it costs {super_ratio:.2}x"
         ),
-    );
+    )
 }

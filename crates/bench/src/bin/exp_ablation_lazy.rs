@@ -4,6 +4,8 @@
 //! principle; constants (not shapes) absorb the boundary. Running the
 //! identical broadcast on a torus should preserve the `k`-exponent.
 
+use std::process::ExitCode;
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{power_law_fit, Sweep, Table};
@@ -20,7 +22,7 @@ fn torus_tb(side: u32, k: usize, seed: u64) -> f64 {
     sim.run(&mut rng).broadcast_time.unwrap_or(cap) as f64
 }
 
-fn main() {
+fn main() -> ExitCode {
     let ctx = ExpCtx::init(
         "A2",
         "ablation: bounded grid vs torus broadcast scaling",
@@ -63,5 +65,5 @@ fn main() {
             "exponents agree: grid {:.3} vs torus {:.3}",
             fit_g.exponent, fit_t.exponent
         ),
-    );
+    )
 }

@@ -6,10 +6,12 @@
 //! We run the same simulator at `r = 2 r_c` and at `r = r_c/2` and
 //! contrast the k-scaling: polynomial below, near-flat (polylog) above.
 
+use std::process::ExitCode;
+
 use sparsegossip_analysis::{power_law_fit, Sweep, Table};
 use sparsegossip_bench::{fmt_exponent, measure_broadcast, verdict, ExpCtx};
 
-fn main() {
+fn main() -> ExitCode {
     let ctx = ExpCtx::init(
         "E18",
         "broadcast scaling above vs below the percolation point",
@@ -65,5 +67,5 @@ fn main() {
             "polynomial decay below ({:.3}) vs near-flat above ({:.3})",
             fit_below.exponent, fit_above.exponent
         ),
-    );
+    )
 }

@@ -7,6 +7,8 @@
 //! bottleneck, inflating `T_B` relative to the open grid — and the
 //! inflation grows as the gap narrows.
 
+use std::process::ExitCode;
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{Sweep, Table};
@@ -41,7 +43,7 @@ fn tb_with_gap(side: u32, k: usize, gap: u32, seed: u64) -> f64 {
     sim.run(&mut rng).broadcast_time.unwrap_or(cap) as f64
 }
 
-fn main() {
+fn main() -> ExitCode {
     let ctx = ExpCtx::init(
         "E19",
         "mobility barriers: broadcast through a wall with a gap (future work, Section 4)",
@@ -86,5 +88,5 @@ fn main() {
     verdict(
         monotone && worst > 1.5,
         &format!("narrowest gap inflates T_B {worst:.2}x; inflation is monotone in 1/gap"),
-    );
+    )
 }

@@ -8,6 +8,8 @@
 //! cell reach times should grow with distance from the source cell
 //! (the spreading front).
 
+use std::process::ExitCode;
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{linear_fit, Summary, Table};
@@ -15,7 +17,7 @@ use sparsegossip_bench::{verdict, ExpCtx};
 use sparsegossip_core::{CellReachTimes, SimConfig, Simulation};
 use sparsegossip_grid::Tessellation;
 
-fn main() {
+fn main() -> ExitCode {
     let ctx = ExpCtx::init(
         "E17",
         "cell-by-cell exploration of the tessellation (Theorem 1 machinery)",
@@ -87,5 +89,5 @@ fn main() {
             ratio.mean(),
             slope.mean()
         ),
-    );
+    )
 }

@@ -4,6 +4,8 @@
 //! within radius `R` per step; result `T_B = Θ(√n / R)` w.h.p. for
 //! `ρ = O(R)`. Expect a log–log slope of ≈ −1 in `R`.
 
+use std::process::ExitCode;
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{power_law_fit, Sweep, Table};
@@ -23,7 +25,7 @@ fn clementi_tb(side: u32, k: usize, big_r: u32, rho: u32, seed: u64) -> f64 {
     sim.run(&mut rng).broadcast_time.unwrap_or(config.max_steps) as f64
 }
 
-fn main() {
+fn main() -> ExitCode {
     let ctx = ExpCtx::init(
         "E14",
         "dense-MANET baseline (Clementi et al.): T_B vs exchange radius R",
@@ -71,5 +73,5 @@ fn main() {
     verdict(
         (fit.exponent + 1.0).abs() < 0.3,
         &format!("measured e = {:.3} vs -1.0", fit.exponent),
-    );
+    )
 }

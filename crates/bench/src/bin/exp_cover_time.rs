@@ -4,6 +4,8 @@
 //! is `O(n log²n / k + n log n)` w.h.p. — near-linear speedup in `k`
 //! until the additive `n log n` term takes over.
 
+use std::process::ExitCode;
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{power_law_fit, Sweep, Table};
@@ -20,7 +22,7 @@ fn cover(side: u32, k: usize, seed: u64) -> f64 {
     run.cover_time.unwrap_or(cap) as f64
 }
 
-fn main() {
+fn main() -> ExitCode {
     let ctx = ExpCtx::init(
         "E7",
         "cover time of k independent walks (Section 4)",
@@ -84,5 +86,5 @@ fn main() {
             "small-k exponent {:.3} ≈ -1; bound respected uniformly (max ratio {max_ratio:.2})",
             fit.exponent
         ),
-    );
+    )
 }

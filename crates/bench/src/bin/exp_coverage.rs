@@ -4,6 +4,8 @@
 //! informed agents to touch every grid node scales like the broadcast
 //! time (coverage completes within a polylog factor of broadcast).
 
+use std::process::ExitCode;
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{power_law_fit, Sweep, Table};
@@ -26,7 +28,7 @@ fn coverage_pair(side: u32, k: usize, seed: u64) -> (f64, f64) {
     )
 }
 
-fn main() {
+fn main() -> ExitCode {
     let ctx = ExpCtx::init(
         "E10",
         "coverage time T_C vs broadcast time T_B (Section 4)",
@@ -74,5 +76,5 @@ fn main() {
             "e = {:.3} in [-1.1, -0.4]; T_C/T_B in [{min_ratio:.2}, {max_ratio:.2}] (bounded)",
             fit.exponent
         ),
-    );
+    )
 }

@@ -6,6 +6,8 @@
 //! in the interior (move probability 4/5), saturating at the boundary
 //! scale. We verify the slope and the saturation.
 
+use std::process::ExitCode;
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{linear_fit, Table};
@@ -13,7 +15,7 @@ use sparsegossip_bench::{verdict, ExpCtx};
 use sparsegossip_grid::{Grid, Point};
 use sparsegossip_walks::{msd_curve, LAZY_WALK_MSD_SLOPE};
 
-fn main() {
+fn main() -> ExitCode {
     let ctx = ExpCtx::init(
         "E20",
         "mean squared displacement of the lazy walk",
@@ -67,5 +69,5 @@ fn main() {
             "interior slope {:.3} ≈ 0.8; boundary saturation ratio {saturated:.2} ≈ 1",
             fit.slope
         ),
-    );
+    )
 }

@@ -5,10 +5,12 @@
 //! argument). Expect a `k`-exponent near −1/2 again, with a larger
 //! constant than the fully mobile model.
 
+use std::process::ExitCode;
+
 use sparsegossip_analysis::{power_law_fit, Sweep, Table};
 use sparsegossip_bench::{fmt_exponent, measure_broadcast, measure_frog, verdict, ExpCtx};
 
-fn main() {
+fn main() -> ExitCode {
     let ctx = ExpCtx::init(
         "E8",
         "Frog model: broadcast time vs k (only informed agents move)",
@@ -46,5 +48,5 @@ fn main() {
     verdict(
         (fit.exponent + 0.5).abs() < 0.25,
         &format!("measured e = {:.3} vs -0.5", fit.exponent),
-    );
+    )
 }

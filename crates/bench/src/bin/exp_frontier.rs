@@ -7,6 +7,8 @@
 //! and check its average speed is far below the naive ballistic rate
 //! and consistent with `T_B = Ω̃(n/√k)`.
 
+use std::process::ExitCode;
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{Summary, Table};
@@ -14,7 +16,7 @@ use sparsegossip_bench::{verdict, ExpCtx};
 use sparsegossip_core::theory::broadcast_lower_bound_shape;
 use sparsegossip_core::{FrontierTracker, SimConfig, Simulation};
 
-fn main() {
+fn main() -> ExitCode {
     let ctx = ExpCtx::init(
         "E15",
         "frontier advance rate of the informed area (Theorem 2)",
@@ -77,5 +79,5 @@ fn main() {
             tb.mean(),
             floor
         ),
-    );
+    )
 }

@@ -4,10 +4,12 @@
 //! agents to learn all rumors is also `Õ(n/√k)` — i.e. the same
 //! scaling as broadcast, with a bounded `T_G/T_B` ratio.
 
+use std::process::ExitCode;
+
 use sparsegossip_analysis::{power_law_fit, Sweep, Table};
 use sparsegossip_bench::{fmt_exponent, measure_broadcast, measure_gossip, verdict, ExpCtx};
 
-fn main() {
+fn main() -> ExitCode {
     let ctx = ExpCtx::init(
         "E9",
         "gossip time vs k (all k rumors to all agents)",
@@ -52,5 +54,5 @@ fn main() {
             "e = {:.3} vs -0.5; ratio <= {max_ratio:.2} (bounded)",
             fit.exponent
         ),
-    );
+    )
 }

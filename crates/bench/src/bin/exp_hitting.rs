@@ -4,6 +4,8 @@
 //! within `d²` steps with probability at least `c₁ / max{1, log d}`.
 //! As in E5, we check `P(d) · ln d` is bounded below and roughly flat.
 
+use std::process::ExitCode;
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{Sweep, Table};
@@ -20,7 +22,7 @@ fn hit_rate(side: u32, d: u32, trials: u32, seed: u64) -> f64 {
     hitting_probability(&grid, from, target, trials, &mut rng)
 }
 
-fn main() {
+fn main() -> ExitCode {
     let ctx = ExpCtx::init(
         "E16",
         "P(walk visits node at distance d within d^2 steps) (Lemma 1)",
@@ -62,5 +64,5 @@ fn main() {
             "lower envelope {min_scaled:.3} > 0.03 and spread {:.1}x < 8x",
             max_scaled / min_scaled
         ),
-    );
+    )
 }

@@ -6,6 +6,8 @@
 //! sub-critical maxima stay `O(log n)` while super-critical ones grow
 //! to `Θ(k)`.
 
+use std::process::ExitCode;
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{Sweep, Table};
@@ -27,7 +29,7 @@ fn max_island_over_time(side: u32, k: usize, gamma: u32, steps: u64, seed: u64) 
     sampler.max_island_ever() as f64
 }
 
-fn main() {
+fn main() -> ExitCode {
     let ctx = ExpCtx::init(
         "E4",
         "maximum island size vs island parameter gamma (Lemma 6)",
@@ -124,5 +126,5 @@ fn main() {
             sup,
             k / 2
         ),
-    );
+    )
 }

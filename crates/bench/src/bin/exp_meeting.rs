@@ -5,6 +5,8 @@
 //! least `c₃ / log d`. We measure the probability over `d` and check
 //! that `P(d) · ln d` stays bounded below (no faster-than-1/log decay).
 
+use std::process::ExitCode;
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{Sweep, Table};
@@ -29,7 +31,7 @@ fn meet_rate(side: u32, d: u32, trials: u32, seed: u64) -> f64 {
     f64::from(hits) / f64::from(trials)
 }
 
-fn main() {
+fn main() -> ExitCode {
     let ctx = ExpCtx::init(
         "E5",
         "P(two walks meet in D within d^2 steps) vs initial distance d (Lemma 3)",
@@ -71,5 +73,5 @@ fn main() {
             "lower envelope {min_scaled:.3} > 0.05 and spread {:.1}x < 6x",
             max_scaled / min_scaled
         ),
-    );
+    )
 }

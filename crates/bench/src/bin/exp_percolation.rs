@@ -5,6 +5,8 @@
 //! `r/r_c` at several `(n, k)` and check the curves cross 1/2 at a
 //! common multiple of `r_c` (the hidden constant).
 
+use std::process::ExitCode;
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::Table;
@@ -12,7 +14,7 @@ use sparsegossip_bench::{verdict, ExpCtx};
 use sparsegossip_conngraph::{critical_radius, estimate_threshold, percolation_profile};
 use sparsegossip_grid::{Grid, Topology};
 
-fn main() {
+fn main() -> ExitCode {
     let ctx = ExpCtx::init(
         "E13",
         "giant-component fraction vs r/r_c; threshold location",
@@ -69,5 +71,5 @@ fn main() {
             "thresholds collapse to a common multiple of sqrt(n/k) (spread {:.2}x)",
             max / min
         ),
-    );
+    )
 }

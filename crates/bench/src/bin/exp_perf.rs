@@ -444,6 +444,8 @@ fn main() -> ExitCode {
         .map(Row::speedup)
         .fold(0.0f64, f64::max);
     let ok = clean && ensemble_ok && determinism_ok && best_frontier >= 2.0;
+    // A MISMATCH must fail the caller (this binary is the CI gate for
+    // the zero-allocation and frontier-equivalence invariants).
     verdict(
         ok,
         &format!(
@@ -452,12 +454,5 @@ fn main() -> ExitCode {
              speedup: {best_frontier:.2}x",
             rows.len(),
         ),
-    );
-    // A MISMATCH must fail the caller (this binary is the CI gate for
-    // the zero-allocation and frontier-equivalence invariants).
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    )
 }

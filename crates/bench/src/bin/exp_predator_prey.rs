@@ -4,6 +4,8 @@
 //! `O(n log²n / k)` steps w.h.p. — note the `1/k` (not `1/√k`) decay,
 //! distinguishing this from the broadcast bound.
 
+use std::process::ExitCode;
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{power_law_fit, Sweep, Table};
@@ -21,7 +23,7 @@ fn extinction(side: u32, k: usize, m: usize, seed: u64) -> f64 {
     sim.run(&mut rng).extinction_time.unwrap_or(cap) as f64
 }
 
-fn main() {
+fn main() -> ExitCode {
     let ctx = ExpCtx::init(
         "E11",
         "predator-prey extinction time vs number of predators (Section 4)",
@@ -69,5 +71,5 @@ fn main() {
             "measured e = {:.3}, decisively steeper than broadcast's -0.5",
             fit.exponent
         ),
-    );
+    )
 }

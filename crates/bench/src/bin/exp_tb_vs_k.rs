@@ -1,15 +1,17 @@
-//! E1 — broadcast time vs. number of agents (Theorem 1 / Corollary 1).
+//! E2 — broadcast time vs. number of agents (Theorem 1 / Corollary 1).
 //!
 //! Claim: `T_B = Θ̃(n/√k)`, so at fixed `n` the log–log slope of `T_B`
 //! against `k` is ≈ −1/2 (slightly steeper/shallower within the polylog
 //! slack).
 
+use std::process::ExitCode;
+
 use sparsegossip_analysis::{power_law_fit, Sweep, Table};
 use sparsegossip_bench::{fmt_exponent, measure_broadcast, verdict, ExpCtx};
 
-fn main() {
+fn main() -> ExitCode {
     let ctx = ExpCtx::init(
-        "E1",
+        "E2",
         "broadcast time vs k (fixed n, r = 0)",
         "T_B = Theta~(n/sqrt(k)) => slope of log T_B vs log k is about -1/2",
     );
@@ -53,5 +55,5 @@ fn main() {
     verdict(
         (fit.exponent + 0.5).abs() < 0.2,
         &format!("measured e = {:.3} vs -0.5", fit.exponent),
-    );
+    )
 }

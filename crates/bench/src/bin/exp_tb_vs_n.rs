@@ -1,14 +1,16 @@
-//! E2 — broadcast time vs. grid size (Theorem 1).
+//! E1 — broadcast time vs. grid size (Theorem 1).
 //!
 //! Claim: `T_B = Θ̃(n/√k)`, so at fixed `k` the log–log slope of `T_B`
 //! against `n` is ≈ 1 (up to polylog).
 
+use std::process::ExitCode;
+
 use sparsegossip_analysis::{power_law_fit, Sweep, Table};
 use sparsegossip_bench::{fmt_exponent, measure_broadcast, verdict, ExpCtx};
 
-fn main() {
+fn main() -> ExitCode {
     let ctx = ExpCtx::init(
-        "E2",
+        "E1",
         "broadcast time vs n (fixed k, r = 0)",
         "T_B = Theta~(n/sqrt(k)) => slope of log T_B vs log n is about 1",
     );
@@ -53,5 +55,5 @@ fn main() {
     verdict(
         (fit.exponent - 1.0).abs() < 0.25,
         &format!("measured e = {:.3} vs 1.0", fit.exponent),
-    );
+    )
 }

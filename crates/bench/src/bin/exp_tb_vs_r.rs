@@ -6,10 +6,12 @@
 //! complement). Expect a flat profile for `r < r_c` and a sharp drop
 //! past `r_c`.
 
+use std::process::ExitCode;
+
 use sparsegossip_analysis::{Sweep, Table};
 use sparsegossip_bench::{measure_broadcast, verdict, ExpCtx};
 
-fn main() {
+fn main() -> ExitCode {
     let ctx = ExpCtx::init(
         "E3",
         "broadcast time vs r across the percolation point",
@@ -77,5 +79,5 @@ fn main() {
         &format!(
             "all sub-critical T_B >= floor {floor:.0}; collapse {collapse:.1}x dwarfs sub-critical spread {flat_ratio:.2}x"
         ),
-    );
+    )
 }

@@ -4,6 +4,8 @@
 //! distinct nodes with probability > 1/2; (2.1) the deviation from the
 //! start exceeds `λ√ℓ` with probability at most `~e^{−λ²/2}`.
 
+use std::process::ExitCode;
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{power_law_fit, Sweep, Table};
@@ -27,7 +29,7 @@ fn walk_stats(side: u32, ell: u64, seed: u64) -> (f64, f64) {
     (range.distinct() as f64, f64::from(disp.last_deviation()))
 }
 
-fn main() {
+fn main() -> ExitCode {
     let ctx = ExpCtx::init(
         "E6",
         "walk range R_ell and displacement after ell steps (Lemma 2)",
@@ -88,5 +90,5 @@ fn main() {
             "range exponent {:.3} ~ 1; tail {rate:.4} <= {bound:.4}",
             fit.exponent
         ),
-    );
+    )
 }

@@ -5,11 +5,13 @@
 //! both shapes (constants profiled out) against measured broadcast
 //! times must decisively favor `n/√k`.
 
+use std::process::ExitCode;
+
 use sparsegossip_analysis::{Sweep, Table};
 use sparsegossip_bench::{measure_broadcast, verdict, ExpCtx};
 use sparsegossip_core::baseline::{claimed_infection_time, fit_error_against};
 
-fn main() {
+fn main() -> ExitCode {
     let ctx = ExpCtx::init(
         "E12",
         "which law fits measured T_B: n/sqrt(k) (paper) or n log n log k / k (Wang)",
@@ -87,5 +89,5 @@ fn main() {
         &format!(
             "measured T_B outgrows the Wang law as k^{wang_trend:.2} (its Theta claim cannot hold), while the paper's n/sqrt(k) bound is respected (trend {pettarin_trend:.2} <= 0)"
         ),
-    );
+    )
 }

@@ -17,6 +17,8 @@
 //! `SG_SEED` overrides the master seed (default 2011, the venue year).
 //! `SG_THREADS` overrides the worker-thread count.
 
+use std::process::ExitCode;
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_core::{Mobility, SimConfig, Simulation};
@@ -130,18 +132,29 @@ pub fn fmt_exponent(fit: &sparsegossip_analysis::Fit) -> String {
     )
 }
 
-/// Prints the standard closing verdict line.
-pub fn verdict(ok: bool, detail: &str) {
+/// Prints the standard closing verdict line and returns the exit code
+/// for `main`: success when the paper's shape was reproduced, failure on
+/// a MISMATCH, so scripts and CI see the claim fail.
+#[must_use = "return the exit code from `main` so a mismatch fails the run"]
+pub fn verdict(ok: bool, detail: &str) -> ExitCode {
     if ok {
         println!("VERDICT: shape reproduced — {detail}");
+        ExitCode::SUCCESS
     } else {
         println!("VERDICT: MISMATCH — {detail}");
+        ExitCode::FAILURE
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn verdict_maps_mismatch_to_failure() {
+        assert_eq!(verdict(true, "shape"), ExitCode::SUCCESS);
+        assert_eq!(verdict(false, "no shape"), ExitCode::FAILURE);
+    }
 
     #[test]
     fn pick_respects_scale() {

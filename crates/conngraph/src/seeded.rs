@@ -3,13 +3,13 @@
 //! contain a seed.
 //!
 //! This is the frontier-sparse half of the connectivity engine. A
-//! broadcast-style process only ever consumes the components containing
-//! an *informed* agent — every other component leaves the informed set
-//! unchanged — so when the informed set is a small fraction of `k`
-//! (most of a sparse broadcast's lifetime, and by construction under
-//! Frog-model mobility), labelling from the seeds costs work
-//! proportional to the informed frontier's neighborhood instead of a
-//! full O(k) partition.
+//! broadcast-style process only ever changes components that hold both
+//! an informed and an uninformed agent, so either side of that split is
+//! a complete seed set. Seeding from the smaller side (the informed
+//! agents early in a run, the uninformed ones once most agents know the
+//! rumor) costs work proportional to that side's neighborhood instead
+//! of a full O(k) partition. Which set to pass is the caller's choice;
+//! this module labels from any seed set.
 //!
 //! On the components it covers, the seeded labelling is *identical* to
 //! the full [`components`](crate::components) build: same member lists

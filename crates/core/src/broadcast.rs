@@ -75,6 +75,9 @@ pub struct Broadcast {
     mobility: Mobility,
     exchange_rule: ExchangeRule,
     informed: BitSet,
+    /// The complement of `informed`, updated by every write to it, so
+    /// the smaller side of the split can seed the frontier labelling.
+    uninformed: BitSet,
     informed_count: usize,
     /// Reused buffers for the one-hop exchange rule (the spatial hash
     /// over agents and the start-of-step informed snapshot), so the
@@ -100,14 +103,7 @@ impl Broadcast {
         }
         let mut informed = BitSet::new(k);
         informed.insert(source);
-        Ok(Self {
-            mobility: Mobility::All,
-            exchange_rule: ExchangeRule::Component,
-            informed,
-            informed_count: 1,
-            one_hop_spatial: SpatialHash::default(),
-            one_hop_snapshot: BitSet::new(k),
-        })
+        Ok(Self::with_informed(informed))
     }
 
     /// Creates the process state for `k` agents with the first
@@ -132,14 +128,26 @@ impl Broadcast {
         for s in 0..sources {
             informed.insert(s);
         }
-        Ok(Self {
+        Ok(Self::with_informed(informed))
+    }
+
+    fn with_informed(informed: BitSet) -> Self {
+        let k = informed.len();
+        let informed_count = informed.count_ones();
+        let mut uninformed = BitSet::new(k);
+        uninformed.set_all();
+        for i in informed.iter_ones() {
+            uninformed.remove(i);
+        }
+        Self {
             mobility: Mobility::All,
             exchange_rule: ExchangeRule::Component,
             informed,
-            informed_count: sources,
+            uninformed,
+            informed_count,
             one_hop_spatial: SpatialHash::default(),
             one_hop_snapshot: BitSet::new(k),
-        })
+        }
     }
 
     /// Creates the process described by `config` (mobility, exchange
@@ -201,11 +209,13 @@ impl Broadcast {
         self.one_hop_snapshot.copy_from(&self.informed);
         let mut fresh = 0;
         let informed = &mut self.informed;
+        let uninformed = &mut self.uninformed;
         for i in self.one_hop_snapshot.iter_ones() {
             let p = positions[i];
             hash.for_each_candidate(p, |j| {
                 let j = j as usize;
                 if positions[j].manhattan(p) <= radius && informed.insert(j) {
+                    uninformed.remove(j);
                     fresh += 1;
                 }
             });
@@ -227,6 +237,7 @@ impl Broadcast {
             if members.iter().any(|&m| self.informed.contains(m as usize)) {
                 for &m in members {
                     if self.informed.insert(m as usize) {
+                        self.uninformed.remove(m as usize);
                         fresh += 1;
                     }
                 }
@@ -255,19 +266,27 @@ impl Process for Broadcast {
     /// heard the rumor: its informed bit is dropped.
     fn reset_agent(&mut self, i: usize) {
         if self.informed.remove(i) {
+            self.uninformed.insert(i);
             self.informed_count -= 1;
         }
     }
 
-    /// Only components containing an informed agent can change the
-    /// informed set (a component without one floods nothing), so the
-    /// driver may label from the informed frontier only. This covers
-    /// the Frog configuration too — [`Mobility::InformedOnly`] is the
-    /// same process with a mask. The one-hop ablation rule never reads
+    /// Only components holding both an informed and an uninformed agent
+    /// can change the informed set: a component without an informed
+    /// agent floods nothing, and one without an uninformed agent has
+    /// nobody left to inform. So either side of the split is a valid
+    /// seed set, and the driver labels from the smaller one — the
+    /// informed agents early in a run, the uninformed ones once more
+    /// than half of `k` know the rumor. This covers the Frog
+    /// configuration too — [`Mobility::InformedOnly`] is the same
+    /// process with a mask. The one-hop ablation rule never reads
     /// components at all (its exchange scans positions through its own
     /// hash), so it lets the driver skip labelling outright.
     fn components_scope(&self) -> crate::ComponentsScope<'_> {
         match self.exchange_rule {
+            ExchangeRule::Component if 2 * self.informed_count > self.informed.len() => {
+                crate::ComponentsScope::Seeded(&self.uninformed)
+            }
             ExchangeRule::Component => crate::ComponentsScope::Seeded(&self.informed),
             ExchangeRule::OneHop => crate::ComponentsScope::None,
         }

@@ -23,7 +23,10 @@ pub struct StepContext<'a> {
     /// *and* the process runs under a
     /// [`Seeded`](crate::ComponentsScope::Seeded) scope — then only the
     /// seed-containing components are labelled (identically to the full
-    /// build on those components).
+    /// build on those components). The seeds are whatever the process
+    /// declared for that step; broadcast declares the smaller side of
+    /// its informed/uninformed split, so which components appear can
+    /// switch mid-run.
     pub components: &'a Components,
     /// Informed-agent set after the exchange (empty for processes
     /// without a single-rumor informed notion, e.g. gossip).
@@ -51,7 +54,7 @@ pub trait Observer {
     /// lets the driver use seed-restricted labelling for processes that
     /// declare a [`Seeded`](crate::ComponentsScope::Seeded) scope —
     /// outcome-identical, but with per-step cost proportional to the
-    /// informed frontier instead of `k`.
+    /// seeds' components instead of `k`.
     #[inline]
     fn wants_full_components(&self) -> bool {
         true

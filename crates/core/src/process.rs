@@ -107,13 +107,15 @@ impl SimScratch {
 /// [`on_placement`](Process::on_placement)) outcome must depend only on
 /// the components of `G_t(r)` that contain a set bit of the `Seeded`
 /// seed set — or on no components at all for `None`. For
-/// broadcast-style processes the `Seeded` promise holds by
-/// construction — a component without an informed agent cannot change
-/// the informed set — so [`Broadcast`](crate::Broadcast) and
-/// [`Infection`](crate::Infection) (and therefore the Frog
-/// configuration) declare `Seeded(informed)` under the component
-/// exchange rule and `None` under the one-hop ablation rule (whose
-/// exchange scans the positions directly); [`Gossip`](crate::Gossip)
+/// broadcast-style processes only components holding both an informed
+/// and an uninformed agent can change the informed set, so either side
+/// of that split keeps the `Seeded` promise.
+/// [`Broadcast`](crate::Broadcast) and [`Infection`](crate::Infection)
+/// (and therefore the Frog configuration) declare `Seeded` over the
+/// smaller side — the informed agents while they are at most half of
+/// `k`, the uninformed agents after that — under the component exchange
+/// rule, and `None` under the one-hop ablation rule (whose exchange
+/// scans the positions directly); [`Gossip`](crate::Gossip)
 /// (every rumor set matters), [`Coverage`](crate::Coverage) and
 /// [`PredatorPrey`](crate::PredatorPrey) keep `Full`.
 ///
@@ -126,7 +128,9 @@ pub enum ComponentsScope<'a> {
     /// The exchange consumes the entire partition.
     Full,
     /// The exchange only reads components containing a set bit of the
-    /// given seed set (typically the informed agents).
+    /// given seed set. The set is the process's choice and may change
+    /// from step to step: broadcast passes whichever side of its
+    /// informed/uninformed split is smaller.
     Seeded(&'a BitSet),
     /// The exchange reads no components at all in its current
     /// configuration (e.g. the one-hop rule); the driver may skip
@@ -798,7 +802,7 @@ impl<P: Process, T: Topology> Simulation<P, T> {
     /// ([`SpatialHash::apply_moves`]) instead of rebuilt, and only the
     /// components containing a seed are labelled. Outcomes are
     /// draw-for-draw identical either way; per-step cost scales with
-    /// the moved set and the informed frontier instead of `k`.
+    /// the moved set and the seeds' components instead of `k`.
     ///
     /// # Examples
     ///

@@ -397,12 +397,7 @@ fn main() -> ExitCode {
              {degradation_ok}, heal {heal_ok}, deterministic {deterministic}, \
              {allocs_per_tick} allocs/tick"
         ),
-    );
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    )
 }
 
 /// Renders an optional completion tick as JSON (`null` when capped).

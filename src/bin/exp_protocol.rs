@@ -265,6 +265,8 @@ fn main() -> ExitCode {
     );
 
     let ok = knees_ok && ratios_ok && deterministic;
+    // All three gates must fail the caller: this binary is the CI smoke
+    // for the protocol twin.
     verdict(
         ok,
         &format!(
@@ -272,12 +274,5 @@ fn main() -> ExitCode {
             transitions.len(),
             twin.cells.len()
         ),
-    );
-    // All three gates must fail the caller: this binary is the CI smoke
-    // for the protocol twin.
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    )
 }

@@ -92,6 +92,8 @@ fn main() -> ExitCode {
     );
 
     let ok = transitions.len() == expected_knees && within == transitions.len();
+    // A MISMATCH must fail the caller (this binary is a CI gate for
+    // the transition detector), not just print.
     verdict(
         ok,
         &format!(
@@ -99,12 +101,5 @@ fn main() -> ExitCode {
             transitions.len(),
             report.cells.len()
         ),
-    );
-    // A MISMATCH must fail the caller (this binary is a CI gate for
-    // the transition detector), not just print.
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    )
 }

@@ -321,10 +321,5 @@ fn main() -> ExitCode {
             "baseline {baseline_within}/{expected_knees} knees, \
              allocs-free {allocs_ok}, thread-invariant {threads_ok}, replayable {replay_ok}"
         ),
-    );
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    )
 }

@@ -12,8 +12,9 @@
 //! * [`Sweep`] — parameter sweeps with per-point replication, run
 //!   across threads with deterministic per-replicate seeds
 //!   ([`derive_seed`]);
-//! * [`ScenarioSweep`] — multi-axis {side, k, r} sweeps of a
-//!   declarative `ScenarioSpec`, with a phase-transition detector
+//! * [`ScenarioSweep`] — multi-axis sweeps of a declarative
+//!   `ScenarioSpec` over {side, k, r} and the config keys of
+//!   [`AXIS_KEYS`], with a phase-transition detector
 //!   cross-checked against `sparsegossip_core::theory`, an adaptive
 //!   knee-refinement mode ([`AdaptiveConfig`]) and checkpoint/resume
 //!   through a [`ResultStore`];
@@ -50,8 +51,8 @@ pub use parallel::{parallel_map, parallel_map_with};
 pub use regression::{linear_fit, power_law_fit, Fit};
 pub use runner::{Runner, RunnerReport};
 pub use scenario_sweep::{
-    AdaptiveConfig, AdaptiveSummary, FaultAxis, NetworkAxis, RadiusAxis, ScenarioCell,
-    ScenarioSweep, ScenarioSweepReport, SweepCell, SweepError, TransitionEstimate, WorldAxis,
+    AdaptiveConfig, AdaptiveSummary, AxisKey, AxisLabels, Domain, Family, RadiusAxis, ScenarioCell,
+    ScenarioSweep, ScenarioSweepReport, SweepCell, SweepError, TransitionEstimate, AXIS_KEYS,
 };
 pub use store::{ResultStore, StoreError, StoreRecord};
 // Seed derivation moved down-stack to `sparsegossip_walks` so the

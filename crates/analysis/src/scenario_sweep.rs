@@ -1,6 +1,11 @@
 //! Multi-axis scenario sweeps: the engine that drives a
 //! [`ScenarioSpec`] across the cartesian product of {grid side, agent
-//! count, radius} axes and locates the paper's phase transition.
+//! count, radius} axes and up to three config axes, and locates the
+//! paper's phase transition.
+//!
+//! A config axis varies one key of [`AXIS_KEYS`] — a network, world or
+//! fault knob — with at most one axis per [`Family`]. Cells nest
+//! network, then world, then fault, then side, k and radius.
 //!
 //! One base spec plus axis lists expand into a grid of *cells* (each a
 //! re-validated spec); every cell is replicated with deterministic,
@@ -49,10 +54,9 @@
 //! ```
 
 use sparsegossip_core::theory;
-use sparsegossip_core::toml::{TomlDoc, TomlError};
+use sparsegossip_core::toml::{format_toml_f64, TomlDoc, TomlError, MAX_EXACT_INT};
 use sparsegossip_core::{
-    cell_seed, FaultConfig, Metric, NetworkConfig, ProcessKind, ScenarioSpec, SimError, SimScratch,
-    SpecError, WorldConfig,
+    cell_seed, Metric, ProcessKind, ScenarioSpec, SimError, SimScratch, SpecError,
 };
 
 use crate::store::{ResultStore, StoreError};
@@ -110,219 +114,158 @@ impl RadiusAxis {
     }
 }
 
-/// A network fault axis for protocol-twin sweeps: one
-/// [`NetworkConfig`] knob varied across a list of values while the
-/// base spec pins the others. Only
-/// [`ProcessKind::ProtocolBroadcast`] specs accept non-ideal
-/// networks, so a network axis on any other kind fails cell
-/// validation with [`SimError::UnsupportedSetting`].
+/// The config a sweep axis varies. The family fixes the axis's
+/// JSON/table label prefix and its nesting order: network axes expand
+/// outermost, fault axes innermost. A sweep holds at most one axis per
+/// family.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Family {
+    /// [`NetworkConfig`](sparsegossip_core::NetworkConfig) knobs
+    /// (protocol-twin sweeps only).
+    Net,
+    /// [`WorldConfig`](sparsegossip_core::WorldConfig) knobs (broadcast
+    /// sweeps only).
+    World,
+    /// [`FaultConfig`](sparsegossip_core::FaultConfig) knobs
+    /// (protocol-twin sweeps only).
+    Fault,
+}
+
+impl Family {
+    /// The JSON key prefix and table column of this family's labels.
+    const NAMES: [&'static str; 3] = ["net", "world", "fault"];
+}
+
+/// The values a sweep axis accepts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Domain {
+    /// Finite numbers in `[0, 1]`.
+    Unit,
+    /// Integers in `[min, max]`. Axis values are carried as `f64`,
+    /// which is exact for every bound here: `max` is at most
+    /// [`MAX_EXACT_INT`] `= 2^53 - 1`.
+    Int {
+        /// The smallest accepted value.
+        min: u64,
+        /// The largest accepted value.
+        max: u64,
+    },
+}
+
+impl Domain {
+    fn contains(self, x: f64) -> bool {
+        match self {
+            Self::Unit => x.is_finite() && (0.0..=1.0).contains(&x),
+            Self::Int { min, max } => x.fract() == 0.0 && (min as f64..=max as f64).contains(&x),
+        }
+    }
+
+    fn expected(self) -> &'static str {
+        match self {
+            Self::Unit => "non-empty array of finite numbers in [0, 1]",
+            Self::Int { .. } => {
+                "non-empty array of integers in the key's range \
+                 (gossip_intervals [1, 2^53 - 1], send_caps [0, 2^32 - 1], \
+                 partition_lens [0, 2^53 - 1])"
+            }
+        }
+    }
+}
+
+/// One sweepable config key: a row of [`AXIS_KEYS`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AxisKey {
+    /// The `[sweep]` spelling, e.g. `radius_mixes`.
+    pub sweep: &'static str,
+    /// The `[scenario]` key the axis sets through
+    /// [`ScenarioSpec::with_key`], e.g. `hetero_fraction`; also the
+    /// key of the axis's report labels.
+    pub spec: &'static str,
+    /// The config the key belongs to.
+    pub family: Family,
+    /// The values the key accepts.
+    pub domain: Domain,
+}
+
+/// The sweepable config keys, in `[sweep]` rendering order within each
+/// family. Only [`ProcessKind::ProtocolBroadcast`] specs accept network
+/// and fault settings, and only [`ProcessKind::Broadcast`] specs accept
+/// world settings, so an axis on any other kind fails cell validation
+/// with [`SimError::UnsupportedSetting`]. The base spec pins every
+/// knob an axis does not vary (e.g. `hetero_factor` for `radius_mixes`,
+/// `partition_start` for `partition_lens`, the recovery switches for
+/// `crash_probs`).
+pub const AXIS_KEYS: [AxisKey; 8] = [
+    AxisKey {
+        sweep: "drop_probs",
+        spec: "drop_prob",
+        family: Family::Net,
+        domain: Domain::Unit,
+    },
+    AxisKey {
+        sweep: "gossip_intervals",
+        spec: "gossip_interval",
+        family: Family::Net,
+        domain: Domain::Int {
+            min: 1,
+            max: MAX_EXACT_INT,
+        },
+    },
+    AxisKey {
+        sweep: "send_caps",
+        spec: "send_cap",
+        family: Family::Net,
+        domain: Domain::Int {
+            min: 0,
+            max: u32::MAX as u64,
+        },
+    },
+    AxisKey {
+        sweep: "barrier_densities",
+        spec: "barrier_density",
+        family: Family::World,
+        domain: Domain::Unit,
+    },
+    AxisKey {
+        sweep: "churn_rates",
+        spec: "churn_rate",
+        family: Family::World,
+        domain: Domain::Unit,
+    },
+    AxisKey {
+        sweep: "radius_mixes",
+        spec: "hetero_fraction",
+        family: Family::World,
+        domain: Domain::Unit,
+    },
+    AxisKey {
+        sweep: "crash_probs",
+        spec: "crash_prob",
+        family: Family::Fault,
+        domain: Domain::Unit,
+    },
+    AxisKey {
+        sweep: "partition_lens",
+        spec: "partition_len",
+        family: Family::Fault,
+        domain: Domain::Int {
+            min: 0,
+            max: MAX_EXACT_INT,
+        },
+    },
+];
+
+/// A config axis of a sweep: one key of [`AXIS_KEYS`] and its values.
 #[derive(Clone, Debug, PartialEq)]
-pub enum NetworkAxis {
-    /// Per-message loss probabilities (each finite, in `[0, 1]`).
-    DropProbs(Vec<f64>),
-    /// `StartGossip` timer periods in ticks (each `≥ 1`).
-    GossipIntervals(Vec<u64>),
-    /// Per-tick payload send caps (`0` = unlimited).
-    SendCaps(Vec<u32>),
+struct Axis {
+    key: AxisKey,
+    values: Vec<f64>,
 }
 
-impl NetworkAxis {
-    /// The spec-file key of the varied knob.
-    #[must_use]
-    pub fn key(&self) -> &'static str {
-        match self {
-            Self::DropProbs(_) => "drop_prob",
-            Self::GossipIntervals(_) => "gossip_interval",
-            Self::SendCaps(_) => "send_cap",
-        }
-    }
-
-    /// Number of axis points.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            Self::DropProbs(v) => v.len(),
-            Self::GossipIntervals(v) => v.len(),
-            Self::SendCaps(v) => v.len(),
-        }
-    }
-
-    /// Whether the axis has no points.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `(key, value)` label and full [`NetworkConfig`] of each axis
-    /// point, substituting the varied knob into `base`.
-    #[must_use]
-    pub fn resolve(&self, base: &NetworkConfig) -> Vec<((&'static str, f64), NetworkConfig)> {
-        // Axis values are validated by the builders / the TOML parser,
-        // so rebuilding the config cannot fail.
-        let build = |drop, delay, cap, interval| {
-            // detlint: allow(panic, axis values were validated by the builders)
-            NetworkConfig::new(drop, delay, cap, interval).expect("validated axis value")
-        };
-        match self {
-            Self::DropProbs(probs) => probs
-                .iter()
-                .map(|&p| {
-                    let net = build(p, base.delay_max(), base.send_cap(), base.gossip_interval());
-                    (("drop_prob", p), net)
-                })
-                .collect(),
-            Self::GossipIntervals(intervals) => intervals
-                .iter()
-                .map(|&iv| {
-                    let net = build(base.drop_prob(), base.delay_max(), base.send_cap(), iv);
-                    (("gossip_interval", iv as f64), net)
-                })
-                .collect(),
-            Self::SendCaps(caps) => caps
-                .iter()
-                .map(|&c| {
-                    let net = build(
-                        base.drop_prob(),
-                        base.delay_max(),
-                        c,
-                        base.gossip_interval(),
-                    );
-                    (("send_cap", f64::from(c)), net)
-                })
-                .collect(),
-        }
-    }
-}
-
-/// A world-model axis for broadcast sweeps: one [`WorldConfig`] knob
-/// varied across a list of values while the base spec pins the others.
-/// Only [`ProcessKind::Broadcast`] specs accept active world axes, so
-/// a world axis on any other kind fails cell validation with
-/// [`SimError::UnsupportedSetting`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum WorldAxis {
-    /// City-block wall densities (each finite, in `[0, 1]`).
-    BarrierDensities(Vec<f64>),
-    /// Per-agent per-step replacement probabilities (each finite, in
-    /// `[0, 1]`).
-    ChurnRates(Vec<f64>),
-    /// Heterogeneous-class fractions (each finite, in `[0, 1]`); the
-    /// base spec's `hetero_factor` supplies the radius multiplier.
-    RadiusMixes(Vec<f64>),
-}
-
-impl WorldAxis {
-    /// The spec-file key of the varied knob.
-    #[must_use]
-    pub fn key(&self) -> &'static str {
-        match self {
-            Self::BarrierDensities(_) => "barrier_density",
-            Self::ChurnRates(_) => "churn_rate",
-            Self::RadiusMixes(_) => "hetero_fraction",
-        }
-    }
-
-    /// Number of axis points.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            Self::BarrierDensities(v) | Self::ChurnRates(v) | Self::RadiusMixes(v) => v.len(),
-        }
-    }
-
-    /// Whether the axis has no points.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `(key, value)` label and full [`WorldConfig`] of each axis
-    /// point, substituting the varied knob into `base`.
-    #[must_use]
-    pub fn resolve(&self, base: &WorldConfig) -> Vec<((&'static str, f64), WorldConfig)> {
-        let values = match self {
-            Self::BarrierDensities(v) | Self::ChurnRates(v) | Self::RadiusMixes(v) => v,
-        };
-        values
-            .iter()
-            .map(|&x| {
-                let mut world = *base;
-                match self {
-                    Self::BarrierDensities(_) => world.barrier_density = x,
-                    Self::ChurnRates(_) => world.churn_rate = x,
-                    Self::RadiusMixes(_) => world.hetero_fraction = x,
-                }
-                ((self.key(), x), world)
-            })
-            .collect()
-    }
-}
-
-/// A fault axis for protocol-twin sweeps: one [`FaultConfig`] knob
-/// varied across a list of values while the base spec pins the others
-/// (including the recovery switches and, for partitions, the window
-/// start). Only [`ProcessKind::ProtocolBroadcast`] specs accept
-/// non-trivial fault settings, so a fault axis on any other kind fails
-/// cell validation with [`SimError::UnsupportedSetting`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum FaultAxis {
-    /// Per-node per-tick crash probabilities (each finite, in
-    /// `[0, 1]`).
-    CrashProbs(Vec<f64>),
-    /// Partition-window lengths in ticks (`0` = no partition); the
-    /// base spec's `partition_start` supplies the window start.
-    PartitionLens(Vec<u64>),
-}
-
-impl FaultAxis {
-    /// The spec-file key of the varied knob.
-    #[must_use]
-    pub fn key(&self) -> &'static str {
-        match self {
-            Self::CrashProbs(_) => "crash_prob",
-            Self::PartitionLens(_) => "partition_len",
-        }
-    }
-
-    /// Number of axis points.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            Self::CrashProbs(v) => v.len(),
-            Self::PartitionLens(v) => v.len(),
-        }
-    }
-
-    /// Whether the axis has no points.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `(key, value)` label and full [`FaultConfig`] of each axis
-    /// point, substituting the varied knob into `base`.
-    #[must_use]
-    pub fn resolve(&self, base: &FaultConfig) -> Vec<((&'static str, f64), FaultConfig)> {
-        match self {
-            Self::CrashProbs(probs) => probs
-                .iter()
-                .map(|&p| {
-                    let mut faults = *base;
-                    faults.crash_prob = p;
-                    (("crash_prob", p), faults)
-                })
-                .collect(),
-            Self::PartitionLens(lens) => lens
-                .iter()
-                .map(|&len| {
-                    let mut faults = *base;
-                    faults.partition_len = len;
-                    (("partition_len", len as f64), faults)
-                })
-                .collect(),
-        }
-    }
-}
+/// The config-axis point of a cell, indexed by [`Family`] (network,
+/// world, fault): a `(spec key, value)` label, or `None` where the
+/// sweep has no axis of that family.
+pub type AxisLabels = [Option<(&'static str, f64)>; 3];
 
 /// One cell of the expanded sweep grid: its axis coordinates and the
 /// re-validated spec that runs there.
@@ -334,15 +277,8 @@ pub struct ScenarioCell {
     pub k: usize,
     /// Transmission radius of this cell (resolved from the axis).
     pub radius: u32,
-    /// The network-axis point of this cell as a `(key, value)` label,
-    /// or `None` when the sweep has no network axis.
-    pub net: Option<(&'static str, f64)>,
-    /// The world-axis point of this cell as a `(key, value)` label, or
-    /// `None` when the sweep has no world axis.
-    pub world: Option<(&'static str, f64)>,
-    /// The fault-axis point of this cell as a `(key, value)` label, or
-    /// `None` when the sweep has no fault axis.
-    pub fault: Option<(&'static str, f64)>,
+    /// The config-axis point of this cell.
+    pub labels: AxisLabels,
     /// The runnable spec for this cell.
     pub spec: ScenarioSpec,
 }
@@ -417,10 +353,12 @@ impl From<StoreError> for SweepError {
     }
 }
 
-/// A multi-axis sweep of one [`ScenarioSpec`] over {side, k, r}.
+/// A multi-axis sweep of one [`ScenarioSpec`] over {side, k, r} and at
+/// most one config axis per [`Family`] (network, world, fault).
 ///
-/// Cells are ordered network-axis-major (when one is set), then
-/// side, then k, then radius; the seed of replicate `j` of a cell is
+/// Cells are ordered by the network axis (when one is set), then the
+/// world axis, then the fault axis, then side, then k, then radius;
+/// the seed of replicate `j` of a cell is
 /// [`cell_seed`]`(master, side, k, radius, j)` — content-addressed by
 /// the cell's own coordinates, so results never depend on the thread
 /// count, the grid shape or the replicate count (pinned by the
@@ -432,9 +370,8 @@ pub struct ScenarioSweep {
     sides: Vec<u32>,
     ks: Vec<usize>,
     radii: RadiusAxis,
-    network_axis: Option<NetworkAxis>,
-    world_axis: Option<WorldAxis>,
-    fault_axis: Option<FaultAxis>,
+    /// The config axes, indexed by [`Family`].
+    axes: [Option<Axis>; 3],
     replicates: u32,
     threads: usize,
     adaptive: Option<AdaptiveConfig>,
@@ -451,9 +388,7 @@ impl ScenarioSweep {
             sides: vec![base.config().side()],
             ks: vec![base.config().k()],
             radii: RadiusAxis::Absolute(vec![base.config().radius()]),
-            network_axis: None,
-            world_axis: None,
-            fault_axis: None,
+            axes: [None, None, None],
             replicates: 8,
             threads: 1,
             adaptive: None,
@@ -515,172 +450,46 @@ impl ScenarioSweep {
         self
     }
 
-    /// Sets the network axis to per-message drop probabilities
-    /// (protocol-twin sweeps only; other kinds fail cell validation).
+    /// Sets the config axis `key` (a `[sweep]` key of [`AXIS_KEYS`],
+    /// e.g. `"churn_rates"`) to `values`, replacing any axis of the same
+    /// [`Family`]. A kind that does not take the key fails at
+    /// [`cells`](Self::cells) with [`SimError::UnsupportedSetting`].
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::UnknownKey`] if `key` is not in [`AXIS_KEYS`];
+    /// [`SpecError::Toml`] if `values` is empty or holds a value outside
+    /// the key's [`Domain`].
+    pub fn axis(mut self, key: &str, values: Vec<f64>) -> Result<Self, SpecError> {
+        let Some(row) = AXIS_KEYS.iter().find(|row| row.sweep == key) else {
+            return Err(SpecError::UnknownKey {
+                section: "sweep".to_string(),
+                key: key.to_string(),
+            });
+        };
+        if values.is_empty() || !values.iter().all(|&x| row.domain.contains(x)) {
+            return Err(SpecError::Toml(TomlError::BadValue {
+                section: "sweep".to_string(),
+                key: key.to_string(),
+                expected: row.domain.expected(),
+            }));
+        }
+        self.axes[row.family as usize] = Some(Axis { key: *row, values });
+        Ok(self)
+    }
+
+    /// Sets the network axis to per-message drop probabilities: as
+    /// [`axis`](Self::axis)`("drop_probs", probs)`.
     ///
     /// # Panics
     ///
     /// Panics if `probs` is empty or contains a non-finite value or
     /// one outside `[0, 1]`.
     #[must_use]
-    pub fn drop_probs(mut self, probs: Vec<f64>) -> Self {
-        assert!(!probs.is_empty(), "at least one drop probability required");
-        assert!(
-            probs
-                .iter()
-                .all(|p| p.is_finite() && (0.0..=1.0).contains(p)),
-            "drop probabilities must be finite and within [0, 1]"
-        );
-        self.network_axis = Some(NetworkAxis::DropProbs(probs));
-        self
-    }
-
-    /// Sets the network axis to `StartGossip` timer periods
-    /// (protocol-twin sweeps only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `intervals` is empty or contains a zero.
-    #[must_use]
-    pub fn gossip_intervals(mut self, intervals: Vec<u64>) -> Self {
-        assert!(!intervals.is_empty(), "at least one interval required");
-        assert!(
-            intervals.iter().all(|iv| *iv >= 1),
-            "gossip intervals must be at least 1 tick"
-        );
-        self.network_axis = Some(NetworkAxis::GossipIntervals(intervals));
-        self
-    }
-
-    /// Sets the network axis to per-tick payload send caps
-    /// (protocol-twin sweeps only; `0` means unlimited).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `caps` is empty.
-    #[must_use]
-    pub fn send_caps(mut self, caps: Vec<u32>) -> Self {
-        assert!(!caps.is_empty(), "at least one send cap required");
-        self.network_axis = Some(NetworkAxis::SendCaps(caps));
-        self
-    }
-
-    /// The network axis, if one is set.
-    #[inline]
-    #[must_use]
-    pub fn network_axis(&self) -> Option<&NetworkAxis> {
-        self.network_axis.as_ref()
-    }
-
-    /// Sets the world axis to city-block wall densities (broadcast
-    /// sweeps only; other kinds fail cell validation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `densities` is empty or contains a non-finite value or
-    /// one outside `[0, 1]`.
-    #[must_use]
-    pub fn barrier_densities(mut self, densities: Vec<f64>) -> Self {
-        assert!(!densities.is_empty(), "at least one density required");
-        assert!(
-            densities
-                .iter()
-                .all(|d| d.is_finite() && (0.0..=1.0).contains(d)),
-            "barrier densities must be finite and within [0, 1]"
-        );
-        self.world_axis = Some(WorldAxis::BarrierDensities(densities));
-        self
-    }
-
-    /// Sets the world axis to per-agent per-step replacement
-    /// probabilities (broadcast sweeps only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rates` is empty or contains a non-finite value or one
-    /// outside `[0, 1]`.
-    #[must_use]
-    pub fn churn_rates(mut self, rates: Vec<f64>) -> Self {
-        assert!(!rates.is_empty(), "at least one churn rate required");
-        assert!(
-            rates
-                .iter()
-                .all(|r| r.is_finite() && (0.0..=1.0).contains(r)),
-            "churn rates must be finite and within [0, 1]"
-        );
-        self.world_axis = Some(WorldAxis::ChurnRates(rates));
-        self
-    }
-
-    /// Sets the world axis to heterogeneous-class fractions (the base
-    /// spec's `hetero_factor` supplies the multiplier; broadcast sweeps
-    /// only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mixes` is empty or contains a non-finite value or one
-    /// outside `[0, 1]`.
-    #[must_use]
-    pub fn radius_mixes(mut self, mixes: Vec<f64>) -> Self {
-        assert!(!mixes.is_empty(), "at least one radius mix required");
-        assert!(
-            mixes
-                .iter()
-                .all(|m| m.is_finite() && (0.0..=1.0).contains(m)),
-            "radius mixes must be finite and within [0, 1]"
-        );
-        self.world_axis = Some(WorldAxis::RadiusMixes(mixes));
-        self
-    }
-
-    /// The world axis, if one is set.
-    #[inline]
-    #[must_use]
-    pub fn world_axis(&self) -> Option<&WorldAxis> {
-        self.world_axis.as_ref()
-    }
-
-    /// Sets the fault axis to per-node per-tick crash probabilities
-    /// (protocol-twin sweeps only; other kinds fail cell validation).
-    /// The base spec pins the recovery switches — sweep crash rates
-    /// with `retransmit` / `anti_entropy_interval` set there.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `probs` is empty or contains a non-finite value or
-    /// one outside `[0, 1]`.
-    #[must_use]
-    pub fn crash_probs(mut self, probs: Vec<f64>) -> Self {
-        assert!(!probs.is_empty(), "at least one crash probability required");
-        assert!(
-            probs
-                .iter()
-                .all(|p| p.is_finite() && (0.0..=1.0).contains(p)),
-            "crash probabilities must be finite and within [0, 1]"
-        );
-        self.fault_axis = Some(FaultAxis::CrashProbs(probs));
-        self
-    }
-
-    /// Sets the fault axis to partition-window lengths in ticks
-    /// (`0` = no partition; protocol-twin sweeps only). The base
-    /// spec's `partition_start` supplies the window start.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lens` is empty.
-    #[must_use]
-    pub fn partition_lens(mut self, lens: Vec<u64>) -> Self {
-        assert!(!lens.is_empty(), "at least one partition length required");
-        self.fault_axis = Some(FaultAxis::PartitionLens(lens));
-        self
-    }
-
-    /// The fault axis, if one is set.
-    #[inline]
-    #[must_use]
-    pub fn fault_axis(&self) -> Option<&FaultAxis> {
-        self.fault_axis.as_ref()
+    pub fn drop_probs(self, probs: Vec<f64>) -> Self {
+        self.axis("drop_probs", probs)
+            // detlint: allow(panic, the setter's documented panic, as `sides` asserts)
+            .expect("drop probabilities must be finite and within [0, 1]")
     }
 
     /// Sets the number of replicates per cell.
@@ -764,49 +573,29 @@ impl ScenarioSweep {
     /// The first [`SimError`] any cell's validation produces (e.g. the
     /// base source index is out of range for a smaller `k`).
     pub fn cells(&self) -> Result<Vec<ScenarioCell>, SimError> {
-        // One (labelled) base spec per network-axis point; a single
-        // unlabelled base when no network axis is set, so existing
-        // sweeps keep their exact cell grid and seeds.
-        let net_bases: Vec<(Option<(&'static str, f64)>, ScenarioSpec)> = match &self.network_axis {
-            None => vec![(None, self.base)],
-            Some(axis) => {
-                let mut bases = Vec::with_capacity(axis.len());
-                for (label, net) in axis.resolve(self.base.network()) {
-                    bases.push((Some(label), self.base.with_network(net)?));
-                }
-                bases
-            }
-        };
-        // World-axis expansion nests inside the network axis, same
-        // backward-compatible shape: no world axis, no extra cells.
-        type Label = Option<(&'static str, f64)>;
-        let mut world_bases: Vec<((Label, Label), ScenarioSpec)> = Vec::new();
-        for (net, base) in net_bases {
-            match &self.world_axis {
-                None => world_bases.push(((net, None), base)),
-                Some(axis) => {
-                    for (label, world) in axis.resolve(base.world()) {
-                        world_bases.push(((net, Some(label)), base.with_world(world)?));
-                    }
+        // One labelled base spec per config-axis point, each family
+        // nesting inside the previous one; no config axis, no extra
+        // cells, so plain sweeps keep their exact cell grid and seeds.
+        let mut bases: Vec<(AxisLabels, ScenarioSpec)> = vec![([None; 3], self.base)];
+        for axis in self.axes.iter().flatten() {
+            let mut next = Vec::with_capacity(bases.len() * axis.values.len());
+            for (labels, base) in &bases {
+                for &value in &axis.values {
+                    let mut labels = *labels;
+                    labels[axis.key.family as usize] = Some((axis.key.spec, value));
+                    let spec = base.with_key(axis.key.spec, value).map_err(|e| match e {
+                        SpecError::Sim(e) => e,
+                        // `axis` checked the key and every value.
+                        e => unreachable!("axis value outside its domain: {e}"),
+                    })?;
+                    next.push((labels, spec));
                 }
             }
-        }
-        // The fault axis nests innermost of the config axes, same
-        // rule again: no fault axis, no extra cells.
-        let mut bases: Vec<((Label, Label, Label), ScenarioSpec)> = Vec::new();
-        for ((net, world), base) in world_bases {
-            match &self.fault_axis {
-                None => bases.push(((net, world, None), base)),
-                Some(axis) => {
-                    for (label, faults) in axis.resolve(base.faults()) {
-                        bases.push(((net, world, Some(label)), base.with_faults(faults)?));
-                    }
-                }
-            }
+            bases = next;
         }
         let mut cells =
             Vec::with_capacity(bases.len() * self.sides.len() * self.ks.len() * self.radii.len());
-        for ((net, world, fault), base) in &bases {
+        for (labels, base) in &bases {
             for &side in &self.sides {
                 for &k in &self.ks {
                     for radius in self.radii.resolve(side, k) {
@@ -814,9 +603,7 @@ impl ScenarioSweep {
                             side,
                             k,
                             radius,
-                            net: *net,
-                            world: *world,
-                            fault: *fault,
+                            labels: *labels,
                             spec: base.with_axes(side, k, radius)?,
                         });
                     }
@@ -864,7 +651,7 @@ impl ScenarioSweep {
         let mut curves: Vec<CurveKey> = Vec::new();
         let mut evals: Vec<Eval> = Vec::with_capacity(cells.len());
         for cell in cells {
-            let key = (cell.side, cell.k, cell.net, cell.world, cell.fault);
+            let key = (cell.side, cell.k, cell.labels);
             let curve = match curves.iter().position(|c| *c == key) {
                 Some(i) => i,
                 None => {
@@ -915,9 +702,7 @@ impl ScenarioSweep {
                     side: e.cell.side,
                     k: e.cell.k,
                     radius: e.cell.radius,
-                    net: e.cell.net,
-                    world: e.cell.world,
-                    fault: e.cell.fault,
+                    labels: e.cell.labels,
                     critical_radius: theory::critical_radius(n, e.cell.k as f64),
                     summary: Summary::from_slice(&e.samples),
                     samples: e.samples,
@@ -1104,12 +889,9 @@ impl ScenarioSweep {
 
     /// Parses a sweep from text holding a `[scenario]` section and an
     /// optional `[sweep]` section with keys `sides`, `ks`, `radii` *or*
-    /// `r_factors`, at most one network axis (`drop_probs`,
-    /// `gossip_intervals` or `send_caps`), at most one world axis
-    /// (`barrier_densities`, `churn_rates` or `radius_mixes`), at most
-    /// one fault axis (`crash_probs` or `partition_lens`),
-    /// `replicates`, `seed`,
-    /// `threads` and the adaptive-mode keys `adaptive`, `cell_budget`,
+    /// `r_factors`, the config-axis keys of [`AXIS_KEYS`] (at most one
+    /// per [`Family`]), `replicates`, `seed`, `threads` and the
+    /// adaptive-mode keys `adaptive`, `cell_budget`,
     /// `replicate_budget`, `tolerance` (axes default to the scenario's
     /// own values; the budget/tolerance keys require
     /// `adaptive = true`).
@@ -1125,29 +907,21 @@ impl ScenarioSweep {
         let Some(table) = doc.opt_section("sweep") else {
             return Ok(sweep);
         };
-        const KNOWN: [&str; 18] = [
+        const KNOWN: [&str; 11] = [
             "sides",
             "ks",
             "radii",
             "r_factors",
-            "drop_probs",
-            "gossip_intervals",
-            "send_caps",
-            "barrier_densities",
-            "churn_rates",
-            "radius_mixes",
-            "crash_probs",
-            "partition_lens",
             "replicates",
             "seed",
+            "threads",
             "adaptive",
             "cell_budget",
             "replicate_budget",
             "tolerance",
         ];
-        const KNOWN_EXEC: [&str; 1] = ["threads"];
         for key in table.keys() {
-            if !KNOWN.contains(&key) && !KNOWN_EXEC.contains(&key) {
+            if !KNOWN.contains(&key) && !AXIS_KEYS.iter().any(|row| row.sweep == key) {
                 return Err(SpecError::UnknownKey {
                     section: "sweep".to_string(),
                     key: key.to_string(),
@@ -1199,101 +973,24 @@ impl ScenarioSweep {
             }
             (None, None) => {}
         }
-        let drop_probs = table.opt_f64_array("drop_probs")?;
-        let intervals = table.opt_u32_array("gossip_intervals")?;
-        let caps = table.opt_u32_array("send_caps")?;
-        let network_axes = usize::from(drop_probs.is_some())
-            + usize::from(intervals.is_some())
-            + usize::from(caps.is_some());
-        if network_axes > 1 {
-            return Err(bad(
-                "drop_probs".to_string(),
-                "single network axis (one of `drop_probs`, `gossip_intervals`, `send_caps`)",
-            ));
-        }
-        if let Some(probs) = drop_probs {
-            if probs.is_empty()
-                || probs
-                    .iter()
-                    .any(|p| !p.is_finite() || !(0.0..=1.0).contains(p))
-            {
+        for row in &AXIS_KEYS {
+            // Integer keys stay TOML integers. The conversion is exact up
+            // to MAX_EXACT_INT, and anything larger lands above every
+            // domain's `max`, so `axis` rejects it.
+            let values = match row.domain {
+                Domain::Unit => table.opt_f64_array(row.sweep)?,
+                Domain::Int { .. } => table
+                    .opt_usize_array(row.sweep)?
+                    .map(|v| v.into_iter().map(|x| x as f64).collect()),
+            };
+            let Some(values) = values else { continue };
+            if sweep.axes[row.family as usize].is_some() {
                 return Err(bad(
-                    "drop_probs".to_string(),
-                    "non-empty array of finite numbers in [0, 1]",
+                    row.sweep.to_string(),
+                    "single axis per family (network, world, fault)",
                 ));
             }
-            sweep = sweep.drop_probs(probs);
-        }
-        if let Some(intervals) = intervals {
-            if intervals.is_empty() || intervals.contains(&0) {
-                return Err(bad(
-                    "gossip_intervals".to_string(),
-                    "non-empty array of integers >= 1",
-                ));
-            }
-            sweep = sweep.gossip_intervals(intervals.into_iter().map(u64::from).collect());
-        }
-        if let Some(caps) = caps {
-            if caps.is_empty() {
-                return Err(bad("send_caps".to_string(), "non-empty array"));
-            }
-            sweep = sweep.send_caps(caps);
-        }
-        let densities = table.opt_f64_array("barrier_densities")?;
-        let rates = table.opt_f64_array("churn_rates")?;
-        let mixes = table.opt_f64_array("radius_mixes")?;
-        let world_axes = usize::from(densities.is_some())
-            + usize::from(rates.is_some())
-            + usize::from(mixes.is_some());
-        if world_axes > 1 {
-            return Err(bad(
-                "barrier_densities".to_string(),
-                "single world axis (one of `barrier_densities`, `churn_rates`, `radius_mixes`)",
-            ));
-        }
-        let unit_array = |key: &str, values: &[f64]| {
-            if values.is_empty()
-                || values
-                    .iter()
-                    .any(|x| !x.is_finite() || !(0.0..=1.0).contains(x))
-            {
-                Err(bad(
-                    key.to_string(),
-                    "non-empty array of finite numbers in [0, 1]",
-                ))
-            } else {
-                Ok(())
-            }
-        };
-        if let Some(densities) = densities {
-            unit_array("barrier_densities", &densities)?;
-            sweep = sweep.barrier_densities(densities);
-        }
-        if let Some(rates) = rates {
-            unit_array("churn_rates", &rates)?;
-            sweep = sweep.churn_rates(rates);
-        }
-        if let Some(mixes) = mixes {
-            unit_array("radius_mixes", &mixes)?;
-            sweep = sweep.radius_mixes(mixes);
-        }
-        let crash_probs = table.opt_f64_array("crash_probs")?;
-        let partition_lens = table.opt_u32_array("partition_lens")?;
-        if crash_probs.is_some() && partition_lens.is_some() {
-            return Err(bad(
-                "crash_probs".to_string(),
-                "single fault axis (either `crash_probs` or `partition_lens`, not both)",
-            ));
-        }
-        if let Some(probs) = crash_probs {
-            unit_array("crash_probs", &probs)?;
-            sweep = sweep.crash_probs(probs);
-        }
-        if let Some(lens) = partition_lens {
-            if lens.is_empty() {
-                return Err(bad("partition_lens".to_string(), "non-empty array"));
-            }
-            sweep = sweep.partition_lens(lens.into_iter().map(u64::from).collect());
+            sweep = sweep.axis(row.sweep, values)?;
         }
         if let Some(reps) = table.opt_u32("replicates")? {
             if reps == 0 {
@@ -1359,49 +1056,16 @@ impl ScenarioSweep {
                 out.push_str(&format!("r_factors = [{}]\n", rendered.join(", ")));
             }
         }
-        match &self.network_axis {
-            None => {}
-            Some(NetworkAxis::DropProbs(probs)) => {
-                let rendered: Vec<String> = probs.iter().map(|p| format_toml_f64(*p)).collect();
-                out.push_str(&format!("drop_probs = [{}]\n", rendered.join(", ")));
-            }
-            Some(NetworkAxis::GossipIntervals(intervals)) => {
-                out.push_str(&format!(
-                    "gossip_intervals = [{}]\n",
-                    join_with(intervals.iter(), ", ")
-                ));
-            }
-            Some(NetworkAxis::SendCaps(caps)) => {
-                out.push_str(&format!("send_caps = [{}]\n", join_with(caps.iter(), ", ")));
-            }
-        }
-        match &self.world_axis {
-            None => {}
-            Some(axis) => {
-                let key = match axis {
-                    WorldAxis::BarrierDensities(_) => "barrier_densities",
-                    WorldAxis::ChurnRates(_) => "churn_rates",
-                    WorldAxis::RadiusMixes(_) => "radius_mixes",
-                };
-                let (WorldAxis::BarrierDensities(values)
-                | WorldAxis::ChurnRates(values)
-                | WorldAxis::RadiusMixes(values)) = axis;
-                let rendered: Vec<String> = values.iter().map(|x| format_toml_f64(*x)).collect();
-                out.push_str(&format!("{key} = [{}]\n", rendered.join(", ")));
-            }
-        }
-        match &self.fault_axis {
-            None => {}
-            Some(FaultAxis::CrashProbs(probs)) => {
-                let rendered: Vec<String> = probs.iter().map(|p| format_toml_f64(*p)).collect();
-                out.push_str(&format!("crash_probs = [{}]\n", rendered.join(", ")));
-            }
-            Some(FaultAxis::PartitionLens(lens)) => {
-                out.push_str(&format!(
-                    "partition_lens = [{}]\n",
-                    join_with(lens.iter(), ", ")
-                ));
-            }
+        for axis in self.axes.iter().flatten() {
+            let rendered: Vec<String> = axis
+                .values
+                .iter()
+                .map(|&x| match axis.key.domain {
+                    Domain::Unit => format_toml_f64(x),
+                    Domain::Int { .. } => x.to_string(),
+                })
+                .collect();
+            out.push_str(&format!("{} = [{}]\n", axis.key.sweep, rendered.join(", ")));
         }
         out.push_str(&format!("replicates = {}\n", self.replicates));
         out.push_str(&format!("seed = {}\n", self.master_seed));
@@ -1420,25 +1084,9 @@ fn join_with<T: ToString>(items: impl Iterator<Item = T>, sep: &str) -> String {
     items.map(|x| x.to_string()).collect::<Vec<_>>().join(sep)
 }
 
-/// Renders an `f64` so the subset parser reads it back as a float
-/// (integral values keep a `.0`).
-fn format_toml_f64(x: f64) -> String {
-    if x == x.trunc() {
-        format!("{x:.1}")
-    } else {
-        format!("{x}")
-    }
-}
-
 /// The identity of a radius curve: every axis coordinate except the
 /// radius itself.
-type CurveKey = (
-    u32,
-    usize,
-    Option<(&'static str, f64)>,
-    Option<(&'static str, f64)>,
-    Option<(&'static str, f64)>,
-);
+type CurveKey = (u32, usize, AxisLabels);
 
 /// One evaluated cell during a run: the cell, the curve it belongs
 /// to, its spec's content hash (the store key, shared by every
@@ -1527,15 +1175,8 @@ pub struct SweepCell {
     pub k: usize,
     /// Transmission radius.
     pub radius: u32,
-    /// The network-axis point as a `(key, value)` label, if the sweep
-    /// has a network axis.
-    pub net: Option<(&'static str, f64)>,
-    /// The world-axis point as a `(key, value)` label, if the sweep has
-    /// a world axis.
-    pub world: Option<(&'static str, f64)>,
-    /// The fault-axis point as a `(key, value)` label, if the sweep has
-    /// a fault axis.
-    pub fault: Option<(&'static str, f64)>,
+    /// The config-axis point of this cell.
+    pub labels: AxisLabels,
     /// The predicted percolation radius `r_c = √(n/k)` at these axes.
     pub critical_radius: f64,
     /// Summary over replicates.
@@ -1553,12 +1194,8 @@ pub struct TransitionEstimate {
     pub side: u32,
     /// Agent count of the curve.
     pub k: usize,
-    /// The curve's network-axis point, if the sweep has one.
-    pub net: Option<(&'static str, f64)>,
-    /// The curve's world-axis point, if the sweep has one.
-    pub world: Option<(&'static str, f64)>,
-    /// The curve's fault-axis point, if the sweep has one.
-    pub fault: Option<(&'static str, f64)>,
+    /// The config-axis point of the curve.
+    pub labels: AxisLabels,
     /// Radius on the slow side of the knee.
     pub r_below: u32,
     /// Radius on the fast side of the knee.
@@ -1625,8 +1262,9 @@ pub struct ScenarioSweepReport {
     /// What the adaptive mode spent, when it was enabled (plain grid
     /// runs carry `None` and render exactly as before).
     pub adaptive: Option<AdaptiveSummary>,
-    /// Per-cell results, side-major then k then radius (adaptive runs
-    /// interleave refined radii into their curves in radius order).
+    /// Per-cell results in [`ScenarioSweep::cells`] order (adaptive
+    /// runs interleave refined radii into their curves in radius
+    /// order).
     pub cells: Vec<SweepCell>,
 }
 
@@ -1637,7 +1275,7 @@ impl ScenarioSweepReport {
     /// `r_c`, comfortably above replicate noise on a flat curve.
     pub const MIN_DROP_RATIO: f64 = 2.0;
 
-    /// Locates the knee of every (side, k, network-point) radius curve
+    /// Locates the knee of every (side, k, config-axis point) radius curve
     /// with at least three distinct radii: the adjacent radius pair
     /// with the largest drop in mean metric (at least
     /// [`MIN_DROP_RATIO`](Self::MIN_DROP_RATIO) — a flat curve reports
@@ -1648,26 +1286,18 @@ impl ScenarioSweepReport {
     /// are typically below 1, so no transition is reported.
     #[must_use]
     pub fn transitions(&self) -> Vec<TransitionEstimate> {
-        type Label = Option<(&'static str, f64)>;
-        type CurveKey = (u32, usize, Label, Label, Label);
         let mut out = Vec::new();
         let mut groups: Vec<CurveKey> = Vec::new();
         for cell in &self.cells {
-            if !groups.contains(&(cell.side, cell.k, cell.net, cell.world, cell.fault)) {
-                groups.push((cell.side, cell.k, cell.net, cell.world, cell.fault));
+            if !groups.contains(&(cell.side, cell.k, cell.labels)) {
+                groups.push((cell.side, cell.k, cell.labels));
             }
         }
-        for (side, k, net, world, fault) in groups {
+        for (side, k, labels) in groups {
             let mut curve: Vec<(u32, f64, f64)> = self
                 .cells
                 .iter()
-                .filter(|c| {
-                    c.side == side
-                        && c.k == k
-                        && c.net == net
-                        && c.world == world
-                        && c.fault == fault
-                })
+                .filter(|c| c.side == side && c.k == k && c.labels == labels)
                 .map(|c| (c.radius, c.summary.mean(), c.critical_radius))
                 .collect();
             curve.sort_by_key(|&(r, _, _)| r);
@@ -1707,9 +1337,7 @@ impl ScenarioSweepReport {
             out.push(TransitionEstimate {
                 side,
                 k,
-                net,
-                world,
-                fault,
+                labels,
                 r_below,
                 r_above,
                 r_knee,
@@ -1720,24 +1348,16 @@ impl ScenarioSweepReport {
         out
     }
 
-    /// Renders the per-cell summaries as an aligned table (with a
-    /// `net` column only when the sweep has a network axis, so
-    /// existing renderings stay byte-identical).
+    /// Renders the per-cell summaries as an aligned table, with a
+    /// `net`, `world` or `fault` column only for a family the sweep has
+    /// an axis of.
     #[must_use]
     pub fn table(&self) -> Table {
-        let has_net = self.cells.iter().any(|c| c.net.is_some());
-        let has_world = self.cells.iter().any(|c| c.world.is_some());
-        let has_fault = self.cells.iter().any(|c| c.fault.is_some());
+        let families: Vec<usize> = (0..Family::NAMES.len())
+            .filter(|&f| self.cells.iter().any(|c| c.labels[f].is_some()))
+            .collect();
         let mut header = vec!["side".to_string(), "k".into(), "r".into()];
-        if has_net {
-            header.push("net".into());
-        }
-        if has_world {
-            header.push("world".into());
-        }
-        if has_fault {
-            header.push("fault".into());
-        }
+        header.extend(families.iter().map(|&f| Family::NAMES[f].to_string()));
         header.extend([
             "r/r_c".to_string(),
             format!("mean {}", self.metric),
@@ -1747,24 +1367,10 @@ impl ScenarioSweepReport {
         let mut t = Table::new(header);
         for c in &self.cells {
             let mut row = vec![c.side.to_string(), c.k.to_string(), c.radius.to_string()];
-            if has_net {
-                row.push(match c.net {
-                    Some((key, value)) => format!("{key}={value}"),
-                    None => "-".to_string(),
-                });
-            }
-            if has_world {
-                row.push(match c.world {
-                    Some((key, value)) => format!("{key}={value}"),
-                    None => "-".to_string(),
-                });
-            }
-            if has_fault {
-                row.push(match c.fault {
-                    Some((key, value)) => format!("{key}={value}"),
-                    None => "-".to_string(),
-                });
-            }
+            row.extend(families.iter().map(|&f| match c.labels[f] {
+                Some((key, value)) => format!("{key}={value}"),
+                None => "-".to_string(),
+            }));
             row.extend([
                 format!("{:.2}", f64::from(c.radius) / c.critical_radius),
                 format!("{:.1}", c.summary.mean()),
@@ -1799,29 +1405,14 @@ impl ScenarioSweepReport {
         out.push_str("  \"cells\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
             let samples: Vec<String> = c.samples.iter().map(|s| format!("{s}")).collect();
-            // Network-axis labels appear only when the sweep has the
-            // axis, so pre-network JSON output stays byte-identical.
-            let mut net = match c.net {
-                Some((key, value)) => format!("\"net_key\": \"{key}\", \"net_value\": {value}, "),
-                None => String::new(),
-            };
-            if let Some((key, value)) = c.world {
-                net.push_str(&format!(
-                    "\"world_key\": \"{key}\", \"world_value\": {value}, "
-                ));
-            }
-            if let Some((key, value)) = c.fault {
-                net.push_str(&format!(
-                    "\"fault_key\": \"{key}\", \"fault_value\": {value}, "
-                ));
-            }
+            let labels = labels_json(&c.labels);
             out.push_str(&format!(
                 "    {{\"side\": {}, \"k\": {}, \"r\": {}, {}\"r_c\": {}, \"mean\": {}, \
                  \"ci95\": {}, \"median\": {}, \"min\": {}, \"max\": {}, \"samples\": [{}]}}{}\n",
                 c.side,
                 c.k,
                 c.radius,
-                net,
+                labels,
                 c.critical_radius,
                 c.summary.mean(),
                 c.summary.ci95_half_width(),
@@ -1837,27 +1428,14 @@ impl ScenarioSweepReport {
         let transitions = self.transitions();
         for (i, t) in transitions.iter().enumerate() {
             let (lo, hi) = t.band();
-            let mut net = match t.net {
-                Some((key, value)) => format!("\"net_key\": \"{key}\", \"net_value\": {value}, "),
-                None => String::new(),
-            };
-            if let Some((key, value)) = t.world {
-                net.push_str(&format!(
-                    "\"world_key\": \"{key}\", \"world_value\": {value}, "
-                ));
-            }
-            if let Some((key, value)) = t.fault {
-                net.push_str(&format!(
-                    "\"fault_key\": \"{key}\", \"fault_value\": {value}, "
-                ));
-            }
+            let labels = labels_json(&t.labels);
             out.push_str(&format!(
                 "    {{\"side\": {}, \"k\": {}, {}\"r_below\": {}, \"r_above\": {}, \
                  \"r_knee\": {}, \"drop_ratio\": {}, \"predicted_rc\": {}, \
                  \"band\": [{}, {}], \"within_band\": {}}}{}\n",
                 t.side,
                 t.k,
-                net,
+                labels,
                 t.r_below,
                 t.r_above,
                 t.r_knee,
@@ -1872,6 +1450,21 @@ impl ScenarioSweepReport {
         out.push_str("  ]\n}\n");
         out
     }
+}
+
+/// The JSON fields of a cell's or curve's config-axis labels, each
+/// family as `"<family>_key": "<key>", "<family>_value": <value>, `;
+/// empty without config axes, so plain sweeps keep their schema.
+fn labels_json(labels: &AxisLabels) -> String {
+    let mut out = String::new();
+    for (name, label) in Family::NAMES.iter().zip(labels) {
+        if let Some((key, value)) = label {
+            out.push_str(&format!(
+                "\"{name}_key\": \"{key}\", \"{name}_value\": {value}, "
+            ));
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -1961,9 +1554,7 @@ mod tests {
             side: 32,
             k: 16,
             radius,
-            net: None,
-            world: None,
-            fault: None,
+            labels: [None; 3],
             critical_radius: 8.0,
             summary: Summary::from_slice(&[mean]),
             samples: vec![mean],
@@ -1991,9 +1582,7 @@ mod tests {
             side: 16,
             k: 8,
             radius,
-            net: None,
-            world: None,
-            fault: None,
+            labels: [None; 3],
             critical_radius: 5.65,
             summary: Summary::from_slice(&[mean]),
             samples: vec![mean],
@@ -2019,9 +1608,7 @@ mod tests {
             side: 32,
             k: 16,
             radius,
-            net: None,
-            world: None,
-            fault: None,
+            labels: [None; 3],
             critical_radius: 8.0,
             summary: Summary::from_slice(&[mean]),
             samples: vec![mean],
@@ -2064,9 +1651,7 @@ mod tests {
             side: 16,
             k: 8,
             radius,
-            net: None,
-            world: None,
-            fault: None,
+            labels: [None; 3],
             critical_radius: 5.65,
             summary: Summary::from_slice(&[mean]),
             samples: vec![mean],
@@ -2124,299 +1709,219 @@ mod tests {
         );
     }
 
-    fn twin_base() -> ScenarioSpec {
-        ScenarioSpec::builder(ProcessKind::ProtocolBroadcast, 12, 6)
-            .radius(1)
-            .build()
-            .unwrap()
+    type ReadKnob = fn(&ScenarioSpec) -> f64;
+
+    /// Every row of [`AXIS_KEYS`], in table order: two runnable axis
+    /// values and how to read the knob back from a cell's spec.
+    fn axis_cases() -> [(&'static str, [f64; 2], ReadKnob); 8] {
+        [
+            ("drop_probs", [0.0, 0.5], |s| s.network().drop_prob()),
+            ("gossip_intervals", [1.0, 4.0], |s| {
+                s.network().gossip_interval() as f64
+            }),
+            ("send_caps", [0.0, 2.0], |s| {
+                f64::from(s.network().send_cap())
+            }),
+            ("barrier_densities", [0.0, 0.2], |s| {
+                s.world().barrier_density
+            }),
+            ("churn_rates", [0.0, 0.05], |s| s.world().churn_rate),
+            ("radius_mixes", [0.0, 0.5], |s| s.world().hetero_fraction),
+            ("crash_probs", [0.0, 0.2], |s| s.faults().crash_prob),
+            ("partition_lens", [0.0, 8.0], |s| {
+                s.faults().partition_len as f64
+            }),
+        ]
+    }
+
+    /// A base spec that takes axes of `family`, and one of a kind that
+    /// rejects them. Both pin knobs the axes leave alone
+    /// (`hetero_factor`, `partition_start`, the recovery switches).
+    fn family_bases(family: Family) -> (ScenarioSpec, ScenarioSpec) {
+        let kind = |kind| {
+            ScenarioSpec::builder(kind, 12, 6)
+                .radius(u32::from(kind != ProcessKind::Gossip))
+                .max_steps(2_000)
+        };
+        match family {
+            Family::Net | Family::Fault => (
+                kind(ProcessKind::ProtocolBroadcast)
+                    .partition(3, 0)
+                    .retransmit(true)
+                    .anti_entropy_interval(1)
+                    .build()
+                    .unwrap(),
+                tiny_base(),
+            ),
+            Family::World => (
+                kind(ProcessKind::Broadcast)
+                    .hetero_factor(2.0)
+                    .build()
+                    .unwrap(),
+                kind(ProcessKind::Gossip)
+                    .hetero_factor(2.0)
+                    .build()
+                    .unwrap(),
+            ),
+        }
     }
 
     #[test]
-    fn network_axis_expands_cells_network_major() {
-        let sweep = ScenarioSweep::new(twin_base(), 1)
-            .radii(vec![0, 2])
-            .drop_probs(vec![0.0, 0.5]);
-        let cells = sweep.cells().unwrap();
-        assert_eq!(cells.len(), 4);
-        let coords: Vec<(Option<(&str, f64)>, u32)> =
-            cells.iter().map(|c| (c.net, c.radius)).collect();
-        assert_eq!(
-            coords,
-            vec![
-                (Some(("drop_prob", 0.0)), 0),
-                (Some(("drop_prob", 0.0)), 2),
-                (Some(("drop_prob", 0.5)), 0),
-                (Some(("drop_prob", 0.5)), 2),
-            ]
-        );
-        assert_eq!(cells[2].spec.network().drop_prob(), 0.5);
-        // The un-swept knobs stay at the base spec's values.
-        assert_eq!(cells[2].spec.network().gossip_interval(), 1);
+    fn every_config_axis_expands_validates_round_trips_and_labels() {
+        let cases = axis_cases();
+        assert_eq!(cases.map(|c| c.0), AXIS_KEYS.map(|row| row.sweep));
+        for ((key, values, read), row) in cases.into_iter().zip(&AXIS_KEYS) {
+            let f = row.family as usize;
+            let (base, wrong) = family_bases(row.family);
+            let label = |x| {
+                let mut labels: AxisLabels = [None; 3];
+                labels[f] = Some((row.spec, x));
+                labels
+            };
+
+            // Axis-major expansion: the swept knob changes, no other.
+            let sweep = ScenarioSweep::new(base, 1)
+                .radii(vec![0, 2])
+                .axis(key, values.to_vec())
+                .unwrap();
+            let cells = sweep.cells().unwrap();
+            let coords: Vec<(AxisLabels, u32)> =
+                cells.iter().map(|c| (c.labels, c.radius)).collect();
+            assert_eq!(
+                coords,
+                vec![
+                    (label(values[0]), 0),
+                    (label(values[0]), 2),
+                    (label(values[1]), 0),
+                    (label(values[1]), 2),
+                ],
+                "{key}"
+            );
+            assert_eq!(read(&cells[2].spec), values[1], "{key}");
+            assert_eq!(
+                cells[2].spec.with_key(row.spec, read(&base)).unwrap(),
+                base.with_axes(12, 6, 0).unwrap(),
+                "{key} changed a knob it does not sweep"
+            );
+
+            // A kind that does not take the key fails at cells().
+            let err = ScenarioSweep::new(wrong, 1)
+                .axis(key, vec![values[1]])
+                .unwrap()
+                .cells()
+                .unwrap_err();
+            assert!(
+                matches!(err, SimError::UnsupportedSetting { .. }),
+                "{key}: {err}"
+            );
+
+            // TOML round trip, including the domain's bounds.
+            let mut round_trips = vec![sweep.clone()];
+            if let Domain::Int { min, max } = row.domain {
+                round_trips.push(
+                    sweep
+                        .clone()
+                        .axis(key, vec![min as f64, max as f64])
+                        .unwrap(),
+                );
+            }
+            for sweep in round_trips {
+                let text = sweep.to_toml();
+                let parsed = ScenarioSweep::from_toml_str(&text).unwrap();
+                assert_eq!(sweep, parsed, "round trip changed the sweep:\n{text}");
+            }
+
+            // Bad values and a second axis of the family are rejected.
+            let spec = base.to_toml();
+            let with = |extra: String| format!("{spec}\n[sweep]\n{extra}\n");
+            let mut bad: Vec<String> = vec!["[]".into()];
+            match row.domain {
+                Domain::Unit => bad.extend(["[1.5]".into(), "[-0.1]".into()]),
+                Domain::Int { min, max } => {
+                    bad.extend([format!("[{}]", max + 1), format!("[{min}.5]")]);
+                    if min > 0 {
+                        bad.push(format!("[{}]", min - 1));
+                    }
+                }
+            }
+            for list in bad {
+                assert!(
+                    ScenarioSweep::from_toml_str(&with(format!("{key} = {list}"))).is_err(),
+                    "{key} = {list} accepted"
+                );
+            }
+            assert!(sweep.clone().axis(key, vec![f64::NAN]).is_err(), "{key}");
+            let sibling = AXIS_KEYS
+                .iter()
+                .find(|other| other.family == row.family && other.sweep != key)
+                .unwrap();
+            let two = with(format!("{key} = [{}]\n{} = [1]", values[1], sibling.sweep));
+            assert!(
+                ScenarioSweep::from_toml_str(&two).is_err(),
+                "{key} and {} in one sweep accepted",
+                sibling.sweep
+            );
+
+            // Report labels: every cell and knee carries the point.
+            let report = ScenarioSweep::new(base, 9)
+                .radii(vec![0, 1, 2])
+                .axis(key, values.to_vec())
+                .unwrap()
+                .replicates(2)
+                .run()
+                .unwrap();
+            assert_eq!(report.cells.len(), 6);
+            for c in &report.cells {
+                assert!(c.labels == label(values[0]) || c.labels == label(values[1]));
+            }
+            for t in report.transitions() {
+                assert!(t.labels == label(values[0]) || t.labels == label(values[1]));
+            }
+            let name = Family::NAMES[f];
+            let table = format!("{}", report.table());
+            assert!(table.contains(name), "{table}");
+            assert!(
+                table.contains(&format!("{}={}", row.spec, values[1])),
+                "{table}"
+            );
+            let json = report.to_json();
+            assert!(
+                json.contains(&format!("\"{name}_key\": \"{}\"", row.spec)),
+                "{json}"
+            );
+            assert!(
+                json.contains(&format!("\"{name}_value\": {}", values[1])),
+                "{json}"
+            );
+        }
     }
 
     #[test]
-    fn network_axis_on_non_twin_kind_fails_cell_validation() {
-        let err = ScenarioSweep::new(tiny_base(), 1)
-            .drop_probs(vec![0.5])
-            .cells()
-            .unwrap_err();
-        assert!(matches!(err, SimError::UnsupportedSetting { .. }));
+    fn unknown_axis_keys_are_rejected() {
+        let sweep = ScenarioSweep::new(tiny_base(), 1);
+        assert!(matches!(
+            sweep.clone().axis("drop_prob", vec![0.5]),
+            Err(SpecError::UnknownKey { .. })
+        ));
+        assert!(matches!(
+            sweep.axis("sides", vec![8.0]),
+            Err(SpecError::UnknownKey { .. })
+        ));
     }
 
     #[test]
-    fn network_axis_round_trips_through_toml() {
-        for sweep in [
-            ScenarioSweep::new(twin_base(), 4).drop_probs(vec![0.0, 0.25, 0.5]),
-            ScenarioSweep::new(twin_base(), 4).gossip_intervals(vec![1, 2, 4]),
-            ScenarioSweep::new(twin_base(), 4).send_caps(vec![0, 1, 2]),
+    fn wide_integer_axes_round_trip_through_toml() {
+        let spec = "[scenario]\nprocess = \"protocol-broadcast\"\nside = 12\nk = 6\n";
+        for axis in [
+            "partition_lens = [0, 5000000000]",
+            "gossip_intervals = [1, 8589934592]",
         ] {
+            let sweep =
+                ScenarioSweep::from_toml_str(&format!("{spec}\n[sweep]\n{axis}\n")).unwrap();
             let text = sweep.to_toml();
-            let parsed = ScenarioSweep::from_toml_str(&text).unwrap();
-            assert_eq!(sweep, parsed, "round trip changed the sweep:\n{text}");
+            assert!(text.contains(&format!("{axis}\n")), "{text}");
+            assert_eq!(ScenarioSweep::from_toml_str(&text).unwrap(), sweep);
         }
-    }
-
-    #[test]
-    fn toml_rejects_bad_network_axes() {
-        let twin_only = "[scenario]\nprocess = \"protocol-broadcast\"\nside = 12\nk = 6\n";
-        let with = |extra: &str| format!("{twin_only}\n[sweep]\n{extra}");
-        assert!(ScenarioSweep::from_toml_str(&with("drop_probs = []\n")).is_err());
-        assert!(ScenarioSweep::from_toml_str(&with("drop_probs = [1.5]\n")).is_err());
-        assert!(ScenarioSweep::from_toml_str(&with("gossip_intervals = [0]\n")).is_err());
-        assert!(ScenarioSweep::from_toml_str(&with("send_caps = []\n")).is_err());
-        assert!(
-            ScenarioSweep::from_toml_str(&with("drop_probs = [0.5]\nsend_caps = [1]\n")).is_err(),
-            "two network axes at once must be rejected"
-        );
-        assert!(ScenarioSweep::from_toml_str(&with("drop_probs = [0.0, 0.5]\n")).is_ok());
-    }
-
-    #[test]
-    fn network_axis_report_labels_cells_and_transitions() {
-        let report = ScenarioSweep::new(twin_base(), 9)
-            .radii(vec![0, 1, 2])
-            .drop_probs(vec![0.0, 0.5])
-            .replicates(2)
-            .run()
-            .unwrap();
-        assert_eq!(report.cells.len(), 6);
-        assert!(report.cells.iter().all(|c| c.net.is_some()));
-        // Transitions group per network point, never across them.
-        for t in report.transitions() {
-            assert!(t.net.is_some());
-        }
-        let table = format!("{}", report.table());
-        assert!(table.contains("net"), "table must carry the net column");
-        assert!(table.contains("drop_prob=0.5"), "{table}");
-        let json = report.to_json();
-        assert!(json.contains("\"net_key\": \"drop_prob\""), "{json}");
-        assert!(json.contains("\"net_value\": 0.5"), "{json}");
-    }
-
-    #[test]
-    fn world_axis_expands_cells_world_major_inside_network() {
-        let sweep = ScenarioSweep::new(tiny_base(), 1)
-            .radii(vec![0, 2])
-            .churn_rates(vec![0.0, 0.05]);
-        let cells = sweep.cells().unwrap();
-        assert_eq!(cells.len(), 4);
-        let coords: Vec<(Option<(&str, f64)>, u32)> =
-            cells.iter().map(|c| (c.world, c.radius)).collect();
-        assert_eq!(
-            coords,
-            vec![
-                (Some(("churn_rate", 0.0)), 0),
-                (Some(("churn_rate", 0.0)), 2),
-                (Some(("churn_rate", 0.05)), 0),
-                (Some(("churn_rate", 0.05)), 2),
-            ]
-        );
-        assert_eq!(cells[2].spec.world().churn_rate, 0.05);
-        // The un-swept world knobs stay at the base spec's values.
-        assert_eq!(cells[2].spec.world().barrier_density, 0.0);
-    }
-
-    #[test]
-    fn world_axis_on_non_broadcast_kind_fails_cell_validation() {
-        let base = ScenarioSpec::builder(ProcessKind::Gossip, 12, 6)
-            .build()
-            .unwrap();
-        let err = ScenarioSweep::new(base, 1)
-            .barrier_densities(vec![0.5])
-            .cells()
-            .unwrap_err();
-        assert!(matches!(err, SimError::UnsupportedSetting { .. }));
-    }
-
-    #[test]
-    fn radius_mix_axis_substitutes_the_base_factor() {
-        let base = ScenarioSpec::builder(ProcessKind::Broadcast, 12, 6)
-            .radius(1)
-            .hetero_factor(2.0)
-            .build()
-            .unwrap();
-        let cells = ScenarioSweep::new(base, 1)
-            .radius_mixes(vec![0.0, 0.5])
-            .cells()
-            .unwrap();
-        assert_eq!(cells.len(), 2);
-        assert_eq!(cells[1].spec.world().hetero_fraction, 0.5);
-        assert_eq!(cells[1].spec.world().hetero_factor, 2.0);
-    }
-
-    #[test]
-    fn world_axis_round_trips_through_toml() {
-        for sweep in [
-            ScenarioSweep::new(tiny_base(), 4).barrier_densities(vec![0.0, 0.5, 1.0]),
-            ScenarioSweep::new(tiny_base(), 4).churn_rates(vec![0.0, 0.01, 0.1]),
-            ScenarioSweep::new(tiny_base(), 4).radius_mixes(vec![0.0, 0.25]),
-        ] {
-            let text = sweep.to_toml();
-            let parsed = ScenarioSweep::from_toml_str(&text).unwrap();
-            assert_eq!(sweep, parsed, "round trip changed the sweep:\n{text}");
-        }
-    }
-
-    #[test]
-    fn toml_rejects_bad_world_axes() {
-        let spec_only = "[scenario]\nprocess = \"broadcast\"\nside = 12\nk = 6\n";
-        let with = |extra: &str| format!("{spec_only}\n[sweep]\n{extra}");
-        assert!(ScenarioSweep::from_toml_str(&with("barrier_densities = []\n")).is_err());
-        assert!(ScenarioSweep::from_toml_str(&with("churn_rates = [1.5]\n")).is_err());
-        assert!(ScenarioSweep::from_toml_str(&with("radius_mixes = [-0.1]\n")).is_err());
-        assert!(
-            ScenarioSweep::from_toml_str(&with("churn_rates = [0.1]\nradius_mixes = [0.5]\n"))
-                .is_err(),
-            "two world axes at once must be rejected"
-        );
-        assert!(ScenarioSweep::from_toml_str(&with("churn_rates = [0.0, 0.05]\n")).is_ok());
-    }
-
-    #[test]
-    fn world_axis_report_labels_cells_and_transitions() {
-        let report = ScenarioSweep::new(tiny_base(), 9)
-            .radii(vec![0, 1, 2])
-            .churn_rates(vec![0.0, 0.02])
-            .replicates(2)
-            .run()
-            .unwrap();
-        assert_eq!(report.cells.len(), 6);
-        assert!(report.cells.iter().all(|c| c.world.is_some()));
-        for t in report.transitions() {
-            assert!(t.world.is_some());
-        }
-        let table = format!("{}", report.table());
-        assert!(table.contains("world"), "table must carry the world column");
-        assert!(table.contains("churn_rate=0.02"), "{table}");
-        let json = report.to_json();
-        assert!(json.contains("\"world_key\": \"churn_rate\""), "{json}");
-        assert!(json.contains("\"world_value\": 0.02"), "{json}");
-    }
-
-    #[test]
-    fn fault_axis_expands_cells_innermost() {
-        let sweep = ScenarioSweep::new(twin_base(), 1)
-            .radii(vec![0, 2])
-            .crash_probs(vec![0.0, 0.2]);
-        let cells = sweep.cells().unwrap();
-        assert_eq!(cells.len(), 4);
-        let coords: Vec<(Option<(&str, f64)>, u32)> =
-            cells.iter().map(|c| (c.fault, c.radius)).collect();
-        assert_eq!(
-            coords,
-            vec![
-                (Some(("crash_prob", 0.0)), 0),
-                (Some(("crash_prob", 0.0)), 2),
-                (Some(("crash_prob", 0.2)), 0),
-                (Some(("crash_prob", 0.2)), 2),
-            ]
-        );
-        assert_eq!(cells[2].spec.faults().crash_prob, 0.2);
-        // The un-swept fault knobs stay at the base spec's values.
-        assert_eq!(cells[2].spec.faults().restart_delay, 1);
-        assert!(!cells[2].spec.faults().retransmit);
-    }
-
-    #[test]
-    fn partition_len_axis_substitutes_the_base_start() {
-        let base = ScenarioSpec::builder(ProcessKind::ProtocolBroadcast, 12, 6)
-            .radius(1)
-            .partition(3, 0)
-            .build()
-            .unwrap();
-        let cells = ScenarioSweep::new(base, 1)
-            .partition_lens(vec![0, 8])
-            .cells()
-            .unwrap();
-        assert_eq!(cells.len(), 2);
-        assert_eq!(cells[1].fault, Some(("partition_len", 8.0)));
-        assert_eq!(cells[1].spec.faults().partition_len, 8);
-        assert_eq!(cells[1].spec.faults().partition_start, 3);
-    }
-
-    #[test]
-    fn fault_axis_on_non_twin_kind_fails_cell_validation() {
-        let err = ScenarioSweep::new(tiny_base(), 1)
-            .crash_probs(vec![0.2])
-            .cells()
-            .unwrap_err();
-        assert!(matches!(err, SimError::UnsupportedSetting { .. }));
-    }
-
-    #[test]
-    fn fault_axis_round_trips_through_toml() {
-        for sweep in [
-            ScenarioSweep::new(twin_base(), 4).crash_probs(vec![0.0, 0.1, 0.3]),
-            ScenarioSweep::new(twin_base(), 4).partition_lens(vec![0, 4, 16]),
-        ] {
-            let text = sweep.to_toml();
-            let parsed = ScenarioSweep::from_toml_str(&text).unwrap();
-            assert_eq!(sweep, parsed, "round trip changed the sweep:\n{text}");
-        }
-    }
-
-    #[test]
-    fn toml_rejects_bad_fault_axes() {
-        let twin_only = "[scenario]\nprocess = \"protocol-broadcast\"\nside = 12\nk = 6\n";
-        let with = |extra: &str| format!("{twin_only}\n[sweep]\n{extra}");
-        assert!(ScenarioSweep::from_toml_str(&with("crash_probs = []\n")).is_err());
-        assert!(ScenarioSweep::from_toml_str(&with("crash_probs = [1.5]\n")).is_err());
-        assert!(ScenarioSweep::from_toml_str(&with("partition_lens = []\n")).is_err());
-        assert!(
-            ScenarioSweep::from_toml_str(&with("crash_probs = [0.1]\npartition_lens = [4]\n"))
-                .is_err(),
-            "two fault axes at once must be rejected"
-        );
-        assert!(ScenarioSweep::from_toml_str(&with("crash_probs = [0.0, 0.1]\n")).is_ok());
-        assert!(ScenarioSweep::from_toml_str(&with("partition_lens = [0, 8]\n")).is_ok());
-    }
-
-    #[test]
-    fn fault_axis_report_labels_cells_and_transitions() {
-        let base = ScenarioSpec::builder(ProcessKind::ProtocolBroadcast, 12, 6)
-            .radius(1)
-            .retransmit(true)
-            .anti_entropy_interval(1)
-            .build()
-            .unwrap();
-        let report = ScenarioSweep::new(base, 9)
-            .radii(vec![0, 1, 2])
-            .crash_probs(vec![0.0, 0.1])
-            .replicates(2)
-            .run()
-            .unwrap();
-        assert_eq!(report.cells.len(), 6);
-        assert!(report.cells.iter().all(|c| c.fault.is_some()));
-        // Transitions group per fault point, never across them.
-        for t in report.transitions() {
-            assert!(t.fault.is_some());
-        }
-        let table = format!("{}", report.table());
-        assert!(table.contains("fault"), "table must carry the fault column");
-        assert!(table.contains("crash_prob=0.1"), "{table}");
-        let json = report.to_json();
-        assert!(json.contains("\"fault_key\": \"crash_prob\""), "{json}");
-        assert!(json.contains("\"fault_value\": 0.1"), "{json}");
     }
 
     #[test]
@@ -2454,9 +1959,7 @@ mod tests {
             side: 8,
             k: 16,
             radius,
-            net: None,
-            world: None,
-            fault: None,
+            labels: [None; 3],
             critical_radius: 2.0,
             summary: Summary::from_slice(&[mean]),
             samples: vec![mean],
@@ -2484,9 +1987,7 @@ mod tests {
             side: 32,
             k: 16,
             radius,
-            net: None,
-            world: None,
-            fault: None,
+            labels: [None; 3],
             critical_radius: 8.0,
             summary: Summary::from_slice(&[mean]),
             samples: vec![mean],

@@ -151,9 +151,7 @@ fn seed_migration_preserves_knee_verdicts() {
                     side: cell.side,
                     k: cell.k,
                     radius: cell.radius,
-                    net: cell.net,
-                    world: cell.world,
-                    fault: cell.fault,
+                    labels: cell.labels,
                     critical_radius: theory::critical_radius(n, cell.k as f64),
                     summary: sparsegossip_analysis::Summary::from_slice(&samples),
                     samples,

@@ -9,7 +9,9 @@ use core::fmt;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sparsegossip_analysis::{ResultStore, Runner, ScenarioSweep, StoreError, SweepError, Table};
+use sparsegossip_analysis::{
+    ResultStore, Runner, ScenarioSweep, StoreError, SweepError, Table, AXIS_KEYS,
+};
 use sparsegossip_conngraph::{critical_radius, percolation_profile};
 use sparsegossip_core::{
     BroadcastOutcome, CoverageOutcome, ExchangeRule, ExtinctionOutcome, FaultConfig, Gossip,
@@ -61,13 +63,15 @@ COMMANDS:
   predator     predator-prey extinction time
                --side N --predators K --preys M --radius R
                --static-preys --seed S
-  sweep        multi-axis {side, k, r} scenario sweep from a TOML spec,
-               with phase-transition detection against r_c = sqrt(n/k)
+  sweep        scenario sweep from a TOML spec over {side, k, r} and at
+               most one network, world and fault axis each, with
+               phase-transition detection against r_c = sqrt(n/k)
                --spec file.toml [--replicates R --threads T --seed S]
                --barrier-densities A,B | --churn-rates A,B |
-               --radius-mixes A,B (world axis override; at most one)
+               --radius-mixes A,B (world axis; at most one, replaces
+               the spec's)
                --crash-probs A,B | --partition-lens A,B
-               (fault axis override; at most one)
+               (fault axis; at most one, replaces the spec's)
                --adaptive [--budget N --replicate-budget N]
                (knee refinement: bisect each curve's knee bracket to
                1% of r_c under the cell budget, then top up replicates
@@ -306,41 +310,6 @@ fn world_summary(w: &WorldConfig) -> String {
         parts.push("adversarial".to_string());
     }
     parts.join(", ")
-}
-
-/// Parses a comma-separated `--name a,b,c` option into unit-interval
-/// floats, rejecting bad values here so the sweep builder's asserts
-/// can never fire on user input.
-fn unit_list(args: &ParsedArgs, name: &'static str) -> Result<Option<Vec<f64>>, CliError> {
-    let Some(raw) = args.get_opt::<String>(name)? else {
-        return Ok(None);
-    };
-    let mut out = Vec::new();
-    for part in raw.split(',') {
-        let v: f64 = part.trim().parse().map_err(|_| bad(name, &raw))?;
-        if !v.is_finite() || !(0.0..=1.0).contains(&v) {
-            return Err(bad(name, &raw));
-        }
-        out.push(v);
-    }
-    Ok(Some(out))
-}
-
-/// Parses an optional comma-separated list of non-negative integers
-/// (e.g. `--partition-lens 0,8,32`).
-fn u64_list(args: &ParsedArgs, name: &'static str) -> Result<Option<Vec<u64>>, CliError> {
-    let Some(raw) = args.get_opt::<String>(name)? else {
-        return Ok(None);
-    };
-    let mut out = Vec::new();
-    for part in raw.split(',') {
-        let v: u64 = part.trim().parse().map_err(|_| bad(name, &raw))?;
-        out.push(v);
-    }
-    if out.is_empty() {
-        return Err(bad(name, &raw));
-    }
-    Ok(Some(out))
 }
 
 /// Renders `Option<u64>` as JSON (`null` when absent).
@@ -877,40 +846,34 @@ fn sweep(args: &ParsedArgs) -> Result<(), CliError> {
     if let Some(seed) = args.get_opt("seed")? {
         sweep = sweep.seed(seed);
     }
-    let barriers = unit_list(args, "barrier-densities")?;
-    let churns = unit_list(args, "churn-rates")?;
-    let mixes = unit_list(args, "radius-mixes")?;
-    let axes_given = usize::from(barriers.is_some())
-        + usize::from(churns.is_some())
-        + usize::from(mixes.is_some());
-    if axes_given > 1 {
-        return Err(bad(
-            "barrier-densities",
-            "at most one world axis (--barrier-densities, --churn-rates, --radius-mixes)",
-        ));
-    }
-    if let Some(v) = barriers {
-        sweep = sweep.barrier_densities(v);
-    }
-    if let Some(v) = churns {
-        sweep = sweep.churn_rates(v);
-    }
-    if let Some(v) = mixes {
-        sweep = sweep.radius_mixes(v);
-    }
-    let crash_probs = unit_list(args, "crash-probs")?;
-    let partition_lens = u64_list(args, "partition-lens")?;
-    if crash_probs.is_some() && partition_lens.is_some() {
-        return Err(bad(
-            "crash-probs",
-            "at most one fault axis (--crash-probs, --partition-lens)",
-        ));
-    }
-    if let Some(v) = crash_probs {
-        sweep = sweep.crash_probs(v);
-    }
-    if let Some(v) = partition_lens {
-        sweep = sweep.partition_lens(v);
+    // Axis overrides replace the spec file's axis of the same family;
+    // two overrides of one family are an error.
+    let mut families = Vec::new();
+    for option in [
+        "barrier-densities",
+        "churn-rates",
+        "radius-mixes",
+        "crash-probs",
+        "partition-lens",
+    ] {
+        let Some(raw) = args.get_opt::<String>(option)? else {
+            continue;
+        };
+        let key = option.replace('-', "_");
+        let family = AXIS_KEYS
+            .iter()
+            .find(|row| row.sweep == key)
+            .map(|row| row.family);
+        if families.contains(&family) {
+            return Err(bad(option, "at most one axis override per family"));
+        }
+        families.push(family);
+        let values = raw
+            .split(',')
+            .map(|part| part.trim().parse())
+            .collect::<Result<Vec<f64>, _>>()
+            .map_err(|_| bad(option, &raw))?;
+        sweep = sweep.axis(&key, values).map_err(|_| bad(option, &raw))?;
     }
     // Adaptive-mode overrides: --adaptive switches the mode on (the
     // spec's own `[sweep] adaptive` keys, if any, supply defaults);

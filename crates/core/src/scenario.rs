@@ -12,7 +12,8 @@
 //! run that actually happens. Specs round-trip through the
 //! TOML subset of [`crate::toml`], and are the unit the
 //! `sparsegossip_analysis::ScenarioSweep` engine fans out over the
-//! {side, k, r} axes.
+//! {side, k, r} axes ([`ScenarioSpec::with_axes`]) and over config keys
+//! ([`ScenarioSpec::with_key`]).
 //!
 //! # Examples
 //!
@@ -39,7 +40,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_grid::{Grid, Point, Topology};
 
-use crate::toml::{TomlDoc, TomlError};
+use crate::toml::{format_toml_f64, TomlDoc, TomlError, MAX_EXACT_INT};
 use crate::{
     Coverage, ExchangeRule, FaultConfig, Infection, Mobility, NetworkConfig, NetworkError,
     SimConfig, SimError, SimScratch, Simulation, WorldConfig, WorldSim,
@@ -314,76 +315,60 @@ impl ScenarioSpec {
         &self.faults
     }
 
-    /// Re-derives this spec with a different network configuration,
-    /// re-validating: the sweep engine's way of expanding a network
-    /// axis.
+    /// Re-derives this spec with one `[scenario]` key set to `value`,
+    /// re-validating: the sweep engine's way of expanding a config
+    /// axis. Takes the keys the sweep axes vary: `drop_prob`,
+    /// `gossip_interval`, `send_cap`, `barrier_density`, `churn_rate`,
+    /// `hetero_fraction`, `crash_prob` and `partition_len`. Integer
+    /// keys take integral values up to [`MAX_EXACT_INT`]
+    /// (`u32::MAX` for `send_cap`).
     ///
     /// # Errors
     ///
-    /// As [`ScenarioSpecBuilder::build`] (non-twin kinds reject any
-    /// non-ideal network).
-    pub fn with_network(&self, network: NetworkConfig) -> Result<Self, SimError> {
-        let mut b = Self::builder(self.kind, self.config.side(), self.config.k())
-            .radius(self.config.radius())
-            .source(self.config.source())
-            .mobility(self.config.mobility())
-            .exchange_rule(self.config.exchange_rule())
-            .metric(self.metric)
-            .network(network)
-            .world(self.world)
-            .faults(self.faults);
-        if self.explicit_max_steps {
-            b = b.max_steps(self.config.max_steps());
+    /// [`SpecError::UnknownKey`] for any other key, [`SpecError::Toml`]
+    /// for a value the key cannot hold, and [`SpecError::Sim`] as
+    /// [`ScenarioSpecBuilder::build`] (e.g. kinds other than the
+    /// protocol twin reject a non-ideal network).
+    pub fn with_key(&self, key: &str, value: f64) -> Result<Self, SpecError> {
+        let bad = |expected| {
+            SpecError::Toml(TomlError::BadValue {
+                section: "scenario".to_string(),
+                key: key.to_string(),
+                expected,
+            })
+        };
+        let int = || {
+            if value >= 0.0 && value.fract() == 0.0 && value <= MAX_EXACT_INT as f64 {
+                Ok(value as u64)
+            } else {
+                Err(bad("non-negative integer"))
+            }
+        };
+        let mut b = self.to_builder();
+        let net = b.network;
+        let (mut drop, mut cap, mut interval) =
+            (net.drop_prob(), net.send_cap(), net.gossip_interval());
+        match key {
+            "drop_prob" => drop = value,
+            "gossip_interval" => interval = int()?,
+            "send_cap" => {
+                cap = u32::try_from(int()?).map_err(|_| bad("non-negative integer fitting u32"))?;
+            }
+            "barrier_density" => b.world.barrier_density = value,
+            "churn_rate" => b.world.churn_rate = value,
+            "hetero_fraction" => b.world.hetero_fraction = value,
+            "crash_prob" => b.faults.crash_prob = value,
+            "partition_len" => b.faults.partition_len = int()?,
+            _ => {
+                return Err(SpecError::UnknownKey {
+                    section: "scenario".to_string(),
+                    key: key.to_string(),
+                })
+            }
         }
-        b.build()
-    }
-
-    /// Re-derives this spec with different fault-injection/recovery
-    /// axes, re-validating: the sweep engine's way of expanding a fault
-    /// axis (crash probabilities, partition lengths).
-    ///
-    /// # Errors
-    ///
-    /// As [`ScenarioSpecBuilder::build`] (non-twin kinds reject any
-    /// non-trivial fault config).
-    pub fn with_faults(&self, faults: FaultConfig) -> Result<Self, SimError> {
-        let mut b = Self::builder(self.kind, self.config.side(), self.config.k())
-            .radius(self.config.radius())
-            .source(self.config.source())
-            .mobility(self.config.mobility())
-            .exchange_rule(self.config.exchange_rule())
-            .metric(self.metric)
-            .network(self.network)
-            .world(self.world)
-            .faults(faults);
-        if self.explicit_max_steps {
-            b = b.max_steps(self.config.max_steps());
-        }
-        b.build()
-    }
-
-    /// Re-derives this spec with different world-model axes,
-    /// re-validating: the sweep engine's way of expanding a world axis
-    /// (barrier densities, churn rates, radius mixes).
-    ///
-    /// # Errors
-    ///
-    /// As [`ScenarioSpecBuilder::build`] (kinds other than broadcast —
-    /// and infection, for the source axes — reject active world axes).
-    pub fn with_world(&self, world: WorldConfig) -> Result<Self, SimError> {
-        let mut b = Self::builder(self.kind, self.config.side(), self.config.k())
-            .radius(self.config.radius())
-            .source(self.config.source())
-            .mobility(self.config.mobility())
-            .exchange_rule(self.config.exchange_rule())
-            .metric(self.metric)
-            .network(self.network)
-            .world(world)
-            .faults(self.faults);
-        if self.explicit_max_steps {
-            b = b.max_steps(self.config.max_steps());
-        }
-        b.build()
+        b.network =
+            NetworkConfig::new(drop, net.delay_max(), cap, interval).map_err(bad_network_value)?;
+        Ok(b.build()?)
     }
 
     /// Re-derives this spec at different axis values (grid side, agent
@@ -397,19 +382,33 @@ impl ScenarioSpec {
     /// As [`ScenarioSpecBuilder::build`] (e.g. the base source index
     /// can be out of range for a smaller `k`).
     pub fn with_axes(&self, side: u32, k: usize, radius: u32) -> Result<Self, SimError> {
-        let mut b = Self::builder(self.kind, side, k)
-            .radius(radius)
-            .source(self.config.source())
-            .mobility(self.config.mobility())
-            .exchange_rule(self.config.exchange_rule())
-            .metric(self.metric)
-            .network(self.network)
-            .world(self.world)
-            .faults(self.faults);
-        if self.explicit_max_steps {
-            b = b.max_steps(self.config.max_steps());
+        ScenarioSpecBuilder {
+            side,
+            k,
+            radius,
+            ..self.to_builder()
         }
-        b.build()
+        .build()
+    }
+
+    /// The builder holding every setting of this spec, the step cap
+    /// only when it was explicit.
+    fn to_builder(self) -> ScenarioSpecBuilder {
+        let c = &self.config;
+        ScenarioSpecBuilder {
+            kind: self.kind,
+            side: c.side(),
+            k: c.k(),
+            radius: c.radius(),
+            source: c.source(),
+            max_steps: self.explicit_max_steps.then(|| c.max_steps()),
+            mobility: c.mobility(),
+            exchange_rule: c.exchange_rule(),
+            metric: self.metric,
+            network: self.network,
+            world: self.world,
+            faults: self.faults,
+        }
     }
 
     /// Runs the scenario once with a fresh RNG seeded from `seed` and
@@ -839,16 +838,6 @@ fn bad_network_value(e: NetworkError) -> SpecError {
         key: key.to_string(),
         expected,
     })
-}
-
-/// Renders an `f64` so the TOML subset parses it back as a float
-/// (integral values keep a trailing `.0`).
-fn format_toml_f64(x: f64) -> String {
-    if x == x.trunc() && x.is_finite() {
-        format!("{x:.1}")
-    } else {
-        format!("{x}")
-    }
 }
 
 impl fmt::Display for ScenarioSpec {
@@ -1476,23 +1465,60 @@ mod tests {
     }
 
     #[test]
-    fn with_network_rederives_and_revalidates() {
+    fn with_key_rederives_and_revalidates() {
         let base = ScenarioSpec::builder(ProcessKind::ProtocolBroadcast, 16, 6)
             .radius(1)
             .build()
             .unwrap();
-        let lossy = NetworkConfig::new(0.25, 1, 2, 3).unwrap();
-        let derived = base.with_network(lossy).unwrap();
-        assert_eq!(derived.network(), &lossy);
+        let derived = base
+            .with_key("drop_prob", 0.25)
+            .and_then(|s| s.with_key("send_cap", 2.0))
+            .and_then(|s| s.with_key("gossip_interval", 3.0))
+            .and_then(|s| s.with_key("crash_prob", 0.1))
+            .and_then(|s| s.with_key("partition_len", 5e9))
+            .unwrap();
+        assert_eq!(
+            derived.network(),
+            &NetworkConfig::new(0.25, 0, 2, 3).unwrap()
+        );
+        assert_eq!(derived.faults().crash_prob, 0.1);
+        assert_eq!(derived.faults().partition_len, 5_000_000_000);
         assert_eq!(derived.config(), base.config());
         let analytic = ScenarioSpec::builder(ProcessKind::Broadcast, 16, 6)
             .radius(1)
             .build()
             .unwrap();
+        let world = analytic
+            .with_key("barrier_density", 0.2)
+            .and_then(|s| s.with_key("churn_rate", 0.05))
+            .and_then(|s| s.with_key("hetero_fraction", 0.5))
+            .unwrap();
+        assert_eq!(
+            (world.world().barrier_density, world.world().churn_rate),
+            (0.2, 0.05)
+        );
+        assert_eq!(world.world().hetero_fraction, 0.5);
         assert!(matches!(
-            analytic.with_network(lossy).unwrap_err(),
-            SimError::UnsupportedSetting { .. }
+            analytic.with_key("drop_prob", 0.25).unwrap_err(),
+            SpecError::Sim(SimError::UnsupportedSetting { .. })
         ));
+        assert!(matches!(
+            analytic.with_key("radius", 2.0).unwrap_err(),
+            SpecError::UnknownKey { .. }
+        ));
+        for (key, value) in [
+            ("drop_prob", 1.5),
+            ("gossip_interval", 0.0),
+            ("gossip_interval", 2.5),
+            ("send_cap", 5e9),
+            ("partition_len", -1.0),
+            ("partition_len", 2f64.powi(53)),
+        ] {
+            assert!(
+                matches!(base.with_key(key, value), Err(SpecError::Toml(_))),
+                "{key} = {value} accepted"
+            );
+        }
     }
 
     #[test]
@@ -1507,8 +1533,10 @@ mod tests {
         for key in ["drop_prob", "delay_max", "send_cap", "gossip_interval"] {
             assert!(!text.contains(key), "ideal spec rendered {key}:\n{text}");
         }
-        let lossy = ideal
-            .with_network(NetworkConfig::new(0.25, 2, 3, 4).unwrap())
+        let lossy = ScenarioSpec::builder(ProcessKind::ProtocolBroadcast, 16, 6)
+            .radius(1)
+            .network(NetworkConfig::new(0.25, 2, 3, 4).unwrap())
+            .build()
             .unwrap();
         let text = lossy.to_toml();
         assert!(text.contains("drop_prob = 0.25\n"), "{text}");
@@ -1612,34 +1640,33 @@ mod tests {
     }
 
     #[test]
-    fn faulty_twin_runs_and_with_faults_rederives() {
+    fn faulty_twin_runs_and_with_key_rederives() {
         let base = ScenarioSpec::builder(ProcessKind::ProtocolBroadcast, 12, 6)
             .radius(2)
+            .retransmit(true)
+            .anti_entropy_interval(2)
             .build()
             .unwrap();
-        let faults = FaultConfig {
-            crash_prob: 0.02,
-            retransmit: true,
-            anti_entropy_interval: 2,
-            ..FaultConfig::DEFAULT
-        };
-        let faulty = base.with_faults(faults).unwrap();
-        assert_eq!(faulty.faults(), &faults);
+        let faulty = base.with_key("crash_prob", 0.02).unwrap();
+        assert_eq!(
+            faulty.faults(),
+            &FaultConfig {
+                crash_prob: 0.02,
+                ..*base.faults()
+            }
+        );
         assert_eq!(faulty.config(), base.config());
         let a = faulty.run_seed(5);
         assert_eq!(a, faulty.run_seed(5), "faulty runs must reproduce");
-        // A trivial fault config leaves the metric untouched.
-        assert_eq!(
-            base.with_faults(FaultConfig::DEFAULT).unwrap().run_seed(5),
-            base.run_seed(5)
-        );
+        // A zero crash probability leaves the spec untouched.
+        assert_eq!(faulty.with_key("crash_prob", 0.0).unwrap(), base);
         // Non-twin kinds reject the axis at re-derivation.
         let analytic = ScenarioSpec::builder(ProcessKind::Broadcast, 12, 6)
             .build()
             .unwrap();
         assert!(matches!(
-            analytic.with_faults(faults).unwrap_err(),
-            SimError::UnsupportedSetting { .. }
+            analytic.with_key("crash_prob", 0.02).unwrap_err(),
+            SpecError::Sim(SimError::UnsupportedSetting { .. })
         ));
     }
 

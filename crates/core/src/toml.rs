@@ -35,6 +35,23 @@
 use core::fmt;
 use std::collections::BTreeMap;
 
+/// The largest integer a spec value carried as `f64` may hold: every
+/// integer up to `2^53 - 1` is exact, and any larger one converts to at
+/// least `2^53`, so a range check on the converted value cannot admit a
+/// rounded neighbour.
+pub const MAX_EXACT_INT: u64 = (1 << 53) - 1;
+
+/// Renders an `f64` so the subset parser reads it back as a float
+/// (integral values keep a trailing `.0`).
+#[must_use]
+pub fn format_toml_f64(x: f64) -> String {
+    if x == x.trunc() && x.is_finite() {
+        format!("{x:.1}")
+    } else {
+        format!("{x}")
+    }
+}
+
 /// A scalar or array value of the supported TOML subset.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TomlValue {

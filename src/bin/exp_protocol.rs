@@ -29,7 +29,7 @@ use std::process::ExitCode;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sparsegossip_analysis::ScenarioSweep;
+use sparsegossip_analysis::{Family, ScenarioSweep};
 use sparsegossip_bench::{verdict, ExpCtx};
 use sparsegossip_core::{
     NetworkConfig, ProcessKind, ProtocolBroadcast, ScenarioSpec, SimConfig, Simulation,
@@ -229,7 +229,8 @@ fn main() -> ExitCode {
         .cells
         .iter()
         .map(|c| {
-            let (key, value) = c.net.expect("lossy sweep has a network axis");
+            let (key, value) =
+                c.labels[Family::Net as usize].expect("lossy sweep has a network axis");
             format!(
                 "{{\"side\": {}, \"k\": {}, \"r\": {}, \"{key}\": {value}, \"mean\": {}}}",
                 c.side,

@@ -32,7 +32,7 @@ use std::process::ExitCode;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sparsegossip_analysis::{ScenarioSweep, ScenarioSweepReport};
+use sparsegossip_analysis::{Family, ScenarioSweep, ScenarioSweepReport};
 use sparsegossip_bench::{verdict, ExpCtx};
 use sparsegossip_core::{NullObserver, ProcessKind, ScenarioSpec, WorldSim};
 
@@ -137,8 +137,7 @@ fn steady_state_allocs(spec: &ScenarioSpec, seed: u64) -> u64 {
 /// Prints a report's knees, tagged with their world-axis label.
 fn print_transitions(report: &ScenarioSweepReport) {
     for t in &report.transitions() {
-        let world = t
-            .world
+        let world = t.labels[Family::World as usize]
             .map_or_else(String::new, |(key, value)| format!(" {key}={value}"));
         let (lo, hi) = t.band();
         println!(
@@ -215,13 +214,21 @@ fn main() -> ExitCode {
             "barrier_density",
             ScenarioSweep::new(mini, ctx.seed)
                 .r_factors(r_factors.clone())
-                .barrier_densities(ctx.pick(vec![0.0, 0.2, 0.4], vec![0.0, 0.1, 0.2, 0.3, 0.4])),
+                .axis(
+                    "barrier_densities",
+                    ctx.pick(vec![0.0, 0.2, 0.4], vec![0.0, 0.1, 0.2, 0.3, 0.4]),
+                )
+                .expect("valid densities"),
         ),
         (
             "churn_rate",
             ScenarioSweep::new(mini, ctx.seed)
                 .r_factors(r_factors.clone())
-                .churn_rates(ctx.pick(vec![0.0, 0.02, 0.1], vec![0.0, 0.01, 0.02, 0.05, 0.1])),
+                .axis(
+                    "churn_rates",
+                    ctx.pick(vec![0.0, 0.02, 0.1], vec![0.0, 0.01, 0.02, 0.05, 0.1]),
+                )
+                .expect("valid churn rates"),
         ),
         (
             "radius_mix",
@@ -233,7 +240,11 @@ fn main() -> ExitCode {
                 ctx.seed,
             )
             .r_factors(r_factors.clone())
-            .radius_mixes(ctx.pick(vec![0.0, 0.5], vec![0.0, 0.25, 0.5, 0.75])),
+            .axis(
+                "radius_mixes",
+                ctx.pick(vec![0.0, 0.5], vec![0.0, 0.25, 0.5, 0.75]),
+            )
+            .expect("valid radius mixes"),
         ),
     ];
     let mut axis_reports: Vec<(&str, ScenarioSweepReport)> = Vec::new();
@@ -266,7 +277,8 @@ fn main() -> ExitCode {
     let det_sweep = |threads: usize| {
         ScenarioSweep::new(mini, ctx.seed)
             .r_factors(vec![0.5, 2.0])
-            .churn_rates(vec![0.0, 0.05])
+            .axis("churn_rates", vec![0.0, 0.05])
+            .expect("valid churn rates")
             .replicates(2)
             .threads(threads)
             .run()

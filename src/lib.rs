@@ -100,8 +100,8 @@ pub use sparsegossip_walks as walks;
 /// The most commonly used items, importable in one line.
 pub mod prelude {
     pub use sparsegossip_analysis::{
-        power_law_fit, FaultAxis, NetworkAxis, Runner, ScenarioSweep, ScenarioSweepReport, Summary,
-        Sweep, Table, TransitionEstimate, WorldAxis,
+        power_law_fit, Runner, ScenarioSweep, ScenarioSweepReport, Summary, Sweep, Table,
+        TransitionEstimate,
     };
     pub use sparsegossip_conngraph::{
         components, components_from_seeds, critical_radius, giant_fraction,

@@ -1,6 +1,7 @@
 //! Golden-output tests for the CLI's `--json` mode: the exact bytes of
 //! every run command's JSON line and of the `sweep` command's JSON
-//! report are pinned here, so downstream tooling can rely on the
+//! report are pinned here (with the text form of the spec-built run
+//! commands), so downstream tooling can rely on the
 //! schema (field names, ordering, null encoding) *and* on the seeded
 //! draws staying draw-for-draw stable.
 //!
@@ -49,6 +50,64 @@ fn broadcast_ensemble_json_golden() {
 }
 
 #[test]
+fn broadcast_world_json_goldens() {
+    assert_golden(
+        "broadcast --side 12 --k 6 --seed 1 --churn-rate 0.05 --json",
+        "{\"process\":\"broadcast\",\"broadcast_time\":13453,\"informed\":6,\"k\":6}\n",
+    );
+    assert_golden(
+        "broadcast --side 12 --k 6 --seed 1 --churn-rate 0.05 --reps 3 --threads 2 --json",
+        "{\"process\":\"broadcast\",\"reps\":3,\"mean\":22204,\"median\":21888,\
+         \"min\":15577,\"max\":29147,\"samples\":[21888,29147,15577]}\n",
+    );
+}
+
+#[test]
+fn broadcast_frog_and_one_hop_json_goldens() {
+    assert_golden(
+        "broadcast --side 12 --k 6 --seed 1 --frog --json",
+        "{\"process\":\"broadcast\",\"broadcast_time\":654,\"informed\":6,\"k\":6}\n",
+    );
+    assert_golden(
+        "broadcast --side 12 --k 6 --seed 1 --one-hop --radius 1 --json",
+        "{\"process\":\"broadcast\",\"broadcast_time\":52,\"informed\":6,\"k\":6}\n",
+    );
+}
+
+/// The human-readable forms: the run header carries a `world: …`
+/// suffix only when a world axis is active.
+#[test]
+fn run_command_text_goldens() {
+    assert_golden(
+        "broadcast --side 12 --k 6 --seed 1",
+        "n = 144, k = 6, r = 0 (r_c = 4.9), seed = 1\nT_B = 164 (6/6 informed)\n",
+    );
+    assert_golden(
+        "broadcast --side 12 --k 6 --seed 1 --churn-rate 0.05",
+        "n = 144, k = 6, r = 0 (r_c = 4.9), seed = 1, world: churn 0.050\n\
+         T_B = 13453 (6/6 informed)\n",
+    );
+    assert_golden(
+        "broadcast --side 12 --k 6 --seed 1 --reps 3 --threads 2",
+        "n = 144, k = 6, r = 0 (r_c = 4.9), master seed = 1, 3 seeds\n\
+         T_B: mean 303.0, median 245.0, min 142, max 522\n",
+    );
+    assert_golden(
+        "broadcast --side 12 --k 6 --seed 1 --churn-rate 0.05 --reps 3 --threads 2",
+        "n = 144, k = 6, r = 0 (r_c = 4.9), master seed = 1, 3 seeds, world: churn 0.050\n\
+         T_B: mean 22204.0, median 21888.0, min 15577, max 29147\n",
+    );
+    assert_golden(
+        "infection --side 12 --k 4 --seed 1",
+        "T_I = 218 (mean 114.8)\n",
+    );
+    assert_golden(
+        "coverage --side 10 --k 6 --seed 1",
+        "T_B = 305\nT_C = 349 (100/100 nodes)\nT_C/T_B = 1.14\n",
+    );
+}
+
+#[test]
 fn gossip_json_golden() {
     assert_golden(
         "gossip --side 12 --k 4 --seed 1 --json",
@@ -62,6 +121,15 @@ fn infection_json_golden() {
         "infection --side 12 --k 4 --seed 1 --json",
         "{\"process\":\"infection\",\"infection_time\":218,\"mean_time\":114.75,\
          \"per_agent\":[0,67,174,218]}\n",
+    );
+}
+
+#[test]
+fn infection_sources_json_golden() {
+    assert_golden(
+        "infection --side 12 --k 4 --seed 1 --sources 2 --adversarial --json",
+        "{\"process\":\"infection\",\"infection_time\":218,\"mean_time\":92.5,\
+         \"per_agent\":[0,0,152,218]}\n",
     );
 }
 

@@ -1,6 +1,9 @@
 //! Subcommand implementations.
 //!
-//! Every run command goes through the unified [`Simulation`] driver;
+//! `broadcast`, `infection` and `coverage` build a [`ScenarioSpec`]
+//! from their options and run it through [`ScenarioSpec::run_outcome`],
+//! the path sweeps take; `gossip` and `protocol`, whose `--rumors` and
+//! `--workers` have no spec key, build their [`Simulation`] directly.
 //! `--reps`/`--threads` route multi-seed ensembles through the
 //! [`Runner`], and `--json` emits machine-readable outcome lines so
 //! results are scriptable.
@@ -15,11 +18,11 @@ use sparsegossip_analysis::{
 use sparsegossip_conngraph::{critical_radius, percolation_profile};
 use sparsegossip_core::{
     BroadcastOutcome, CoverageOutcome, ExchangeRule, ExtinctionOutcome, FaultConfig, Gossip,
-    GossipOutcome, Infection, InfectionOutcome, Mobility, NetworkConfig, NetworkError,
-    PredatorPrey, ProcessKind, ProtocolBroadcast, ProtocolOutcome, RuntimeError, ScenarioSpec,
-    SimConfig, Simulation, SpecError, WorldConfig, WorldSim,
+    GossipOutcome, InfectionOutcome, Mobility, NetworkConfig, NetworkError, PredatorPrey,
+    ProcessKind, ProtocolBroadcast, ProtocolOutcome, RuntimeError, ScenarioOutcome, ScenarioSpec,
+    SimConfig, Simulation, SpecError, WorldConfig,
 };
-use sparsegossip_grid::{Grid, Point, Topology};
+use sparsegossip_grid::{Grid, Topology};
 use sparsegossip_walks::multi_cover;
 
 use crate::args::{ArgError, ParsedArgs};
@@ -282,36 +285,6 @@ fn world_config(args: &ParsedArgs) -> Result<WorldConfig, CliError> {
     })
 }
 
-/// One-line human summary of the active world axes.
-fn world_summary(w: &WorldConfig) -> String {
-    let mut parts = Vec::new();
-    if w.has_barriers() {
-        parts.push(format!("barriers {:.2}", w.barrier_density));
-    }
-    if w.has_churn() {
-        parts.push(format!("churn {:.3}", w.churn_rate));
-    }
-    if w.has_hetero_radii() {
-        parts.push(format!(
-            "radii {:.2} at {:.1}x",
-            w.hetero_fraction, w.hetero_factor
-        ));
-    }
-    if w.has_speed_classes() {
-        parts.push(format!(
-            "speeds {:.2} at {}x",
-            w.speed_fraction, w.speed_factor
-        ));
-    }
-    if w.num_sources > 1 {
-        parts.push(format!("{} sources", w.num_sources));
-    }
-    if w.adversarial_sources {
-        parts.push("adversarial".to_string());
-    }
-    parts.join(", ")
-}
-
 /// Renders `Option<u64>` as JSON (`null` when absent).
 fn json_opt(v: Option<u64>) -> String {
     v.map_or_else(|| "null".to_string(), |t| t.to_string())
@@ -366,104 +339,126 @@ fn extinction_json(out: &ExtinctionOutcome) -> String {
     )
 }
 
-fn broadcast(args: &ParsedArgs) -> Result<(), CliError> {
-    let c = common(args)?;
-    let max_steps = args.get("max-steps", SimConfig::default_step_cap(c.side, c.k))?;
-    let reps: u32 = args.get("reps", 1u32)?;
-    let threads: usize = args.get("threads", 1usize)?;
-    let world = world_config(args)?;
-    if !world.is_trivial() {
-        return broadcast_world(args, &c, world, max_steps, reps, threads);
-    }
-    let mut builder = SimConfig::builder(c.side, c.k)
+/// Builds the [`ScenarioSpec`] a run command's `COMMON` and `WORLD`
+/// options, `--max-steps` (default `default_cap`), `--frog` and
+/// `--one-hop` describe, validated exactly like a spec file. Options a
+/// command does not take were rejected by [`dispatch`], so they read as
+/// their defaults here.
+fn run_spec(
+    args: &ParsedArgs,
+    kind: ProcessKind,
+    c: &Common,
+    default_cap: u64,
+) -> Result<ScenarioSpec, CliError> {
+    let mut builder = ScenarioSpec::builder(kind, c.side, c.k)
         .radius(c.radius)
-        .max_steps(max_steps);
+        .max_steps(args.get("max-steps", default_cap)?)
+        .world(world_config(args)?);
     if args.flag("one-hop") {
         builder = builder.exchange_rule(ExchangeRule::OneHop);
     }
     if args.flag("frog") {
         builder = builder.mobility(Mobility::InformedOnly);
     }
-    let config = builder.build()?;
-    if reps > 1 {
-        return broadcast_ensemble(&config, c.seed, reps, threads, c.json);
-    }
-    let mut rng = SmallRng::seed_from_u64(c.seed);
-    let mut sim = Simulation::broadcast(&config, &mut rng)?;
-    let out = sim.run(&mut rng);
-    if c.json {
-        println!("{}", broadcast_json(&out));
-        return Ok(());
-    }
-    println!(
-        "n = {}, k = {}, r = {} (r_c = {:.1}), seed = {}",
-        config.n(),
-        config.k(),
-        config.radius(),
-        config.critical_radius(),
-        c.seed
-    );
-    println!("{out}");
-    Ok(())
+    Ok(builder.build()?)
 }
 
-/// Broadcast in a non-trivial world (barriers, churn, heterogeneous
-/// radii or speeds, multiple or adversarial sources): the options are
-/// packed into a validated [`ScenarioSpec`] and run through the
-/// [`WorldSim`] driver, so CLI runs and sweep cells share one code
-/// path — and one set of rejection rules.
-fn broadcast_world(
-    args: &ParsedArgs,
-    c: &Common,
-    world: WorldConfig,
-    max_steps: u64,
-    reps: u32,
-    threads: usize,
-) -> Result<(), CliError> {
-    let mut builder = ScenarioSpec::builder(ProcessKind::Broadcast, c.side, c.k)
-        .radius(c.radius)
-        .max_steps(max_steps)
-        .world(world);
-    if args.flag("one-hop") {
-        builder = builder.exchange_rule(ExchangeRule::OneHop);
-    }
-    if args.flag("frog") {
-        builder = builder.mobility(Mobility::InformedOnly);
-    }
-    let spec = builder.build()?;
-    if reps > 1 {
-        return broadcast_world_ensemble(&spec, c, reps, threads);
-    }
-    let mut rng = SmallRng::seed_from_u64(c.seed);
-    let mut sim = WorldSim::from_spec(&spec, &mut rng)?;
-    let out = sim.run(&mut rng);
-    if c.json {
-        println!("{}", broadcast_json(&out));
-        return Ok(());
-    }
+/// The broadcast run header: the geometry, `seeds` (which seed or seeds
+/// ran) and the active world axes, which a trivial world has none of.
+fn run_header(spec: &ScenarioSpec, seeds: &str) -> String {
     let cfg = spec.config();
-    println!(
-        "n = {}, k = {}, r = {} (r_c = {:.1}), seed = {}, world: {}",
+    let mut header = format!(
+        "n = {}, k = {}, r = {} (r_c = {:.1}), {seeds}",
         cfg.n(),
         cfg.k(),
         cfg.radius(),
         cfg.critical_radius(),
-        c.seed,
-        world_summary(spec.world()),
     );
-    println!("{out}");
-    Ok(())
+    let w = spec.world();
+    let mut axes = Vec::new();
+    if w.has_barriers() {
+        axes.push(format!("barriers {:.2}", w.barrier_density));
+    }
+    if w.has_churn() {
+        axes.push(format!("churn {:.3}", w.churn_rate));
+    }
+    if w.has_hetero_radii() {
+        axes.push(format!(
+            "radii {:.2} at {:.1}x",
+            w.hetero_fraction, w.hetero_factor
+        ));
+    }
+    if w.has_speed_classes() {
+        axes.push(format!(
+            "speeds {:.2} at {}x",
+            w.speed_fraction, w.speed_factor
+        ));
+    }
+    if w.num_sources > 1 {
+        axes.push(format!("{} sources", w.num_sources));
+    }
+    if w.adversarial_sources {
+        axes.push("adversarial".to_string());
+    }
+    if !axes.is_empty() {
+        header.push_str(&format!(", world: {}", axes.join(", ")));
+    }
+    header
 }
 
-/// Multi-seed world-broadcast ensemble: every seed's metric goes
-/// through [`ScenarioSpec::run_seed`], the same entry the sweep engine
-/// uses.
-fn broadcast_world_ensemble(
-    spec: &ScenarioSpec,
-    c: &Common,
-    reps: u32,
-    threads: usize,
-) -> Result<(), CliError> {
+/// Prints the outcome of one run of `spec` at `seed`: its JSON line, or
+/// its text form (a broadcast leads with its run header).
+fn print_outcome(spec: &ScenarioSpec, seed: u64, out: &ScenarioOutcome, json: bool) {
+    if json {
+        let line = match out {
+            ScenarioOutcome::Broadcast(o) => broadcast_json(o),
+            ScenarioOutcome::Gossip(o) => gossip_json(o),
+            ScenarioOutcome::Infection(o) => infection_json(o),
+            ScenarioOutcome::Coverage(o) => coverage_json(o),
+            ScenarioOutcome::ProtocolBroadcast(o) => protocol_json(o, spec.faults()),
+        };
+        println!("{line}");
+        return;
+    }
+    match out {
+        ScenarioOutcome::Broadcast(o) => {
+            println!("{}", run_header(spec, &format!("seed = {seed}")));
+            println!("{o}");
+        }
+        ScenarioOutcome::Coverage(o) => {
+            println!("{}", reached("T_B", o.broadcast_time));
+            println!(
+                "{} ({}/{} nodes)",
+                reached("T_C", o.coverage_time),
+                o.covered,
+                o.num_nodes
+            );
+            if let Some(r) = o.ratio() {
+                println!("T_C/T_B = {r:.2}");
+            }
+        }
+        ScenarioOutcome::Gossip(o) => println!("{o}"),
+        ScenarioOutcome::Infection(o) => println!("{o}"),
+        ScenarioOutcome::ProtocolBroadcast(o) => println!("{o}"),
+    }
+}
+
+/// One broadcast, or with `--reps R` an ensemble of `R` seeds through
+/// the [`Runner`], each seed measured by [`ScenarioSpec::run_seed`] —
+/// the entry the sweep engine uses.
+fn broadcast(args: &ParsedArgs) -> Result<(), CliError> {
+    let c = common(args)?;
+    let reps: u32 = args.get("reps", 1u32)?;
+    if reps == 0 {
+        return Err(bad("reps", 0));
+    }
+    let threads: usize = args.get("threads", 1usize)?;
+    let default_cap = SimConfig::default_step_cap(c.side, c.k);
+    let spec = run_spec(args, ProcessKind::Broadcast, &c, default_cap)?;
+    if reps == 1 {
+        print_outcome(&spec, c.seed, &spec.run_outcome(c.seed), c.json);
+        return Ok(());
+    }
     let runner = Runner::new(c.seed).repetitions(reps).threads(threads);
     let report = runner.measure(|s| spec.run_seed(s));
     if c.json {
@@ -478,62 +473,8 @@ fn broadcast_world_ensemble(
         );
         return Ok(());
     }
-    let cfg = spec.config();
-    println!(
-        "n = {}, k = {}, r = {} (r_c = {:.1}), master seed = {}, {reps} seeds, world: {}",
-        cfg.n(),
-        cfg.k(),
-        cfg.radius(),
-        cfg.critical_radius(),
-        c.seed,
-        world_summary(spec.world()),
-    );
-    println!(
-        "T_B: mean {:.1}, median {:.1}, min {:.0}, max {:.0}",
-        report.summary.mean(),
-        report.summary.median(),
-        report.summary.min(),
-        report.summary.max()
-    );
-    Ok(())
-}
-
-/// Multi-seed broadcast ensemble through the [`Runner`]: every seed's
-/// `T_B` is measured through the parallel path and aggregated.
-fn broadcast_ensemble(
-    config: &SimConfig,
-    seed: u64,
-    reps: u32,
-    threads: usize,
-    json: bool,
-) -> Result<(), CliError> {
-    let runner = Runner::new(seed).repetitions(reps).threads(threads);
-    let report = runner.measure(|s| {
-        let mut rng = SmallRng::seed_from_u64(s);
-        let mut sim = Simulation::broadcast(config, &mut rng).expect("validated config");
-        sim.run(&mut rng)
-            .broadcast_time
-            .unwrap_or(config.max_steps()) as f64
-    });
-    if json {
-        let samples: Vec<String> = report.samples.iter().map(|s| format!("{s}")).collect();
-        println!(
-            "{{\"process\":\"broadcast\",\"reps\":{reps},\"mean\":{},\"median\":{},\"min\":{},\"max\":{},\"samples\":[{}]}}",
-            report.summary.mean(),
-            report.summary.median(),
-            report.summary.min(),
-            report.summary.max(),
-            samples.join(",")
-        );
-        return Ok(());
-    }
-    println!(
-        "n = {}, k = {}, r = {} (r_c = {:.1}), master seed = {seed}, {reps} seeds",
-        config.n(),
-        config.k(),
-        config.radius(),
-        config.critical_radius(),
-    );
+    let seeds = format!("master seed = {}, {reps} seeds", c.seed);
+    println!("{}", run_header(&spec, &seeds));
     println!(
         "T_B: mean {:.1}, median {:.1}, min {:.0}, max {:.0}",
         report.summary.mean(),
@@ -568,71 +509,25 @@ fn gossip(args: &ParsedArgs) -> Result<(), CliError> {
 }
 
 fn infection(args: &ParsedArgs) -> Result<(), CliError> {
-    let c = common(args)?;
-    let max_steps = args.get("max-steps", SimConfig::default_step_cap(c.side, c.k))?;
+    let c = Common {
+        radius: 0,
+        ..common(args)?
+    };
     if args.has_option("radius") {
         eprintln!("note: --radius is ignored; infection is contact-only (r = 0)");
     }
-    let world = world_config(args)?;
-    let mut rng = SmallRng::seed_from_u64(c.seed);
-    let out = if world.is_trivial() {
-        let config = SimConfig::builder(c.side, c.k)
-            .max_steps(max_steps)
-            .build()?;
-        let mut sim = Simulation::infection(&config, &mut rng)?;
-        sim.run(&mut rng)
-    } else {
-        // Validate through the spec builder so the CLI rejects exactly
-        // the combinations TOML specs reject: infection supports only
-        // the source axes.
-        ScenarioSpec::builder(ProcessKind::Infection, c.side, c.k)
-            .max_steps(max_steps)
-            .world(world)
-            .build()?;
-        let grid = Grid::new(c.side)?;
-        let process = Infection::with_sources(c.k, world.num_sources)?;
-        let mut sim = if world.adversarial_sources {
-            let mut positions: Vec<Point> = (0..c.k).map(|_| grid.random_point(&mut rng)).collect();
-            for p in positions.iter_mut().take(world.num_sources) {
-                *p = Point::new(0, 0);
-            }
-            Simulation::from_positions(grid, positions, 0, max_steps, process)?
-        } else {
-            Simulation::new(grid, c.k, 0, max_steps, process, &mut rng)?
-        };
-        sim.run(&mut rng)
-    };
-    if c.json {
-        println!("{}", infection_json(&out));
-        return Ok(());
-    }
-    println!("{out}");
+    let default_cap = SimConfig::default_step_cap(c.side, c.k);
+    let spec = run_spec(args, ProcessKind::Infection, &c, default_cap)?;
+    print_outcome(&spec, c.seed, &spec.run_outcome(c.seed), c.json);
     Ok(())
 }
 
 fn coverage(args: &ParsedArgs) -> Result<(), CliError> {
     let c = common(args)?;
-    let config = SimConfig::builder(c.side, c.k)
-        .radius(c.radius)
-        .max_steps(SimConfig::default_step_cap(c.side, c.k) * 4)
-        .build()?;
-    let mut rng = SmallRng::seed_from_u64(c.seed);
-    let mut sim = Simulation::coverage(&config, &mut rng)?;
-    let out = sim.run(&mut rng);
-    if c.json {
-        println!("{}", coverage_json(&out));
-        return Ok(());
-    }
-    println!("{}", reached("T_B", out.broadcast_time));
-    println!(
-        "{} ({}/{} nodes)",
-        reached("T_C", out.coverage_time),
-        out.covered,
-        out.num_nodes
-    );
-    if let Some(r) = out.ratio() {
-        println!("T_C/T_B = {r:.2}");
-    }
+    // Coverage runs past T_B, so it gets four times the default cap.
+    let default_cap = SimConfig::default_step_cap(c.side, c.k) * 4;
+    let spec = run_spec(args, ProcessKind::Coverage, &c, default_cap)?;
+    print_outcome(&spec, c.seed, &spec.run_outcome(c.seed), c.json);
     Ok(())
 }
 
@@ -755,6 +650,9 @@ fn percolation(args: &ParsedArgs) -> Result<(), CliError> {
         eprintln!("note: --radius is ignored; percolation sweeps radii around r_c");
     }
     let samples: u32 = args.get("samples", 30u32)?;
+    if samples == 0 {
+        return Err(bad("samples", 0));
+    }
     let grid = Grid::new(c.side)?;
     let rc = critical_radius(grid.num_nodes() as f64, c.k as f64);
     let radii: Vec<u32> = [0.25f64, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0]
@@ -833,10 +731,7 @@ fn sweep(args: &ParsedArgs) -> Result<(), CliError> {
     let mut sweep = ScenarioSweep::from_toml_str(&text)?;
     if let Some(reps) = args.get_opt::<u32>("replicates")? {
         if reps == 0 {
-            return Err(CliError::Args(ArgError::BadValue {
-                key: "replicates".to_string(),
-                value: "0".to_string(),
-            }));
+            return Err(bad("replicates", 0));
         }
         sweep = sweep.replicates(reps);
     }
@@ -1169,6 +1064,34 @@ mod tests {
         // More sources than agents.
         let e = dispatch(&parsed("broadcast --side 12 --k 4 --sources 9")).unwrap_err();
         assert!(matches!(e, CliError::Sim(_)), "{e}");
+        // Out-of-range values that leave the world trivial are rejected
+        // too, as the same keys are in a spec file.
+        for cmd in [
+            "broadcast --side 12 --k 6 --barrier-density -0.5",
+            "broadcast --side 12 --k 6 --churn-rate NaN",
+            "broadcast --side 12 --k 6 --sources 0",
+            "broadcast --side 12 --k 6 --speed-factor 0",
+            "broadcast --side 12 --k 6 --hetero-factor -1",
+            "infection --side 12 --k 4 --sources 0",
+            "infection --side 12 --k 4 --churn-rate -1",
+        ] {
+            let e = dispatch(&parsed(cmd)).unwrap_err();
+            assert!(matches!(e, CliError::Sim(_)), "{cmd}: {e}");
+        }
+    }
+
+    #[test]
+    fn zero_counts_are_bad_values() {
+        for (cmd, key) in [
+            ("percolation --side 16 --k 8 --samples 0", "samples"),
+            ("broadcast --side 12 --k 6 --reps 0", "reps"),
+        ] {
+            let e = dispatch(&parsed(cmd)).unwrap_err();
+            assert!(
+                matches!(&e, CliError::Args(ArgError::BadValue { key: k, .. }) if k == key),
+                "{cmd}: {e:?}"
+            );
+        }
     }
 
     #[test]

@@ -191,30 +191,14 @@ impl Simulation<Infection, Grid> {
     ///
     /// As [`Simulation::broadcast`].
     pub fn infection<R: RngExt>(config: &SimConfig, rng: &mut R) -> Result<Self, SimError> {
-        Self::infection_with_scratch(config, rng, crate::SimScratch::new())
-    }
-
-    /// As [`Simulation::infection`], reusing a recycled
-    /// [`SimScratch`](crate::SimScratch) so repeated runs share one set
-    /// of hot-path buffers.
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulation::infection`].
-    pub fn infection_with_scratch<R: RngExt>(
-        config: &SimConfig,
-        rng: &mut R,
-        scratch: crate::SimScratch,
-    ) -> Result<Self, SimError> {
         let grid = Grid::new(config.side())?;
-        Simulation::new_with_scratch(
+        Simulation::new(
             grid,
             config.k(),
             0,
             config.max_steps(),
             Infection::new(config.k(), config.source())?.mobility(config.mobility()),
             rng,
-            scratch,
         )
     }
 }

@@ -95,7 +95,9 @@ pub use protocol_broadcast::{ProtocolBroadcast, ProtocolOutcome};
 pub use rumor::RumorSets;
 // Re-exported so spec-level consumers need not depend on the protocol
 // crate directly.
-pub use scenario::{Metric, ProcessKind, ScenarioSpec, ScenarioSpecBuilder, SpecError};
+pub use scenario::{
+    Metric, ProcessKind, ScenarioOutcome, ScenarioSpec, ScenarioSpecBuilder, SpecError,
+};
 pub use sparsegossip_protocol::{
     FaultError, FaultPlan, NetworkConfig, NetworkError, PartitionSchedule, PartitionWindow,
     RecoveryConfig, RuntimeError, RuntimeStats,

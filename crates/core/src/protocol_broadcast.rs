@@ -248,36 +248,21 @@ impl Simulation<ProtocolBroadcast, Grid> {
         protocol_seed: u64,
         rng: &mut R,
     ) -> Result<Self, SimError> {
-        Self::protocol_broadcast_with_scratch(config, net, protocol_seed, rng, SimScratch::new())
-    }
-
-    /// As [`Simulation::protocol_broadcast`], reusing a recycled
-    /// [`SimScratch`] so repeated runs share hot-path buffers.
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulation::protocol_broadcast`].
-    pub fn protocol_broadcast_with_scratch<R: RngExt>(
-        config: &SimConfig,
-        net: NetworkConfig,
-        protocol_seed: u64,
-        rng: &mut R,
-        scratch: SimScratch,
-    ) -> Result<Self, SimError> {
         Self::protocol_broadcast_with_faults_with_scratch(
             config,
             net,
             &crate::FaultConfig::DEFAULT,
             protocol_seed,
             rng,
-            scratch,
+            SimScratch::new(),
         )
     }
 
-    /// As [`Simulation::protocol_broadcast_with_scratch`], additionally
-    /// installing the fault-injection and recovery axes of `faults`
-    /// (validated by the caller; a trivial config is exactly the
-    /// fault-free twin, byte for byte).
+    /// As [`Simulation::protocol_broadcast`], reusing a recycled
+    /// [`SimScratch`] so repeated runs share hot-path buffers, and
+    /// additionally installing the fault-injection and recovery axes of
+    /// `faults` (validated by the caller; a trivial config is exactly
+    /// the fault-free twin, byte for byte).
     ///
     /// # Errors
     ///

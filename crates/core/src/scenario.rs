@@ -38,12 +38,14 @@ use core::mem;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sparsegossip_grid::{Grid, Point, Topology};
+use sparsegossip_grid::{Grid, Point};
 
 use crate::toml::{format_toml_f64, TomlDoc, TomlError, MAX_EXACT_INT};
+use crate::world::build_world_sim;
 use crate::{
-    Coverage, ExchangeRule, FaultConfig, Infection, Mobility, NetworkConfig, NetworkError,
-    SimConfig, SimError, SimScratch, Simulation, WorldConfig, WorldSim,
+    BroadcastOutcome, Coverage, CoverageOutcome, ExchangeRule, FaultConfig, GossipOutcome,
+    Infection, InfectionOutcome, Mobility, NetworkConfig, NetworkError, ProtocolOutcome, SimConfig,
+    SimError, SimScratch, Simulation, WorldConfig, WorldSim,
 };
 
 /// Which dissemination [`Process`](crate::Process) a scenario runs.
@@ -134,6 +136,54 @@ impl Metric {
 impl fmt::Display for Metric {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
+    }
+}
+
+/// The typed outcome of one scenario run: the outcome type of the
+/// process the spec's [`ProcessKind`] names.
+#[derive(Clone, Debug, PartialEq)]
+#[must_use]
+pub enum ScenarioOutcome {
+    /// A [`ProcessKind::Broadcast`] run.
+    Broadcast(BroadcastOutcome),
+    /// A [`ProcessKind::Gossip`] run.
+    Gossip(GossipOutcome),
+    /// A [`ProcessKind::Infection`] run.
+    Infection(InfectionOutcome),
+    /// A [`ProcessKind::Coverage`] run.
+    Coverage(CoverageOutcome),
+    /// A [`ProcessKind::ProtocolBroadcast`] run.
+    ProtocolBroadcast(ProtocolOutcome),
+}
+
+impl ScenarioOutcome {
+    /// The completion time [`Metric::Time`] reports (`T_B`, `T_G`,
+    /// `T_I`, `T_C` or the twin's completion tick), or `None` when the
+    /// run hit the step cap.
+    #[must_use]
+    pub fn time(&self) -> Option<u64> {
+        match self {
+            Self::Broadcast(o) => o.broadcast_time,
+            Self::Gossip(o) => o.gossip_time,
+            Self::Infection(o) => o.infection_time,
+            Self::Coverage(o) => o.coverage_time,
+            Self::ProtocolBroadcast(o) => o.completion_time,
+        }
+    }
+
+    /// The goal fraction [`Metric::Fraction`] reports, in `[0, 1]`.
+    #[must_use]
+    pub fn fraction(&self) -> f64 {
+        match self {
+            Self::Broadcast(o) => o.informed_fraction(),
+            Self::Gossip(o) => o.min_rumors as f64 / o.num_rumors as f64,
+            Self::Infection(o) => {
+                let infected = o.per_agent.iter().filter(|t| t.is_some()).count();
+                infected as f64 / o.per_agent.len() as f64
+            }
+            Self::Coverage(o) => o.covered as f64 / o.num_nodes as f64,
+            Self::ProtocolBroadcast(o) => o.informed_fraction(),
+        }
     }
 }
 
@@ -425,97 +475,66 @@ impl ScenarioSpec {
     /// sweeps). Scratch contents never influence the result.
     #[must_use]
     pub fn run_seed_with_scratch(&self, scratch: &mut SimScratch, seed: u64) -> f64 {
+        let out = self.run_outcome_with_scratch(scratch, seed);
+        let cfg = &self.config;
+        match self.metric {
+            Metric::Time => out.time().unwrap_or(cfg.max_steps()) as f64,
+            Metric::Fraction => out.fraction(),
+        }
+    }
+
+    /// Runs the scenario once with a fresh RNG seeded from `seed` and
+    /// returns the full typed outcome of the spec's process.
+    /// [`run_seed`](Self::run_seed) reduces this same run to the
+    /// configured metric.
+    pub fn run_outcome(&self, seed: u64) -> ScenarioOutcome {
+        self.run_outcome_with_scratch(&mut SimScratch::new(), seed)
+    }
+
+    /// As [`run_outcome`](Self::run_outcome), recycling the caller's
+    /// [`SimScratch`]. Scratch contents never influence the result.
+    pub fn run_outcome_with_scratch(&self, scratch: &mut SimScratch, seed: u64) -> ScenarioOutcome {
         let mut rng = SmallRng::seed_from_u64(seed);
         let cfg = &self.config;
         // The spec was validated with the same rules the constructors
         // apply, so construction cannot fail here.
         match self.kind {
             ProcessKind::Broadcast => {
-                let out = if self.world.is_trivial() {
-                    let mut sim =
-                        Simulation::broadcast_with_scratch(cfg, &mut rng, mem::take(scratch))
-                            .expect("validated spec"); // detlint: allow(panic, spec was validated with the constructor's own rules)
-                    let out = sim.run(&mut rng);
-                    *scratch = sim.into_scratch();
-                    out
-                } else {
-                    let mut sim =
-                        WorldSim::from_spec_with_scratch(self, &mut rng, mem::take(scratch))
-                            .expect("validated spec"); // detlint: allow(panic, spec was validated with the constructor's own rules)
-                    let out = sim.run(&mut rng);
-                    *scratch = sim.into_scratch();
-                    out
-                };
-                match self.metric {
-                    Metric::Time => out.broadcast_time.unwrap_or(cfg.max_steps()) as f64,
-                    Metric::Fraction => out.informed_fraction(),
-                }
+                // A trivial world reproduces `Simulation::broadcast`
+                // draw for draw (pinned by `tests/trivial_world.rs`).
+                let mut sim = WorldSim::from_spec_with_scratch(self, &mut rng, mem::take(scratch))
+                    .expect("validated spec"); // detlint: allow(panic, spec was validated with the constructor's own rules)
+                let out = sim.run(&mut rng);
+                *scratch = sim.into_scratch();
+                ScenarioOutcome::Broadcast(out)
             }
             ProcessKind::Gossip => {
                 let mut sim = Simulation::gossip_with_scratch(cfg, &mut rng, mem::take(scratch))
                     .expect("validated spec"); // detlint: allow(panic, spec was validated with the constructor's own rules)
                 let out = sim.run(&mut rng);
                 *scratch = sim.into_scratch();
-                match self.metric {
-                    Metric::Time => out.gossip_time.unwrap_or(cfg.max_steps()) as f64,
-                    Metric::Fraction => out.min_rumors as f64 / out.num_rumors as f64,
-                }
+                ScenarioOutcome::Gossip(out)
             }
             ProcessKind::Infection => {
-                let out = if self.world.is_trivial() {
-                    let mut sim =
-                        Simulation::infection_with_scratch(cfg, &mut rng, mem::take(scratch))
-                            .expect("validated spec"); // detlint: allow(panic, spec was validated with the constructor's own rules)
-                    let out = sim.run(&mut rng);
-                    *scratch = sim.into_scratch();
-                    out
+                // Infection honors only the source axes (the build gate
+                // rejects every other world axis for it) and is
+                // contact-only, so it always walks the open grid.
+                let w = &self.world;
+                let process = if w.num_sources > 1 {
+                    Infection::with_sources(cfg.k(), w.num_sources)
                 } else {
-                    // Infection honors only the source axes (the build
-                    // gate rejects every other world axis for it):
-                    // multi-source and adversarial placement, inline
-                    // because infection is contact-only (`r = 0`) and
-                    // needs no topology dispatch.
-                    let grid = Grid::new(cfg.side()).expect("validated spec"); // detlint: allow(panic, spec validation checked side >= 1)
-                    let process = Infection::with_sources(cfg.k(), self.world.num_sources)
-                        .expect("validated spec") // detlint: allow(panic, spec validation mirrors Infection::with_sources)
-                        .mobility(cfg.mobility());
-                    let mut sim = if self.world.adversarial_sources {
-                        let mut positions: Vec<Point> =
-                            (0..cfg.k()).map(|_| grid.random_point(&mut rng)).collect();
-                        for p in positions.iter_mut().take(self.world.num_sources) {
-                            *p = Point::new(0, 0);
-                        }
-                        Simulation::from_positions_with_scratch(
-                            grid,
-                            positions,
-                            0,
-                            cfg.max_steps(),
-                            process,
-                            mem::take(scratch),
-                        )
-                    } else {
-                        Simulation::new_with_scratch(
-                            grid,
-                            cfg.k(),
-                            0,
-                            cfg.max_steps(),
-                            process,
-                            &mut rng,
-                            mem::take(scratch),
-                        )
-                    }
-                    .expect("validated spec"); // detlint: allow(panic, spec was validated with the constructor's own rules)
-                    let out = sim.run(&mut rng);
-                    *scratch = sim.into_scratch();
-                    out
-                };
-                match self.metric {
-                    Metric::Time => out.infection_time.unwrap_or(cfg.max_steps()) as f64,
-                    Metric::Fraction => {
-                        let infected = out.per_agent.iter().filter(|t| t.is_some()).count();
-                        infected as f64 / out.per_agent.len() as f64
-                    }
+                    Infection::new(cfg.k(), cfg.source())
                 }
+                .expect("validated spec") // detlint: allow(panic, spec validation mirrors the Infection constructors)
+                .mobility(cfg.mobility());
+                let grid = Grid::new(cfg.side()).expect("validated spec"); // detlint: allow(panic, spec validation checked side >= 1)
+                let anchor = Point::new(0, 0);
+                let mut sim =
+                    build_world_sim(grid, cfg, w, process, anchor, &mut rng, mem::take(scratch))
+                        .expect("validated spec"); // detlint: allow(panic, spec was validated with the constructor's own rules)
+                let out = sim.run(&mut rng);
+                *scratch = sim.into_scratch();
+                ScenarioOutcome::Infection(out)
             }
             ProcessKind::ProtocolBroadcast => {
                 let mut sim = Simulation::protocol_broadcast_with_faults_with_scratch(
@@ -529,10 +548,7 @@ impl ScenarioSpec {
                 .expect("validated spec"); // detlint: allow(panic, spec was validated with the constructor's own rules)
                 let out = sim.run(&mut rng);
                 *scratch = sim.into_scratch();
-                match self.metric {
-                    Metric::Time => out.completion_time.unwrap_or(cfg.max_steps()) as f64,
-                    Metric::Fraction => out.informed_fraction(),
-                }
+                ScenarioOutcome::ProtocolBroadcast(out)
             }
             ProcessKind::Coverage => {
                 let grid = Grid::new(cfg.side()).expect("validated spec"); // detlint: allow(panic, spec validation checked side >= 1)
@@ -549,10 +565,7 @@ impl ScenarioSpec {
                 .expect("validated spec"); // detlint: allow(panic, spec was validated with the constructor's own rules)
                 let out = sim.run(&mut rng);
                 *scratch = sim.into_scratch();
-                match self.metric {
-                    Metric::Time => out.coverage_time.unwrap_or(cfg.max_steps()) as f64,
-                    Metric::Fraction => out.covered as f64 / out.num_nodes as f64,
-                }
+                ScenarioOutcome::Coverage(out)
             }
         }
     }

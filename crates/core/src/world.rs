@@ -58,8 +58,8 @@ use sparsegossip_conngraph::Contact;
 use sparsegossip_grid::{BarrierGrid, Grid, Point, Topology};
 
 use crate::{
-    Broadcast, BroadcastOutcome, Observer, ProcessKind, ScenarioSpec, SimError, SimScratch,
-    Simulation,
+    Broadcast, BroadcastOutcome, Observer, Process, ProcessKind, ScenarioSpec, SimError,
+    SimScratch, Simulation,
 };
 
 /// Declarative world-model axes of a scenario; all defaults reproduce
@@ -125,8 +125,9 @@ impl WorldConfig {
     }
 
     /// Whether every axis is semantically inactive (e.g. a declared
-    /// hetero class with factor 1 changes nothing), so the driver can
-    /// keep the plain homogeneous run path.
+    /// hetero class with factor 1 changes nothing): a run in such a
+    /// world reproduces the plain homogeneous constructors draw for
+    /// draw.
     #[must_use]
     pub fn is_trivial(&self) -> bool {
         !(self.has_barriers()
@@ -301,8 +302,9 @@ impl Contact for WorldContact<'_> {
 /// A broadcast simulation in a declared world, over whichever topology
 /// the world requires: the open [`Grid`] or a city-block
 /// [`BarrierGrid`]. Built from a validated [`ScenarioSpec`] of kind
-/// [`ProcessKind::Broadcast`]; used by the sweep engine, the
-/// `exp_worlds` experiment and the churn regression tests so callers
+/// [`ProcessKind::Broadcast`], trivial world or not; every spec
+/// broadcast ([`ScenarioSpec::run_outcome`], hence the sweep engine and
+/// the CLI) and the `exp_worlds` experiment run through it, so callers
 /// never branch on the topology type themselves.
 #[derive(Clone, Debug)]
 pub enum WorldSim {
@@ -456,17 +458,18 @@ impl WorldSim {
     }
 }
 
-/// Shared topology-generic tail of [`WorldSim`] construction: uniform
-/// or adversarial placement, then the world-aware constructor.
-fn build_world_sim<T: Topology, R: RngExt>(
+/// The topology- and process-generic tail of every spec run in a
+/// world ([`WorldSim`] broadcasts and spec infections): uniform or
+/// adversarial placement, then the world-aware constructor.
+pub(crate) fn build_world_sim<P: Process, T: Topology, R: RngExt>(
     topo: T,
     cfg: &crate::SimConfig,
     world: &WorldConfig,
-    process: Broadcast,
+    process: P,
     anchor: Point,
     rng: &mut R,
     scratch: SimScratch,
-) -> Result<Simulation<Broadcast, T>, SimError> {
+) -> Result<Simulation<P, T>, SimError> {
     if world.adversarial_sources {
         // Worst-case placement: draw the usual uniform positions (so
         // the non-source draws match the uniform run), then pin every

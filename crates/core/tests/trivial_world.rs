@@ -1,17 +1,18 @@
 //! A trivial world reproduces the plain constructors draw for draw.
 //!
-//! `ScenarioSpec` runs every broadcast through `WorldSim` and every
-//! infection through the world-aware constructor, trivial world or not.
-//! That is only sound if a trivial world (the default, or one whose
-//! declared axes change nothing) gives the same outcome as
+//! `ScenarioSpec::run_outcome` runs every broadcast through `WorldSim`
+//! and every infection through the world-aware constructor, trivial
+//! world or not. That is only sound if a trivial world (the default, or
+//! one whose declared axes change nothing) gives the same outcome as
 //! `Simulation::broadcast`, `Simulation::frog` and
-//! `Simulation::infection` for every seed; this suite pins it.
+//! `Simulation::infection` for every seed; this suite pins it, for the
+//! world constructors and for the spec run.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_core::{
-    ExchangeRule, Infection, Mobility, ProcessKind, ScenarioSpec, SimConfig, SimScratch,
-    Simulation, WorldConfig, WorldSim,
+    ExchangeRule, Infection, Mobility, ProcessKind, ScenarioOutcome, ScenarioSpec, SimConfig,
+    SimScratch, Simulation, WorldConfig, WorldSim,
 };
 use sparsegossip_grid::Grid;
 
@@ -67,6 +68,10 @@ fn trivial_world_broadcast_matches_the_plain_constructors() {
                         "side={side} k={k} r={radius} {mobility:?} {exchange:?} \
                          {world:?} seed={seed}"
                     );
+                    assert_eq!(
+                        spec.run_outcome(seed),
+                        ScenarioOutcome::Broadcast(plain_out)
+                    );
                 }
             }
         }
@@ -82,6 +87,11 @@ fn trivial_world_infection_matches_the_plain_constructor() {
                 .build()
                 .unwrap();
             for world in trivial_worlds() {
+                let spec = ScenarioSpec::builder(ProcessKind::Infection, side, k)
+                    .mobility(mobility)
+                    .world(world)
+                    .build()
+                    .unwrap();
                 for seed in 0..SEEDS {
                     let mut rng = SmallRng::seed_from_u64(seed);
                     let world_out = Simulation::new_in_world_with_scratch(
@@ -103,6 +113,10 @@ fn trivial_world_infection_matches_the_plain_constructor() {
                     assert_eq!(
                         world_out, plain_out,
                         "side={side} k={k} {mobility:?} {world:?} seed={seed}"
+                    );
+                    assert_eq!(
+                        spec.run_outcome(seed),
+                        ScenarioOutcome::Infection(plain_out)
                     );
                 }
             }

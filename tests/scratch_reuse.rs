@@ -12,7 +12,7 @@ use std::cell::Cell;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sparsegossip::core::SimScratch;
+use sparsegossip::core::{ScenarioOutcome, SimScratch};
 use sparsegossip::grid::Point;
 use sparsegossip::prelude::*;
 
@@ -101,13 +101,14 @@ fn scratch_recycles_across_process_types() {
     assert_eq!(out, fresh.run(&mut rng));
     let scratch = sim.into_scratch();
 
-    let cfg = config(16, 6, 0);
+    let mut scratch = scratch;
+    let spec = ScenarioSpec::builder(ProcessKind::Infection, 16, 6)
+        .build()
+        .unwrap();
+    let out = spec.run_outcome_with_scratch(&mut scratch, 9);
     let mut rng = SmallRng::seed_from_u64(9);
-    let mut sim = Simulation::infection_with_scratch(&cfg, &mut rng, scratch).unwrap();
-    let out = sim.run(&mut rng);
-    let mut rng = SmallRng::seed_from_u64(9);
-    let mut fresh = Simulation::infection(&cfg, &mut rng).unwrap();
-    assert_eq!(out, fresh.run(&mut rng));
+    let mut fresh = Simulation::infection(spec.config(), &mut rng).unwrap();
+    assert_eq!(out, ScenarioOutcome::Infection(fresh.run(&mut rng)));
 }
 
 #[test]

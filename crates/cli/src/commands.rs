@@ -375,33 +375,33 @@ fn run_header(spec: &ScenarioSpec, seeds: &str) -> String {
         cfg.critical_radius(),
     );
     let w = spec.world();
-    let mut axes = Vec::new();
+    let mut parts = Vec::new();
     if w.has_barriers() {
-        axes.push(format!("barriers {:.2}", w.barrier_density));
+        parts.push(format!("barriers {:.2}", w.barrier_density));
     }
     if w.has_churn() {
-        axes.push(format!("churn {:.3}", w.churn_rate));
+        parts.push(format!("churn {:.3}", w.churn_rate));
     }
     if w.has_hetero_radii() {
-        axes.push(format!(
+        parts.push(format!(
             "radii {:.2} at {:.1}x",
             w.hetero_fraction, w.hetero_factor
         ));
     }
     if w.has_speed_classes() {
-        axes.push(format!(
+        parts.push(format!(
             "speeds {:.2} at {}x",
             w.speed_fraction, w.speed_factor
         ));
     }
     if w.num_sources > 1 {
-        axes.push(format!("{} sources", w.num_sources));
+        parts.push(format!("{} sources", w.num_sources));
     }
     if w.adversarial_sources {
-        axes.push("adversarial".to_string());
+        parts.push("adversarial".to_string());
     }
-    if !axes.is_empty() {
-        header.push_str(&format!(", world: {}", axes.join(", ")));
+    if !parts.is_empty() {
+        header.push_str(&format!(", world: {}", parts.join(", ")));
     }
     header
 }

@@ -472,10 +472,11 @@ pub(crate) fn build_world_sim<P: Process, T: Topology, R: RngExt>(
 ) -> Result<Simulation<P, T>, SimError> {
     if world.adversarial_sources {
         // Worst-case placement: draw the usual uniform positions (so
-        // the non-source draws match the uniform run), then pin every
-        // source to the anchor corner.
+        // the non-source draws match the uniform run), then pin the
+        // sources `source..source + num_sources` to the anchor corner.
         let mut positions: Vec<Point> = (0..cfg.k()).map(|_| topo.random_point(rng)).collect();
-        for p in positions.iter_mut().take(world.num_sources) {
+        let sources = positions.iter_mut().skip(cfg.source());
+        for p in sources.take(world.num_sources) {
             *p = anchor;
         }
         Simulation::from_positions_in_world_with_scratch(
@@ -632,6 +633,31 @@ mod tests {
         assert!(!c.in_contact(0, 1, Point::new(3, 3), blocked));
         // The door row (offset 1 within each block) stays open.
         assert!(c.in_contact(0, 1, Point::new(3, 1), Point::new(5, 1)));
+    }
+
+    #[test]
+    fn adversarial_placement_pins_the_configured_source() {
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        let spec = ScenarioSpec::builder(ProcessKind::Broadcast, 16, 6)
+            .source(3)
+            .adversarial_sources(true)
+            .build()
+            .unwrap();
+        let mut rng = SmallRng::seed_from_u64(1);
+        let sim = WorldSim::from_spec(&spec, &mut rng).unwrap();
+        assert_eq!(sim.positions()[3], Point::new(0, 0));
+        assert_ne!(sim.positions()[0], Point::new(0, 0));
+        // Infection shares the placement and starts from the same agent.
+        let spec = ScenarioSpec::builder(ProcessKind::Infection, 16, 6)
+            .source(3)
+            .adversarial_sources(true)
+            .build()
+            .unwrap();
+        match spec.run_outcome(1) {
+            crate::ScenarioOutcome::Infection(out) => assert_eq!(out.per_agent[3], Some(0)),
+            other => panic!("expected an infection outcome, got {other:?}"),
+        }
     }
 
     #[test]

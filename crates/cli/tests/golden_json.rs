@@ -115,6 +115,25 @@ fn gossip_json_golden() {
     );
 }
 
+/// Gossip above radius 0, where components of two or more agents form
+/// and merge: full rumor sets, a partial rumor population, and the
+/// text form.
+#[test]
+fn gossip_radius_goldens() {
+    assert_golden(
+        "gossip --side 24 --k 12 --radius 2 --seed 3 --json",
+        "{\"process\":\"gossip\",\"gossip_time\":427,\"min_rumors\":12,\"num_rumors\":12}\n",
+    );
+    assert_golden(
+        "gossip --side 24 --k 12 --radius 2 --seed 3 --rumors 3 --json",
+        "{\"process\":\"gossip\",\"gossip_time\":427,\"min_rumors\":3,\"num_rumors\":3}\n",
+    );
+    assert_golden(
+        "gossip --side 24 --k 12 --radius 2 --seed 3",
+        "T_G = 427 (12 rumors to 12 agents)\n",
+    );
+}
+
 #[test]
 fn infection_json_golden() {
     assert_golden(

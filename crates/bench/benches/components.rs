@@ -1,14 +1,16 @@
 //! Micro-benchmarks of visibility-graph component construction: the
 //! spatial-hash path against the O(k²) brute force, across densities,
-//! and the fresh-allocation path against the scratch-reuse path
-//! (`components_into`) that the simulation hot loop uses.
+//! the fresh-allocation path against the scratch-reuse path
+//! (`components_into`) that the simulation hot loop uses, and the
+//! restricted labellings (seeded, contact-only) against the full one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use sparsegossip_conngraph::{
     components, components_brute, components_from_seeds_into, components_from_seeds_on,
-    components_into, ComponentsScratch, SeededScratch, SpatialHash,
+    components_into, components_on_by, contact_components_on_by, ComponentsScratch, SeededScratch,
+    SpatialHash, UniformContact,
 };
 use sparsegossip_grid::Point;
 use sparsegossip_walks::BitSet;
@@ -162,6 +164,43 @@ fn bench_components_seeded(c: &mut Criterion) {
     group.finish();
 }
 
+/// Contact-only labelling against the full partition over the same
+/// prebuilt hash, at the gossip geometry (side 256, k 256): r = 1,
+/// where a typical step has a handful of agents in contact, and r = 8,
+/// where about 110 are. The hash build is outside the timed loop, so
+/// the difference is the labelling alone.
+fn bench_components_contact(c: &mut Criterion) {
+    let (side, k) = (256, 256usize);
+    let pts = positions(k, side, 7);
+    let mut group = c.benchmark_group("components_contact");
+    for &r in &[1u32, 8] {
+        let hash = SpatialHash::build(&pts, r, side);
+        group.bench_with_input(BenchmarkId::new("full_on", r), &r, |b, &r| {
+            let mut scratch = ComponentsScratch::new();
+            b.iter(|| {
+                black_box(components_on_by(
+                    &hash,
+                    &mut scratch,
+                    &pts,
+                    &UniformContact(r),
+                ));
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("contact_on", r), &r, |b, &r| {
+            let mut scratch = SeededScratch::new();
+            b.iter(|| {
+                black_box(contact_components_on_by(
+                    &hash,
+                    &mut scratch,
+                    &pts,
+                    &UniformContact(r),
+                ));
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_radius_sweep(c: &mut Criterion) {
     let side = 512;
     let k = 4096usize;
@@ -178,6 +217,7 @@ fn bench_radius_sweep(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_components, bench_scratch_reuse, bench_components_seeded, bench_radius_sweep
+    targets = bench_components, bench_scratch_reuse, bench_components_seeded,
+        bench_components_contact, bench_radius_sweep
 }
 criterion_main!(benches);

@@ -13,8 +13,8 @@
 //!   `Seeded` components scope (broadcast, infection, the frog model),
 //!   the spatial hash is maintained incrementally from the engine's
 //!   move log and only the components containing an informed agent are
-//!   labelled. For `Full`-scope processes (gossip) the two strategies
-//!   coincide.
+//!   labelled. For gossip (`Contacts` scope) the hash is rebuilt every
+//!   step and only the components of two or more agents are labelled.
 //!
 //! Reported per scenario: **ns/step** and **steps/sec** for both paths
 //! over a timed window of steady-state steps (after a warm-up that
@@ -290,9 +290,18 @@ fn frontier_determinism_check(reps: u64) -> bool {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut sim = Simulation::frog(&config, &mut rng).expect("constructible");
         ok &= sparse == sim.run_with(&mut rng, &mut FullPathProbe);
+
+        let (config, _) = config_for("gossip", 64, 32);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut sim = Simulation::gossip(&config, &mut rng).expect("constructible");
+        let sparse = sim.run(&mut rng);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut sim = Simulation::gossip(&config, &mut rng).expect("constructible");
+        ok &= sparse == sim.run_with(&mut rng, &mut FullPathProbe);
     }
     println!(
-        "frontier determinism: {reps} broadcast + {reps} frog seeds, frontier vs full path: {}",
+        "frontier determinism: {reps} broadcast + {reps} frog + {reps} gossip seeds, \
+         default vs full path: {}",
         if ok { "IDENTICAL" } else { "DIVERGE" }
     );
     ok

@@ -1,5 +1,6 @@
-//! The binary refuses options a command does not take: it exits
-//! nonzero with an error on stderr and prints no run output.
+//! The binary refuses options a command does not take, and option
+//! values its process rejects: it exits nonzero with an error on stderr
+//! and prints no run output.
 
 use std::process::Command;
 
@@ -29,6 +30,25 @@ fn unknown_options_fail_before_the_run() {
             stderr.contains(&format!("unknown option {key}")),
             "`{line}`: {stderr}"
         );
+    }
+}
+
+#[test]
+fn out_of_range_rumor_counts_are_named_as_rumor_counts() {
+    for (line, expected) in [
+        (
+            "gossip --side 16 --k 4 --rumors 0",
+            "error: rumor count 0 must be in 1..=4\n",
+        ),
+        (
+            "gossip --side 16 --k 4 --rumors 5",
+            "error: rumor count 5 must be in 1..=4\n",
+        ),
+    ] {
+        let (stdout, stderr, ok) = run(line);
+        assert!(!ok, "`{line}` succeeded");
+        assert!(stdout.is_empty(), "`{line}` ran: {stdout}");
+        assert_eq!(stderr, expected, "`{line}`");
     }
 }
 

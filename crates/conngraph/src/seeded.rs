@@ -18,21 +18,28 @@
 //! `tests/proptests.rs` pin this against arbitrary layouts, radii and
 //! seed sets). Agents in unseeded components keep the sentinel label
 //! [`Components::NO_LABEL`] and appear in no member list.
+//!
+//! The contact-only build ([`contact_components_on_by`]) is the same
+//! restriction with a different cover: every component of two or more
+//! agents, found by one union pass over the candidate pairs. It serves
+//! processes such as gossip whose exchange is a no-op on a lone agent.
 
 use sparsegossip_grid::Point;
 use sparsegossip_walks::BitSet;
 
-use crate::{Components, ComponentsScratch, Contact, SpatialHash, UniformContact};
+use crate::{Components, ComponentsScratch, Contact, SpatialHash, UniformContact, UnionFind};
 
-/// Reusable buffers for seed-restricted labelling: the BFS queue, the
-/// covered-agent bitset, the label remap table, the counting-sort
-/// cursor and the [`Components`] under construction.
+/// Reusable buffers for restricted labelling: the BFS queue, the
+/// union–find forest of the contact-only build, the covered-agent
+/// bitset, the label remap table, the counting-sort cursor and the
+/// [`Components`] under construction.
 ///
-/// One scratch amortizes every per-step seeded labelling of a
-/// simulation: after warm-up, a call performs no heap allocation, and
-/// its cost is proportional to the covered components plus k/64 bitset
-/// words (previously covered labels are un-set one by one rather than
-/// by an O(k) sweep).
+/// One scratch amortizes every per-step restricted labelling of a
+/// simulation, and may serve seeded and contact-only calls in any
+/// order: after warm-up, a call performs no heap allocation. A seeded
+/// call costs the covered components plus k/64 bitset words
+/// (previously covered labels are un-set one by one rather than by an
+/// O(k) sweep); a contact-only call adds one O(k) candidate-pair pass.
 ///
 /// # Examples
 ///
@@ -56,10 +63,14 @@ use crate::{Components, ComponentsScratch, Contact, SpatialHash, UniformContact}
 pub struct SeededScratch {
     /// BFS work stack of agents whose neighborhoods are unscanned.
     queue: Vec<u32>,
-    /// Every agent reached from a seed, read back in increasing order
-    /// by the canonical rebuild. Clear between calls.
+    /// Union–find forest of the contact-only build.
+    uf: UnionFind,
+    /// Every covered agent (reached from a seed, or in contact with
+    /// another agent), read back in increasing order by the canonical
+    /// rebuild. Clear between calls.
     covered: BitSet,
-    /// Discovery-order label → canonical dense label.
+    /// Provisional label (BFS discovery id or union–find root) →
+    /// canonical dense label.
     remap: Vec<u32>,
     /// Counting-sort cursor over component offsets.
     cursor: Vec<u32>,
@@ -80,6 +91,57 @@ impl SeededScratch {
     #[must_use]
     pub fn into_components(self) -> Components {
         self.comps
+    }
+
+    /// Readies the scratch for a build over `k` agents: un-sets the
+    /// labels the previous call covered (O(covered), not O(k)) and, on
+    /// a change of working size, resizes every buffer once.
+    fn begin(&mut self, k: usize) {
+        let comps = &mut self.comps;
+        if comps.labels.len() == k {
+            for &m in &comps.members {
+                comps.labels[m as usize] = Components::NO_LABEL;
+            }
+        } else {
+            comps.labels.clear();
+            comps.labels.resize(k, Components::NO_LABEL);
+            self.covered = BitSet::new(k);
+            // One-time pre-reservation at the new working size: coverage
+            // can only grow toward k, and reserving everything now keeps
+            // every later call allocation-free no matter how the covered
+            // set grows between calls.
+            self.queue.reserve(k);
+            self.remap.reserve(k);
+            comps.sizes.reserve(k);
+            comps.members.reserve(k);
+        }
+        comps.sizes.clear();
+    }
+
+    /// The canonical tail of both builds. Every agent in `covered`
+    /// carries a provisional label below `provisional` (a BFS discovery
+    /// id or a union–find root); walking them in increasing agent order
+    /// (a word scan, O(k/64 + covered)) assigns dense ids at first
+    /// encounter — exactly the full build's labelling rule, restricted
+    /// to the covered components — then groups the members and clears
+    /// `covered` for the next call.
+    fn canonicalize(&mut self, provisional: usize) -> &Components {
+        let comps = &mut self.comps;
+        self.remap.clear();
+        self.remap.resize(provisional, Components::NO_LABEL);
+        for a in self.covered.iter_ones() {
+            let tmp = comps.labels[a] as usize;
+            if self.remap[tmp] == Components::NO_LABEL {
+                self.remap[tmp] = comps.sizes.len() as u32;
+                comps.sizes.push(0);
+            }
+            let lab = self.remap[tmp];
+            comps.labels[a] = lab;
+            comps.sizes[lab as usize] += 1;
+        }
+        comps.group_members(&mut self.cursor, self.covered.iter_ones());
+        self.covered.clear();
+        comps
     }
 }
 
@@ -143,31 +205,12 @@ pub fn components_from_seeds_on_by<'a, C: Contact>(
     let k = positions.len();
     assert_eq!(seeds.len(), k, "seed set capacity mismatch");
     assert_eq!(hash.num_agents(), k, "hash agent count mismatch");
+    scratch.begin(k);
     let comps = &mut scratch.comps;
-    // Reset the sentinel labels, touching only what the previous call
-    // covered.
-    if comps.labels.len() == k {
-        for &m in &comps.members {
-            comps.labels[m as usize] = Components::NO_LABEL;
-        }
-    } else {
-        comps.labels.clear();
-        comps.labels.resize(k, Components::NO_LABEL);
-        scratch.covered = BitSet::new(k);
-        // One-time pre-reservation at the new working size: coverage
-        // can only grow toward k, and reserving everything now keeps
-        // every later call allocation-free no matter how the covered
-        // frontier grows between calls.
-        scratch.queue.reserve(k);
-        scratch.remap.reserve(k);
-        comps.sizes.reserve(k);
-        comps.members.reserve(k);
-    }
-    comps.sizes.clear();
     let covered = &mut scratch.covered;
 
     // Flood fill from the seeds, assigning discovery-order labels.
-    // Visit order does not matter: the rebuild below canonicalizes.
+    // Visit order does not matter: the canonical tail renumbers.
     let mut discovered = 0u32;
     for s in seeds.iter_ones() {
         if comps.labels[s] != Components::NO_LABEL {
@@ -192,28 +235,76 @@ pub fn components_from_seeds_on_by<'a, C: Contact>(
             });
         }
     }
+    scratch.canonicalize(discovered as usize)
+}
 
-    // Canonicalize: walk the covered agents in increasing agent order
-    // (a word scan, O(k/64 + covered), like the seed scan above),
-    // assigning dense ids at first encounter — exactly the full build's
-    // labelling rule, restricted to the covered components.
-    scratch.remap.clear();
-    scratch
-        .remap
-        .resize(discovered as usize, Components::NO_LABEL);
-    for a in covered.iter_ones() {
-        let tmp = comps.labels[a] as usize;
-        if scratch.remap[tmp] == Components::NO_LABEL {
-            scratch.remap[tmp] = comps.sizes.len() as u32;
-            comps.sizes.push(0);
+/// Computes the components of the contact graph that hold two or more
+/// agents, over an already-built `hash`, under an arbitrary
+/// [`Contact`] model.
+///
+/// One pass over the hash's candidate pairs
+/// ([`SpatialHash::for_each_candidate_pair`]) unions every accepted
+/// pair and marks both agents covered; the covered agents are then
+/// labelled canonically. The contract is the seeded build's
+/// ([`components_from_seeds_on_by`]): on the components it covers, the
+/// result is identical to the full partition under the same contact
+/// model — the same member slices in the same order, with dense ids in
+/// first-agent order among covered components. Agents without a contact
+/// keep [`Components::NO_LABEL`], so below the percolation point, where
+/// most agents are alone, the labelling and grouping cost follows the
+/// meetings rather than `k`. After warm-up the call allocates nothing.
+///
+/// The `hash` must describe exactly `positions`, and its bucket radius
+/// must bound the contact model's reach.
+///
+/// # Examples
+///
+/// ```
+/// use sparsegossip_conngraph::{
+///     contact_components_on_by, SeededScratch, SpatialHash, UniformContact,
+/// };
+/// use sparsegossip_grid::Point;
+///
+/// let pts = [Point::new(0, 0), Point::new(5, 5), Point::new(0, 1)];
+/// let hash = SpatialHash::build(&pts, 1, 10);
+/// let mut scratch = SeededScratch::new();
+/// let comps = contact_components_on_by(&hash, &mut scratch, &pts, &UniformContact(1));
+/// // Only {0, 2} has a contact; the lone agent 1 is uncovered.
+/// assert_eq!(comps.count(), 1);
+/// assert_eq!(comps.members(0), &[0, 2]);
+/// assert!(!comps.is_covered(1));
+/// ```
+///
+/// # Panics
+///
+/// Panics if the hash holds a different number of agents than
+/// `positions`.
+// detlint: hot
+pub fn contact_components_on_by<'a, C: Contact>(
+    hash: &SpatialHash,
+    scratch: &'a mut SeededScratch,
+    positions: &[Point],
+    contact: &C,
+) -> &'a Components {
+    let k = positions.len();
+    assert_eq!(hash.num_agents(), k, "hash agent count mismatch");
+    scratch.begin(k);
+    scratch.uf.reset_to(k);
+    let (uf, covered) = (&mut scratch.uf, &mut scratch.covered);
+    hash.for_each_candidate_pair(|a, b| {
+        let (a, b) = (a as usize, b as usize);
+        if contact.in_contact(a, b, positions[a], positions[b]) {
+            uf.union(a, b);
+            covered.insert(a);
+            covered.insert(b);
         }
-        let lab = scratch.remap[tmp];
-        comps.labels[a] = lab;
-        comps.sizes[lab as usize] += 1;
+    });
+    // The union–find root is the provisional label; roots are agent
+    // indices, so they stay below k.
+    for a in scratch.covered.iter_ones() {
+        scratch.comps.labels[a] = scratch.uf.find(a) as u32;
     }
-    comps.group_members(&mut scratch.cursor, covered.iter_ones());
-    covered.clear();
-    comps
+    scratch.canonicalize(k)
 }
 
 /// Computes the seed-containing components of `G_t(r)` inside

@@ -201,9 +201,11 @@ impl Components {
         self.sizes.iter().copied().max().unwrap_or(0) as usize
     }
 
-    /// Iterates over component member-slices.
+    /// Iterates over component member-slices, in component-id order.
     pub fn iter(&self) -> impl Iterator<Item = &[u32]> {
-        (0..self.count()).map(move |c| self.members(c))
+        self.offsets
+            .windows(2)
+            .map(move |w| &self.members[w[0] as usize..w[1] as usize])
     }
 
     /// Histogram of component sizes: entry `s` counts components of

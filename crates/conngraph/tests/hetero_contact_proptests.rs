@@ -2,14 +2,15 @@
 //! spatial-hash candidate filtering (bucket size = max radius, pairs
 //! accepted by the symmetric `min(r_i, r_j)` rule) must agree exactly
 //! with the O(k²) brute-force reference on arbitrary configurations —
-//! including `r = 0` agents — on both the full partition and the
-//! frontier-sparse seeded path, over a fresh, a reach-0 or an
-//! incrementally maintained hash.
+//! including `r = 0` agents — on the full partition, the
+//! frontier-sparse seeded path and the contact-only path, over a fresh,
+//! a reach-0 or an incrementally maintained hash.
 
 use proptest::prelude::*;
 use sparsegossip_conngraph::{
-    components_brute_by, components_from_seeds_on_by, components_into_by, Components,
-    ComponentsScratch, Contact, RadiiContact, SeededScratch, SpatialHash, UniformContact,
+    components_brute_by, components_from_seeds_on_by, components_into_by, contact_components_on_by,
+    Components, ComponentsScratch, Contact, RadiiContact, SeededScratch, SpatialHash,
+    UniformContact,
 };
 use sparsegossip_grid::Point;
 use sparsegossip_walks::BitSet;
@@ -141,6 +142,27 @@ proptest! {
         let seeds = seeds_from_mask(&mask, positions.len());
         let hash = SpatialHash::build(&positions, max_radius(&radii), side);
         assert_seeded_matches_brute(&hash, &positions, &seeds, &contact, side);
+    }
+
+    #[test]
+    fn hetero_contact_labelling_matches_full_on_multi_agent_components(
+        (positions, radii, side, _mask) in arb_hetero_layout(),
+    ) {
+        // RadiiContact: an agent whose radius reaches nobody under the
+        // min rule stays uncovered even inside another agent's reach.
+        let contact = RadiiContact(&radii);
+        let hash = SpatialHash::build(&positions, max_radius(&radii), side);
+        let full = components_brute_by(&positions, &contact, side);
+        let mut scratch = SeededScratch::new();
+        let multi = contact_components_on_by(&hash, &mut scratch, &positions, &contact);
+        let expected: Vec<usize> = (0..full.count()).filter(|&c| full.size(c) >= 2).collect();
+        prop_assert_eq!(multi.count(), expected.len());
+        for (mc, &fc) in expected.iter().enumerate() {
+            prop_assert_eq!(multi.members(mc), full.members(fc));
+        }
+        for i in 0..positions.len() {
+            prop_assert_eq!(multi.is_covered(i), full.size_of_agent(i) >= 2);
+        }
     }
 
     #[test]

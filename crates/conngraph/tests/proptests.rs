@@ -1,7 +1,9 @@
 //! Property-based tests: the spatially-hashed component builder must
 //! agree exactly with the O(k²) brute-force reference on arbitrary
 //! agent layouts and radii; the seed-restricted builder must agree
-//! with the full builder on every seed-containing component; a hash
+//! with the full builder on every seed-containing component, and the
+//! contact-only builder on every component of two or more agents, with
+//! one scratch serving both in any order; a hash
 //! maintained move by move, or rebuilt warm at old and new geometries,
 //! must equal a fresh build; the reach-aware candidate scan must cover
 //! every brute-force contact, with a division-free bucket index equal
@@ -9,8 +11,9 @@
 
 use proptest::prelude::*;
 use sparsegossip_conngraph::{
-    components, components_brute, components_from_seeds, components_into, giant_fraction,
-    Components, ComponentsScratch, DegreeStats, IslandStats, SpatialHash,
+    components, components_brute, components_from_seeds, components_from_seeds_on, components_into,
+    contact_components_on_by, giant_fraction, Components, ComponentsScratch, DegreeStats,
+    IslandStats, SeededScratch, SpatialHash, UniformContact,
 };
 use sparsegossip_grid::Point;
 use sparsegossip_walks::BitSet;
@@ -238,6 +241,75 @@ proptest! {
             if !in_seeded {
                 prop_assert_eq!(seeded.label_of(i), Components::NO_LABEL);
             }
+        }
+    }
+
+    #[test]
+    fn contact_labelling_matches_full_on_multi_agent_components(
+        (positions, r, side) in arb_layout(),
+    ) {
+        let k = positions.len();
+        let full = components(&positions, r, side);
+        let hash = SpatialHash::build(&positions, r, side);
+        let mut scratch = SeededScratch::new();
+        let contact = contact_components_on_by(&hash, &mut scratch, &positions, &UniformContact(r));
+        prop_assert_eq!(contact.num_agents(), k);
+
+        // The contact view has exactly the full components of two or
+        // more agents, in the same order with identical member slices,
+        // and covers no lone agent.
+        let multi: Vec<usize> = (0..full.count()).filter(|&c| full.size(c) >= 2).collect();
+        prop_assert_eq!(contact.count(), multi.len());
+        for (cc, &fc) in multi.iter().enumerate() {
+            prop_assert_eq!(contact.members(cc), full.members(fc));
+            prop_assert_eq!(contact.size(cc), full.size(fc));
+            for &m in contact.members(cc) {
+                prop_assert_eq!(contact.label_of(m as usize) as usize, cc);
+            }
+        }
+        for i in 0..k {
+            let lone = full.size_of_agent(i) == 1;
+            prop_assert_eq!(contact.is_covered(i), !lone);
+            if lone {
+                prop_assert_eq!(contact.label_of(i), Components::NO_LABEL);
+            }
+        }
+    }
+
+    #[test]
+    fn one_scratch_alternates_seeded_and_contact_calls(
+        (positions, r, side, mask, walk) in arb_layout_with_seeds_and_walk(),
+    ) {
+        // Seeded and contact-only calls share one scratch along a walk;
+        // each result must equal the same call on a fresh scratch, so
+        // neither build leaks labels or members into the other.
+        let k = positions.len();
+        let seeds = seeds_from_mask(&mask, k);
+        let mut positions = positions;
+        let mut shared = SeededScratch::new();
+        for step in std::iter::once(&vec![]).chain(&walk) {
+            for (i, &dir) in step.iter().enumerate().take(k) {
+                positions[i] = step_point(positions[i], dir, side);
+            }
+            let hash = SpatialHash::build(&positions, r, side);
+            let fresh_seeded =
+                components_from_seeds_on(&hash, &mut SeededScratch::new(), &positions, &seeds, r)
+                    .clone();
+            let fresh_contact = contact_components_on_by(
+                &hash,
+                &mut SeededScratch::new(),
+                &positions,
+                &UniformContact(r),
+            )
+            .clone();
+            prop_assert_eq!(
+                components_from_seeds_on(&hash, &mut shared, &positions, &seeds, r),
+                &fresh_seeded
+            );
+            prop_assert_eq!(
+                contact_components_on_by(&hash, &mut shared, &positions, &UniformContact(r)),
+                &fresh_contact
+            );
         }
     }
 

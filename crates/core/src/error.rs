@@ -24,6 +24,13 @@ pub enum SimError {
         /// The number of agents.
         k: usize,
     },
+    /// A gossip rumor count outside `1..=k` was requested.
+    RumorCountOutOfRange {
+        /// The requested number of rumors.
+        num_rumors: usize,
+        /// The number of agents.
+        k: usize,
+    },
     /// A step cap of zero was requested.
     ZeroStepCap,
     /// A process sized for one agent count was driven with another.
@@ -70,6 +77,9 @@ impl fmt::Display for SimError {
             }
             Self::SourceOutOfRange { source, k } => {
                 write!(f, "source agent {source} out of range for {k} agents")
+            }
+            Self::RumorCountOutOfRange { num_rumors, k } => {
+                write!(f, "rumor count {num_rumors} must be in 1..={k}")
             }
             Self::ZeroStepCap => write!(f, "step cap must be positive"),
             Self::AgentCountMismatch { process, k } => {
@@ -124,6 +134,11 @@ mod tests {
         assert!(e.to_string().contains("at least 2"));
         assert!(e.source().is_none());
         assert!(SimError::ZeroStepCap.to_string().contains("positive"));
+        let e = SimError::RumorCountOutOfRange {
+            num_rumors: 5,
+            k: 4,
+        };
+        assert_eq!(e.to_string(), "rumor count 5 must be in 1..=4");
         let e = SimError::UnsupportedSetting {
             kind: "gossip",
             setting: "exchange = \"one-hop\"",

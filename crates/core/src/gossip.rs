@@ -4,7 +4,7 @@ use core::ops::ControlFlow;
 use rand::RngExt;
 use sparsegossip_grid::Grid;
 
-use crate::{ExchangeCtx, Process, RumorSets, SimConfig, SimError, Simulation};
+use crate::{ComponentsScope, ExchangeCtx, Process, RumorSets, SimConfig, SimError, Simulation};
 
 /// Outcome of a gossip run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,17 +86,14 @@ impl Gossip {
     /// # Errors
     ///
     /// * [`SimError::TooFewAgents`] if `k < 2`;
-    /// * [`SimError::SourceOutOfRange`] if `num_rumors` is zero or
+    /// * [`SimError::RumorCountOutOfRange`] if `num_rumors` is zero or
     ///   exceeds `k`.
     pub fn with_rumors(k: usize, num_rumors: usize) -> Result<Self, SimError> {
         if k < 2 {
             return Err(SimError::TooFewAgents { k });
         }
         if num_rumors == 0 || num_rumors > k {
-            return Err(SimError::SourceOutOfRange {
-                source: num_rumors,
-                k,
-            });
+            return Err(SimError::RumorCountOutOfRange { num_rumors, k });
         }
         Ok(Self {
             rumors: RumorSets::with_rumors(k, num_rumors),
@@ -123,6 +120,12 @@ impl Process for Gossip {
 
     fn agent_count(&self) -> Option<usize> {
         Some(self.rumors.k())
+    }
+
+    /// A lone agent's exchange is a no-op, so only components of two
+    /// or more agents need labelling.
+    fn components_scope(&self) -> ComponentsScope<'_> {
+        ComponentsScope::Contacts
     }
 
     // detlint: hot
@@ -275,8 +278,20 @@ mod tests {
         assert_eq!(out.num_rumors, 2);
         assert_eq!(out.min_rumors, 2);
         // Validation errors.
-        assert!(Gossip::with_rumors(6, 0).is_err());
-        assert!(Gossip::with_rumors(6, 7).is_err());
+        assert_eq!(
+            Gossip::with_rumors(6, 0).unwrap_err(),
+            SimError::RumorCountOutOfRange {
+                num_rumors: 0,
+                k: 6
+            }
+        );
+        assert_eq!(
+            Gossip::with_rumors(6, 7).unwrap_err(),
+            SimError::RumorCountOutOfRange {
+                num_rumors: 7,
+                k: 6
+            }
+        );
     }
 
     #[test]

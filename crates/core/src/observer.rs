@@ -20,13 +20,15 @@ pub struct StepContext<'a> {
     ///
     /// The full partition, unless the observer declared that it does
     /// not need one ([`Observer::wants_full_components`] is `false`)
-    /// *and* the process runs under a
-    /// [`Seeded`](crate::ComponentsScope::Seeded) scope — then only the
-    /// seed-containing components are labelled (identically to the full
-    /// build on those components). The seeds are whatever the process
-    /// declared for that step; broadcast declares the smaller side of
-    /// its informed/uninformed split, so which components appear can
-    /// switch mid-run.
+    /// *and* the process runs under a restricted scope. Under a
+    /// [`Seeded`](crate::ComponentsScope::Seeded) scope only the
+    /// seed-containing components are labelled; under a
+    /// [`Contacts`](crate::ComponentsScope::Contacts) scope (gossip)
+    /// only the components of two or more agents are. Either way the
+    /// labelled components are identical to the full build's. The
+    /// seeds are whatever the process declared for that step;
+    /// broadcast declares the smaller side of its informed/uninformed
+    /// split, so which components appear can switch mid-run.
     pub components: &'a Components,
     /// Informed-agent set after the exchange (empty for processes
     /// without a single-rumor informed notion, e.g. gossip).
@@ -52,9 +54,11 @@ pub trait Observer {
     /// Observers that never look at the components (notably
     /// [`NullObserver`], i.e. every plain `run`) return `false`, which
     /// lets the driver use seed-restricted labelling for processes that
-    /// declare a [`Seeded`](crate::ComponentsScope::Seeded) scope —
-    /// outcome-identical, but with per-step cost proportional to the
-    /// seeds' components instead of `k`.
+    /// declare a [`Seeded`](crate::ComponentsScope::Seeded) scope, and
+    /// contact-only labelling for processes that declare
+    /// [`Contacts`](crate::ComponentsScope::Contacts) — outcome-identical,
+    /// but with per-step labelling cost proportional to the seeds'
+    /// components, or to the meetings, instead of `k`.
     #[inline]
     fn wants_full_components(&self) -> bool {
         true
@@ -69,7 +73,7 @@ impl Observer for NullObserver {
     #[inline]
     fn on_step(&mut self, _ctx: StepContext<'_>) {}
 
-    /// Reads nothing, so the driver may label from the frontier only.
+    /// Reads nothing, so the driver may label restricted components only.
     #[inline]
     fn wants_full_components(&self) -> bool {
         false

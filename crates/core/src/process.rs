@@ -32,8 +32,8 @@ use core::ops::ControlFlow;
 
 use rand::RngExt;
 use sparsegossip_conngraph::{
-    components, components_brute_by, components_from_seeds_on_by, components_into_by, Components,
-    ComponentsScratch, SeededScratch, SpatialHash,
+    components, components_brute_by, components_from_seeds_on_by, components_into_by,
+    contact_components_on_by, Components, ComponentsScratch, SeededScratch, SpatialHash,
 };
 use sparsegossip_grid::{BarrierGrid, Point, Topology};
 use sparsegossip_walks::{BitSet, WalkEngine};
@@ -75,13 +75,15 @@ pub struct SimScratch {
     /// Full-partition labelling buffers (spatial hash, union–find,
     /// grouped components).
     comps: ComponentsScratch,
-    /// Seed-restricted labelling buffers (the frontier-sparse path).
-    /// Deliberately separate from `comps` (whose internals are private
-    /// to `conngraph`): the full and frontier paths warm disjoint
-    /// buffers, which the scratch-reuse allocation tests rely on.
+    /// Restricted labelling buffers (the frontier-sparse and
+    /// contact-only paths). Deliberately separate from `comps` (whose
+    /// internals are private to `conngraph`): the full and restricted
+    /// paths warm disjoint buffers, which the scratch-reuse allocation
+    /// tests rely on.
     seeded: SeededScratch,
-    /// The incrementally maintained spatial hash of the frontier-sparse
-    /// path, relocated bucket by bucket from the engine's move log.
+    /// The spatial hash of the restricted paths: maintained
+    /// incrementally from the engine's move log on the frontier-sparse
+    /// path, rebuilt every step on the contact-only path.
     hash: SpatialHash,
     /// Per-step move log filled by the tracking walk steps.
     moves: Vec<(u32, Point, Point)>,
@@ -106,7 +108,8 @@ impl SimScratch {
 /// Declaring anything but `Full` is a promise: the exchange (and
 /// [`on_placement`](Process::on_placement)) outcome must depend only on
 /// the components of `G_t(r)` that contain a set bit of the `Seeded`
-/// seed set — or on no components at all for `None`. For
+/// seed set, only on the components of two or more agents for
+/// `Contacts`, or on no components at all for `None`. For
 /// broadcast-style processes only components holding both an informed
 /// and an uninformed agent can change the informed set, so either side
 /// of that split keeps the `Seeded` promise.
@@ -115,8 +118,9 @@ impl SimScratch {
 /// smaller side — the informed agents while they are at most half of
 /// `k`, the uninformed agents after that — under the component exchange
 /// rule, and `None` under the one-hop ablation rule (whose exchange
-/// scans the positions directly); [`Gossip`](crate::Gossip)
-/// (every rumor set matters), [`Coverage`](crate::Coverage) and
+/// scans the positions directly). [`Gossip`](crate::Gossip) declares
+/// `Contacts`: every rumor set matters, but a lone agent's exchange is
+/// a no-op. [`Coverage`](crate::Coverage) and
 /// [`PredatorPrey`](crate::PredatorPrey) keep `Full`.
 ///
 /// The scope is consulted only when the observer does not demand the
@@ -132,6 +136,11 @@ pub enum ComponentsScope<'a> {
     /// from step to step: broadcast passes whichever side of its
     /// informed/uninformed split is smaller.
     Seeded(&'a BitSet),
+    /// The exchange reads only components of two or more agents: the
+    /// driver rebuilds the spatial hash and labels just the agents that
+    /// have a contact, leaving lone agents at
+    /// [`Components::NO_LABEL`].
+    Contacts,
     /// The exchange reads no components at all in its current
     /// configuration (e.g. the one-hop rule); the driver may skip
     /// labelling entirely and hand out [`Components::EMPTY`].
@@ -158,7 +167,9 @@ pub struct ExchangeCtx<'a> {
     /// the process opts out via [`Process::NEEDS_COMPONENTS`] or
     /// declares [`ComponentsScope::None`]; restricted to the
     /// seed-containing components under an active
-    /// [`ComponentsScope::Seeded`] scope.
+    /// [`ComponentsScope::Seeded`] scope, and to the components of two
+    /// or more agents under an active [`ComponentsScope::Contacts`]
+    /// scope.
     pub components: &'a Components,
 }
 
@@ -254,7 +265,9 @@ pub trait Process {
     /// always correct. Processes whose exchange provably ignores
     /// components without a seed declare
     /// [`Seeded`](ComponentsScope::Seeded) and get frontier-
-    /// proportional per-step labelling whenever the observer does not
+    /// proportional per-step labelling, and processes whose exchange
+    /// ignores lone agents declare [`Contacts`](ComponentsScope::Contacts)
+    /// and get contact-only labelling, whenever the observer does not
     /// demand the full partition
     /// ([`Observer::wants_full_components`]).
     fn components_scope(&self) -> ComponentsScope<'_> {
@@ -607,8 +620,10 @@ impl<P: Process, T: Topology> Simulation<P, T> {
     ///
     /// Processes with a [`Seeded`](ComponentsScope::Seeded) scope get
     /// seed-restricted labelling here too (the freshly built hash then
-    /// seeds the incremental maintenance of subsequent steps), and a
-    /// [`None`](ComponentsScope::None) scope skips labelling outright.
+    /// seeds the incremental maintenance of subsequent steps), a
+    /// [`Contacts`](ComponentsScope::Contacts) scope gets contact-only
+    /// labelling, and a [`None`](ComponentsScope::None) scope skips
+    /// labelling outright.
     fn placement_exchange(&mut self) {
         let side = self.engine.topology().side();
         let contact = WorldContact::new(
@@ -633,6 +648,19 @@ impl<P: Process, T: Topology> Simulation<P, T> {
                         &mut self.scratch.seeded,
                         self.engine.positions(),
                         seeds,
+                        &contact,
+                    )
+                }
+                ComponentsScope::Contacts => {
+                    self.scratch.hash.rebuild(
+                        self.engine.positions(),
+                        self.world.bucket_radius,
+                        side,
+                    );
+                    contact_components_on_by(
+                        &self.scratch.hash,
+                        &mut self.scratch.seeded,
+                        self.engine.positions(),
                         &contact,
                     )
                 }
@@ -795,14 +823,17 @@ impl<P: Process, T: Topology> Simulation<P, T> {
     /// [`ControlFlow::Break`] once the process completes.
     ///
     /// The labelling strategy is picked from the process's
-    /// [`ComponentsScope`]: under a [`Seeded`](ComponentsScope::Seeded)
-    /// scope — and an observer content without the full partition
-    /// ([`Observer::wants_full_components`]) — the engine reports its
+    /// [`ComponentsScope`], when the observer is content without the
+    /// full partition ([`Observer::wants_full_components`]). Under a
+    /// [`Seeded`](ComponentsScope::Seeded) scope the engine reports its
     /// move log, the spatial hash is maintained incrementally
     /// ([`SpatialHash::apply_moves`]) instead of rebuilt, and only the
-    /// components containing a seed are labelled. Outcomes are
-    /// draw-for-draw identical either way; per-step cost scales with
-    /// the moved set and the seeds' components instead of `k`.
+    /// components containing a seed are labelled. Under a
+    /// [`Contacts`](ComponentsScope::Contacts) scope the hash is rebuilt
+    /// from the plain step and only the components of two or more
+    /// agents are labelled. Outcomes are draw-for-draw identical either
+    /// way; per-step labelling cost scales with the moved set and the
+    /// seeds' components, or with the meetings, instead of `k`.
     ///
     /// # Examples
     ///
@@ -846,6 +877,8 @@ impl<P: Process, T: Topology> Simulation<P, T> {
         let scope_sparse = P::NEEDS_COMPONENTS && !observer.wants_full_components();
         let frontier_sparse =
             scope_sparse && matches!(self.process.components_scope(), ComponentsScope::Seeded(_));
+        let contact_sparse =
+            scope_sparse && matches!(self.process.components_scope(), ComponentsScope::Contacts);
         let skip_components =
             scope_sparse && matches!(self.process.components_scope(), ComponentsScope::None);
         let speeds_active = !self.world.speeds.is_empty();
@@ -934,6 +967,19 @@ impl<P: Process, T: Topology> Simulation<P, T> {
                     side,
                 )
             }
+        } else if contact_sparse {
+            // Rebuilt rather than maintained: maintaining the hash was
+            // measured slower on gossip. `hash_live` stays false, as the
+            // step above left it.
+            self.scratch
+                .hash
+                .rebuild(self.engine.positions(), self.world.bucket_radius, side);
+            contact_components_on_by(
+                &self.scratch.hash,
+                &mut self.scratch.seeded,
+                self.engine.positions(),
+                &contact,
+            )
         } else {
             components_into_by(
                 &mut self.scratch.comps,

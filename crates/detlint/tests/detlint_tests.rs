@@ -152,7 +152,7 @@ fn workspace_hot_paths_carry_their_markers() {
     let result = scan_workspace(&root, &config).expect("workspace scans");
     for (file, min) in [
         ("crates/core/src/process.rs", 1),            // Simulation::step
-        ("crates/conngraph/src/seeded.rs", 1),        // components_from_seeds_on
+        ("crates/conngraph/src/seeded.rs", 2),        // seeded + contact builds
         ("crates/conngraph/src/spatial.rs", 4),       // rebuild, apply_moves, both scans
         ("crates/conngraph/src/visibility.rs", 2),    // union_visible_by + components_on_by
         ("crates/walks/src/engine.rs", 4),            // step_all{,_into}, step_masked{,_into}

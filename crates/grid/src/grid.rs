@@ -77,6 +77,11 @@ impl Grid {
     }
 }
 
+/// Lazy-step offsets at an interior node, indexed by the draw `u`: the
+/// canonical `N, E, S, W` neighbors, then the hold.
+const LAZY_DX: [i32; 5] = [0, 1, 0, -1, 0];
+const LAZY_DY: [i32; 5] = [1, 0, -1, 0, 0];
+
 impl Topology for Grid {
     #[inline]
     fn side(&self) -> u32 {
@@ -90,6 +95,22 @@ impl Topology for Grid {
             Direction::East => (p.x + 1 < self.side).then(|| Point::new(p.x + 1, p.y)),
             Direction::South => (p.y > 0).then(|| Point::new(p.x, p.y - 1)),
             Direction::West => (p.x > 0).then(|| Point::new(p.x - 1, p.y)),
+        }
+    }
+
+    /// An interior node has all four neighbors, so the draw indexes the
+    /// offset tables directly instead of compacting a neighbor list;
+    /// boundary nodes take the general path.
+    #[inline]
+    fn lazy_target(&self, p: Point, u: usize) -> Point {
+        let interior = p.x >= 1 && p.y >= 1 && p.x + 2 <= self.side && p.y + 2 <= self.side;
+        if interior && u < LAZY_DX.len() {
+            Point::new(
+                p.x.wrapping_add_signed(LAZY_DX[u]),
+                p.y.wrapping_add_signed(LAZY_DY[u]),
+            )
+        } else {
+            self.neighbors(p).get(u).unwrap_or(p)
         }
     }
 }
@@ -137,6 +158,24 @@ mod tests {
             for dir in Direction::ALL {
                 if let Some(q) = g.neighbor(p, dir) {
                     assert_eq!(g.neighbor(q, dir.opposite()), Some(p));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_target_fast_path_matches_the_default() {
+        // Sides 1 and 2 have no interior; 3–6 mix interior, edge and
+        // corner nodes.
+        for side in 1..=6 {
+            let g = Grid::new(side).unwrap();
+            for p in g.points() {
+                for u in 0..5 {
+                    assert_eq!(
+                        g.lazy_target(p, u),
+                        g.neighbors(p).get(u).unwrap_or(p),
+                        "side {side}, p {p}, u {u}"
+                    );
                 }
             }
         }

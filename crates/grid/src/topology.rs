@@ -74,6 +74,18 @@ pub trait Topology {
         }
     }
 
+    /// The target of one lazy step from `p` on draw `u ∈ {0, …, 4}`:
+    /// the `u`-th neighbor in canonical `N, E, S, W` order, or `p`
+    /// itself when `u` indexes no neighbor (the hold).
+    ///
+    /// Implementations may override this with a cheaper equivalent
+    /// (see [`Grid`](crate::Grid)'s interior fast path); the result must
+    /// equal this default for every `p` and `u`.
+    #[inline]
+    fn lazy_target(&self, p: Point, u: usize) -> Point {
+        self.neighbors(p).get(u).unwrap_or(p)
+    }
+
     /// The row-major node index of `p`.
     ///
     /// # Panics

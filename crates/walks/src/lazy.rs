@@ -33,7 +33,7 @@ pub const HOLD_DENOMINATOR: u32 = 5;
 #[inline]
 pub fn lazy_step<T: Topology, R: RngExt>(topo: &T, p: Point, rng: &mut R) -> Point {
     let u = rng.random_range(0..HOLD_DENOMINATOR) as usize;
-    topo.neighbors(p).get(u).unwrap_or(p)
+    topo.lazy_target(p, u)
 }
 
 /// A single lazy random walk with step accounting.

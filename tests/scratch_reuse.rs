@@ -207,7 +207,7 @@ fn warm_construction_is_allocation_free() {
     let grid = Grid::new(20).unwrap();
     // Warm-up at identical positions, so every buffer reaches its final
     // shape: Broadcast warms the seeded placement path, Gossip the
-    // full-partition path, sharing one scratch.
+    // contact-only path, sharing one scratch.
     let warm =
         Simulation::from_positions(grid, pts.clone(), 2, 1_000, Broadcast::new(12, 0).unwrap())
             .unwrap();
@@ -256,8 +256,8 @@ fn steady_state_steps_are_allocation_free() {
     // The PR-3 invariant, machine-enforced in `cargo test`: after
     // warm-up, a step allocates nothing — on the frontier-sparse path
     // (broadcast under NullObserver), on the full-partition path (an
-    // observer that wants complete components), and under a Frog
-    // mobility mask.
+    // observer that wants complete components), under a Frog mobility
+    // mask, and on the contact-only path (gossip under NullObserver).
     let cfg = config(48, 24, 2);
     let mut rng = SmallRng::seed_from_u64(11);
     let mut sim = Simulation::broadcast(&cfg, &mut rng).unwrap();
@@ -295,6 +295,17 @@ fn steady_state_steps_are_allocation_free() {
         0,
         "masked-mobility step allocated"
     );
+
+    let mut rng = SmallRng::seed_from_u64(13);
+    let mut sim = Simulation::gossip(&cfg, &mut rng).unwrap();
+    for _ in 0..60 {
+        let _ = sim.step(&mut rng, &mut sparsegossip::core::NullObserver);
+    }
+    let before = thread_allocs();
+    for _ in 0..100 {
+        let _ = sim.step(&mut rng, &mut sparsegossip::core::NullObserver);
+    }
+    assert_eq!(thread_allocs() - before, 0, "contact-only step allocated");
 }
 
 #[test]

@@ -137,7 +137,7 @@ impl Runner {
     ///
     /// Reusing one scratch buffer per worker (with a `Simulation`, the
     /// state would be a recycled `SimScratch` or a whole resettable
-    /// simulation — see `exp_perf` in `crates/bench`):
+    /// simulation — see `tests/scratch_reuse.rs` at the workspace root):
     ///
     /// ```
     /// use sparsegossip_analysis::Runner;

@@ -42,10 +42,20 @@ fn assert_reports_identical(a: &ScenarioSweepReport, b: &ScenarioSweepReport, wh
 
 #[test]
 fn results_are_identical_for_1_2_and_8_threads() {
-    let serial = small_sweep().threads(1).run().unwrap();
-    for threads in [2, 8] {
-        let parallel = small_sweep().threads(threads).run().unwrap();
-        assert_reports_identical(&serial, &parallel, &format!("{threads} threads"));
+    // The clean grid, and the grid crossed with a churn axis (churn
+    // draws teleports from the step loop's own stream).
+    let churned = small_sweep().axis("churn_rates", vec![0.0, 0.05]).unwrap();
+    for (what, sweep) in [("clean", small_sweep()), ("churn", churned)] {
+        let serial = sweep.clone().threads(1).run().unwrap();
+        for threads in [2, 8] {
+            let parallel = sweep.clone().threads(threads).run().unwrap();
+            assert_reports_identical(&serial, &parallel, &format!("{what} {threads} threads"));
+            assert_eq!(
+                serial.to_json(),
+                parallel.to_json(),
+                "{what}: JSON must be byte-identical across thread counts"
+            );
+        }
     }
 }
 

@@ -6,8 +6,9 @@
 //! maintained hash) must stay step-for-step identical to the full path
 //! (an observer that demands the whole partition) for `Broadcast`,
 //! `Infection` and the Frog configuration, across multi-source starts,
-//! churn and speed classes. The seed-pure work count pins how many
-//! agents the frontier path labels.
+//! churn and speed classes. The seed-pure work counts pin how many
+//! agents the frontier path labels, for broadcast to `T_B` and over a
+//! window of a sub-critical Frog run.
 
 use core::ops::ControlFlow;
 
@@ -252,18 +253,21 @@ fn churn_crosses_the_split_both_ways_and_stays_identical() {
     }
 }
 
-/// Sums the agents covered by the labelling each step hands out, without
-/// asking for the full partition.
+/// Sums the agents covered by the labelling each step hands out; the
+/// full partition only when `full` asks for it.
 #[derive(Default)]
-struct CoveredAgents(u64);
+struct CoveredAgents {
+    agents: u64,
+    full: bool,
+}
 
 impl Observer for CoveredAgents {
     fn on_step(&mut self, ctx: StepContext<'_>) {
-        self.0 += covered(ctx.components);
+        self.agents += covered(ctx.components);
     }
 
     fn wants_full_components(&self) -> bool {
-        false
+        self.full
     }
 }
 
@@ -302,7 +306,7 @@ fn work_counts(side: u32, k: usize, radius: u32, seed: u64) -> (u64, u64) {
         }
     }
     assert!(sim.is_complete(), "side {side}, r {radius}: run was capped");
-    (observed.0, replayed)
+    (observed.agents, replayed)
 }
 
 #[test]
@@ -321,4 +325,31 @@ fn smaller_side_seeding_labels_fewer_agents() {
             "r {radius}: {frontier} ≥ informed-seeded {informed_seeded}"
         );
     }
+}
+
+#[test]
+fn frog_frontier_path_labels_at_most_half_the_full_path() {
+    // The work behind the frontier path's speed: over a fixed window of
+    // a sub-critical Frog run (only informed agents move), the frontier
+    // path labels at most half the agents the full path labels. Both
+    // paths follow one trajectory, so the totals are seed-pure and
+    // pinned exactly; wall-clock speed is perfbench's to measure.
+    const WINDOW: u64 = 300;
+    let config = SimConfig::builder(128, 64).radius(8).build().unwrap();
+    let labelled = |full: bool| {
+        let mut rng = SmallRng::seed_from_u64(11);
+        let mut sim = Simulation::frog(&config, &mut rng).unwrap();
+        let mut observer = CoveredAgents { agents: 0, full };
+        for _ in 0..WINDOW {
+            let _ = sim.step(&mut rng, &mut observer);
+        }
+        assert!(!sim.is_complete(), "the window must stay sub-complete");
+        observer.agents
+    };
+    let (frontier, full) = (labelled(false), labelled(true));
+    assert_eq!((frontier, full), (1_323, 19_200), "covered agents");
+    assert!(
+        2 * frontier <= full,
+        "frontier {frontier} > full {full} / 2"
+    );
 }

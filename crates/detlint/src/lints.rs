@@ -302,7 +302,7 @@ mod tests {
         assert!(LintId::NondetMap.in_scope("crates/core/src/lib.rs"));
         assert!(!LintId::NondetMap.in_scope("crates/grid/src/grid.rs"));
         assert!(!LintId::NondetMap.in_scope("crates/walks/tests/proptests.rs"));
-        assert!(!LintId::WallClock.in_scope("crates/bench/src/bin/exp_perf.rs"));
+        assert!(!LintId::WallClock.in_scope("crates/bench/src/bin/exp_tb_vs_n.rs"));
         assert!(!LintId::WallClock.in_scope("crates/cli/src/main.rs"));
         assert!(LintId::WallClock.in_scope("crates/core/src/process.rs"));
         assert!(LintId::UnseededRng.in_scope("examples/demo.rs"));

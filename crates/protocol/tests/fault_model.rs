@@ -13,11 +13,17 @@
 //! * the fault layer's zero-cost contract at the outcome level: a
 //!   trivial `FaultConfig` reproduces the fault-free twin's event-log
 //!   hash exactly (the byte-level golden lives in `event_log_golden`).
+//! * a fault storm (loss, delay, crashes, a partition and full
+//!   recovery at once) completes on the same tick with the same
+//!   event-log hash at every worker count and on every rerun.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sparsegossip_core::{FaultConfig, NetworkConfig, ProtocolOutcome, SimConfig, Simulation};
+use sparsegossip_core::{
+    FaultConfig, NetworkConfig, ProtocolBroadcast, ProtocolOutcome, SimConfig, Simulation,
+};
+use sparsegossip_grid::Grid;
 
 /// Runs the twin once with the given fault axes and returns the
 /// outcome; `cap` bounds the run.
@@ -176,4 +182,51 @@ fn heavy_crashes_slow_but_recovery_still_completes() {
         "no crash was injected across the ensemble"
     );
     assert!(any_slower, "a 30% crash rate never slowed any run");
+}
+
+#[test]
+fn fault_storm_is_identical_across_workers_and_reruns() {
+    // Drop 0.3, delay 1-2, interval 2, crash 0.05 with restart after 2,
+    // a partition over [5, 20), retransmission and anti-entropy every 2
+    // ticks. The pinned tick and hash are those of the seed-2011 run.
+    let config = SimConfig::builder(16, 8)
+        .radius(6)
+        .max_steps(5_000)
+        .build()
+        .expect("valid storm configuration");
+    let net = NetworkConfig::new(0.3, 1, 2, 2).expect("valid lossy network");
+    let storm = FaultConfig {
+        crash_prob: 0.05,
+        restart_delay: 2,
+        partition_start: 5,
+        partition_len: 15,
+        retransmit: true,
+        anti_entropy_interval: 2,
+    };
+    let seed = 2011;
+    for workers in [1usize, 2, 4] {
+        for rerun in 0..2 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let process = ProtocolBroadcast::from_config(&config, net, seed)
+                .expect("valid twin process")
+                .workers(workers)
+                .faults(storm.to_plan())
+                .recovery(storm.to_recovery());
+            let out = Simulation::new(
+                Grid::new(config.side()).expect("valid grid"),
+                config.k(),
+                config.radius(),
+                config.max_steps(),
+                process,
+                &mut rng,
+            )
+            .expect("constructible twin")
+            .run(&mut rng);
+            assert_eq!(
+                (out.completion_time, out.log_hash),
+                (Some(20), 0xb005_5bfe_c96f_d4ed),
+                "workers={workers} rerun={rerun}"
+            );
+        }
+    }
 }

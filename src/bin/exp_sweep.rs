@@ -12,7 +12,7 @@
 //! the `Θ̃`-notation's constant may occupy).
 //!
 //! Results are printed as a table and written to `BENCH_sweep.json`
-//! (uploaded by CI next to `BENCH_hotpath.json`).
+//! (uploaded by CI as an artifact).
 //!
 //! Scale via `SG_SCALE` (`quick`/`full`) or the `--quick`/`--full`
 //! arguments; seed via `SG_SEED`, threads via `SG_THREADS`, like every
@@ -25,15 +25,6 @@ use sparsegossip_bench::{verdict, ExpCtx};
 use sparsegossip_core::{ProcessKind, ScenarioSpec};
 
 fn main() -> ExitCode {
-    // `--quick`/`--full` are argument aliases for SG_SCALE, letting
-    // `cargo run --bin exp_sweep -- --quick` work without env plumbing.
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--quick" => std::env::set_var("SG_SCALE", "quick"),
-            "--full" => std::env::set_var("SG_SCALE", "full"),
-            other => eprintln!("ignoring unknown argument {other:?}"),
-        }
-    }
     let ctx = ExpCtx::init(
         "E21",
         "declarative multi-axis sweep across the percolation threshold",

@@ -254,29 +254,33 @@ fn warm_construction_is_allocation_free() {
     }
 }
 
-/// Warms `sim` up on both labelling paths, then asserts that 100 steps
-/// on each allocate nothing: the default path (`NullObserver`, which
-/// takes the process's own components scope) and the full-partition
-/// path (`FullView`).
+/// Asserts that warmed steps allocate nothing. First the default path
+/// alone (`NullObserver`, which takes the process's own components
+/// scope), warmed and measured the way a production run executes; then
+/// the full-partition path (`FullView`); then both paths alternating,
+/// once each has reached its steady shape.
 fn assert_steps_allocation_free<P: Process>(
     mut sim: Simulation<P, Grid>,
     mut rng: SmallRng,
     what: &str,
 ) {
+    let mut null = sparsegossip::core::NullObserver;
     let mut full = FullView;
     for _ in 0..60 {
-        let _ = sim.step(&mut rng, &mut sparsegossip::core::NullObserver);
-        let _ = sim.step(&mut rng, &mut full);
+        let _ = sim.step(&mut rng, &mut null);
     }
     let before = thread_allocs();
     for _ in 0..100 {
-        let _ = sim.step(&mut rng, &mut sparsegossip::core::NullObserver);
+        let _ = sim.step(&mut rng, &mut null);
     }
     assert_eq!(
         thread_allocs() - before,
         0,
         "{what}: default-path step allocated"
     );
+    for _ in 0..60 {
+        let _ = sim.step(&mut rng, &mut full);
+    }
     let before = thread_allocs();
     for _ in 0..100 {
         let _ = sim.step(&mut rng, &mut full);
@@ -285,6 +289,16 @@ fn assert_steps_allocation_free<P: Process>(
         thread_allocs() - before,
         0,
         "{what}: full-partition step allocated"
+    );
+    let before = thread_allocs();
+    for _ in 0..50 {
+        let _ = sim.step(&mut rng, &mut null);
+        let _ = sim.step(&mut rng, &mut full);
+    }
+    assert_eq!(
+        thread_allocs() - before,
+        0,
+        "{what}: alternating-path step allocated"
     );
 }
 

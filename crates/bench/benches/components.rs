@@ -78,8 +78,9 @@ fn bench_scratch_reuse(c: &mut Criterion) {
 /// fresh full build, the scratch-reuse full build, seed-restricted
 /// labelling (a small informed set, as in most of a sparse broadcast's
 /// lifetime), and seeded labelling over an incrementally maintained
-/// hash (`apply_moves` with a lazy-walk-sized move log — the per-step
-/// work of the `Simulation` frontier path).
+/// hash (`apply_moves` with a lazy-walk-sized move log — what the
+/// benchmark replay does; `Simulation` itself rebuilds its hash every
+/// step).
 fn bench_components_seeded(c: &mut Criterion) {
     let side = 512;
     let mut group = c.benchmark_group("components_seeded");

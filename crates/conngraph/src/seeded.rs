@@ -147,7 +147,8 @@ impl SeededScratch {
 
 /// Computes the components of `G_t(r)` that contain at least one seed,
 /// flood-filling over the buckets of an already-built (or incrementally
-/// maintained) `hash`.
+/// maintained) `hash`. The simulator rebuilds that hash from the
+/// positions every step; a maintained one serves the benchmark replay.
 ///
 /// The `hash` must describe exactly `positions` — the pairing produced
 /// by [`SpatialHash::build`]/[`rebuild`](SpatialHash::rebuild) on these
@@ -186,7 +187,9 @@ pub fn components_from_seeds_on<'a>(
 /// The hash's bucket radius must bound the contact model's reach, so
 /// the reach-aware candidate scan
 /// ([`SpatialHash::for_each_candidate`]) remains a superset of every
-/// accepted pair.
+/// accepted pair. `Simulation::step` calls this over a hash it rebuilds
+/// from the positions every step; only the benchmark replay feeds it a
+/// hash maintained through [`SpatialHash::apply_moves`].
 /// The equivalence contract is unchanged: on covered components the
 /// result matches the full partition under the same contact model
 /// (e.g. [`components_brute_by`](crate::components_brute_by)).

@@ -17,6 +17,11 @@ use sparsegossip_grid::Point;
 /// [`apply_moves`](SpatialHash::apply_moves) costs only the bucket
 /// crossings. Neither allocates once the buffers are warm.
 ///
+/// The simulator rebuilds its hash from the positions every step, on
+/// every labelling path. `apply_moves` (fed by the move log of
+/// `WalkEngine::step_all_into`) is kept for the benchmark replay and
+/// the `components` micro-benchmark only.
+///
 /// # Examples
 ///
 /// ```
@@ -157,7 +162,8 @@ impl SpatialHash {
     /// `1/r` of its steps, and under masked mobility most agents do not
     /// move at all — this is what makes per-step hash maintenance
     /// proportional to the *moved* set instead of `k`. It never
-    /// allocates (every array has fixed size).
+    /// allocates (every array has fixed size). Benchmark-replay API:
+    /// the simulator itself rebuilds its hash every step.
     ///
     /// # Panics
     ///

@@ -182,8 +182,8 @@ proptest! {
         (positions, radii, side, mask) in arb_hetero_layout(),
         walk in proptest::collection::vec(proptest::collection::vec(0u8..10, 0..60), 0..6),
     ) {
-        // The frontier-sparse production path: a hash maintained move by
-        // move (bucket radius = max agent radius) driving the seeded
+        // The benchmark replay's path: a hash maintained move by move
+        // (bucket radius = max agent radius) driving the seeded
         // labelling must equal the brute-force partition every step.
         let k = positions.len();
         let contact = RadiiContact(&radii);

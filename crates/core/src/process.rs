@@ -8,7 +8,7 @@
 //! its components. A [`Process`] supplies only the parts that differ —
 //! which agents move, what state is exchanged, and when the run is
 //! over — while [`Simulation`] owns the per-step pipeline
-//! (mobility → [`WalkEngine::step_all`] → [`components`] → exchange →
+//! (mobility → [`WalkEngine::step_with`] → [`components`] → exchange →
 //! [`Observer`]). Every process therefore gets observers, explicit
 //! stepping, arbitrary [`Topology`] support and deterministic seeding
 //! for free.
@@ -81,16 +81,9 @@ pub struct SimScratch {
     /// paths warm disjoint buffers, which the scratch-reuse allocation
     /// tests rely on.
     seeded: SeededScratch,
-    /// The spatial hash of the restricted paths: maintained
-    /// incrementally from the engine's move log on the frontier-sparse
-    /// path, rebuilt every step on the contact-only path.
+    /// The spatial hash of the restricted paths, rebuilt from the
+    /// positions on every labelling.
     hash: SpatialHash,
-    /// Per-step move log filled by the tracking walk steps.
-    moves: Vec<(u32, Point, Point)>,
-    /// Whether `hash` currently mirrors the engine's positions. Cleared
-    /// whenever positions change without a move log (full-path steps,
-    /// re-placement, scratch recycling into a new simulation).
-    hash_live: bool,
 }
 
 impl SimScratch {
@@ -98,6 +91,35 @@ impl SimScratch {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Labels `G_t(r)` at `positions` as far as `scope` asks, into these
+    /// buffers. The restricted scopes first rebuild `hash` from the
+    /// positions (an O(k) relink), so no labelling depends on the state
+    /// a previous step left behind.
+    // detlint: hot
+    fn label<'s>(
+        &'s mut self,
+        scope: ComponentsScope<'_>,
+        positions: &[Point],
+        contact: &WorldContact<'_>,
+        bucket_radius: u32,
+        side: u32,
+    ) -> &'s Components {
+        match scope {
+            ComponentsScope::None => Components::EMPTY,
+            ComponentsScope::Full => {
+                components_into_by(&mut self.comps, positions, contact, bucket_radius, side)
+            }
+            ComponentsScope::Seeded(seeds) => {
+                self.hash.rebuild(positions, bucket_radius, side);
+                components_from_seeds_on_by(&self.hash, &mut self.seeded, positions, seeds, contact)
+            }
+            ComponentsScope::Contacts => {
+                self.hash.rebuild(positions, bucket_radius, side);
+                contact_components_on_by(&self.hash, &mut self.seeded, positions, contact)
+            }
+        }
     }
 }
 
@@ -595,12 +617,9 @@ impl<P: Process, T: Topology> Simulation<P, T> {
         radius: u32,
         max_steps: u64,
         process: P,
-        mut scratch: SimScratch,
+        scratch: SimScratch,
         world: WorldState,
     ) -> Self {
-        // A recycled scratch may carry another simulation's maintained
-        // hash; it does not mirror this engine's positions.
-        scratch.hash_live = false;
         let mut sim = Self {
             engine,
             radius,
@@ -618,12 +637,9 @@ impl<P: Process, T: Topology> Simulation<P, T> {
     /// Runs the paper's step-0 exchange on `G_0(r)` — the placement
     /// already forms a visibility graph — and records completion.
     ///
-    /// Processes with a [`Seeded`](ComponentsScope::Seeded) scope get
-    /// seed-restricted labelling here too (the freshly built hash then
-    /// seeds the incremental maintenance of subsequent steps), a
-    /// [`Contacts`](ComponentsScope::Contacts) scope gets contact-only
-    /// labelling, and a [`None`](ComponentsScope::None) scope skips
-    /// labelling outright.
+    /// The labelling follows the process's [`ComponentsScope`], as in
+    /// [`step`](Simulation::step) under an observer content without the
+    /// full partition.
     fn placement_exchange(&mut self) {
         let side = self.engine.topology().side();
         let contact = WorldContact::new(
@@ -631,48 +647,18 @@ impl<P: Process, T: Topology> Simulation<P, T> {
             self.world.radii_opt(),
             self.world.walls.as_ref(),
         );
-        let comps: &Components = if !P::NEEDS_COMPONENTS {
-            Components::EMPTY
+        let scope = if P::NEEDS_COMPONENTS {
+            self.process.components_scope()
         } else {
-            match self.process.components_scope() {
-                ComponentsScope::None => Components::EMPTY,
-                ComponentsScope::Seeded(seeds) => {
-                    self.scratch.hash.rebuild(
-                        self.engine.positions(),
-                        self.world.bucket_radius,
-                        side,
-                    );
-                    self.scratch.hash_live = true;
-                    components_from_seeds_on_by(
-                        &self.scratch.hash,
-                        &mut self.scratch.seeded,
-                        self.engine.positions(),
-                        seeds,
-                        &contact,
-                    )
-                }
-                ComponentsScope::Contacts => {
-                    self.scratch.hash.rebuild(
-                        self.engine.positions(),
-                        self.world.bucket_radius,
-                        side,
-                    );
-                    contact_components_on_by(
-                        &self.scratch.hash,
-                        &mut self.scratch.seeded,
-                        self.engine.positions(),
-                        &contact,
-                    )
-                }
-                ComponentsScope::Full => components_into_by(
-                    &mut self.scratch.comps,
-                    self.engine.positions(),
-                    &contact,
-                    self.world.bucket_radius,
-                    side,
-                ),
-            }
+            ComponentsScope::None
         };
+        let comps = self.scratch.label(
+            scope,
+            self.engine.positions(),
+            &contact,
+            self.world.bucket_radius,
+            side,
+        );
         let flow = self.process.on_placement(ExchangeCtx {
             time: 0,
             side,
@@ -790,9 +776,6 @@ impl<P: Process, T: Topology> Simulation<P, T> {
     pub fn reset<R: RngExt>(&mut self, process: P, rng: &mut R) -> Result<(), SimError> {
         Self::validate(&process, self.engine.len(), self.max_steps)?;
         self.engine.reset_uniform(rng);
-        // Re-placement is untracked movement; the maintained hash is
-        // stale until the placement exchange rebuilds it.
-        self.scratch.hash_live = false;
         self.process = process;
         self.placement_exchange();
         Ok(())
@@ -825,15 +808,14 @@ impl<P: Process, T: Topology> Simulation<P, T> {
     /// The labelling strategy is picked from the process's
     /// [`ComponentsScope`], when the observer is content without the
     /// full partition ([`Observer::wants_full_components`]). Under a
-    /// [`Seeded`](ComponentsScope::Seeded) scope the engine reports its
-    /// move log, the spatial hash is maintained incrementally
-    /// ([`SpatialHash::apply_moves`]) instead of rebuilt, and only the
-    /// components containing a seed are labelled. Under a
-    /// [`Contacts`](ComponentsScope::Contacts) scope the hash is rebuilt
-    /// from the plain step and only the components of two or more
-    /// agents are labelled. Outcomes are draw-for-draw identical either
-    /// way; per-step labelling cost scales with the moved set and the
-    /// seeds' components, or with the meetings, instead of `k`.
+    /// [`Seeded`](ComponentsScope::Seeded) or
+    /// [`Contacts`](ComponentsScope::Contacts) scope the spatial hash is
+    /// rebuilt from the positions and only the components containing a
+    /// seed, or of two or more agents, are labelled. Every path rebuilds
+    /// its hash every step, and outcomes are draw-for-draw identical on
+    /// all of them; per-step labelling cost beyond the O(k) relink
+    /// scales with the seeds' components, or with the meetings, instead
+    /// of `k`.
     ///
     /// # Examples
     ///
@@ -872,57 +854,8 @@ impl<P: Process, T: Topology> Simulation<P, T> {
         rng: &mut R,
         observer: &mut O,
     ) -> ControlFlow<()> {
-        // The observer gate: a scope below Full applies only when the
-        // observer does not demand the complete partition.
-        let scope_sparse = P::NEEDS_COMPONENTS && !observer.wants_full_components();
-        let frontier_sparse =
-            scope_sparse && matches!(self.process.components_scope(), ComponentsScope::Seeded(_));
-        let contact_sparse =
-            scope_sparse && matches!(self.process.components_scope(), ComponentsScope::Contacts);
-        let skip_components =
-            scope_sparse && matches!(self.process.components_scope(), ComponentsScope::None);
-        let speeds_active = !self.world.speeds.is_empty();
-        if frontier_sparse {
-            // Track the moves so the maintained hash can relocate only
-            // the agents whose bucket changed.
-            match (speeds_active, self.process.mobility_mask()) {
-                (false, None) => self.engine.step_all_into(rng, &mut self.scratch.moves),
-                (false, Some(mask)) => {
-                    self.engine
-                        .step_masked_into(mask, rng, &mut self.scratch.moves)
-                }
-                (true, None) => {
-                    self.engine
-                        .step_speeds_into(&self.world.speeds, rng, &mut self.scratch.moves)
-                }
-                (true, Some(mask)) => self.engine.step_speeds_masked_into(
-                    &self.world.speeds,
-                    mask,
-                    rng,
-                    &mut self.scratch.moves,
-                ),
-            }
-        } else {
-            match (speeds_active, self.process.mobility_mask()) {
-                (false, None) => self.engine.step_all(rng),
-                (false, Some(mask)) => self.engine.step_masked(mask, rng),
-                // The speeds steppers log moves; the full path simply
-                // ignores the log.
-                (true, None) => {
-                    self.engine
-                        .step_speeds_into(&self.world.speeds, rng, &mut self.scratch.moves)
-                }
-                (true, Some(mask)) => self.engine.step_speeds_masked_into(
-                    &self.world.speeds,
-                    mask,
-                    rng,
-                    &mut self.scratch.moves,
-                ),
-            }
-            // Positions changed without a usable move log: the
-            // maintained hash no longer mirrors them.
-            self.scratch.hash_live = false;
-        }
+        self.engine
+            .step_with(self.process.mobility_mask(), &self.world.speeds, rng);
         self.process.post_move(self.engine.topology(), rng);
         if self.world.churn_rate > 0.0 {
             self.churn_agents(rng);
@@ -933,62 +866,22 @@ impl<P: Process, T: Topology> Simulation<P, T> {
             self.world.radii_opt(),
             self.world.walls.as_ref(),
         );
-        let comps: &Components = if !P::NEEDS_COMPONENTS || skip_components {
-            Components::EMPTY
-        } else if frontier_sparse {
-            if let ComponentsScope::Seeded(seeds) = self.process.components_scope() {
-                if self.scratch.hash_live {
-                    self.scratch.hash.apply_moves(&self.scratch.moves);
-                } else {
-                    self.scratch.hash.rebuild(
-                        self.engine.positions(),
-                        self.world.bucket_radius,
-                        side,
-                    );
-                    self.scratch.hash_live = true;
-                }
-                components_from_seeds_on_by(
-                    &self.scratch.hash,
-                    &mut self.scratch.seeded,
-                    self.engine.positions(),
-                    seeds,
-                    &contact,
-                )
-            } else {
-                // A custom process switched scope between the move and
-                // the labelling (no built-in process does): fall back to
-                // the always-correct full build.
-                self.scratch.hash_live = false;
-                components_into_by(
-                    &mut self.scratch.comps,
-                    self.engine.positions(),
-                    &contact,
-                    self.world.bucket_radius,
-                    side,
-                )
-            }
-        } else if contact_sparse {
-            // Rebuilt rather than maintained: maintaining the hash was
-            // measured slower on gossip. `hash_live` stays false, as the
-            // step above left it.
-            self.scratch
-                .hash
-                .rebuild(self.engine.positions(), self.world.bucket_radius, side);
-            contact_components_on_by(
-                &self.scratch.hash,
-                &mut self.scratch.seeded,
-                self.engine.positions(),
-                &contact,
-            )
+        // The observer gate: a scope below Full applies only when the
+        // observer does not demand the complete partition.
+        let scope = if !P::NEEDS_COMPONENTS {
+            ComponentsScope::None
+        } else if observer.wants_full_components() {
+            ComponentsScope::Full
         } else {
-            components_into_by(
-                &mut self.scratch.comps,
-                self.engine.positions(),
-                &contact,
-                self.world.bucket_radius,
-                side,
-            )
+            self.process.components_scope()
         };
+        let comps = self.scratch.label(
+            scope,
+            self.engine.positions(),
+            &contact,
+            self.world.bucket_radius,
+            side,
+        );
         let flow = self.process.exchange(ExchangeCtx {
             time: self.engine.time(),
             side,
@@ -1024,14 +917,8 @@ impl<P: Process, T: Topology> Simulation<P, T> {
             if !hit || i < self.world.immortal {
                 continue;
             }
-            let from = self.engine.positions()[i];
             let to = self.engine.topology().random_point(rng);
-            if to != from {
-                self.engine.set_position(i, to);
-                // Log the teleport alongside the walk moves so the
-                // maintained hash relocates the replacement too.
-                self.scratch.moves.push((i as u32, from, to));
-            }
+            self.engine.set_position(i, to);
             self.process.reset_agent(i);
         }
     }

@@ -2,8 +2,8 @@
 //! agents while they are at most half of `k`, and from the uninformed
 //! agents after that.
 //!
-//! The frontier path (`NullObserver`, seed-restricted labelling over the
-//! maintained hash) must stay step-for-step identical to the full path
+//! The frontier path (`NullObserver`, seed-restricted labelling over a
+//! hash rebuilt each step) must stay step-for-step identical to the full path
 //! (an observer that demands the whole partition) for `Broadcast`,
 //! `Infection` and the Frog configuration, across multi-source starts,
 //! churn and speed classes. The seed-pure work counts pin how many

@@ -155,7 +155,7 @@ fn workspace_hot_paths_carry_their_markers() {
         ("crates/conngraph/src/seeded.rs", 2),        // seeded + contact builds
         ("crates/conngraph/src/spatial.rs", 4),       // rebuild, apply_moves, both scans
         ("crates/conngraph/src/visibility.rs", 2),    // union_visible_by + components_on_by
-        ("crates/walks/src/engine.rs", 4),            // step_all{,_into}, step_masked{,_into}
+        ("crates/walks/src/engine.rs", 3),            // step_all{,_into}, step_with
         ("crates/core/src/broadcast.rs", 2),          // exchange_one_hop + exchange_components
         ("crates/core/src/gossip.rs", 1),             // exchange
         ("crates/core/src/rumor.rs", 1),              // RumorSets::exchange

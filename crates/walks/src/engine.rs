@@ -140,21 +140,18 @@ impl<T: Topology> WalkEngine<T> {
     /// Advances every agent by one lazy step.
     // detlint: hot
     pub fn step_all<R: RngExt>(&mut self, rng: &mut R) {
-        for p in &mut self.positions {
-            *p = lazy_step(&self.topo, *p, rng);
-        }
-        self.time += 1;
+        self.step_with(None, &[], rng);
     }
 
     /// As [`step_all`](WalkEngine::step_all), additionally recording
     /// every agent that changed position as an `(agent, from, to)`
     /// triple in `moves` (cleared first). Lazy holds are not reported.
     ///
-    /// Draw-for-draw identical to [`step_all`](WalkEngine::step_all):
-    /// the same RNG draws in the same order. The move log is what feeds
-    /// incremental spatial-hash maintenance
-    /// (`SpatialHash::apply_moves`) — per-step work proportional to the
-    /// agents that moved, not to `k`.
+    /// Draw-for-draw identical to [`step_all`](WalkEngine::step_all).
+    /// Benchmark-replay API: the simulator rebuilds its spatial hash
+    /// from positions every step; only the benchmark replay and the
+    /// `components` micro-benchmark feed this log to
+    /// `SpatialHash::apply_moves`.
     // detlint: hot
     pub fn step_all_into<R: RngExt>(&mut self, rng: &mut R, moves: &mut Vec<(u32, Point, Point)>) {
         moves.clear();
@@ -171,115 +168,55 @@ impl<T: Topology> WalkEngine<T> {
         self.time += 1;
     }
 
-    /// Advances only the agents whose bit is set in `mask` (Frog-model
-    /// dynamics: only informed agents move). Time still advances by one.
+    /// The one mobility kernel of the simulator: advances the agents
+    /// whose bit is set in `mask` (every agent when `None`; the Frog
+    /// model moves only informed agents), agent `i` by `speeds[i]`
+    /// consecutive lazy steps (its *speed class*; one step each when
+    /// `speeds` is empty). Time advances by one either way.
+    ///
+    /// Draws come in increasing agent order, `speeds[i]` per moving
+    /// agent, so a speed-0 agent draws nothing and an unmasked
+    /// unit-speed step is draw-for-draw [`step_all`](WalkEngine::step_all).
     ///
     /// # Panics
     ///
-    /// Panics if `mask.len() != self.len()`.
+    /// Panics if `mask.len() != self.len()`, or if `speeds` is neither
+    /// empty nor of length `self.len()`.
     // detlint: hot
-    pub fn step_masked<R: RngExt>(&mut self, mask: &BitSet, rng: &mut R) {
-        assert_eq!(mask.len(), self.positions.len(), "mask capacity mismatch");
-        for i in mask.iter_ones() {
-            self.positions[i] = lazy_step(&self.topo, self.positions[i], rng);
-        }
-        self.time += 1;
-    }
-
-    /// As [`step_masked`](WalkEngine::step_masked), additionally
-    /// recording every agent that changed position as an
-    /// `(agent, from, to)` triple in `moves` (cleared first). Under a
-    /// sparse mask — the Frog model's whole point — the log stays tiny.
-    ///
-    /// Draw-for-draw identical to
-    /// [`step_masked`](WalkEngine::step_masked).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mask.len() != self.len()`.
-    // detlint: hot
-    pub fn step_masked_into<R: RngExt>(
-        &mut self,
-        mask: &BitSet,
-        rng: &mut R,
-        moves: &mut Vec<(u32, Point, Point)>,
-    ) {
-        assert_eq!(mask.len(), self.positions.len(), "mask capacity mismatch");
-        moves.clear();
-        moves.reserve(self.positions.len());
-        for i in mask.iter_ones() {
-            let from = self.positions[i];
-            let to = lazy_step(&self.topo, from, rng);
-            if to != from {
-                self.positions[i] = to;
-                moves.push((i as u32, from, to));
+    pub fn step_with<R: RngExt>(&mut self, mask: Option<&BitSet>, speeds: &[u32], rng: &mut R) {
+        // One instance per (agent iterator, speeds in use): the unmasked
+        // unit-speed instance is the plain one-draw-per-agent loop.
+        #[inline(always)]
+        fn walk<T: Topology, R: RngExt, I: Iterator<Item = usize>, const SPEEDS: bool>(
+            topo: &T,
+            positions: &mut [Point],
+            agents: I,
+            speeds: &[u32],
+            rng: &mut R,
+        ) {
+            for i in agents {
+                let sub_steps = if SPEEDS { speeds[i] } else { 1 };
+                let mut p = positions[i];
+                for _ in 0..sub_steps {
+                    p = lazy_step(topo, p, rng);
+                }
+                positions[i] = p;
             }
         }
-        self.time += 1;
-    }
-
-    /// Advances agent `i` by `speeds[i]` consecutive lazy steps (its
-    /// *speed class*), recording each agent whose **net** position
-    /// changed as an `(agent, from, to)` triple in `moves` (cleared
-    /// first). With all speeds 1 this is draw-for-draw identical to
-    /// [`step_all_into`](WalkEngine::step_all_into): one `lazy_step`
-    /// draw per agent, in agent order. A speed-0 agent is stationary
-    /// and draws nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `speeds.len() != self.len()`.
-    // detlint: hot
-    pub fn step_speeds_into<R: RngExt>(
-        &mut self,
-        speeds: &[u32],
-        rng: &mut R,
-        moves: &mut Vec<(u32, Point, Point)>,
-    ) {
-        assert_eq!(speeds.len(), self.positions.len(), "speeds length mismatch");
-        moves.clear();
-        moves.reserve(self.positions.len());
-        for (i, p) in self.positions.iter_mut().enumerate() {
-            let from = *p;
-            for _ in 0..speeds[i] {
-                *p = lazy_step(&self.topo, *p, rng);
-            }
-            if *p != from {
-                moves.push((i as u32, from, *p));
-            }
+        let k = self.positions.len();
+        assert!(
+            speeds.is_empty() || speeds.len() == k,
+            "speeds length mismatch"
+        );
+        if let Some(mask) = mask {
+            assert_eq!(mask.len(), k, "mask capacity mismatch");
         }
-        self.time += 1;
-    }
-
-    /// As [`step_speeds_into`](WalkEngine::step_speeds_into), advancing
-    /// only the agents whose bit is set in `mask`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mask.len() != self.len()` or
-    /// `speeds.len() != self.len()`.
-    // detlint: hot
-    pub fn step_speeds_masked_into<R: RngExt>(
-        &mut self,
-        speeds: &[u32],
-        mask: &BitSet,
-        rng: &mut R,
-        moves: &mut Vec<(u32, Point, Point)>,
-    ) {
-        assert_eq!(mask.len(), self.positions.len(), "mask capacity mismatch");
-        assert_eq!(speeds.len(), self.positions.len(), "speeds length mismatch");
-        moves.clear();
-        moves.reserve(self.positions.len());
-        for i in mask.iter_ones() {
-            let from = self.positions[i];
-            let mut to = from;
-            for _ in 0..speeds[i] {
-                to = lazy_step(&self.topo, to, rng);
-            }
-            if to != from {
-                self.positions[i] = to;
-                moves.push((i as u32, from, to));
-            }
+        let (topo, positions) = (&self.topo, self.positions.as_mut_slice());
+        match (mask, speeds.is_empty()) {
+            (None, true) => walk::<_, _, _, false>(topo, positions, 0..k, speeds, rng),
+            (None, false) => walk::<_, _, _, true>(topo, positions, 0..k, speeds, rng),
+            (Some(m), true) => walk::<_, _, _, false>(topo, positions, m.iter_ones(), speeds, rng),
+            (Some(m), false) => walk::<_, _, _, true>(topo, positions, m.iter_ones(), speeds, rng),
         }
         self.time += 1;
     }
@@ -360,26 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn step_masked_freezes_unmasked_agents() {
-        let g = Grid::new(16).unwrap();
-        let mut r = rng(4);
-        let mut e = WalkEngine::uniform(g, 10, &mut r).unwrap();
-        let mut mask = BitSet::new(10);
-        mask.insert(0);
-        mask.insert(7);
-        let before = e.positions().to_vec();
-        for _ in 0..100 {
-            e.step_masked(&mask, &mut r);
-        }
-        for (i, (b, a)) in before.iter().zip(e.positions()).enumerate() {
-            if i != 0 && i != 7 {
-                assert_eq!(b, a, "frozen agent {i} moved");
-            }
-        }
-        assert_eq!(e.time(), 100);
-    }
-
-    #[test]
     fn step_all_into_matches_step_all_and_logs_moves() {
         let g = Grid::new(16).unwrap();
         let mut r1 = rng(21);
@@ -406,39 +323,58 @@ mod tests {
     }
 
     #[test]
-    fn step_masked_into_matches_step_masked() {
+    fn step_with_matches_a_per_agent_lazy_step_reference() {
+        // Every (mask, speeds) shape of the kernel against an independent
+        // per-agent `lazy_step` loop fed the same RNG stream: masked
+        // agents in increasing order, `speeds[i]` draws each (none at
+        // speed 0), unmasked agents frozen.
+        const K: usize = 12;
         let g = Grid::new(16).unwrap();
-        let mut mask = BitSet::new(12);
-        mask.insert(2);
-        mask.insert(9);
-        let mut r1 = rng(22);
-        let mut plain = WalkEngine::uniform(g, 12, &mut r1).unwrap();
-        let mut r2 = rng(22);
-        let mut tracked = WalkEngine::uniform(g, 12, &mut r2).unwrap();
-        let mut moves = Vec::new();
-        for _ in 0..100 {
-            plain.step_masked(&mask, &mut r1);
-            tracked.step_masked_into(&mask, &mut r2, &mut moves);
-            assert_eq!(plain.positions(), tracked.positions());
-            assert!(moves.iter().all(|m| mask.contains(m.0 as usize)));
-            assert!(moves.iter().all(|m| m.1 != m.2));
+        let mut full = BitSet::new(K);
+        for i in 0..K {
+            full.insert(i);
         }
-    }
-
-    #[test]
-    fn unit_speeds_match_step_all_into_draw_for_draw() {
-        let g = Grid::new(16).unwrap();
-        let mut r1 = rng(31);
-        let mut plain = WalkEngine::uniform(g, 15, &mut r1).unwrap();
-        let mut r2 = rng(31);
-        let mut fast = WalkEngine::uniform(g, 15, &mut r2).unwrap();
-        let speeds = vec![1u32; 15];
-        let (mut m1, mut m2) = (Vec::new(), Vec::new());
-        for _ in 0..100 {
-            plain.step_all_into(&mut r1, &mut m1);
-            fast.step_speeds_into(&speeds, &mut r2, &mut m2);
-            assert_eq!(plain.positions(), fast.positions());
-            assert_eq!(m1, m2);
+        let mut sparse = BitSet::new(K);
+        for i in [2, 4, 9] {
+            sparse.insert(i);
+        }
+        let unit = [1u32; K];
+        let mixed: Vec<u32> = (0..K).map(|i| (i % 4) as u32).collect();
+        let masks = [
+            ("none", None),
+            ("full", Some(&full)),
+            ("sparse", Some(&sparse)),
+        ];
+        let speed_rows: [(&str, &[u32]); 3] = [("empty", &[]), ("all-1", &unit), ("mixed", &mixed)];
+        for (mask_name, mask) in masks {
+            for (speeds_name, speeds) in speed_rows {
+                let mut r1 = rng(41);
+                let mut e = WalkEngine::uniform(g, K, &mut r1).unwrap();
+                let mut r2 = rng(41);
+                let mut reference = WalkEngine::uniform(g, K, &mut r2)
+                    .unwrap()
+                    .positions()
+                    .to_vec();
+                for t in 1..=50u64 {
+                    e.step_with(mask, speeds, &mut r1);
+                    for (i, p) in reference.iter_mut().enumerate() {
+                        if mask.is_some_and(|m| !m.contains(i)) {
+                            continue;
+                        }
+                        for _ in 0..speeds.get(i).copied().unwrap_or(1) {
+                            *p = lazy_step(&g, *p, &mut r2);
+                        }
+                    }
+                    let case = format!("mask {mask_name}, speeds {speeds_name}, step {t}");
+                    assert_eq!(e.positions(), &reference[..], "{case}");
+                    assert_eq!(e.time(), t, "{case}");
+                }
+                assert_eq!(
+                    r1.random_range(0..u64::MAX),
+                    r2.random_range(0..u64::MAX),
+                    "mask {mask_name}, speeds {speeds_name}: RNG streams diverged"
+                );
+            }
         }
     }
 
@@ -448,10 +384,9 @@ mod tests {
         let mut r = rng(32);
         let mut e = WalkEngine::uniform(g, 12, &mut r).unwrap();
         let speeds: Vec<u32> = (0..12).map(|i| (i % 4) as u32).collect();
-        let mut moves = Vec::new();
         for _ in 0..100 {
             let before = e.positions().to_vec();
-            e.step_speeds_into(&speeds, &mut r, &mut moves);
+            e.step_with(None, &speeds, &mut r);
             for (i, (b, a)) in before.iter().zip(e.positions()).enumerate() {
                 assert!(
                     b.manhattan(*a) <= speeds[i],
@@ -462,39 +397,6 @@ mod tests {
                 if speeds[i] == 0 {
                     assert_eq!(b, a, "speed-0 agent {i} moved");
                 }
-            }
-            assert!(moves.iter().all(|m| m.1 != m.2));
-        }
-    }
-
-    #[test]
-    fn speed_masked_freezes_unmasked_and_matches_unmasked_on_full_mask() {
-        let g = Grid::new(16).unwrap();
-        let speeds: Vec<u32> = (0..10).map(|i| 1 + (i % 3) as u32).collect();
-        let mut full = BitSet::new(10);
-        for i in 0..10 {
-            full.insert(i);
-        }
-        let mut r1 = rng(33);
-        let mut a = WalkEngine::uniform(g, 10, &mut r1).unwrap();
-        let mut r2 = rng(33);
-        let mut b = WalkEngine::uniform(g, 10, &mut r2).unwrap();
-        let (mut m1, mut m2) = (Vec::new(), Vec::new());
-        for _ in 0..50 {
-            a.step_speeds_into(&speeds, &mut r1, &mut m1);
-            b.step_speeds_masked_into(&speeds, &full, &mut r2, &mut m2);
-            assert_eq!(a.positions(), b.positions());
-            assert_eq!(m1, m2);
-        }
-        let mut sparse = BitSet::new(10);
-        sparse.insert(3);
-        let before = b.positions().to_vec();
-        for _ in 0..50 {
-            b.step_speeds_masked_into(&speeds, &sparse, &mut r2, &mut m2);
-        }
-        for (i, (x, y)) in before.iter().zip(b.positions()).enumerate() {
-            if i != 3 {
-                assert_eq!(x, y, "frozen agent {i} moved");
             }
         }
     }

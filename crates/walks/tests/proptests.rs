@@ -78,7 +78,7 @@ proptest! {
         let mut e = WalkEngine::uniform(g, k, &mut rng).unwrap();
         let mask = BitSet::new(k); // nobody moves
         let before = e.positions().to_vec();
-        e.step_masked(&mask, &mut rng);
+        e.step_with(Some(&mask), &[], &mut rng);
         prop_assert_eq!(e.positions(), &before[..]);
         prop_assert_eq!(e.time(), 1);
     }

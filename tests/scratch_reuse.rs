@@ -329,9 +329,9 @@ fn steady_state_steps_are_allocation_free() {
 #[test]
 fn frontier_sparse_path_matches_full_path_outcomes() {
     // Running the same seeds under NullObserver (frontier-sparse
-    // labelling + incremental hash) and under a full-components
-    // observer (classic rebuild path) must produce identical outcomes —
-    // the engine switch is draw-for-draw invisible.
+    // labelling) and under a full-components observer (full partition)
+    // must produce identical outcomes — the labelling switch is
+    // draw-for-draw invisible.
     for seed in 0..8u64 {
         let cfg = config(28, 14, 1);
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -458,18 +458,9 @@ fn churn_runs_are_identical_across_runner_thread_counts() {
 fn world_steps_are_allocation_free_after_warmup() {
     // One world per axis, every axis at once, the trivial world a sweep
     // cell builds, and the churning walled world above: once the buffers
-    // reach their high-water marks, a world step must not touch the heap.
-    //
-    // Known defect, pinned rather than hidden: churn pushes its
-    // teleports onto the walk-move log, past the `k` entries the walk
-    // steppers reserve, so a churning world allocates once, on the first
-    // step whose moves plus teleports exceed that capacity. Any other
-    // allocation fails here; reserving room for the teleports turns
-    // these two counts into 0.
-    let known = |name: &str, seed: u64| match (name, seed) {
-        ("churn", 13) | ("churning_walled_hetero", 2011) => 1,
-        _ => 0,
-    };
+    // reach their high-water marks, a world step must not touch the heap,
+    // on the process's own labelling path (`NullObserver`) and on the
+    // full-partition path an observer can demand (`FullView`).
     let base = || ScenarioSpec::builder(ProcessKind::Broadcast, 40, 20).radius(2);
     let trivial = ScenarioSpec::builder(ProcessKind::Broadcast, 64, 32)
         .build()
@@ -514,22 +505,37 @@ fn world_steps_are_allocation_free_after_warmup() {
     ];
     for (name, spec) in &worlds {
         for seed in [13u64, 2011] {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut sim = WorldSim::from_spec(spec, &mut rng).unwrap();
-            for _ in 0..60 {
-                let _ = sim.step(&mut rng, &mut sparsegossip::core::NullObserver);
-            }
-            let before = thread_allocs();
-            for _ in 0..100 {
-                let _ = sim.step(&mut rng, &mut sparsegossip::core::NullObserver);
-            }
+            let default_path = world_step_allocs(spec, seed, sparsegossip::core::NullObserver);
             assert_eq!(
-                thread_allocs() - before,
-                known(name, seed),
-                "{name} seed={seed}: world steps allocated"
+                default_path, 0,
+                "{name} seed={seed}: default-path world steps allocated"
+            );
+            let full_path = world_step_allocs(spec, seed, FullView);
+            assert_eq!(
+                full_path, 0,
+                "{name} seed={seed}: full-partition world steps allocated"
             );
         }
     }
+}
+
+/// Heap allocations of world steps 60..160 of `spec` at `seed`, every
+/// step observed by `observer`.
+fn world_step_allocs<O: sparsegossip::core::Observer>(
+    spec: &ScenarioSpec,
+    seed: u64,
+    mut observer: O,
+) -> u64 {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut sim = WorldSim::from_spec(spec, &mut rng).unwrap();
+    for _ in 0..60 {
+        let _ = sim.step(&mut rng, &mut observer);
+    }
+    let before = thread_allocs();
+    for _ in 0..100 {
+        let _ = sim.step(&mut rng, &mut observer);
+    }
+    thread_allocs() - before
 }
 
 #[test]

@@ -47,11 +47,12 @@ COMMANDS:
                --sources N --adversarial (multi-source placement)
   gossip       all rumors to all agents
                --side N --k K --radius R --seed S --rumors M
+               --max-steps M
   infection    contact infection (r = 0) with per-agent infection times
                --side N --k K --seed S --max-steps M
                --sources N --adversarial (multi-source placement)
   coverage     broadcast + informed-agent coverage times
-               --side N --k K --radius R --seed S
+               --side N --k K --radius R --seed S --max-steps M
   protocol     message-passing protocol twin of broadcast
                --side N --k K --radius R --seed S --max-steps M
                --drop P --delay D --cap C --interval I (network faults)
@@ -201,7 +202,7 @@ pub fn dispatch(args: &ParsedArgs) -> Result<(), CliError> {
             &[COMMON, WORLD, &["max-steps", "reps", "threads"]],
             &["json", "frog", "one-hop", "adversarial"],
         ),
-        "gossip" => (gossip, &[COMMON, &["rumors"]], &["json"]),
+        "gossip" => (gossip, &[COMMON, &["rumors", "max-steps"]], &["json"]),
         // `--radius` is read only to note that it is ignored; the world
         // options are read so the spec builder rejects every axis but
         // the sources with its own error.
@@ -210,7 +211,7 @@ pub fn dispatch(args: &ParsedArgs) -> Result<(), CliError> {
             &[COMMON, WORLD, &["max-steps"]],
             &["json", "adversarial"],
         ),
-        "coverage" => (coverage, &[COMMON], &["json"]),
+        "coverage" => (coverage, &[COMMON, &["max-steps"]], &["json"]),
         "protocol" => (
             protocol,
             &[
@@ -489,7 +490,7 @@ fn gossip(args: &ParsedArgs) -> Result<(), CliError> {
     let c = common(args)?;
     let rumors: usize = args.get("rumors", c.k)?;
     let grid = Grid::new(c.side)?;
-    let cap = SimConfig::default_step_cap(c.side, c.k);
+    let cap = args.get("max-steps", SimConfig::default_step_cap(c.side, c.k))?;
     let mut rng = SmallRng::seed_from_u64(c.seed);
     let process = Gossip::with_rumors(c.k, rumors)?;
     let mut sim = Simulation::new(grid, c.k, c.radius, cap, process, &mut rng)?;
@@ -1319,6 +1320,10 @@ mod tests {
         }
         // Infection still takes `--radius`, with its "ignored" note.
         dispatch(&parsed("infection --side 12 --k 4 --radius 3 --seed 1")).unwrap();
+        // Every run command takes `--max-steps`.
+        for cmd in ["broadcast", "gossip", "infection", "coverage", "protocol"] {
+            dispatch(&parsed(&format!("{cmd} --side 8 --k 4 --max-steps 3"))).unwrap();
+        }
     }
 
     #[test]

@@ -134,6 +134,34 @@ fn gossip_radius_goldens() {
     );
 }
 
+/// `--max-steps` caps gossip and coverage: at the golden completion
+/// step the output is unchanged, one step earlier the run is censored.
+#[test]
+fn max_steps_caps_gossip_and_coverage() {
+    assert_golden(
+        "gossip --side 12 --k 4 --seed 1 --max-steps 532 --json",
+        "{\"process\":\"gossip\",\"gossip_time\":532,\"min_rumors\":4,\"num_rumors\":4}\n",
+    );
+    assert_golden(
+        "gossip --side 12 --k 4 --seed 1 --max-steps 531 --json",
+        "{\"process\":\"gossip\",\"gossip_time\":null,\"min_rumors\":3,\"num_rumors\":4}\n",
+    );
+    assert_golden(
+        "gossip --side 12 --k 4 --seed 1 --max-steps 531",
+        "not finished after 531 steps (min 3/4 rumors per agent)\n",
+    );
+    assert_golden(
+        "coverage --side 10 --k 6 --seed 1 --max-steps 349 --json",
+        "{\"process\":\"coverage\",\"broadcast_time\":305,\"coverage_time\":349,\
+         \"covered\":100,\"num_nodes\":100}\n",
+    );
+    assert_golden(
+        "coverage --side 10 --k 6 --seed 1 --max-steps 348 --json",
+        "{\"process\":\"coverage\",\"broadcast_time\":305,\"coverage_time\":null,\
+         \"covered\":99,\"num_nodes\":100}\n",
+    );
+}
+
 #[test]
 fn infection_json_golden() {
     assert_golden(

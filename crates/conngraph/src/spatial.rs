@@ -2,15 +2,25 @@ use sparsegossip_grid::Point;
 
 /// A bucket grid for radius-limited proximity queries among agents.
 ///
-/// Buckets have side `max(r, 1)`, so any two points at Manhattan
-/// distance ≤ `r` fall in the same or in 8-adjacent buckets, and the
-/// component builder only needs to examine a constant number of buckets
-/// per agent — only its own bucket at `r = 0`, where contacts are
-/// co-located, and the 3×3 block around it otherwise.
+/// Buckets have side at least `max(r, 1)`, so any two points at
+/// Manhattan distance ≤ `r` fall in the same or in 8-adjacent buckets,
+/// and the component builder only needs to examine a constant number of
+/// buckets per agent — only its own bucket at `r = 0`, where contacts
+/// are co-located, and the 3×3 block around it otherwise.
+///
+/// The bucket side is the smallest one, from `max(r, 1)` up, that keeps
+/// the bucket count within a cap: max(4k, 4096) at `r = 0` and
+/// max(2²², 1024·k) otherwise (and never above `u32::MAX`). At `r = 0` a
+/// coarser bucket costs only the false candidates sharing an agent's own
+/// bucket, which every consumer's exact contact test drops; grids of up
+/// to 4096 nodes keep side-1 buckets. At `r ≥ 1` the 3×3 scan makes
+/// coarse buckets dear, so the cap lies above every simulated geometry
+/// and only keeps huge grids from aborting.
 ///
 /// Each bucket holds a linked list of its agents in increasing agent
 /// order: a list head per bucket, a next link per agent and each
-/// agent's bucket index — 4·(#buckets + 2k) bytes in all. The first
+/// agent's bucket index — 4·(#buckets + 2k) bytes in all, so O(k) at
+/// `r = 0` whatever the grid side. The first
 /// [`rebuild`](SpatialHash::rebuild) at a geometry fills every head,
 /// O(#buckets + k); later rebuilds at the same geometry clear only the
 /// heads the previous agents used, O(k), and
@@ -37,7 +47,7 @@ use sparsegossip_grid::Point;
 /// ```
 #[derive(Clone, Debug)]
 pub struct SpatialHash {
-    /// Bucket side length (`max(r, 1)`).
+    /// Bucket side length ([`bucket_side_for`]).
     bucket_side: u32,
     /// `u64::MAX / bucket_side`, for division-free indexing ([`div_by`]).
     recip: u64,
@@ -95,11 +105,14 @@ impl SpatialHash {
     }
 
     /// Rebuilds `self` in place for `positions`, reusing every buffer.
-    /// Content-identical to [`SpatialHash::build`]. When the bucket
-    /// geometry is unchanged this costs O(k): only the heads the
-    /// previous agents occupied are cleared. A new geometry refills
-    /// every head once, O(#buckets). After warm-up at the working size
-    /// it performs no heap allocation.
+    /// Content-identical to [`SpatialHash::build`]. The bucket side
+    /// follows the rule in the [type docs](SpatialHash), so the hash
+    /// takes 4·(#buckets + 2k) bytes with #buckets ≤ max(4k, 4096) at
+    /// `r = 0`. When the bucket geometry is unchanged this costs O(k):
+    /// one pass clears the heads the previous agents occupied, one
+    /// reverse pass links every agent. A new geometry refills every head
+    /// once, O(#buckets). After warm-up at the working size it performs
+    /// no heap allocation.
     ///
     /// # Panics
     ///
@@ -108,13 +121,9 @@ impl SpatialHash {
     pub fn rebuild(&mut self, positions: &[Point], r: u32, side: u32) {
         assert!(side > 0, "grid side must be positive");
         assert!(positions.len() <= u32::MAX as usize, "too many agents");
-        let bucket_side = r.max(1).min(side);
+        let k = positions.len();
+        let bucket_side = bucket_side_for(r, side, k);
         let buckets_per_side = side.div_ceil(bucket_side);
-        let num_buckets = (buckets_per_side as usize).pow(2);
-        // Bucket indices are stored as u32; checked before any
-        // allocation. The hash takes 4·(#buckets + 2k) bytes, so at
-        // r = 0 the grid dominates: side 65 535 needs about 17 GB.
-        assert!(num_buckets <= u32::MAX as usize, "too many buckets");
 
         if (bucket_side, buckets_per_side) == (self.bucket_side, self.buckets_per_side) {
             // Only the heads of the previous agents' buckets can be set.
@@ -125,25 +134,23 @@ impl SpatialHash {
             self.bucket_side = bucket_side;
             self.recip = u64::MAX / u64::from(bucket_side);
             self.buckets_per_side = buckets_per_side;
+            let num_buckets = (buckets_per_side as usize).pow(2);
             self.head.clear();
             self.head.resize(num_buckets, NO_AGENT);
         }
         self.own_bucket_only = r == 0;
         self.side = side;
-        self.bucket.clear();
-        for &p in positions {
+        self.bucket.resize(k, 0);
+        self.next.resize(k, NO_AGENT);
+        // Prepending in decreasing agent order leaves every list
+        // increasing.
+        for (a, &p) in positions.iter().enumerate().rev() {
             assert!(
                 p.x < side && p.y < side,
                 "position {p} outside side-{side} grid"
             );
-            self.bucket.push(self.self_bucket(p) as u32);
-        }
-        self.next.clear();
-        self.next.resize(positions.len(), NO_AGENT);
-        // Prepending in decreasing agent order leaves every list
-        // increasing.
-        for a in (0..positions.len()).rev() {
-            let b = self.bucket[a] as usize;
+            let b = self.self_bucket(p);
+            self.bucket[a] = b as u32;
             self.next[a] = self.head[b];
             self.head[b] = a as u32;
         }
@@ -320,8 +327,8 @@ impl SpatialHash {
     /// after it in its own bucket, then (at a nonzero build radius) with
     /// every agent of the E, N, NE and NW buckets, so each adjacent
     /// bucket pair is seen from one side only. The cost is O(k + #pairs)
-    /// however many buckets the grid has — decisive at `r = 0`, where
-    /// there are `n ≫ k`.
+    /// however many buckets the grid has — decisive on sparse grids,
+    /// where buckets far outnumber agents.
     ///
     /// # Examples
     ///
@@ -395,6 +402,24 @@ impl Iterator for BucketAgents<'_> {
             Some(agent)
         }
     }
+}
+
+/// The bucket side of a hash over `k` agents with build radius `r` on a
+/// side-`side` grid: the smallest side from `max(r, 1)` up whose bucket
+/// count stays within max(4k, 4096) at `r = 0` and max(2²², 1024·k)
+/// otherwise, clamped to `u32::MAX` buckets and to the grid side.
+fn bucket_side_for(r: u32, side: u32, k: usize) -> u32 {
+    let k = k as u64;
+    let cap = if r == 0 {
+        (4 * k).max(4096)
+    } else {
+        (1024 * k).max(1 << 22)
+    };
+    // Buckets per axis may not exceed ⌊√cap⌋; the smallest side meeting
+    // that is ⌈side / ⌊√cap⌋⌉.
+    let per_axis = cap.min(u64::from(u32::MAX)).isqrt();
+    let min_side = u64::from(side).div_ceil(per_axis) as u32;
+    r.max(1).max(min_side).min(side)
 }
 
 /// `x / d` for `recip = u64::MAX / d`: the high word of `x · ⌈2⁶⁴/d⌉`,
@@ -486,10 +511,55 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "too many buckets")]
-    fn rejects_grids_with_more_buckets_than_u32() {
-        // 70 000² buckets > u32::MAX; must panic before allocating.
-        let _ = SpatialHash::build(&[], 0, 70_000);
+    fn bucket_count_is_capped_on_huge_grids() {
+        // 70 000² side-1 buckets would exceed u32::MAX; the cap coarsens
+        // them instead, keeping the side at least max(r, 1).
+        let pts = [Point::new(0, 0), Point::new(69_999, 69_999)];
+        for (r, cap) in [(0u32, 4096u64), (1, 1 << 22), (2, 1 << 22)] {
+            let h = SpatialHash::build(&pts, r, 70_000);
+            let buckets = u64::from(h.buckets_per_side()).pow(2);
+            assert!(buckets <= cap, "r={r}: {buckets} buckets");
+            assert!(h.bucket_side() >= r.max(1), "r={r}");
+            assert_eq!(h.buckets_per_side(), 70_000u32.div_ceil(h.bucket_side()));
+        }
+    }
+
+    #[test]
+    fn radius_zero_hash_is_o_k_and_pairs_co_located_agents() {
+        let side = 65_535;
+        let pts = [
+            Point::new(7, 9),
+            Point::new(7, 9),
+            Point::new(8, 9),
+            Point::new(65_534, 65_534),
+        ];
+        let h = SpatialHash::build(&pts, 0, side);
+        assert!(u64::from(h.buckets_per_side()).pow(2) <= 4096);
+        // Agents 0–2 share a bucket; the exact test keeps the one
+        // co-located pair.
+        let mut pairs = Vec::new();
+        h.for_each_candidate_pair(|a, b| {
+            if pts[a as usize] == pts[b as usize] {
+                pairs.push((a, b));
+            }
+        });
+        assert_eq!(pairs, [(0, 1)]);
+        let mut seen = Vec::new();
+        h.for_each_candidate(pts[1], |a| seen.push(a));
+        assert_eq!(seen, [0, 1, 2]);
+    }
+
+    #[test]
+    fn small_grids_keep_the_radius_bucket_side() {
+        for (r, side, k) in [(0, 64, 0), (0, 64, 4), (1, 256, 256), (11, 512, 512)] {
+            let pts = vec![Point::new(0, 0); k];
+            assert_eq!(SpatialHash::build(&pts, r, side).bucket_side(), r.max(1));
+        }
+        // Past 4096 nodes, r = 0 buckets grow to keep max(4k, 4096).
+        let pts = vec![Point::new(0, 0); 512];
+        assert_eq!(SpatialHash::build(&pts, 0, 512).bucket_side(), 8);
+        let pts = vec![Point::new(0, 0); 4096];
+        assert_eq!(SpatialHash::build(&pts, 0, 512).bucket_side(), 4);
     }
 
     #[test]

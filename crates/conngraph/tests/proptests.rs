@@ -1,8 +1,9 @@
 //! Property-based tests: the spatially-hashed component builder must
 //! agree exactly with the O(k²) brute-force reference on arbitrary
-//! agent layouts and radii; the seed-restricted builder must agree
-//! with the full builder on every seed-containing component, and the
-//! contact-only builder on every component of two or more agents, with
+//! agent layouts and radii, including r = 0 grids large enough for
+//! coarsened buckets; the seed-restricted builder must agree with the
+//! reference on every seed-containing component, and the contact-only
+//! builder on every component of two or more agents, with
 //! one scratch serving both in any order; a hash
 //! maintained move by move, or rebuilt warm at old and new geometries,
 //! must equal a fresh build; the reach-aware candidate scan must cover
@@ -29,13 +30,40 @@ fn arb_layout() -> impl Strategy<Value = (Vec<Point>, u32, u32)> {
     })
 }
 
+/// An r = 0 layout on a side-65..=400 grid, past the 4096 nodes at
+/// which the hash coarsens its r = 0 buckets; the agents sit within 3
+/// nodes of 5 sites, so co-located agents and bucket-sharing strangers
+/// both occur.
+fn arb_coarse_layout() -> impl Strategy<Value = (Vec<Point>, u32, u32)> {
+    (65u32..=400).prop_flat_map(|side| {
+        (
+            proptest::collection::vec((0..side - 3, 0..side - 3), 5..6),
+            proptest::collection::vec((0usize..5, 0u32..4, 0u32..4), 0..60),
+            Just(side),
+        )
+            .prop_map(|(sites, offsets, side)| {
+                let positions = offsets
+                    .into_iter()
+                    .map(|(s, dx, dy)| Point::new(sites[s].0 + dx, sites[s].1 + dy))
+                    .collect();
+                (positions, 0, side)
+            })
+    })
+}
+
+/// [`arb_layout`] two times in three, else [`arb_coarse_layout`].
+fn arb_any_layout() -> impl Strategy<Value = (Vec<Point>, u32, u32)> {
+    (0u8..3, arb_layout(), arb_coarse_layout())
+        .prop_map(|(pick, small, coarse)| if pick == 0 { coarse } else { small })
+}
+
 /// A layout plus a random seed mask over the agents and a random walk
 /// trajectory: per step, each agent draws a u8 — values 0–3 are a
 /// clamped unit move N/E/S/W, anything else holds, so an arbitrary
 /// subset of the agents moves each step.
 fn arb_layout_with_seeds_and_walk(
 ) -> impl Strategy<Value = (Vec<Point>, u32, u32, Vec<bool>, Vec<Vec<u8>>)> {
-    arb_layout().prop_flat_map(|(positions, r, side)| {
+    arb_any_layout().prop_flat_map(|(positions, r, side)| {
         let k = positions.len();
         (
             Just(positions),
@@ -142,7 +170,7 @@ fn arb_degree_layout() -> impl Strategy<Value = (Vec<Point>, u32, u32)> {
 
 proptest! {
     #[test]
-    fn hashed_equals_brute_force((positions, r, side) in arb_layout()) {
+    fn hashed_equals_brute_force((positions, r, side) in arb_any_layout()) {
         let fast = components(&positions, r, side);
         let brute = components_brute(&positions, r, side);
         prop_assert_eq!(fast, brute);
@@ -211,7 +239,7 @@ proptest! {
     ) {
         let k = positions.len();
         let seeds = seeds_from_mask(&mask, k);
-        let full = components(&positions, r, side);
+        let full = components_brute(&positions, r, side);
         let seeded = components_from_seeds(&positions, &seeds, r, side);
         prop_assert_eq!(seeded.num_agents(), k);
 
@@ -246,10 +274,10 @@ proptest! {
 
     #[test]
     fn contact_labelling_matches_full_on_multi_agent_components(
-        (positions, r, side) in arb_layout(),
+        (positions, r, side) in arb_any_layout(),
     ) {
         let k = positions.len();
-        let full = components(&positions, r, side);
+        let full = components_brute(&positions, r, side);
         let hash = SpatialHash::build(&positions, r, side);
         let mut scratch = SeededScratch::new();
         let contact = contact_components_on_by(&hash, &mut scratch, &positions, &UniformContact(r));

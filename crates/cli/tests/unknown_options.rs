@@ -67,3 +67,22 @@ fn coverage_prints_plain_times() {
     assert!(!stdout.contains("Some("), "{stdout}");
     assert!(stdout.starts_with("T_B = "), "{stdout}");
 }
+
+#[test]
+fn protocol_network_values_outside_their_range_name_the_option() {
+    for (line, expected) in [
+        (
+            "protocol --side 12 --k 6 --drop 1.5",
+            "error: option --drop has invalid value \"1.5\"\n",
+        ),
+        (
+            "protocol --side 12 --k 6 --interval 0",
+            "error: option --interval has invalid value \"0\"\n",
+        ),
+    ] {
+        let (stdout, stderr, ok) = run(line);
+        assert!(!ok, "`{line}` succeeded");
+        assert!(stdout.is_empty(), "`{line}` ran: {stdout}");
+        assert_eq!(stderr, expected, "`{line}`");
+    }
+}

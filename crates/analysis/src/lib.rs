@@ -51,7 +51,7 @@ pub use parallel::{parallel_map, parallel_map_with};
 pub use regression::{linear_fit, power_law_fit, Fit};
 pub use runner::{Runner, RunnerReport};
 pub use scenario_sweep::{
-    AdaptiveConfig, AdaptiveSummary, AxisKey, AxisLabels, Domain, Family, RadiusAxis, ScenarioCell,
+    AdaptiveConfig, AdaptiveSummary, AxisKey, AxisLabels, Family, RadiusAxis, ScenarioCell,
     ScenarioSweep, ScenarioSweepReport, SweepCell, SweepError, TransitionEstimate, AXIS_KEYS,
 };
 pub use store::{ResultStore, StoreError, StoreRecord};

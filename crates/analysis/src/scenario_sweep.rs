@@ -53,8 +53,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use sparsegossip_core::spec_key::{self, KeyRange, SpecKey};
 use sparsegossip_core::theory;
-use sparsegossip_core::toml::{format_toml_f64, TomlDoc, TomlError, MAX_EXACT_INT};
+use sparsegossip_core::toml::{format_toml_f64, TomlDoc, TomlError};
 use sparsegossip_core::{
     cell_seed, Metric, ProcessKind, ScenarioSpec, SimError, SimScratch, SpecError,
 };
@@ -136,55 +137,25 @@ impl Family {
     const NAMES: [&'static str; 3] = ["net", "world", "fault"];
 }
 
-/// The values a sweep axis accepts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Domain {
-    /// Finite numbers in `[0, 1]`.
-    Unit,
-    /// Integers in `[min, max]`. Axis values are carried as `f64`,
-    /// which is exact for every bound here: `max` is at most
-    /// [`MAX_EXACT_INT`] `= 2^53 - 1`.
-    Int {
-        /// The smallest accepted value.
-        min: u64,
-        /// The largest accepted value.
-        max: u64,
-    },
-}
-
-impl Domain {
-    fn contains(self, x: f64) -> bool {
-        match self {
-            Self::Unit => x.is_finite() && (0.0..=1.0).contains(&x),
-            Self::Int { min, max } => x.fract() == 0.0 && (min as f64..=max as f64).contains(&x),
-        }
-    }
-
-    fn expected(self) -> &'static str {
-        match self {
-            Self::Unit => "non-empty array of finite numbers in [0, 1]",
-            Self::Int { .. } => {
-                "non-empty array of integers in the key's range \
-                 (gossip_intervals [1, 2^53 - 1], send_caps [0, 2^32 - 1], \
-                 partition_lens [0, 2^53 - 1])"
-            }
-        }
-    }
-}
-
 /// One sweepable config key: a row of [`AXIS_KEYS`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AxisKey {
     /// The `[sweep]` spelling, e.g. `radius_mixes`.
     pub sweep: &'static str,
     /// The `[scenario]` key the axis sets through
-    /// [`ScenarioSpec::with_key`], e.g. `hetero_fraction`; also the
-    /// key of the axis's report labels.
-    pub spec: &'static str,
+    /// [`ScenarioSpec::with_key`], e.g. `hetero_fraction`; its name keys
+    /// the axis's report labels and its range bounds the axis values.
+    pub spec: SpecKey,
     /// The config the key belongs to.
     pub family: Family,
-    /// The values the key accepts.
-    pub domain: Domain,
+}
+
+const fn axis(sweep: &'static str, spec: SpecKey, family: Family) -> AxisKey {
+    AxisKey {
+        sweep,
+        spec,
+        family,
+    }
 }
 
 /// The sweepable config keys, in `[sweep]` rendering order within each
@@ -196,63 +167,18 @@ pub struct AxisKey {
 /// `partition_start` for `partition_lens`, the recovery switches for
 /// `crash_probs`).
 pub const AXIS_KEYS: [AxisKey; 8] = [
-    AxisKey {
-        sweep: "drop_probs",
-        spec: "drop_prob",
-        family: Family::Net,
-        domain: Domain::Unit,
-    },
-    AxisKey {
-        sweep: "gossip_intervals",
-        spec: "gossip_interval",
-        family: Family::Net,
-        domain: Domain::Int {
-            min: 1,
-            max: MAX_EXACT_INT,
-        },
-    },
-    AxisKey {
-        sweep: "send_caps",
-        spec: "send_cap",
-        family: Family::Net,
-        domain: Domain::Int {
-            min: 0,
-            max: u32::MAX as u64,
-        },
-    },
-    AxisKey {
-        sweep: "barrier_densities",
-        spec: "barrier_density",
-        family: Family::World,
-        domain: Domain::Unit,
-    },
-    AxisKey {
-        sweep: "churn_rates",
-        spec: "churn_rate",
-        family: Family::World,
-        domain: Domain::Unit,
-    },
-    AxisKey {
-        sweep: "radius_mixes",
-        spec: "hetero_fraction",
-        family: Family::World,
-        domain: Domain::Unit,
-    },
-    AxisKey {
-        sweep: "crash_probs",
-        spec: "crash_prob",
-        family: Family::Fault,
-        domain: Domain::Unit,
-    },
-    AxisKey {
-        sweep: "partition_lens",
-        spec: "partition_len",
-        family: Family::Fault,
-        domain: Domain::Int {
-            min: 0,
-            max: MAX_EXACT_INT,
-        },
-    },
+    axis("drop_probs", spec_key::DROP_PROB, Family::Net),
+    axis("gossip_intervals", spec_key::GOSSIP_INTERVAL, Family::Net),
+    axis("send_caps", spec_key::SEND_CAP, Family::Net),
+    axis(
+        "barrier_densities",
+        spec_key::BARRIER_DENSITY,
+        Family::World,
+    ),
+    axis("churn_rates", spec_key::CHURN_RATE, Family::World),
+    axis("radius_mixes", spec_key::HETERO_FRACTION, Family::World),
+    axis("crash_probs", spec_key::CRASH_PROB, Family::Fault),
+    axis("partition_lens", spec_key::PARTITION_LEN, Family::Fault),
 ];
 
 /// A config axis of a sweep: one key of [`AXIS_KEYS`] and its values.
@@ -459,7 +385,7 @@ impl ScenarioSweep {
     ///
     /// [`SpecError::UnknownKey`] if `key` is not in [`AXIS_KEYS`];
     /// [`SpecError::Toml`] if `values` is empty or holds a value outside
-    /// the key's [`Domain`].
+    /// the spec key's range ([`SpecKey::value_of`]).
     pub fn axis(mut self, key: &str, values: Vec<f64>) -> Result<Self, SpecError> {
         let Some(row) = AXIS_KEYS.iter().find(|row| row.sweep == key) else {
             return Err(SpecError::UnknownKey {
@@ -467,11 +393,16 @@ impl ScenarioSweep {
                 key: key.to_string(),
             });
         };
-        if values.is_empty() || !values.iter().all(|&x| row.domain.contains(x)) {
+        let expected = if values.is_empty() {
+            "non-empty array"
+        } else {
+            row.spec.range.expected()
+        };
+        if values.is_empty() || !values.iter().all(|&x| row.spec.value_of(x).is_some()) {
             return Err(SpecError::Toml(TomlError::BadValue {
                 section: "sweep".to_string(),
                 key: key.to_string(),
-                expected: row.domain.expected(),
+                expected,
             }));
         }
         self.axes[row.family as usize] = Some(Axis { key: *row, values });
@@ -582,12 +513,14 @@ impl ScenarioSweep {
             for (labels, base) in &bases {
                 for &value in &axis.values {
                     let mut labels = *labels;
-                    labels[axis.key.family as usize] = Some((axis.key.spec, value));
-                    let spec = base.with_key(axis.key.spec, value).map_err(|e| match e {
-                        SpecError::Sim(e) => e,
-                        // `axis` checked the key and every value.
-                        e => unreachable!("axis value outside its domain: {e}"),
-                    })?;
+                    labels[axis.key.family as usize] = Some((axis.key.spec.name, value));
+                    let spec = base
+                        .with_key(axis.key.spec.name, value)
+                        .map_err(|e| match e {
+                            SpecError::Sim(e) => e,
+                            // `axis` checked the key and every value.
+                            e => unreachable!("axis value outside its domain: {e}"),
+                        })?;
                     next.push((labels, spec));
                 }
             }
@@ -975,13 +908,13 @@ impl ScenarioSweep {
         }
         for row in &AXIS_KEYS {
             // Integer keys stay TOML integers. The conversion is exact up
-            // to MAX_EXACT_INT, and anything larger lands above every
-            // domain's `max`, so `axis` rejects it.
-            let values = match row.domain {
-                Domain::Unit => table.opt_f64_array(row.sweep)?,
-                Domain::Int { .. } => table
+            // to `MAX_EXACT_INT`, and anything larger converts above it,
+            // so `axis` rejects it.
+            let values = match row.spec.range {
+                KeyRange::Int { .. } => table
                     .opt_usize_array(row.sweep)?
                     .map(|v| v.into_iter().map(|x| x as f64).collect()),
+                _ => table.opt_f64_array(row.sweep)?,
             };
             let Some(values) = values else { continue };
             if sweep.axes[row.family as usize].is_some() {
@@ -1060,9 +993,9 @@ impl ScenarioSweep {
             let rendered: Vec<String> = axis
                 .values
                 .iter()
-                .map(|&x| match axis.key.domain {
-                    Domain::Unit => format_toml_f64(x),
-                    Domain::Int { .. } => x.to_string(),
+                .map(|&x| match axis.key.spec.range {
+                    KeyRange::Int { .. } => x.to_string(),
+                    _ => format_toml_f64(x),
                 })
                 .collect();
             out.push_str(&format!("{} = [{}]\n", axis.key.sweep, rendered.join(", ")));
@@ -1356,7 +1289,11 @@ impl ScenarioSweepReport {
         let families: Vec<usize> = (0..Family::NAMES.len())
             .filter(|&f| self.cells.iter().any(|c| c.labels[f].is_some()))
             .collect();
-        let mut header = vec!["side".to_string(), "k".into(), "r".into()];
+        let mut header = vec![
+            spec_key::SIDE.name.to_string(),
+            spec_key::K.name.into(),
+            "r".into(),
+        ];
         header.extend(families.iter().map(|&f| Family::NAMES[f].to_string()));
         header.extend([
             "r/r_c".to_string(),
@@ -1470,6 +1407,7 @@ fn labels_json(labels: &AxisLabels) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparsegossip_core::toml::MAX_EXACT_INT;
 
     fn tiny_base() -> ScenarioSpec {
         ScenarioSpec::builder(ProcessKind::Broadcast, 12, 6)
@@ -1775,7 +1713,7 @@ mod tests {
             let (base, wrong) = family_bases(row.family);
             let label = |x| {
                 let mut labels: AxisLabels = [None; 3];
-                labels[f] = Some((row.spec, x));
+                labels[f] = Some((row.spec.name, x));
                 labels
             };
 
@@ -1799,7 +1737,7 @@ mod tests {
             );
             assert_eq!(read(&cells[2].spec), values[1], "{key}");
             assert_eq!(
-                cells[2].spec.with_key(row.spec, read(&base)).unwrap(),
+                cells[2].spec.with_key(row.spec.name, read(&base)).unwrap(),
                 base.with_axes(12, 6, 0).unwrap(),
                 "{key} changed a knob it does not sweep"
             );
@@ -1815,9 +1753,11 @@ mod tests {
                 "{key}: {err}"
             );
 
-            // TOML round trip, including the domain's bounds.
+            // TOML round trip, including the integer range's bounds
+            // (capped where `f64` stops being exact).
             let mut round_trips = vec![sweep.clone()];
-            if let Domain::Int { min, max } = row.domain {
+            if let KeyRange::Int { min, max } = row.spec.range {
+                let max = max.min(MAX_EXACT_INT);
                 round_trips.push(
                     sweep
                         .clone()
@@ -1835,14 +1775,16 @@ mod tests {
             let spec = base.to_toml();
             let with = |extra: String| format!("{spec}\n[sweep]\n{extra}\n");
             let mut bad: Vec<String> = vec!["[]".into()];
-            match row.domain {
-                Domain::Unit => bad.extend(["[1.5]".into(), "[-0.1]".into()]),
-                Domain::Int { min, max } => {
+            match row.spec.range {
+                KeyRange::Unit => bad.extend(["[1.5]".into(), "[-0.1]".into()]),
+                KeyRange::Int { min, max } => {
+                    let max = max.min(MAX_EXACT_INT);
                     bad.extend([format!("[{}]", max + 1), format!("[{min}.5]")]);
                     if min > 0 {
                         bad.push(format!("[{}]", min - 1));
                     }
                 }
+                other => panic!("{key}: no axis takes a {other:?} key"),
             }
             for list in bad {
                 assert!(
@@ -1881,12 +1823,12 @@ mod tests {
             let table = format!("{}", report.table());
             assert!(table.contains(name), "{table}");
             assert!(
-                table.contains(&format!("{}={}", row.spec, values[1])),
+                table.contains(&format!("{}={}", row.spec.name, values[1])),
                 "{table}"
             );
             let json = report.to_json();
             assert!(
-                json.contains(&format!("\"{name}_key\": \"{}\"", row.spec)),
+                json.contains(&format!("\"{name}_key\": \"{}\"", row.spec.name)),
                 "{json}"
             );
             assert!(

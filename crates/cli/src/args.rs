@@ -42,6 +42,11 @@ pub enum ArgError {
         /// Option name.
         key: String,
     },
+    /// An option or flag was given more than once.
+    Repeated {
+        /// Option name.
+        key: String,
+    },
 }
 
 impl fmt::Display for ArgError {
@@ -57,6 +62,7 @@ impl fmt::Display for ArgError {
                 f,
                 "unknown option --{key} (or a value given to a flag); try `sparsegossip help`"
             ),
+            Self::Repeated { key } => write!(f, "option --{key} is given more than once"),
         }
     }
 }
@@ -72,8 +78,9 @@ impl ParsedArgs {
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError::MissingCommand`] if no subcommand was given
-    /// and [`ArgError::UnexpectedPositional`] on stray positionals.
+    /// Returns [`ArgError::MissingCommand`] if no subcommand was given,
+    /// [`ArgError::UnexpectedPositional`] on stray positionals and
+    /// [`ArgError::Repeated`] for an option or flag given twice.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, ArgError> {
         let mut iter = args.into_iter().peekable();
         let command = iter.next().ok_or(ArgError::MissingCommand)?;
@@ -89,6 +96,11 @@ impl ParsedArgs {
             let Some(key) = tok.strip_prefix("--") else {
                 return Err(ArgError::UnexpectedPositional(tok));
             };
+            if parsed.has_option(key) || parsed.flag(key) {
+                return Err(ArgError::Repeated {
+                    key: key.to_string(),
+                });
+            }
             match iter.peek() {
                 Some(v) if !v.starts_with("--") => {
                     let value = iter.next().expect("peeked");
@@ -257,6 +269,28 @@ mod tests {
     }
 
     #[test]
+    fn repeated_options_and_flags_are_rejected() {
+        let repeated = |key: &str| {
+            Err(ArgError::Repeated {
+                key: key.to_string(),
+            })
+        };
+        for (line, key) in [
+            ("broadcast --side 12 --k 6 --seed 1 --side 200", "side"),
+            ("broadcast --side 12 --side 12", "side"),
+            ("broadcast --frog --k 6 --frog", "frog"),
+            ("broadcast --radius --radius 2", "radius"),
+            ("broadcast --radius 2 --radius", "radius"),
+        ] {
+            assert_eq!(ParsedArgs::parse(to_args(line)), repeated(key), "{line}");
+        }
+        assert_eq!(
+            repeated("side").unwrap_err().to_string(),
+            "option --side is given more than once"
+        );
+    }
+
+    #[test]
     fn error_messages_are_lowercase() {
         for e in [
             ArgError::MissingCommand,
@@ -267,6 +301,7 @@ mod tests {
             ArgError::UnexpectedPositional("y".into()),
             ArgError::MissingValue { key: "z".into() },
             ArgError::UnknownOption { key: "w".into() },
+            ArgError::Repeated { key: "v".into() },
         ] {
             assert!(e.to_string().chars().next().unwrap().is_lowercase());
         }

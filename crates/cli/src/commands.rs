@@ -3,7 +3,9 @@
 //! `broadcast`, `infection` and `coverage` build a [`ScenarioSpec`]
 //! from their options and run it through [`ScenarioSpec::run_outcome`],
 //! the path sweeps take; `gossip` and `protocol`, whose `--rumors` and
-//! `--workers` have no spec key, build their [`Simulation`] directly.
+//! `--workers` have no spec key, build their [`Simulation`] directly
+//! (`protocol` from a spec's parts). Every option that sets a spec key
+//! is that key's CLI spelling in [`SPEC_KEYS`], read by [`run_spec`].
 //! `--reps`/`--threads` route multi-seed ensembles through the
 //! [`Runner`], and `--json` emits machine-readable outcome lines so
 //! results are scriptable.
@@ -16,11 +18,13 @@ use sparsegossip_analysis::{
     ResultStore, Runner, ScenarioSweep, StoreError, SweepError, Table, AXIS_KEYS,
 };
 use sparsegossip_conngraph::{critical_radius, percolation_profile};
+use sparsegossip_core::spec_key::{
+    KeyFamily, KeyValue, SpecKey, EXCHANGE, K, MAX_STEPS, MOBILITY, RADIUS, SIDE, SPEC_KEYS,
+};
 use sparsegossip_core::{
-    BroadcastOutcome, CoverageOutcome, ExchangeRule, ExtinctionOutcome, FaultConfig, Gossip,
-    GossipOutcome, InfectionOutcome, Mobility, NetworkConfig, NetworkError, PredatorPrey,
-    ProcessKind, ProtocolBroadcast, ProtocolOutcome, RuntimeError, ScenarioOutcome, ScenarioSpec,
-    SimConfig, Simulation, SpecError, WorldConfig,
+    BroadcastOutcome, CoverageOutcome, ExtinctionOutcome, FaultConfig, Gossip, GossipOutcome,
+    InfectionOutcome, PredatorPrey, ProcessKind, ProtocolBroadcast, ProtocolOutcome, RuntimeError,
+    ScenarioOutcome, ScenarioSpec, SimConfig, Simulation, SpecError,
 };
 use sparsegossip_grid::{Grid, Topology};
 use sparsegossip_walks::multi_cover;
@@ -171,66 +175,64 @@ impl From<sparsegossip_walks::WalkError> for CliError {
     }
 }
 
-/// A command's implementation, the groups of `--key value` options it
-/// reads and the bare `--flag`s it reads.
+/// A command's implementation, the spec keys it takes as options (the
+/// listed keys and every key of the listed families), and the groups of
+/// other `--key value` options and the bare `--flag`s it takes.
 type Command = (
     fn(&ParsedArgs) -> Result<(), CliError>,
+    &'static [SpecKey],
+    &'static [KeyFamily],
     &'static [&'static [&'static str]],
     &'static [&'static str],
 );
 
-/// The value options [`common`] reads.
-const COMMON: &[&str] = &["side", "k", "radius", "seed"];
-
-/// The value options [`world_config`] reads; its flag is `adversarial`.
-const WORLD: &[&str] = &[
-    "barrier-density",
-    "churn-rate",
-    "hetero-fraction",
-    "hetero-factor",
-    "speed-fraction",
-    "speed-factor",
-    "sources",
-];
+/// The spec keys every run command takes.
+const RUN: &[SpecKey] = &[SIDE, K, RADIUS, MAX_STEPS];
 
 /// Routes a parsed command line to its implementation, after rejecting
 /// any option or flag the command does not read.
 pub fn dispatch(args: &ParsedArgs) -> Result<(), CliError> {
-    let (run, values, flags): Command = match args.command.as_str() {
+    use KeyFamily::{Fault, Network, World};
+    let (run, keys, families, values, flags): Command = match args.command.as_str() {
         "broadcast" => (
             broadcast,
-            &[COMMON, WORLD, &["max-steps", "reps", "threads"]],
-            &["json", "frog", "one-hop", "adversarial"],
+            &[SIDE, K, RADIUS, MAX_STEPS, MOBILITY, EXCHANGE],
+            &[World],
+            &[&["seed", "reps", "threads"]],
+            &["json"],
         ),
-        "gossip" => (gossip, &[COMMON, &["rumors", "max-steps"]], &["json"]),
+        "gossip" => (gossip, RUN, &[], &[&["seed", "rumors"]], &["json"]),
         // `--radius` is read only to note that it is ignored; the world
         // options are read so the spec builder rejects every axis but
         // the sources with its own error.
-        "infection" => (
-            infection,
-            &[COMMON, WORLD, &["max-steps"]],
-            &["json", "adversarial"],
-        ),
-        "coverage" => (coverage, &[COMMON, &["max-steps"]], &["json"]),
+        "infection" => (infection, RUN, &[World], &[&["seed"]], &["json"]),
+        "coverage" => (coverage, RUN, &[], &[&["seed"]], &["json"]),
         "protocol" => (
             protocol,
-            &[
-                COMMON,
-                &["max-steps", "drop", "delay", "cap", "interval", "workers"],
-                &["crash", "restart-delay", "partition-start", "partition-len"],
-                &["anti-entropy"],
-            ],
-            &["json", "retransmit"],
+            RUN,
+            &[Network, Fault],
+            &[&["seed", "workers"]],
+            &["json"],
         ),
-        "percolation" => (percolation, &[COMMON, &["samples"]], &[]),
-        "cover" => (cover, &[&["side", "k", "seed", "cap"]], &[]),
+        "percolation" => (
+            percolation,
+            &[SIDE, K, RADIUS],
+            &[],
+            &[&["seed", "samples"]],
+            &[],
+        ),
+        "cover" => (cover, &[SIDE, K], &[], &[&["seed", "cap"]], &[]),
         "predator" => (
             predator,
-            &[&["side", "radius", "seed", "predators", "preys"]],
+            &[SIDE, RADIUS],
+            &[],
+            &[&["seed", "predators", "preys"]],
             &["json", "static-preys"],
         ),
         "sweep" => (
             sweep,
+            &[],
+            &[],
             &[
                 &["spec", "replicates", "threads", "seed", "budget"],
                 &["barrier-densities", "churn-rates", "radius-mixes"],
@@ -240,8 +242,22 @@ pub fn dispatch(args: &ParsedArgs) -> Result<(), CliError> {
         ),
         other => return Err(CliError::UnknownCommand(other.to_string())),
     };
-    args.expect_only(&values.concat(), flags)?;
+    let (mut values, mut flags) = (values.concat(), flags.to_vec());
+    let family_keys = SPEC_KEYS.iter().filter(|k| families.contains(&k.family));
+    for key in keys.iter().chain(family_keys) {
+        match key.cli {
+            Some(cli) if key.range.is_flag() => flags.push(cli),
+            Some(cli) => values.push(cli),
+            None => {}
+        }
+    }
+    args.expect_only(&values, &flags)?;
     run(args)
+}
+
+/// The command-line spelling of `key`.
+fn option(key: SpecKey) -> &'static str {
+    key.cli.unwrap_or_default()
 }
 
 struct Common {
@@ -254,9 +270,9 @@ struct Common {
 
 fn common(args: &ParsedArgs) -> Result<Common, CliError> {
     Ok(Common {
-        side: args.get("side", 64u32)?,
-        k: args.get("k", 32usize)?,
-        radius: args.get("radius", 0u32)?,
+        side: args.get(option(SIDE), 64u32)?,
+        k: args.get(option(K), 32usize)?,
+        radius: args.get(option(RADIUS), 0u32)?,
         seed: args.get("seed", 2011u64)?,
         json: args.flag("json"),
     })
@@ -266,23 +282,6 @@ fn bad(key: &str, value: impl ToString) -> CliError {
     CliError::Args(ArgError::BadValue {
         key: key.to_string(),
         value: value.to_string(),
-    })
-}
-
-/// Parses the eight world options shared by the run commands into a
-/// [`WorldConfig`]. Range and combination validation is left to the
-/// [`ScenarioSpec`] builder, which applies the same rules to TOML
-/// specs.
-fn world_config(args: &ParsedArgs) -> Result<WorldConfig, CliError> {
-    Ok(WorldConfig {
-        barrier_density: args.get("barrier-density", 0.0f64)?,
-        churn_rate: args.get("churn-rate", 0.0f64)?,
-        hetero_fraction: args.get("hetero-fraction", 0.0f64)?,
-        hetero_factor: args.get("hetero-factor", 1.0f64)?,
-        speed_fraction: args.get("speed-fraction", 0.0f64)?,
-        speed_factor: args.get("speed-factor", 1u32)?,
-        num_sources: args.get("sources", 1usize)?,
-        adversarial_sources: args.flag("adversarial"),
     })
 }
 
@@ -340,28 +339,34 @@ fn extinction_json(out: &ExtinctionOutcome) -> String {
     )
 }
 
-/// Builds the [`ScenarioSpec`] a run command's `COMMON` and `WORLD`
-/// options, `--max-steps` (default `default_cap`), `--frog` and
-/// `--one-hop` describe, validated exactly like a spec file. Options a
-/// command does not take were rejected by [`dispatch`], so they read as
-/// their defaults here.
+/// Builds the [`ScenarioSpec`] a run command's options describe, validated
+/// exactly like a spec file: the [`Common`] geometry, the step cap
+/// `default_cap`, and every spec key whose option the command line gives
+/// (a flag sets a boolean key or picks a name key's second name).
+/// Options a command does not take were rejected by [`dispatch`], so
+/// they are absent here.
 fn run_spec(
     args: &ParsedArgs,
     kind: ProcessKind,
     c: &Common,
     default_cap: u64,
 ) -> Result<ScenarioSpec, CliError> {
-    let mut builder = ScenarioSpec::builder(kind, c.side, c.k)
-        .radius(c.radius)
-        .max_steps(args.get("max-steps", default_cap)?)
-        .world(world_config(args)?);
-    if args.flag("one-hop") {
-        builder = builder.exchange_rule(ExchangeRule::OneHop);
+    let mut builder = ScenarioSpec::builder(kind, c.side, c.k).max_steps(default_cap);
+    for key in &SPEC_KEYS {
+        let Some(cli) = key.cli else { continue };
+        if key.range.is_flag() {
+            if args.flag(cli) {
+                key.set(&mut builder, KeyValue::Int(1))?;
+            }
+        } else if let Some(raw) = args.get_opt::<String>(cli)? {
+            key.parse(&raw)
+                .and_then(|value| key.set(&mut builder, value).ok())
+                .ok_or_else(|| bad(cli, raw))?;
+        }
     }
-    if args.flag("frog") {
-        builder = builder.mobility(Mobility::InformedOnly);
-    }
-    Ok(builder.build()?)
+    // The common radius last: infection reads `--radius` only to note
+    // that it ignores it.
+    Ok(builder.radius(c.radius).build()?)
 }
 
 /// The broadcast run header: the geometry, `seeds` (which seed or seeds
@@ -490,7 +495,7 @@ fn gossip(args: &ParsedArgs) -> Result<(), CliError> {
     let c = common(args)?;
     let rumors: usize = args.get("rumors", c.k)?;
     let grid = Grid::new(c.side)?;
-    let cap = args.get("max-steps", SimConfig::default_step_cap(c.side, c.k))?;
+    let cap = args.get(option(MAX_STEPS), SimConfig::default_step_cap(c.side, c.k))?;
     let mut rng = SmallRng::seed_from_u64(c.seed);
     let process = Gossip::with_rumors(c.k, rumors)?;
     let mut sim = Simulation::new(grid, c.k, c.radius, cap, process, &mut rng)?;
@@ -514,7 +519,7 @@ fn infection(args: &ParsedArgs) -> Result<(), CliError> {
         radius: 0,
         ..common(args)?
     };
-    if args.has_option("radius") {
+    if args.has_option(option(RADIUS)) {
         eprintln!("note: --radius is ignored; infection is contact-only (r = 0)");
     }
     let default_cap = SimConfig::default_step_cap(c.side, c.k);
@@ -572,37 +577,12 @@ fn protocol_json(out: &ProtocolOutcome, faults: &FaultConfig) -> String {
 /// trajectory the `broadcast` command would use.
 fn protocol(args: &ParsedArgs) -> Result<(), CliError> {
     let c = common(args)?;
-    let max_steps = args.get("max-steps", SimConfig::default_step_cap(c.side, c.k))?;
-    let drop: f64 = args.get("drop", 0.0f64)?;
-    let delay: u64 = args.get("delay", 0u64)?;
-    let cap: u32 = args.get("cap", 0u32)?;
-    let interval: u64 = args.get("interval", 1u64)?;
+    let default_cap = SimConfig::default_step_cap(c.side, c.k);
+    let spec = run_spec(args, ProcessKind::ProtocolBroadcast, &c, default_cap)?;
     let workers: usize = args.get("workers", 1usize)?;
-    let net = NetworkConfig::new(drop, delay, cap, interval).map_err(|e| {
-        let (key, value) = match e {
-            NetworkError::DropProbOutOfRange => ("drop", drop.to_string()),
-            NetworkError::ZeroGossipInterval => ("interval", interval.to_string()),
-        };
-        CliError::Args(ArgError::BadValue {
-            key: key.to_string(),
-            value,
-        })
-    })?;
-    let faults = FaultConfig {
-        crash_prob: args.get("crash", 0.0f64)?,
-        restart_delay: args.get("restart-delay", 1u64)?,
-        partition_start: args.get("partition-start", 0u64)?,
-        partition_len: args.get("partition-len", 0u64)?,
-        retransmit: args.flag("retransmit"),
-        anti_entropy_interval: args.get("anti-entropy", 0u64)?,
-    };
-    faults.validate()?;
-    let config = SimConfig::builder(c.side, c.k)
-        .radius(c.radius)
-        .max_steps(max_steps)
-        .build()?;
+    let (config, net, faults) = (spec.config(), *spec.network(), spec.faults());
     let mut rng = SmallRng::seed_from_u64(c.seed);
-    let process = ProtocolBroadcast::from_config(&config, net, c.seed)?
+    let process = ProtocolBroadcast::from_config(config, net, c.seed)?
         .workers(workers)
         .faults(faults.to_plan())
         .recovery(faults.to_recovery());
@@ -619,17 +599,21 @@ fn protocol(args: &ParsedArgs) -> Result<(), CliError> {
         return Err(CliError::Runtime(err));
     }
     if c.json {
-        println!("{}", protocol_json(&out, &faults));
+        println!("{}", protocol_json(&out, faults));
         return Ok(());
     }
     println!(
-        "n = {}, k = {}, r = {} (r_c = {:.1}), seed = {}, drop = {drop}, \
-         delay <= {delay}, cap = {cap}, interval = {interval}",
+        "n = {}, k = {}, r = {} (r_c = {:.1}), seed = {}, drop = {}, \
+         delay <= {}, cap = {}, interval = {}",
         config.n(),
         config.k(),
         config.radius(),
         config.critical_radius(),
-        c.seed
+        c.seed,
+        net.drop_prob(),
+        net.delay_max(),
+        net.send_cap(),
+        net.gossip_interval()
     );
     println!("{out}");
     println!(
@@ -647,7 +631,7 @@ fn protocol(args: &ParsedArgs) -> Result<(), CliError> {
 
 fn percolation(args: &ParsedArgs) -> Result<(), CliError> {
     let c = common(args)?;
-    if args.has_option("radius") {
+    if args.has_option(option(RADIUS)) {
         eprintln!("note: --radius is ignored; percolation sweeps radii around r_c");
     }
     let samples: u32 = args.get("samples", 30u32)?;

@@ -34,6 +34,15 @@ fn unknown_options_fail_before_the_run() {
 }
 
 #[test]
+fn repeated_options_fail_before_the_run() {
+    let line = "broadcast --side 12 --k 6 --seed 1 --side 200";
+    let (stdout, stderr, ok) = run(line);
+    assert!(!ok, "`{line}` succeeded");
+    assert!(stdout.is_empty(), "`{line}` ran: {stdout}");
+    assert_eq!(stderr, "error: option --side is given more than once\n");
+}
+
+#[test]
 fn out_of_range_rumor_counts_are_named_as_rumor_counts() {
     for (line, expected) in [
         (

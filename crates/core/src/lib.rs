@@ -73,6 +73,7 @@ mod process;
 mod protocol_broadcast;
 mod rumor;
 mod scenario;
+pub mod spec_key;
 pub mod theory;
 pub mod toml;
 mod world;

@@ -40,12 +40,13 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_grid::{Grid, Point};
 
-use crate::toml::{format_toml_f64, TomlDoc, TomlError, MAX_EXACT_INT};
+use crate::spec_key::{self, Field, KeyDefault, SPEC_KEYS};
+use crate::toml::{TomlDoc, TomlError};
 use crate::world::build_world_sim;
 use crate::{
     BroadcastOutcome, Coverage, CoverageOutcome, ExchangeRule, FaultConfig, GossipOutcome,
-    Infection, InfectionOutcome, Mobility, NetworkConfig, NetworkError, ProtocolOutcome, SimConfig,
-    SimError, SimScratch, Simulation, WorldConfig, WorldSim,
+    Infection, InfectionOutcome, Mobility, NetworkConfig, ProtocolOutcome, SimConfig, SimError,
+    SimScratch, Simulation, WorldConfig, WorldSim,
 };
 
 /// Which dissemination [`Process`](crate::Process) a scenario runs.
@@ -82,13 +83,7 @@ impl ProcessKind {
     /// The spec-file name of this kind.
     #[must_use]
     pub fn as_str(self) -> &'static str {
-        match self {
-            Self::Broadcast => "broadcast",
-            Self::Gossip => "gossip",
-            Self::Infection => "infection",
-            Self::Coverage => "coverage",
-            Self::ProtocolBroadcast => "protocol-broadcast",
-        }
+        spec_key::PROCESS.name_of(self.to_value())
     }
 
     /// All kinds, in spec-file order.
@@ -126,10 +121,7 @@ impl Metric {
     /// The spec-file name of this metric.
     #[must_use]
     pub fn as_str(self) -> &'static str {
-        match self {
-            Self::Time => "time",
-            Self::Fraction => "fraction",
-        }
+        spec_key::METRIC.name_of(self.to_value())
     }
 }
 
@@ -280,22 +272,13 @@ impl From<SimError> for SpecError {
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ScenarioSpec {
-    kind: ProcessKind,
+    /// Every setting, validated; the step cap only when it was given
+    /// explicitly, so [`with_axes`](Self::with_axes) re-derives the
+    /// default cap for resized cells instead of freezing the base
+    /// spec's.
+    settings: ScenarioSpecBuilder,
+    /// The simulation configuration the settings describe.
     config: SimConfig,
-    metric: Metric,
-    /// Network fault axes, honored by the protocol twin (other kinds
-    /// require the default ideal network).
-    network: NetworkConfig,
-    /// World-model axes (barriers, churn, heterogeneity, sources);
-    /// the default reproduces the paper's world exactly.
-    world: WorldConfig,
-    /// Fault-injection and recovery axes, honored by the protocol twin
-    /// (other kinds require the trivial default).
-    faults: FaultConfig,
-    /// Whether the step cap was given explicitly (kept so
-    /// [`with_axes`](Self::with_axes) re-derives the default cap for
-    /// resized cells instead of freezing the base spec's).
-    explicit_max_steps: bool,
 }
 
 impl ScenarioSpec {
@@ -323,14 +306,14 @@ impl ScenarioSpec {
     #[inline]
     #[must_use]
     pub fn kind(&self) -> ProcessKind {
-        self.kind
+        self.settings.kind
     }
 
     /// The reported metric.
     #[inline]
     #[must_use]
     pub fn metric(&self) -> Metric {
-        self.metric
+        self.settings.metric
     }
 
     /// The validated simulation configuration.
@@ -346,7 +329,7 @@ impl ScenarioSpec {
     #[inline]
     #[must_use]
     pub fn network(&self) -> &NetworkConfig {
-        &self.network
+        &self.settings.network
     }
 
     /// The world-model axes ([`WorldConfig::DEFAULT`] unless the spec
@@ -354,7 +337,7 @@ impl ScenarioSpec {
     #[inline]
     #[must_use]
     pub fn world(&self) -> &WorldConfig {
-        &self.world
+        &self.settings.world
     }
 
     /// The fault-injection and recovery axes ([`FaultConfig::DEFAULT`]
@@ -362,62 +345,35 @@ impl ScenarioSpec {
     #[inline]
     #[must_use]
     pub fn faults(&self) -> &FaultConfig {
-        &self.faults
+        &self.settings.faults
     }
 
     /// Re-derives this spec with one `[scenario]` key set to `value`,
     /// re-validating: the sweep engine's way of expanding a config
-    /// axis. Takes the keys the sweep axes vary: `drop_prob`,
-    /// `gossip_interval`, `send_cap`, `barrier_density`, `churn_rate`,
-    /// `hetero_fraction`, `crash_prob` and `partition_len`. Integer
-    /// keys take integral values up to [`MAX_EXACT_INT`]
-    /// (`u32::MAX` for `send_cap`).
+    /// axis. Takes the keys whose
+    /// [`SpecKey::with_key`](crate::spec_key::SpecKey::with_key) is set;
+    /// integer keys take integral values up to their range's `max` and
+    /// [`MAX_EXACT_INT`](crate::toml::MAX_EXACT_INT).
     ///
     /// # Errors
     ///
     /// [`SpecError::UnknownKey`] for any other key, [`SpecError::Toml`]
-    /// for a value the key cannot hold, and [`SpecError::Sim`] as
-    /// [`ScenarioSpecBuilder::build`] (e.g. kinds other than the
-    /// protocol twin reject a non-ideal network).
+    /// for a value the key cannot hold (a non-integral or too large
+    /// integer, or a network value outside its range), and
+    /// [`SpecError::Sim`] as [`ScenarioSpecBuilder::build`] (e.g. kinds
+    /// other than the protocol twin reject a non-ideal network).
     pub fn with_key(&self, key: &str, value: f64) -> Result<Self, SpecError> {
-        let bad = |expected| {
-            SpecError::Toml(TomlError::BadValue {
+        let Some(row) = SPEC_KEYS.iter().find(|row| row.with_key && row.name == key) else {
+            return Err(SpecError::UnknownKey {
                 section: "scenario".to_string(),
                 key: key.to_string(),
-                expected,
-            })
+            });
         };
-        let int = || {
-            if value >= 0.0 && value.fract() == 0.0 && value <= MAX_EXACT_INT as f64 {
-                Ok(value as u64)
-            } else {
-                Err(bad("non-negative integer"))
-            }
-        };
-        let mut b = self.to_builder();
-        let net = b.network;
-        let (mut drop, mut cap, mut interval) =
-            (net.drop_prob(), net.send_cap(), net.gossip_interval());
-        match key {
-            "drop_prob" => drop = value,
-            "gossip_interval" => interval = int()?,
-            "send_cap" => {
-                cap = u32::try_from(int()?).map_err(|_| bad("non-negative integer fitting u32"))?;
-            }
-            "barrier_density" => b.world.barrier_density = value,
-            "churn_rate" => b.world.churn_rate = value,
-            "hetero_fraction" => b.world.hetero_fraction = value,
-            "crash_prob" => b.faults.crash_prob = value,
-            "partition_len" => b.faults.partition_len = int()?,
-            _ => {
-                return Err(SpecError::UnknownKey {
-                    section: "scenario".to_string(),
-                    key: key.to_string(),
-                })
-            }
-        }
-        b.network =
-            NetworkConfig::new(drop, net.delay_max(), cap, interval).map_err(bad_network_value)?;
+        let value = row
+            .typed_value(value)
+            .ok_or_else(|| row.bad(row.range.expected()))?;
+        let mut b = self.settings;
+        row.set(&mut b, value)?;
         Ok(b.build()?)
     }
 
@@ -436,29 +392,9 @@ impl ScenarioSpec {
             side,
             k,
             radius,
-            ..self.to_builder()
+            ..self.settings
         }
         .build()
-    }
-
-    /// The builder holding every setting of this spec, the step cap
-    /// only when it was explicit.
-    fn to_builder(self) -> ScenarioSpecBuilder {
-        let c = &self.config;
-        ScenarioSpecBuilder {
-            kind: self.kind,
-            side: c.side(),
-            k: c.k(),
-            radius: c.radius(),
-            source: c.source(),
-            max_steps: self.explicit_max_steps.then(|| c.max_steps()),
-            mobility: c.mobility(),
-            exchange_rule: c.exchange_rule(),
-            metric: self.metric,
-            network: self.network,
-            world: self.world,
-            faults: self.faults,
-        }
     }
 
     /// Runs the scenario once with a fresh RNG seeded from `seed` and
@@ -477,7 +413,7 @@ impl ScenarioSpec {
     pub fn run_seed_with_scratch(&self, scratch: &mut SimScratch, seed: u64) -> f64 {
         let out = self.run_outcome_with_scratch(scratch, seed);
         let cfg = &self.config;
-        match self.metric {
+        match self.settings.metric {
             Metric::Time => out.time().unwrap_or(cfg.max_steps()) as f64,
             Metric::Fraction => out.fraction(),
         }
@@ -498,7 +434,7 @@ impl ScenarioSpec {
         let cfg = &self.config;
         // The spec was validated with the same rules the constructors
         // apply, so construction cannot fail here.
-        match self.kind {
+        match self.settings.kind {
             ProcessKind::Broadcast => {
                 // A trivial world reproduces `Simulation::broadcast`
                 // draw for draw (pinned by `tests/trivial_world.rs`).
@@ -519,7 +455,7 @@ impl ScenarioSpec {
                 // Infection honors only the source axes (the build gate
                 // rejects every other world axis for it) and is
                 // contact-only, so it always walks the open grid.
-                let w = &self.world;
+                let w = &self.settings.world;
                 let process = if w.num_sources > 1 {
                     Infection::with_sources(cfg.k(), w.num_sources)
                 } else {
@@ -539,8 +475,8 @@ impl ScenarioSpec {
             ProcessKind::ProtocolBroadcast => {
                 let mut sim = Simulation::protocol_broadcast_with_faults_with_scratch(
                     cfg,
-                    self.network,
-                    &self.faults,
+                    self.settings.network,
+                    &self.settings.faults,
                     seed,
                     &mut rng,
                     mem::take(scratch),
@@ -585,111 +521,10 @@ impl ScenarioSpec {
     /// it back to an equal spec.
     #[must_use]
     pub fn to_toml(&self) -> String {
-        let mut out = String::new();
-        out.push_str("[scenario]\n");
-        out.push_str(&format!("process = \"{}\"\n", self.kind));
-        out.push_str(&format!("side = {}\n", self.config.side()));
-        out.push_str(&format!("k = {}\n", self.config.k()));
-        out.push_str(&format!("radius = {}\n", self.config.radius()));
-        out.push_str(&format!("source = {}\n", self.config.source()));
-        let mobility = match self.config.mobility() {
-            Mobility::All => "all",
-            Mobility::InformedOnly => "informed-only",
-        };
-        out.push_str(&format!("mobility = \"{mobility}\"\n"));
-        let exchange = match self.config.exchange_rule() {
-            ExchangeRule::Component => "component",
-            ExchangeRule::OneHop => "one-hop",
-        };
-        out.push_str(&format!("exchange = \"{exchange}\"\n"));
-        if self.explicit_max_steps {
-            out.push_str(&format!("max_steps = {}\n", self.config.max_steps()));
+        let mut out = String::from("[scenario]\n");
+        for key in &SPEC_KEYS {
+            out.extend(key.render(key.get(&self.settings)));
         }
-        if self.network.drop_prob() != 0.0 {
-            out.push_str(&format!(
-                "drop_prob = {}\n",
-                format_toml_f64(self.network.drop_prob())
-            ));
-        }
-        if self.network.delay_max() != 0 {
-            out.push_str(&format!("delay_max = {}\n", self.network.delay_max()));
-        }
-        if self.network.send_cap() != 0 {
-            out.push_str(&format!("send_cap = {}\n", self.network.send_cap()));
-        }
-        if self.network.gossip_interval() != 1 {
-            out.push_str(&format!(
-                "gossip_interval = {}\n",
-                self.network.gossip_interval()
-            ));
-        }
-        // World axes, non-default values only, so pre-world spec files
-        // stay byte-identical.
-        let w = &self.world;
-        if w.barrier_density != 0.0 {
-            out.push_str(&format!(
-                "barrier_density = {}\n",
-                format_toml_f64(w.barrier_density)
-            ));
-        }
-        if w.churn_rate != 0.0 {
-            out.push_str(&format!("churn_rate = {}\n", format_toml_f64(w.churn_rate)));
-        }
-        if w.hetero_fraction != 0.0 {
-            out.push_str(&format!(
-                "hetero_fraction = {}\n",
-                format_toml_f64(w.hetero_fraction)
-            ));
-        }
-        if w.hetero_factor != 1.0 {
-            out.push_str(&format!(
-                "hetero_factor = {}\n",
-                format_toml_f64(w.hetero_factor)
-            ));
-        }
-        if w.speed_fraction != 0.0 {
-            out.push_str(&format!(
-                "speed_fraction = {}\n",
-                format_toml_f64(w.speed_fraction)
-            ));
-        }
-        if w.speed_factor != 1 {
-            out.push_str(&format!("speed_factor = {}\n", w.speed_factor));
-        }
-        if w.num_sources != 1 {
-            out.push_str(&format!("num_sources = {}\n", w.num_sources));
-        }
-        if w.adversarial_sources {
-            out.push_str("adversarial_sources = true\n");
-        }
-        // Fault axes, non-default values only, so pre-fault spec files
-        // stay byte-identical (and so do their content hashes).
-        let fc = &self.faults;
-        if fc.crash_prob != 0.0 {
-            out.push_str(&format!(
-                "crash_prob = {}\n",
-                format_toml_f64(fc.crash_prob)
-            ));
-        }
-        if fc.restart_delay != 1 {
-            out.push_str(&format!("restart_delay = {}\n", fc.restart_delay));
-        }
-        if fc.partition_start != 0 {
-            out.push_str(&format!("partition_start = {}\n", fc.partition_start));
-        }
-        if fc.partition_len != 0 {
-            out.push_str(&format!("partition_len = {}\n", fc.partition_len));
-        }
-        if fc.retransmit {
-            out.push_str("retransmit = true\n");
-        }
-        if fc.anti_entropy_interval != 0 {
-            out.push_str(&format!(
-                "anti_entropy_interval = {}\n",
-                fc.anti_entropy_interval
-            ));
-        }
-        out.push_str(&format!("metric = \"{}\"\n", self.metric));
         out
     }
 
@@ -714,143 +549,30 @@ impl ScenarioSpec {
     /// As [`from_toml_str`](Self::from_toml_str).
     pub fn from_toml_doc(doc: &TomlDoc) -> Result<Self, SpecError> {
         let table = doc.section("scenario")?;
-        const KNOWN: [&str; 27] = [
-            "process",
-            "side",
-            "k",
-            "radius",
-            "source",
-            "mobility",
-            "exchange",
-            "max_steps",
-            "drop_prob",
-            "delay_max",
-            "send_cap",
-            "gossip_interval",
-            "barrier_density",
-            "churn_rate",
-            "hetero_fraction",
-            "hetero_factor",
-            "speed_fraction",
-            "speed_factor",
-            "num_sources",
-            "adversarial_sources",
-            "crash_prob",
-            "restart_delay",
-            "partition_start",
-            "partition_len",
-            "retransmit",
-            "anti_entropy_interval",
-            "metric",
-        ];
-        for key in table.keys() {
-            if !KNOWN.contains(&key) {
-                return Err(SpecError::UnknownKey {
-                    section: "scenario".to_string(),
-                    key: key.to_string(),
-                });
+        if let Some(key) = table
+            .keys()
+            .find(|key| SPEC_KEYS.iter().all(|row| row.name != *key))
+        {
+            return Err(SpecError::UnknownKey {
+                section: "scenario".to_string(),
+                key: key.to_string(),
+            });
+        }
+        let mut b = ScenarioSpec::builder(ProcessKind::Broadcast, 0, 0);
+        for key in &SPEC_KEYS {
+            match key.read(table)? {
+                Some(value) => key.set(&mut b, value)?,
+                None if key.default == KeyDefault::Required => {
+                    return Err(SpecError::Toml(TomlError::MissingKey {
+                        section: "scenario".to_string(),
+                        key: key.name.to_string(),
+                    }))
+                }
+                None => {}
             }
         }
-        let kind_name = table.need_str("process")?;
-        let kind = ProcessKind::ALL
-            .into_iter()
-            .find(|k| k.as_str() == kind_name)
-            .ok_or_else(|| SpecError::UnknownName {
-                key: "process".to_string(),
-                value: kind_name.to_string(),
-                allowed: "broadcast, gossip, infection, coverage, protocol-broadcast",
-            })?;
-        let mut builder =
-            ScenarioSpec::builder(kind, table.need_u32("side")?, table.need_usize("k")?)
-                .radius(table.opt_u32("radius")?.unwrap_or(0))
-                .source(table.opt_usize("source")?.unwrap_or(0));
-        if let Some(cap) = table.opt_u64("max_steps")? {
-            builder = builder.max_steps(cap);
-        }
-        let network = NetworkConfig::new(
-            table.opt_f64("drop_prob")?.unwrap_or(0.0),
-            table.opt_u64("delay_max")?.unwrap_or(0),
-            table.opt_u32("send_cap")?.unwrap_or(0),
-            table.opt_u64("gossip_interval")?.unwrap_or(1),
-        )
-        .map_err(bad_network_value)?;
-        builder = builder.network(network);
-        let world = WorldConfig {
-            barrier_density: table.opt_f64("barrier_density")?.unwrap_or(0.0),
-            churn_rate: table.opt_f64("churn_rate")?.unwrap_or(0.0),
-            hetero_fraction: table.opt_f64("hetero_fraction")?.unwrap_or(0.0),
-            hetero_factor: table.opt_f64("hetero_factor")?.unwrap_or(1.0),
-            speed_fraction: table.opt_f64("speed_fraction")?.unwrap_or(0.0),
-            speed_factor: table.opt_u32("speed_factor")?.unwrap_or(1),
-            num_sources: table.opt_usize("num_sources")?.unwrap_or(1),
-            adversarial_sources: table.opt_bool("adversarial_sources")?.unwrap_or(false),
-        };
-        builder = builder.world(world);
-        let faults = FaultConfig {
-            crash_prob: table.opt_f64("crash_prob")?.unwrap_or(0.0),
-            restart_delay: table.opt_u64("restart_delay")?.unwrap_or(1),
-            partition_start: table.opt_u64("partition_start")?.unwrap_or(0),
-            partition_len: table.opt_u64("partition_len")?.unwrap_or(0),
-            retransmit: table.opt_bool("retransmit")?.unwrap_or(false),
-            anti_entropy_interval: table.opt_u64("anti_entropy_interval")?.unwrap_or(0),
-        };
-        builder = builder.faults(faults);
-        if let Some(name) = table.opt_str("mobility")? {
-            builder = builder.mobility(match name {
-                "all" => Mobility::All,
-                "informed-only" => Mobility::InformedOnly,
-                other => {
-                    return Err(SpecError::UnknownName {
-                        key: "mobility".to_string(),
-                        value: other.to_string(),
-                        allowed: "all, informed-only",
-                    })
-                }
-            });
-        }
-        if let Some(name) = table.opt_str("exchange")? {
-            builder = builder.exchange_rule(match name {
-                "component" => ExchangeRule::Component,
-                "one-hop" => ExchangeRule::OneHop,
-                other => {
-                    return Err(SpecError::UnknownName {
-                        key: "exchange".to_string(),
-                        value: other.to_string(),
-                        allowed: "component, one-hop",
-                    })
-                }
-            });
-        }
-        if let Some(name) = table.opt_str("metric")? {
-            builder = builder.metric(match name {
-                "time" => Metric::Time,
-                "fraction" => Metric::Fraction,
-                other => {
-                    return Err(SpecError::UnknownName {
-                        key: "metric".to_string(),
-                        value: other.to_string(),
-                        allowed: "time, fraction",
-                    })
-                }
-            });
-        }
-        Ok(builder.build()?)
+        Ok(b.build()?)
     }
-}
-
-/// Maps a [`NetworkError`] from spec parsing onto the TOML error for
-/// the offending key, so the report points at the right line of the
-/// schema rather than inventing a new error variant.
-fn bad_network_value(e: NetworkError) -> SpecError {
-    let (key, expected) = match e {
-        NetworkError::DropProbOutOfRange => ("drop_prob", "finite number in [0, 1]"),
-        NetworkError::ZeroGossipInterval => ("gossip_interval", "integer >= 1"),
-    };
-    SpecError::Toml(TomlError::BadValue {
-        section: "scenario".to_string(),
-        key: key.to_string(),
-        expected,
-    })
 }
 
 impl fmt::Display for ScenarioSpec {
@@ -858,46 +580,107 @@ impl fmt::Display for ScenarioSpec {
         write!(
             f,
             "{} side={} k={} r={} metric={}",
-            self.kind,
+            self.settings.kind,
             self.config.side(),
             self.config.k(),
             self.config.radius(),
-            self.metric
+            self.settings.metric
         )
     }
 }
 
 /// Builder for [`ScenarioSpec`]; validation happens at
 /// [`build`](ScenarioSpecBuilder::build).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ScenarioSpecBuilder {
-    kind: ProcessKind,
-    side: u32,
-    k: usize,
-    radius: u32,
-    source: usize,
-    max_steps: Option<u64>,
-    mobility: Mobility,
-    exchange_rule: ExchangeRule,
-    metric: Metric,
-    network: NetworkConfig,
-    world: WorldConfig,
-    faults: FaultConfig,
+    pub(crate) kind: ProcessKind,
+    pub(crate) side: u32,
+    pub(crate) k: usize,
+    pub(crate) radius: u32,
+    pub(crate) source: usize,
+    pub(crate) max_steps: Option<u64>,
+    pub(crate) mobility: Mobility,
+    pub(crate) exchange_rule: ExchangeRule,
+    pub(crate) metric: Metric,
+    pub(crate) network: NetworkConfig,
+    pub(crate) world: WorldConfig,
+    pub(crate) faults: FaultConfig,
+}
+
+/// Builder setters that assign their argument to one field.
+macro_rules! setters {
+    ($($(#[$doc:meta])* $name:ident($ty:ty) => $($field:ident).+;)+) => {$(
+        $(#[$doc])*
+        #[must_use]
+        pub fn $name(mut self, value: $ty) -> Self {
+            self.$($field).+ = value;
+            self
+        }
+    )+};
 }
 
 impl ScenarioSpecBuilder {
-    /// Sets the transmission radius `r` (default 0).
-    #[must_use]
-    pub fn radius(mut self, r: u32) -> Self {
-        self.radius = r;
-        self
-    }
-
-    /// Sets the initially informed agent (default 0).
-    #[must_use]
-    pub fn source(mut self, source: usize) -> Self {
-        self.source = source;
-        self
+    setters! {
+        /// Sets the transmission radius `r` (default 0).
+        radius(u32) => radius;
+        /// Sets the initially informed agent (default 0).
+        source(usize) => source;
+        /// Sets the mobility rule (default [`Mobility::All`]; with
+        /// [`ProcessKind::Broadcast`], [`Mobility::InformedOnly`] is the
+        /// Frog model).
+        mobility(Mobility) => mobility;
+        /// Sets the exchange rule (default [`ExchangeRule::Component`];
+        /// honored by broadcast-family processes).
+        exchange_rule(ExchangeRule) => exchange_rule;
+        /// Sets the reported metric (default [`Metric::Time`]).
+        metric(Metric) => metric;
+        /// Sets the network fault configuration (default
+        /// [`NetworkConfig::IDEAL`]; honored only by
+        /// [`ProcessKind::ProtocolBroadcast`] — any other kind rejects a
+        /// non-ideal network at build time).
+        network(NetworkConfig) => network;
+        /// Sets every world-model axis at once (default
+        /// [`WorldConfig::DEFAULT`]).
+        world(WorldConfig) => world;
+        /// Sets every fault-injection/recovery axis at once (default
+        /// [`FaultConfig::DEFAULT`]; honored only by
+        /// [`ProcessKind::ProtocolBroadcast`] — any other kind rejects a
+        /// non-trivial config at build time).
+        faults(FaultConfig) => faults;
+        /// Sets the per-node per-tick crash probability (default 0;
+        /// protocol twin only).
+        crash_prob(f64) => faults.crash_prob;
+        /// Sets how many ticks a crashed node stays down (default 1;
+        /// protocol twin only).
+        restart_delay(u64) => faults.restart_delay;
+        /// Enables ack-driven retransmission with exponential backoff
+        /// (default off; protocol twin only).
+        retransmit(bool) => faults.retransmit;
+        /// Sets the anti-entropy digest interval in ticks (default 0, off;
+        /// protocol twin only).
+        anti_entropy_interval(u64) => faults.anti_entropy_interval;
+        /// Sets the city-block wall density (default 0, the open grid;
+        /// broadcast only).
+        barrier_density(f64) => world.barrier_density;
+        /// Sets the per-agent per-step replacement probability (default 0,
+        /// no churn; broadcast only).
+        churn_rate(f64) => world.churn_rate;
+        /// Sets the fraction of agents in the scaled-radius class
+        /// (default 0; broadcast only).
+        hetero_fraction(f64) => world.hetero_fraction;
+        /// Sets the radius multiplier of the heterogeneous class
+        /// (default 1; broadcast only).
+        hetero_factor(f64) => world.hetero_factor;
+        /// Sets the fraction of agents in the fast class (default 0).
+        speed_fraction(f64) => world.speed_fraction;
+        /// Sets the lazy sub-steps per step of the fast class (default 1).
+        speed_factor(u32) => world.speed_factor;
+        /// Sets the number of initially informed agents — the prefix
+        /// `0..num_sources` (default 1; broadcast and infection).
+        num_sources(usize) => world.num_sources;
+        /// Anchors every source at the worst-case corner node instead of a
+        /// uniform draw (default false; broadcast and infection).
+        adversarial_sources(bool) => world.adversarial_sources;
     }
 
     /// Sets an explicit step cap (default
@@ -909,158 +692,12 @@ impl ScenarioSpecBuilder {
         self
     }
 
-    /// Sets the mobility rule (default [`Mobility::All`]; with
-    /// [`ProcessKind::Broadcast`], [`Mobility::InformedOnly`] is the
-    /// Frog model).
-    #[must_use]
-    pub fn mobility(mut self, mobility: Mobility) -> Self {
-        self.mobility = mobility;
-        self
-    }
-
-    /// Sets the exchange rule (default [`ExchangeRule::Component`];
-    /// honored by broadcast-family processes).
-    #[must_use]
-    pub fn exchange_rule(mut self, rule: ExchangeRule) -> Self {
-        self.exchange_rule = rule;
-        self
-    }
-
-    /// Sets the reported metric (default [`Metric::Time`]).
-    #[must_use]
-    pub fn metric(mut self, metric: Metric) -> Self {
-        self.metric = metric;
-        self
-    }
-
-    /// Sets the network fault configuration (default
-    /// [`NetworkConfig::IDEAL`]; honored only by
-    /// [`ProcessKind::ProtocolBroadcast`] — any other kind rejects a
-    /// non-ideal network at build time).
-    #[must_use]
-    pub fn network(mut self, network: NetworkConfig) -> Self {
-        self.network = network;
-        self
-    }
-
-    /// Sets every world-model axis at once (default
-    /// [`WorldConfig::DEFAULT`]).
-    #[must_use]
-    pub fn world(mut self, world: WorldConfig) -> Self {
-        self.world = world;
-        self
-    }
-
-    /// Sets every fault-injection/recovery axis at once (default
-    /// [`FaultConfig::DEFAULT`]; honored only by
-    /// [`ProcessKind::ProtocolBroadcast`] — any other kind rejects a
-    /// non-trivial config at build time).
-    #[must_use]
-    pub fn faults(mut self, faults: FaultConfig) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Sets the per-node per-tick crash probability (default 0;
-    /// protocol twin only).
-    #[must_use]
-    pub fn crash_prob(mut self, prob: f64) -> Self {
-        self.faults.crash_prob = prob;
-        self
-    }
-
-    /// Sets how many ticks a crashed node stays down (default 1;
-    /// protocol twin only).
-    #[must_use]
-    pub fn restart_delay(mut self, delay: u64) -> Self {
-        self.faults.restart_delay = delay;
-        self
-    }
-
     /// Declares a partition window of `len` ticks starting at `start`
     /// (default none; protocol twin only).
     #[must_use]
     pub fn partition(mut self, start: u64, len: u64) -> Self {
         self.faults.partition_start = start;
         self.faults.partition_len = len;
-        self
-    }
-
-    /// Enables ack-driven retransmission with exponential backoff
-    /// (default off; protocol twin only).
-    #[must_use]
-    pub fn retransmit(mut self, on: bool) -> Self {
-        self.faults.retransmit = on;
-        self
-    }
-
-    /// Sets the anti-entropy digest interval in ticks (default 0, off;
-    /// protocol twin only).
-    #[must_use]
-    pub fn anti_entropy_interval(mut self, interval: u64) -> Self {
-        self.faults.anti_entropy_interval = interval;
-        self
-    }
-
-    /// Sets the city-block wall density (default 0, the open grid;
-    /// broadcast only).
-    #[must_use]
-    pub fn barrier_density(mut self, density: f64) -> Self {
-        self.world.barrier_density = density;
-        self
-    }
-
-    /// Sets the per-agent per-step replacement probability (default 0,
-    /// no churn; broadcast only).
-    #[must_use]
-    pub fn churn_rate(mut self, rate: f64) -> Self {
-        self.world.churn_rate = rate;
-        self
-    }
-
-    /// Sets the fraction of agents in the scaled-radius class
-    /// (default 0; broadcast only).
-    #[must_use]
-    pub fn hetero_fraction(mut self, fraction: f64) -> Self {
-        self.world.hetero_fraction = fraction;
-        self
-    }
-
-    /// Sets the radius multiplier of the heterogeneous class
-    /// (default 1; broadcast only).
-    #[must_use]
-    pub fn hetero_factor(mut self, factor: f64) -> Self {
-        self.world.hetero_factor = factor;
-        self
-    }
-
-    /// Sets the fraction of agents in the fast class (default 0).
-    #[must_use]
-    pub fn speed_fraction(mut self, fraction: f64) -> Self {
-        self.world.speed_fraction = fraction;
-        self
-    }
-
-    /// Sets the lazy sub-steps per step of the fast class (default 1).
-    #[must_use]
-    pub fn speed_factor(mut self, factor: u32) -> Self {
-        self.world.speed_factor = factor;
-        self
-    }
-
-    /// Sets the number of initially informed agents — the prefix
-    /// `0..num_sources` (default 1; broadcast and infection).
-    #[must_use]
-    pub fn num_sources(mut self, sources: usize) -> Self {
-        self.world.num_sources = sources;
-        self
-    }
-
-    /// Anchors every source at the worst-case corner node instead of a
-    /// uniform draw (default false; broadcast and infection).
-    #[must_use]
-    pub fn adversarial_sources(mut self, adversarial: bool) -> Self {
-        self.world.adversarial_sources = adversarial;
         self
     }
 
@@ -1197,13 +834,8 @@ impl ScenarioSpecBuilder {
         // build time, with the same GridError the constructors raise.
         w.build_barriers(self.side)?;
         Ok(ScenarioSpec {
-            kind: self.kind,
+            settings: self,
             config,
-            metric: self.metric,
-            network: self.network,
-            world: self.world,
-            faults: self.faults,
-            explicit_max_steps: self.max_steps.is_some(),
         })
     }
 }
@@ -1211,6 +843,7 @@ impl ScenarioSpecBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec_key::{KeyRange, KeyValue};
 
     #[test]
     fn builder_applies_defaults_and_validates() {
@@ -1768,6 +1401,38 @@ mod tests {
             let text = spec.to_toml();
             let parsed = ScenarioSpec::from_toml_str(&text).unwrap();
             assert_eq!(spec, parsed, "round trip changed the spec:\n{text}");
+        }
+        // Every row of the key table alone at a non-default value, on
+        // the first kind that takes it, is rendered and parses back.
+        for key in &SPEC_KEYS {
+            let name = key.name;
+            let value = match key.range {
+                KeyRange::Unit => KeyValue::Real(0.25),
+                KeyRange::NonNegative => KeyValue::Real(2.5),
+                KeyRange::Int { min, .. } => {
+                    assert!(min <= 1, "{name}: `expected` names mins 0 and 1 only");
+                    KeyValue::Int(min + 3)
+                }
+                KeyRange::Bool | KeyRange::Names(_) => KeyValue::Int(1),
+            };
+            let default = ScenarioSpec::builder(ProcessKind::Broadcast, 32, 16);
+            if let KeyDefault::Omitted(omitted) = key.default {
+                assert_eq!(key.get(&default), omitted, "{name}: builder default");
+            }
+            assert_ne!(key.get(&default), value, "{name}");
+            let spec = ProcessKind::ALL
+                .into_iter()
+                .find_map(|kind| {
+                    let mut b = ScenarioSpec::builder(kind, 32, 16);
+                    key.set(&mut b, value).unwrap();
+                    b.build().ok()
+                })
+                .unwrap_or_else(|| panic!("no kind takes {name} = {value:?}"));
+            assert_eq!(key.get(&spec.settings), value, "{name}");
+            let text = spec.to_toml();
+            assert!(text.contains(&format!("\n{name} = ")), "{name}:\n{text}");
+            let parsed = ScenarioSpec::from_toml_str(&text).unwrap();
+            assert_eq!(spec, parsed, "round trip changed {name}:\n{text}");
         }
     }
 

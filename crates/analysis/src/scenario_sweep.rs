@@ -138,7 +138,7 @@ impl Family {
 }
 
 /// One sweepable config key: a row of [`AXIS_KEYS`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 pub struct AxisKey {
     /// The `[sweep]` spelling, e.g. `radius_mixes`.
     pub sweep: &'static str,
@@ -181,10 +181,11 @@ pub const AXIS_KEYS: [AxisKey; 8] = [
     axis("partition_lens", spec_key::PARTITION_LEN, Family::Fault),
 ];
 
-/// A config axis of a sweep: one key of [`AXIS_KEYS`] and its values.
+/// A config axis of a sweep: the index of its [`AXIS_KEYS`] row and its
+/// values.
 #[derive(Clone, Debug, PartialEq)]
 struct Axis {
-    key: AxisKey,
+    row: usize,
     values: Vec<f64>,
 }
 
@@ -387,7 +388,11 @@ impl ScenarioSweep {
     /// [`SpecError::Toml`] if `values` is empty or holds a value outside
     /// the spec key's range ([`SpecKey::value_of`]).
     pub fn axis(mut self, key: &str, values: Vec<f64>) -> Result<Self, SpecError> {
-        let Some(row) = AXIS_KEYS.iter().find(|row| row.sweep == key) else {
+        let Some((index, row)) = AXIS_KEYS
+            .iter()
+            .enumerate()
+            .find(|(_, row)| row.sweep == key)
+        else {
             return Err(SpecError::UnknownKey {
                 section: "sweep".to_string(),
                 key: key.to_string(),
@@ -405,7 +410,7 @@ impl ScenarioSweep {
                 expected,
             }));
         }
-        self.axes[row.family as usize] = Some(Axis { key: *row, values });
+        self.axes[row.family as usize] = Some(Axis { row: index, values });
         Ok(self)
     }
 
@@ -509,18 +514,17 @@ impl ScenarioSweep {
         // cells, so plain sweeps keep their exact cell grid and seeds.
         let mut bases: Vec<(AxisLabels, ScenarioSpec)> = vec![([None; 3], self.base)];
         for axis in self.axes.iter().flatten() {
+            let row = &AXIS_KEYS[axis.row];
             let mut next = Vec::with_capacity(bases.len() * axis.values.len());
             for (labels, base) in &bases {
                 for &value in &axis.values {
                     let mut labels = *labels;
-                    labels[axis.key.family as usize] = Some((axis.key.spec.name, value));
-                    let spec = base
-                        .with_key(axis.key.spec.name, value)
-                        .map_err(|e| match e {
-                            SpecError::Sim(e) => e,
-                            // `axis` checked the key and every value.
-                            e => unreachable!("axis value outside its domain: {e}"),
-                        })?;
+                    labels[row.family as usize] = Some((row.spec.name, value));
+                    let spec = base.with_key(row.spec.name, value).map_err(|e| match e {
+                        SpecError::Sim(e) => e,
+                        // `axis` checked the key and every value.
+                        e => unreachable!("axis value outside its domain: {e}"),
+                    })?;
                     next.push((labels, spec));
                 }
             }
@@ -990,15 +994,16 @@ impl ScenarioSweep {
             }
         }
         for axis in self.axes.iter().flatten() {
+            let row = &AXIS_KEYS[axis.row];
             let rendered: Vec<String> = axis
                 .values
                 .iter()
-                .map(|&x| match axis.key.spec.range {
+                .map(|&x| match row.spec.range {
                     KeyRange::Int { .. } => x.to_string(),
                     _ => format_toml_f64(x),
                 })
                 .collect();
-            out.push_str(&format!("{} = [{}]\n", axis.key.sweep, rendered.join(", ")));
+            out.push_str(&format!("{} = [{}]\n", row.sweep, rendered.join(", ")));
         }
         out.push_str(&format!("replicates = {}\n", self.replicates));
         out.push_str(&format!("seed = {}\n", self.master_seed));

@@ -351,15 +351,13 @@ impl ScenarioSpec {
     /// Re-derives this spec with one `[scenario]` key set to `value`,
     /// re-validating: the sweep engine's way of expanding a config
     /// axis. Takes the keys whose
-    /// [`SpecKey::with_key`](crate::spec_key::SpecKey::with_key) is set;
-    /// integer keys take integral values up to their range's `max` and
-    /// [`MAX_EXACT_INT`](crate::toml::MAX_EXACT_INT).
+    /// [`SpecKey::with_key`](crate::spec_key::SpecKey::with_key) is set.
     ///
     /// # Errors
     ///
     /// [`SpecError::UnknownKey`] for any other key, [`SpecError::Toml`]
-    /// for a value the key cannot hold (a non-integral or too large
-    /// integer, or a network value outside its range), and
+    /// for a value outside the key's range
+    /// ([`SpecKey::value_of`](crate::spec_key::SpecKey::value_of)), and
     /// [`SpecError::Sim`] as [`ScenarioSpecBuilder::build`] (e.g. kinds
     /// other than the protocol twin reject a non-ideal network).
     pub fn with_key(&self, key: &str, value: f64) -> Result<Self, SpecError> {
@@ -370,7 +368,7 @@ impl ScenarioSpec {
             });
         };
         let value = row
-            .typed_value(value)
+            .value_of(value)
             .ok_or_else(|| row.bad(row.range.expected()))?;
         let mut b = self.settings;
         row.set(&mut b, value)?;

@@ -163,25 +163,22 @@ impl SpecKey {
         (self.set)(builder, value).map_err(|_| self.bad(self.range.expected()))
     }
 
-    /// The value a sweep axis point `x` sets: `None` unless `x` is in the
-    /// range.
+    /// The value `x` sets, as a sweep axis point or through
+    /// [`ScenarioSpec::with_key`](crate::ScenarioSpec::with_key): `None`
+    /// unless `x` is in the range (an integer at most [`MAX_EXACT_INT`],
+    /// where `f64` stops being exact, for an integer key).
     #[must_use]
     pub fn value_of(&self, x: f64) -> Option<KeyValue> {
-        self.typed_value(x)
-            .filter(|&value| self.range.admits(value))
-    }
-
-    /// `x` as a value of the key's type: integers must be integral and
-    /// at most the range's `max` and [`MAX_EXACT_INT`], where `f64`
-    /// stops being exact.
-    pub(crate) fn typed_value(&self, x: f64) -> Option<KeyValue> {
-        match self.range {
-            KeyRange::Unit | KeyRange::NonNegative => Some(KeyValue::Real(x)),
-            KeyRange::Int { max, .. } => (x.fract() == 0.0
-                && (0.0..=MAX_EXACT_INT.min(max) as f64).contains(&x))
-            .then_some(KeyValue::Int(x as u64)),
-            KeyRange::Bool | KeyRange::Names(_) => None,
-        }
+        let value = match self.range {
+            KeyRange::Int { .. }
+                if x.fract() == 0.0 && (0.0..=MAX_EXACT_INT as f64).contains(&x) =>
+            {
+                KeyValue::Int(x as u64)
+            }
+            KeyRange::Unit | KeyRange::NonNegative => KeyValue::Real(x),
+            _ => return None,
+        };
+        self.range.admits(value).then_some(value)
     }
 
     /// Parses a command-line value as a value of the key's type, `None`
@@ -258,15 +255,6 @@ impl SpecKey {
         })
     }
 }
-
-/// A key is its name: no two rows share one.
-impl PartialEq for SpecKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
-    }
-}
-
-impl Eq for SpecKey {}
 
 /// A builder field's conversion to and from [`KeyValue`].
 pub(crate) trait Field: Copy {

@@ -36,6 +36,9 @@
 //! assert!((fit.r_squared - 1.0).abs() < 1e-9);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 mod histogram;
 mod parallel;
 mod regression;

@@ -90,10 +90,15 @@ where
             });
         }
     });
-    results
+    #[expect(
+        clippy::expect_used,
+        reason = "scoped threads fill every slot before joining"
+    )]
+    let filled = results
         .into_iter()
-        .map(|m| m.into_inner().expect("every slot filled")) // detlint: allow(panic, scoped threads fill every slot before joining)
-        .collect()
+        .map(|m| m.into_inner().expect("every slot filled"))
+        .collect();
+    filled
 }
 
 #[cfg(test)]

@@ -224,9 +224,9 @@ mod tests {
 
     #[test]
     fn repetitions_derive_distinct_seeds() {
-        use std::collections::HashSet; // detlint: allow(nondet-map, test-only uniqueness counting; order never observed)
+        use std::collections::BTreeSet;
         let r = Runner::new(42).repetitions(100);
-        let distinct: HashSet<u64> = r.seed_list().iter().copied().collect(); // detlint: allow(nondet-map, test-only uniqueness counting; order never observed)
+        let distinct: BTreeSet<u64> = r.seed_list().iter().copied().collect();
         assert_eq!(distinct.len(), 100);
         assert_eq!(r.master_seed(), 42);
     }

@@ -399,7 +399,7 @@ impl ScenarioSweep {
             });
         };
         let expected = if values.is_empty() {
-            "non-empty array"
+            "a non-empty array"
         } else {
             row.spec.range.expected()
         };
@@ -423,9 +423,14 @@ impl ScenarioSweep {
     /// one outside `[0, 1]`.
     #[must_use]
     pub fn drop_probs(self, probs: Vec<f64>) -> Self {
-        self.axis("drop_probs", probs)
-            // detlint: allow(panic, the setter's documented panic, as `sides` asserts)
-            .expect("drop probabilities must be finite and within [0, 1]")
+        #[expect(
+            clippy::expect_used,
+            reason = "the setter's documented panic, as `sides` asserts"
+        )]
+        let sweep = self
+            .axis("drop_probs", probs)
+            .expect("drop probabilities must be finite and within [0, 1]");
+        sweep
     }
 
     /// Sets the number of replicates per cell.
@@ -730,7 +735,7 @@ impl ScenarioSweep {
             // degenerates, or the detector stops finding a knee.
             // One wave entry per curve: (curve, mid radius, lo eval).
             let mut wave: Vec<(usize, u32, usize)> = Vec::new();
-            // detlint: hot
+            // hot: census row `adaptive_sweep_allocations_are_pinned`
             for (curve, live) in active.iter_mut().enumerate() {
                 if !*live {
                     continue;
@@ -801,7 +806,7 @@ impl ScenarioSweep {
         let mut spent = 0u32;
         while remaining > 0 {
             let mut widest: Option<(usize, f64)> = None;
-            // detlint: hot
+            // hot: census row `adaptive_sweep_allocations_are_pinned`
             for (i, e) in evals.iter().enumerate() {
                 let width = relative_ci95(&e.samples);
                 if widest.is_none_or(|(_, w)| width > w) {
@@ -874,13 +879,13 @@ impl ScenarioSweep {
         };
         if let Some(sides) = table.opt_u32_array("sides")? {
             if sides.is_empty() {
-                return Err(bad("sides".to_string(), "non-empty array"));
+                return Err(bad("sides".to_string(), "a non-empty array"));
             }
             sweep = sweep.sides(sides);
         }
         if let Some(ks) = table.opt_usize_array("ks")? {
             if ks.is_empty() {
-                return Err(bad("ks".to_string(), "non-empty array"));
+                return Err(bad("ks".to_string(), "a non-empty array"));
             }
             sweep = sweep.ks(ks);
         }
@@ -890,12 +895,12 @@ impl ScenarioSweep {
             (Some(_), Some(_)) => {
                 return Err(bad(
                     "radii".to_string(),
-                    "single radius axis (either `radii` or `r_factors`, not both)",
+                    "a single radius axis (either `radii` or `r_factors`, not both)",
                 ))
             }
             (Some(radii), None) => {
                 if radii.is_empty() {
-                    return Err(bad("radii".to_string(), "non-empty array"));
+                    return Err(bad("radii".to_string(), "a non-empty array"));
                 }
                 sweep = sweep.radii(radii);
             }
@@ -903,7 +908,7 @@ impl ScenarioSweep {
                 if factors.is_empty() || factors.iter().any(|f| !f.is_finite() || *f < 0.0) {
                     return Err(bad(
                         "r_factors".to_string(),
-                        "non-empty array of finite non-negative numbers",
+                        "a non-empty array of finite non-negative numbers",
                     ));
                 }
                 sweep = sweep.r_factors(factors);
@@ -924,14 +929,14 @@ impl ScenarioSweep {
             if sweep.axes[row.family as usize].is_some() {
                 return Err(bad(
                     row.sweep.to_string(),
-                    "single axis per family (network, world, fault)",
+                    "a single axis per family (network, world, fault)",
                 ));
             }
             sweep = sweep.axis(row.sweep, values)?;
         }
         if let Some(reps) = table.opt_u32("replicates")? {
             if reps == 0 {
-                return Err(bad("replicates".to_string(), "positive integer"));
+                return Err(bad("replicates".to_string(), "a positive integer"));
             }
             sweep = sweep.replicates(reps);
         }
@@ -963,7 +968,7 @@ impl ScenarioSweep {
             }
             if let Some(tol) = tolerance {
                 if !tol.is_finite() || tol <= 0.0 {
-                    return Err(bad("tolerance".to_string(), "finite positive number"));
+                    return Err(bad("tolerance".to_string(), "a finite positive number"));
                 }
                 cfg.tolerance = tol;
             }

@@ -47,7 +47,8 @@ impl Summary {
             0.0
         };
         let mut sorted = sample.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare")); // detlint: allow(panic, finiteness asserted on entry above)
+        #[expect(clippy::expect_used, reason = "finiteness asserted on entry above")]
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
         Self {
             n,
             mean,

@@ -127,9 +127,9 @@ mod tests {
 
     #[test]
     fn distinct_seeds_across_points_and_replicates() {
-        use std::collections::HashSet; // detlint: allow(nondet-map, test-only seed-collision check; order never observed)
+        use std::collections::BTreeSet;
         use std::sync::Mutex;
-        let seen = Mutex::new(HashSet::new()); // detlint: allow(nondet-map, test-only seed-collision check; order never observed)
+        let seen = Mutex::new(BTreeSet::new());
         let _ = Sweep::new(1).replicates(5).run(&[0u8, 1, 2], |_, seed| {
             assert!(seen.lock().unwrap().insert(seed), "seed {seed} repeated");
             0.0

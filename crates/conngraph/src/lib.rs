@@ -26,6 +26,9 @@
 //! assert_eq!(comps.size_of_agent(2), 1);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 mod contact;
 mod islands;
 mod percolation;

@@ -168,7 +168,7 @@ impl SeededScratch {
 ///
 /// Panics if `seeds.len() != positions.len()` or if the hash holds a
 /// different number of agents than `positions`.
-// detlint: hot
+// hot: census row `replay_steps_are_allocation_free`
 pub fn components_from_seeds_on<'a>(
     hash: &SpatialHash,
     scratch: &'a mut SeededScratch,
@@ -197,7 +197,7 @@ pub fn components_from_seeds_on<'a>(
 /// # Panics
 ///
 /// As [`components_from_seeds_on`].
-// detlint: hot
+// hot: census row `steady_state_steps_are_allocation_free`
 pub fn components_from_seeds_on_by<'a, C: Contact>(
     hash: &SpatialHash,
     scratch: &'a mut SeededScratch,
@@ -282,7 +282,7 @@ pub fn components_from_seeds_on_by<'a, C: Contact>(
 ///
 /// Panics if the hash holds a different number of agents than
 /// `positions`.
-// detlint: hot
+// hot: census row `steady_state_steps_are_allocation_free`
 pub fn contact_components_on_by<'a, C: Contact>(
     hash: &SpatialHash,
     scratch: &'a mut SeededScratch,

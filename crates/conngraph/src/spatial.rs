@@ -117,7 +117,7 @@ impl SpatialHash {
     /// # Panics
     ///
     /// As [`SpatialHash::build`].
-    // detlint: hot
+    // hot: census row `steady_state_steps_are_allocation_free`
     pub fn rebuild(&mut self, positions: &[Point], r: u32, side: u32) {
         assert!(side > 0, "grid side must be positive");
         assert!(positions.len() <= u32::MAX as usize, "too many agents");
@@ -178,7 +178,7 @@ impl SpatialHash {
     /// where the hash last saw that agent, or if a `to` position lies
     /// outside the grid — either means the move log does not match the
     /// maintained state.
-    // detlint: hot
+    // hot: census row `replay_steps_are_allocation_free`
     pub fn apply_moves(&mut self, moves: &[(u32, Point, Point)]) {
         for &(agent, from, to) in moves {
             assert!(
@@ -293,7 +293,7 @@ impl SpatialHash {
     /// # Panics
     ///
     /// Panics if `p` lies outside the grid the hash was built for.
-    // detlint: hot
+    // hot: census row `steady_state_steps_are_allocation_free`
     pub fn for_each_candidate(&self, p: Point, mut f: impl FnMut(u32)) {
         let bps = self.buckets_per_side as usize;
         if bps == 0 {
@@ -345,7 +345,7 @@ impl SpatialHash {
     /// // test is the caller's. Agent 2 has no candidates.
     /// assert_eq!(pairs, [(0, 1)]);
     /// ```
-    // detlint: hot
+    // hot: census row `steady_state_steps_are_allocation_free`
     pub fn for_each_candidate_pair(&self, mut f: impl FnMut(u32, u32)) {
         let bps = self.buckets_per_side;
         for (a, &b) in self.bucket.iter().enumerate() {

@@ -280,7 +280,7 @@ impl ComponentsScratch {
 /// The scan order differs from a row-major sweep, but the union–find
 /// partition — and therefore the canonical [`Components`] labelling
 /// (dense ids in first-agent order) — is order-independent.
-// detlint: hot
+// hot: census row `steady_state_steps_are_allocation_free`
 fn union_visible_by<C: Contact>(
     hash: &SpatialHash,
     positions: &[Point],
@@ -385,7 +385,7 @@ pub fn components_into_by<'a, C: Contact>(
 ///
 /// Panics if the hash holds a different number of agents than
 /// `positions`.
-// detlint: hot
+// hot: census row `replay_steps_are_allocation_free`
 pub fn components_on_by<'a, C: Contact>(
     hash: &SpatialHash,
     scratch: &'a mut ComponentsScratch,

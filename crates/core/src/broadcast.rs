@@ -202,7 +202,7 @@ impl Broadcast {
     ///
     /// Both the spatial hash and the start-of-step snapshot refill
     /// persistent buffers, so the step allocates nothing.
-    // detlint: hot
+    // hot: census row `steady_state_steps_are_allocation_free`
     fn exchange_one_hop(&mut self, positions: &[Point], radius: u32, side: u32) -> usize {
         self.one_hop_spatial.rebuild(positions, radius, side);
         let hash = &self.one_hop_spatial;
@@ -226,7 +226,7 @@ impl Broadcast {
 
     /// Floods every component containing an informed agent; returns the
     /// number of newly informed agents.
-    // detlint: hot
+    // hot: census row `steady_state_steps_are_allocation_free`
     fn exchange_components(&mut self, comps: &Components) -> usize {
         let mut fresh = 0;
         for c in 0..comps.count() {

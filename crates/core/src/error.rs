@@ -54,7 +54,7 @@ pub enum SimError {
     InvalidWorldSetting {
         /// The offending setting, in spec-file syntax.
         key: &'static str,
-        /// What the setting accepts.
+        /// What the setting accepts, with its article.
         expected: &'static str,
     },
     /// A fault-model setting ([`FaultConfig`](crate::FaultConfig))
@@ -62,7 +62,7 @@ pub enum SimError {
     InvalidFaultSetting {
         /// The offending setting, in spec-file syntax.
         key: &'static str,
-        /// What the setting accepts.
+        /// What the setting accepts, with its article.
         expected: &'static str,
     },
 }
@@ -147,14 +147,14 @@ mod tests {
         assert!(e.to_string().contains("one-hop"));
         let e = SimError::InvalidWorldSetting {
             key: "churn_rate",
-            expected: "finite number in [0, 1]",
+            expected: "a finite number in [0, 1]",
         };
         assert!(e.to_string().contains("churn_rate"));
         assert!(e.to_string().contains("[0, 1]"));
         assert!(e.source().is_none());
         let e = SimError::InvalidFaultSetting {
             key: "crash_prob",
-            expected: "finite number in [0, 1]",
+            expected: "a finite number in [0, 1]",
         };
         assert!(e.to_string().contains("crash_prob"));
         assert!(e.to_string().contains("[0, 1]"));

@@ -81,13 +81,13 @@ impl FaultConfig {
         if !(self.crash_prob.is_finite() && (0.0..=1.0).contains(&self.crash_prob)) {
             return Err(SimError::InvalidFaultSetting {
                 key: "crash_prob",
-                expected: "finite number in [0, 1]",
+                expected: "a finite number in [0, 1]",
             });
         }
         if self.restart_delay == 0 {
             return Err(SimError::InvalidFaultSetting {
                 key: "restart_delay",
-                expected: "integer >= 1",
+                expected: "an integer >= 1",
             });
         }
         Ok(())
@@ -99,6 +99,10 @@ impl FaultConfig {
     /// does); the lowering itself cannot fail on a validated config.
     #[must_use]
     pub fn to_plan(&self) -> FaultPlan {
+        #[expect(
+            clippy::expect_used,
+            reason = "len > 0 makes start < end by construction"
+        )]
         let partitions = if self.partition_len == 0 {
             PartitionSchedule::EMPTY
         } else {
@@ -106,10 +110,15 @@ impl FaultConfig {
                 start: self.partition_start,
                 end: self.partition_start.saturating_add(self.partition_len),
             }])
-            .expect("nonzero-length window is valid") // detlint: allow(panic, len > 0 makes start < end by construction)
+            .expect("nonzero-length window is valid")
         };
-        FaultPlan::new(self.crash_prob, self.restart_delay, partitions)
-            .expect("validated fault config") // detlint: allow(panic, validate() mirrors FaultPlan::new's rules)
+        #[expect(
+            clippy::expect_used,
+            reason = "validate() mirrors FaultPlan::new's rules"
+        )]
+        let plan = FaultPlan::new(self.crash_prob, self.restart_delay, partitions)
+            .expect("validated fault config");
+        plan
     }
 
     /// Lowers the recovery axes into a protocol [`RecoveryConfig`].
@@ -148,7 +157,7 @@ mod tests {
             f.validate().unwrap_err(),
             SimError::InvalidFaultSetting {
                 key: "crash_prob",
-                expected: "finite number in [0, 1]",
+                expected: "a finite number in [0, 1]",
             }
         );
         let f = FaultConfig {
@@ -164,7 +173,7 @@ mod tests {
             f.validate().unwrap_err(),
             SimError::InvalidFaultSetting {
                 key: "restart_delay",
-                expected: "integer >= 1",
+                expected: "an integer >= 1",
             }
         );
     }

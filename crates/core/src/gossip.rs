@@ -128,7 +128,7 @@ impl Process for Gossip {
         ComponentsScope::Contacts
     }
 
-    // detlint: hot
+    // hot: census row `steady_state_steps_are_allocation_free`
     fn exchange(&mut self, ctx: ExchangeCtx<'_>) -> ControlFlow<()> {
         self.rumors.exchange(ctx.components);
         if self.rumors.all_complete() {

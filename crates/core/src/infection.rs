@@ -157,7 +157,7 @@ impl Process for Infection {
         self.inner.components_scope()
     }
 
-    // detlint: hot
+    // hot: census row `steady_state_steps_are_allocation_free`
     fn exchange(&mut self, ctx: ExchangeCtx<'_>) -> ControlFlow<()> {
         let flow = self.inner.exchange(ctx);
         self.record(ctx.time);

@@ -97,7 +97,7 @@ impl SimScratch {
     /// buffers. The restricted scopes first rebuild `hash` from the
     /// positions (an O(k) relink), so no labelling depends on the state
     /// a previous step left behind.
-    // detlint: hot
+    // hot: census row `steady_state_steps_are_allocation_free`
     fn label<'s>(
         &'s mut self,
         scope: ComponentsScope<'_>,
@@ -527,7 +527,10 @@ impl<P: Process, T: Topology> Simulation<P, T> {
     /// As [`Simulation::new_with_scratch`], plus
     /// [`SimError::InvalidWorldSetting`] for out-of-range axes and
     /// [`SimError::Grid`] if the barrier layout is invalid.
-    #[allow(clippy::too_many_arguments)] // the full constructor axis set; WorldSim is the ergonomic front door
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the full constructor axis set; WorldSim is the ergonomic front door"
+    )]
     pub fn new_in_world_with_scratch<R: RngExt>(
         topo: T,
         k: usize,
@@ -848,7 +851,7 @@ impl<P: Process, T: Topology> Simulation<P, T> {
     /// assert!(obs.0 >= 1);
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
-    // detlint: hot
+    // hot: census row `steady_state_steps_are_allocation_free`
     pub fn step<R: RngExt, O: Observer>(
         &mut self,
         rng: &mut R,
@@ -909,7 +912,7 @@ impl<P: Process, T: Topology> Simulation<P, T> {
     /// first [`WorldState::immortal`] agents (the sources) draw but
     /// never depart, so the per-step draw layout is one Bernoulli per
     /// agent regardless of the source count.
-    // detlint: hot
+    // hot: census row `world_steps_are_allocation_free_after_warmup`
     fn churn_agents<R: RngExt>(&mut self, rng: &mut R) {
         let rate = self.world.churn_rate;
         for i in 0..self.engine.len() {

@@ -152,7 +152,7 @@ impl RumorSets {
     /// the same result as the full one. Allocation-free: the union
     /// accumulator is a persistent scratch and member rows are
     /// overwritten in place.
-    // detlint: hot
+    // hot: census row `steady_state_steps_are_allocation_free`
     pub fn exchange(&mut self, comps: &Components) {
         let words = self.words;
         let union = &mut self.union_scratch;

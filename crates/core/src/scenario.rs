@@ -436,15 +436,23 @@ impl ScenarioSpec {
             ProcessKind::Broadcast => {
                 // A trivial world reproduces `Simulation::broadcast`
                 // draw for draw (pinned by `tests/trivial_world.rs`).
+                #[expect(
+                    clippy::expect_used,
+                    reason = "spec was validated with the constructor's own rules"
+                )]
                 let mut sim = WorldSim::from_spec_with_scratch(self, &mut rng, mem::take(scratch))
-                    .expect("validated spec"); // detlint: allow(panic, spec was validated with the constructor's own rules)
+                    .expect("validated spec");
                 let out = sim.run(&mut rng);
                 *scratch = sim.into_scratch();
                 ScenarioOutcome::Broadcast(out)
             }
             ProcessKind::Gossip => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "spec was validated with the constructor's own rules"
+                )]
                 let mut sim = Simulation::gossip_with_scratch(cfg, &mut rng, mem::take(scratch))
-                    .expect("validated spec"); // detlint: allow(panic, spec was validated with the constructor's own rules)
+                    .expect("validated spec");
                 let out = sim.run(&mut rng);
                 *scratch = sim.into_scratch();
                 ScenarioOutcome::Gossip(out)
@@ -454,23 +462,36 @@ impl ScenarioSpec {
                 // rejects every other world axis for it) and is
                 // contact-only, so it always walks the open grid.
                 let w = &self.settings.world;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "spec validation mirrors the Infection constructors"
+                )]
                 let process = if w.num_sources > 1 {
                     Infection::with_sources(cfg.k(), w.num_sources)
                 } else {
                     Infection::new(cfg.k(), cfg.source())
                 }
-                .expect("validated spec") // detlint: allow(panic, spec validation mirrors the Infection constructors)
+                .expect("validated spec")
                 .mobility(cfg.mobility());
-                let grid = Grid::new(cfg.side()).expect("validated spec"); // detlint: allow(panic, spec validation checked side >= 1)
+                #[expect(clippy::expect_used, reason = "spec validation checked side >= 1")]
+                let grid = Grid::new(cfg.side()).expect("validated spec");
                 let anchor = Point::new(0, 0);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "spec was validated with the constructor's own rules"
+                )]
                 let mut sim =
                     build_world_sim(grid, cfg, w, process, anchor, &mut rng, mem::take(scratch))
-                        .expect("validated spec"); // detlint: allow(panic, spec was validated with the constructor's own rules)
+                        .expect("validated spec");
                 let out = sim.run(&mut rng);
                 *scratch = sim.into_scratch();
                 ScenarioOutcome::Infection(out)
             }
             ProcessKind::ProtocolBroadcast => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "spec was validated with the constructor's own rules"
+                )]
                 let mut sim = Simulation::protocol_broadcast_with_faults_with_scratch(
                     cfg,
                     self.settings.network,
@@ -479,14 +500,23 @@ impl ScenarioSpec {
                     &mut rng,
                     mem::take(scratch),
                 )
-                .expect("validated spec"); // detlint: allow(panic, spec was validated with the constructor's own rules)
+                .expect("validated spec");
                 let out = sim.run(&mut rng);
                 *scratch = sim.into_scratch();
                 ScenarioOutcome::ProtocolBroadcast(out)
             }
             ProcessKind::Coverage => {
-                let grid = Grid::new(cfg.side()).expect("validated spec"); // detlint: allow(panic, spec validation checked side >= 1)
-                let process = Coverage::from_config(grid, cfg).expect("validated spec"); // detlint: allow(panic, spec validation mirrors Coverage::from_config)
+                #[expect(clippy::expect_used, reason = "spec validation checked side >= 1")]
+                let grid = Grid::new(cfg.side()).expect("validated spec");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "spec validation mirrors Coverage::from_config"
+                )]
+                let process = Coverage::from_config(grid, cfg).expect("validated spec");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "spec was validated with the constructor's own rules"
+                )]
                 let mut sim = Simulation::new_with_scratch(
                     grid,
                     cfg.k(),
@@ -496,7 +526,7 @@ impl ScenarioSpec {
                     &mut rng,
                     mem::take(scratch),
                 )
-                .expect("validated spec"); // detlint: allow(panic, spec was validated with the constructor's own rules)
+                .expect("validated spec");
                 let out = sim.run(&mut rng);
                 *scratch = sim.into_scratch();
                 ScenarioOutcome::Coverage(out)
@@ -1268,7 +1298,7 @@ mod tests {
                 .unwrap_err(),
             SimError::InvalidFaultSetting {
                 key: "crash_prob",
-                expected: "finite number in [0, 1]",
+                expected: "a finite number in [0, 1]",
             }
         );
         assert_eq!(
@@ -1278,7 +1308,7 @@ mod tests {
                 .unwrap_err(),
             SimError::InvalidFaultSetting {
                 key: "restart_delay",
-                expected: "integer >= 1",
+                expected: "an integer >= 1",
             }
         );
     }

@@ -34,19 +34,19 @@ pub enum KeyRange {
 }
 
 impl KeyRange {
-    /// What the range accepts, as error messages quote it.
+    /// What the range accepts, with its article, as error messages quote it.
     #[must_use]
     pub fn expected(self) -> &'static str {
         match self {
-            Self::Unit => "finite number in [0, 1]",
-            Self::NonNegative => "finite non-negative number",
+            Self::Unit => "a finite number in [0, 1]",
+            Self::NonNegative => "a finite non-negative number",
             Self::Int { min: 0, max } if max == u64::from(u32::MAX) => {
-                "non-negative integer fitting u32"
+                "a non-negative integer fitting u32"
             }
-            Self::Int { min: 0, .. } => "non-negative integer",
-            Self::Int { .. } => "integer >= 1",
-            Self::Bool => "boolean",
-            Self::Names(_) => "string",
+            Self::Int { min: 0, .. } => "a non-negative integer",
+            Self::Int { .. } => "an integer >= 1",
+            Self::Bool => "a boolean",
+            Self::Names(_) => "a string",
         }
     }
 

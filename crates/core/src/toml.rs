@@ -106,7 +106,7 @@ pub enum TomlError {
         section: String,
         /// The offending key.
         key: String,
-        /// What the caller expected (e.g. `"u32"`).
+        /// What the caller expected, with its article (e.g. `"a string"`).
         expected: &'static str,
     },
 }
@@ -123,7 +123,7 @@ impl fmt::Display for TomlError {
                 section,
                 key,
                 expected,
-            } => write!(f, "spec key {key:?} in [{section}] must be a {expected}"),
+            } => write!(f, "spec key {key:?} in [{section}] must be {expected}"),
         }
     }
 }
@@ -204,19 +204,19 @@ impl TomlTable {
         /// Reads `key` as a `u32`, if present.
         opt_u32,
         u32,
-        "non-negative integer fitting u32"
+        "a non-negative integer fitting u32"
     );
     opt_scalar!(
         /// Reads `key` as a `u64`, if present.
         opt_u64,
         u64,
-        "non-negative integer"
+        "a non-negative integer"
     );
     opt_scalar!(
         /// Reads `key` as a `usize`, if present.
         opt_usize,
         usize,
-        "non-negative integer"
+        "a non-negative integer"
     );
 
     /// Reads `key` as an `f64`, if present (integers widen).
@@ -230,7 +230,7 @@ impl TomlTable {
             .map(|v| match v {
                 TomlValue::Float(x) => Ok(*x),
                 TomlValue::Integer(i) => Ok(*i as f64),
-                _ => Err(self.bad(key, "number")),
+                _ => Err(self.bad(key, "a number")),
             })
             .transpose()
     }
@@ -245,7 +245,7 @@ impl TomlTable {
             .get(key)
             .map(|v| match v {
                 TomlValue::Str(s) => Ok(s.as_str()),
-                _ => Err(self.bad(key, "string")),
+                _ => Err(self.bad(key, "a string")),
             })
             .transpose()
     }
@@ -260,7 +260,7 @@ impl TomlTable {
             .get(key)
             .map(|v| match v {
                 TomlValue::Bool(b) => Ok(*b),
-                _ => Err(self.bad(key, "boolean")),
+                _ => Err(self.bad(key, "a boolean")),
             })
             .transpose()
     }
@@ -279,10 +279,10 @@ impl TomlTable {
                     .map(|item| match item {
                         TomlValue::Float(x) => Ok(*x),
                         TomlValue::Integer(i) => Ok(*i as f64),
-                        _ => Err(self.bad(key, "array of numbers")),
+                        _ => Err(self.bad(key, "an array of numbers")),
                     })
                     .collect(),
-                _ => Err(self.bad(key, "array of numbers")),
+                _ => Err(self.bad(key, "an array of numbers")),
             })
             .transpose()
     }
@@ -294,7 +294,7 @@ impl TomlTable {
     /// [`TomlError::BadValue`] if present but not an array of
     /// non-negative integers fitting `u32`.
     pub fn opt_u32_array(&self, key: &str) -> Result<Option<Vec<u32>>, TomlError> {
-        self.typed_int_array(key, "array of non-negative integers fitting u32")
+        self.typed_int_array(key, "an array of non-negative integers fitting u32")
     }
 
     /// Reads `key` as an array of `usize`, if present.
@@ -304,28 +304,7 @@ impl TomlTable {
     /// [`TomlError::BadValue`] if present but not an array of
     /// non-negative integers.
     pub fn opt_usize_array(&self, key: &str) -> Result<Option<Vec<usize>>, TomlError> {
-        self.typed_int_array(key, "array of non-negative integers")
-    }
-
-    /// Reads `key` as an array of strings, if present.
-    ///
-    /// # Errors
-    ///
-    /// [`TomlError::BadValue`] if present but not an array of strings.
-    pub fn opt_str_array(&self, key: &str) -> Result<Option<Vec<String>>, TomlError> {
-        self.entries
-            .get(key)
-            .map(|v| match v {
-                TomlValue::Array(items) => items
-                    .iter()
-                    .map(|item| match item {
-                        TomlValue::Str(s) => Ok(s.clone()),
-                        _ => Err(self.bad(key, "array of strings")),
-                    })
-                    .collect(),
-                _ => Err(self.bad(key, "array of strings")),
-            })
-            .transpose()
+        self.typed_int_array(key, "an array of non-negative integers")
     }
 
     fn typed_int_array<T: TryFrom<i64>>(
@@ -636,15 +615,6 @@ mod tests {
                 TomlValue::Str("b".into())
             ]))
         );
-        assert_eq!(
-            w.opt_str_array("names").unwrap(),
-            Some(vec!["a".to_string(), "b".to_string()])
-        );
-        assert_eq!(w.opt_str_array("absent").unwrap(), None);
-        assert!(
-            w.opt_str_array("sides").is_err(),
-            "integers are not strings"
-        );
         assert_eq!(doc.sections().count(), 2);
     }
 
@@ -731,7 +701,7 @@ mod tests {
             TomlError::BadValue {
                 section: "s".into(),
                 key: "k".into(),
-                expected: "u32",
+                expected: "a string",
             },
         ] {
             assert!(!e.to_string().is_empty());

@@ -174,7 +174,7 @@ impl WorldConfig {
             } else {
                 Err(SimError::InvalidWorldSetting {
                     key,
-                    expected: "finite number in [0, 1]",
+                    expected: "a finite number in [0, 1]",
                 })
             }
         };
@@ -185,19 +185,19 @@ impl WorldConfig {
         if !(self.hetero_factor.is_finite() && self.hetero_factor >= 0.0) {
             return Err(SimError::InvalidWorldSetting {
                 key: "hetero_factor",
-                expected: "finite non-negative number",
+                expected: "a finite non-negative number",
             });
         }
         if self.speed_factor < 1 {
             return Err(SimError::InvalidWorldSetting {
                 key: "speed_factor",
-                expected: "integer >= 1",
+                expected: "an integer >= 1",
             });
         }
         if self.num_sources < 1 {
             return Err(SimError::InvalidWorldSetting {
                 key: "num_sources",
-                expected: "integer >= 1",
+                expected: "an integer >= 1",
             });
         }
         Ok(())
@@ -282,7 +282,7 @@ impl<'a> WorldContact<'a> {
 }
 
 impl Contact for WorldContact<'_> {
-    // detlint: hot
+    // hot: census row `world_steps_are_allocation_free_after_warmup`
     #[inline]
     fn in_contact(&self, a: usize, b: usize, pa: Point, pb: Point) -> bool {
         let r = match self.radii {
@@ -354,7 +354,11 @@ impl WorldSim {
         .exchange_rule(cfg.exchange_rule());
         if world.has_barriers() {
             let topo = BarrierGrid::city_blocks(cfg.side(), world.barrier_density)?;
-            let anchor = topo.first_open().expect("city_blocks maps keep open nodes"); // detlint: allow(panic, NoOpenNodes is rejected at construction)
+            #[expect(
+                clippy::expect_used,
+                reason = "NoOpenNodes is rejected at construction"
+            )]
+            let anchor = topo.first_open().expect("city_blocks maps keep open nodes");
             build_world_sim(topo, cfg, world, process, anchor, rng, scratch).map(Self::Walled)
         } else {
             let topo = Grid::new(cfg.side())?;

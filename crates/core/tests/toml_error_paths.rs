@@ -42,7 +42,7 @@ fn type_mismatches_report_section_key_and_expectation() {
         ),
         (
             table.opt_f64_array("probs").unwrap_err(),
-            "spec key \"probs\" in [scenario] must be a array of numbers",
+            "spec key \"probs\" in [scenario] must be an array of numbers",
         ),
     ];
     for (err, display) in cases {
@@ -200,4 +200,24 @@ fn scenario_parsing_preserves_line_numbers_and_bad_values() {
         other => panic!("expected a line-numbered syntax error, got {other:?}"),
     }
     assert!(err.to_string().contains("line 3"));
+}
+
+/// A "must be" message reads as a sentence: each expectation carries
+/// its own article, in TOML and in `SimError` setting messages alike.
+#[test]
+fn bad_value_messages_carry_their_article() {
+    for (spec, message) in [
+        (
+            "process = \"protocol-broadcast\"\ngossip_interval = 0\n",
+            "spec key \"gossip_interval\" in [scenario] must be an integer >= 1",
+        ),
+        (
+            "process = \"broadcast\"\nspeed_factor = 0\n",
+            "world setting \"speed_factor\" must be an integer >= 1",
+        ),
+    ] {
+        let text = format!("[scenario]\nside = 8\nk = 4\n{spec}");
+        let err = ScenarioSpec::from_toml_str(&text).unwrap_err();
+        assert_eq!(err.to_string(), message);
+    }
 }

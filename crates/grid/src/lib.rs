@@ -33,6 +33,9 @@
 //! # Ok::<(), sparsegossip_grid::GridError>(())
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 mod ball;
 mod barrier;
 mod direction;

@@ -45,6 +45,9 @@
 //! assert_eq!(runtime.completed_at(), Some(0));
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 mod fault;
 mod message;
 mod network;

@@ -238,7 +238,7 @@ impl EventLog {
 
     /// Appends one event: folds it into the hash and, when recording,
     /// keeps the record.
-    // detlint: hot
+    // hot: census row `faulty_twin_ticks_allocate_only_for_queue_growth`
     pub fn push(&mut self, event: Event) {
         let (kind, tick, round, a, b, payload) = match event {
             Event::StartGossip { tick, node } => (0u64, tick, 0, node, 0, None),

@@ -464,7 +464,7 @@ impl NodeRuntime {
             return;
         }
         let delay = self.fault.restart_delay();
-        // detlint: hot
+        // hot: census row `faulty_twin_ticks_allocate_only_for_queue_growth`
         for i in 0..self.nodes.len() {
             let crash = self.nodes[i].rng.random_bool(p);
             if !self.nodes[i].up {
@@ -511,7 +511,7 @@ impl NodeRuntime {
             return;
         }
         let net = self.net;
-        // detlint: hot
+        // hot: census row `faulty_twin_ticks_allocate_only_for_queue_growth`
         for i in 0..self.nodes.len() {
             let (start, end) = (self.offsets[i], self.offsets[i + 1]);
             if start == end || !self.nodes[i].up {
@@ -562,7 +562,7 @@ impl NodeRuntime {
     ///
     /// One pair scan collects the edges and counts degrees; a prefix sum
     /// makes the counts row ends, which the fill decrements to row starts.
-    // detlint: hot
+    // hot: census row `faulty_twin_ticks_allocate_only_for_queue_growth`
     fn rebuild_adjacency(&mut self, positions: &[Point], radius: u32, side: u32) {
         self.hash.rebuild(positions, radius, side);
         let (edges, offsets) = (&mut self.edges, &mut self.offsets);
@@ -889,7 +889,7 @@ fn retry_pass(
     time: u64,
     out: &mut Vec<SendAction>,
 ) {
-    // detlint: hot
+    // hot: census row `faulty_twin_ticks_allocate_only_for_queue_growth`
     {
         let mut idx = 0;
         while idx < node.retry.len() {

@@ -138,7 +138,7 @@ impl<T: Topology> WalkEngine<T> {
     }
 
     /// Advances every agent by one lazy step.
-    // detlint: hot
+    // hot: census row `replay_steps_are_allocation_free`
     pub fn step_all<R: RngExt>(&mut self, rng: &mut R) {
         self.step_with(None, &[], rng);
     }
@@ -152,7 +152,7 @@ impl<T: Topology> WalkEngine<T> {
     /// from positions every step; only the benchmark replay and the
     /// `components` micro-benchmark feed this log to
     /// `SpatialHash::apply_moves`.
-    // detlint: hot
+    // hot: census row `replay_steps_are_allocation_free`
     pub fn step_all_into<R: RngExt>(&mut self, rng: &mut R, moves: &mut Vec<(u32, Point, Point)>) {
         moves.clear();
         // At most k entries; a one-time reservation keeps every later
@@ -182,7 +182,7 @@ impl<T: Topology> WalkEngine<T> {
     ///
     /// Panics if `mask.len() != self.len()`, or if `speeds` is neither
     /// empty nor of length `self.len()`.
-    // detlint: hot
+    // hot: census row `steady_state_steps_are_allocation_free`
     pub fn step_with<R: RngExt>(&mut self, mask: Option<&BitSet>, speeds: &[u32], rng: &mut R) {
         // One instance per (agent iterator, speeds in use): the unmasked
         // unit-speed instance is the plain one-draw-per-agent loop.

@@ -45,6 +45,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 mod bitset;
 mod cover;
 mod diffusion;

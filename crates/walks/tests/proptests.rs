@@ -156,7 +156,7 @@ proptest! {
         prop_assert!(b.is_subset(&ab));
         prop_assert_eq!(
             ab.iter_ones().count(),
-            xs.iter().chain(&ys).collect::<std::collections::HashSet<_>>().len()
+            xs.iter().chain(&ys).collect::<std::collections::BTreeSet<_>>().len()
         );
     }
 }

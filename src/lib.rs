@@ -90,6 +90,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 pub use sparsegossip_analysis as analysis;
 pub use sparsegossip_conngraph as conngraph;
 pub use sparsegossip_core as core;

@@ -5,8 +5,10 @@
 //! step — and the allocation-freedom claims are machine-checked here
 //! with a counting allocator (per-thread, so the parallel test harness
 //! does not pollute the counts). This is the workspace's one allocation
-//! census: every process on both labelling paths, every world axis, and
-//! the fault-injected protocol twin.
+//! census: every process on both labelling paths, every world axis, the
+//! benchmark replay's walk and hash maintenance, the adaptive sweep's
+//! planning loops and the fault-injected protocol twin. Each `// hot:`
+//! region in the library names the row below that runs it.
 
 use core::ops::ControlFlow;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -14,6 +16,11 @@ use std::cell::Cell;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use sparsegossip::analysis::AdaptiveConfig;
+use sparsegossip::conngraph::{
+    components_from_seeds_on, components_on_by, ComponentsScratch, SeededScratch, SpatialHash,
+    UniformContact,
+};
 use sparsegossip::core::{ScenarioOutcome, SimScratch};
 use sparsegossip::grid::Point;
 use sparsegossip::prelude::*;
@@ -324,6 +331,75 @@ fn steady_state_steps_are_allocation_free() {
     let mut rng = SmallRng::seed_from_u64(14);
     let sim = Simulation::infection(&cfg, &mut rng).unwrap();
     assert_steps_allocation_free(sim, rng, "infection");
+
+    let one_hop = SimConfig::builder(48, 24)
+        .radius(2)
+        .exchange_rule(ExchangeRule::OneHop)
+        .build()
+        .unwrap();
+    let mut rng = SmallRng::seed_from_u64(15);
+    let sim = Simulation::broadcast(&one_hop, &mut rng).unwrap();
+    assert_steps_allocation_free(sim, rng, "one-hop broadcast");
+}
+
+#[test]
+fn replay_steps_are_allocation_free() {
+    // The benchmark replay's entry points, which `Simulation::step` does
+    // not call: move-logged and plain walk steps, in-place re-placement,
+    // incremental hash maintenance and both labellings over that hash.
+    let (side, k, r) = (48, 24, 2);
+    let mut rng = SmallRng::seed_from_u64(16);
+    let mut engine = WalkEngine::uniform(Grid::new(side).unwrap(), k, &mut rng).unwrap();
+    let mut hash = SpatialHash::build(engine.positions(), r, side);
+    let (mut moves, mut seeded, mut full) =
+        (Vec::new(), SeededScratch::new(), ComponentsScratch::new());
+    let mut seeds = BitSet::new(k);
+    seeds.insert(0);
+    let mut allocs = 0;
+    for round in 0..160 {
+        let before = thread_allocs();
+        if round % 40 == 0 {
+            engine.reset_uniform(&mut rng);
+            hash.rebuild(engine.positions(), r, side);
+        }
+        engine.step_all_into(&mut rng, &mut moves);
+        hash.apply_moves(&moves);
+        components_from_seeds_on(&hash, &mut seeded, engine.positions(), &seeds, r);
+        components_on_by(&hash, &mut full, engine.positions(), &UniformContact(r));
+        engine.step_all(&mut rng);
+        hash.rebuild(engine.positions(), r, side);
+        if round >= 60 {
+            allocs += thread_allocs() - before;
+        }
+    }
+    assert_eq!(allocs, 0, "replay rounds 60..160 allocated");
+}
+
+#[test]
+fn adaptive_sweep_allocations_are_pinned() {
+    // The refine wave planning and the top-up scan run between cell
+    // runs that allocate by design, so the whole single-thread sweep's
+    // count is pinned: an allocation added to either loop changes it,
+    // and so does a change to a cell run's own allocations, which must
+    // re-pin it on purpose. The first run warms any lazy state.
+    let base = ScenarioSpec::builder(ProcessKind::Broadcast, 16, 8)
+        .build()
+        .unwrap();
+    let sweep = ScenarioSweep::new(base, 7)
+        .radii(vec![0, 2, 10])
+        .replicates(2)
+        .threads(1)
+        .adaptive(AdaptiveConfig {
+            replicate_budget: 3,
+            ..AdaptiveConfig::default()
+        });
+    let _ = sweep.run().unwrap();
+    let before = thread_allocs();
+    let report = sweep.run().unwrap();
+    let allocs = thread_allocs() - before;
+    let summary = report.adaptive.unwrap();
+    assert!(summary.refined_cells >= 1 && summary.topup_replicates >= 1);
+    assert_eq!(allocs, 478, "adaptive sweep allocations");
 }
 
 #[test]

@@ -106,4 +106,4 @@ pub use sparsegossip_protocol::{
     FaultError, FaultPlan, NetworkConfig, NetworkError, PartitionSchedule, PartitionWindow,
     RecoveryConfig, RuntimeError, RuntimeStats,
 };
-pub use world::{WorldConfig, WorldContact, WorldSim};
+pub use world::{WorldConfig, WorldContact, WorldGrid};

@@ -35,10 +35,10 @@ use sparsegossip_conngraph::{
     components, components_brute_by, components_from_seeds_on_by, components_into_by,
     contact_components_on_by, Components, ComponentsScratch, SeededScratch, SpatialHash,
 };
-use sparsegossip_grid::{BarrierGrid, Point, Topology};
+use sparsegossip_grid::{GridError, Point, Topology};
 use sparsegossip_walks::{BitSet, WalkEngine};
 
-use crate::{Observer, RumorSets, SimError, StepContext, WorldConfig, WorldContact};
+use crate::{Observer, RumorSets, SimError, StepContext, WorldConfig, WorldContact, WorldGrid};
 
 /// Reusable hot-path buffers for a [`Simulation`]: the spatial hash,
 /// union–find and component arrays behind the per-step visibility
@@ -365,8 +365,9 @@ pub struct Simulation<P: Process, T> {
     /// `StepContext` can always hand out references (a zero-capacity
     /// bitset holds no heap allocation).
     empty_informed: BitSet,
-    /// World-model state (per-agent radii/speeds, churn, walls);
-    /// trivial for every plain constructor.
+    /// World-model state (per-agent radii/speeds, churn); trivial for
+    /// every plain constructor. Walls come from the topology
+    /// ([`Topology::radio_walls`]).
     world: WorldState,
 }
 
@@ -386,23 +387,13 @@ struct WorldState {
     churn_rate: f64,
     /// Agents `0..immortal` never churn (the rumor sources).
     immortal: usize,
-    /// Wall map obstructing radio contact (mobility obstruction comes
-    /// from running on the matching [`BarrierGrid`] topology).
-    walls: Option<BarrierGrid>,
 }
 
 impl WorldState {
-    /// The trivial world: homogeneous radius, unit speeds, no churn, no
-    /// walls — byte-for-byte the pre-world driver behavior.
-    fn trivial(radius: u32) -> Self {
-        Self {
-            bucket_radius: radius,
-            ..Self::default()
-        }
-    }
-
-    /// Resolves a validated [`WorldConfig`] into per-agent state.
-    fn resolve(world: &WorldConfig, k: usize, radius: u32, walls: Option<BarrierGrid>) -> Self {
+    /// Resolves a validated [`WorldConfig`] into per-agent state; the
+    /// default world gives the homogeneous, unit-speed, churn-free
+    /// driver.
+    fn resolve(world: &WorldConfig, k: usize, radius: u32) -> Self {
         let radii = world.radii(k, radius).unwrap_or_default();
         let bucket_radius = radii.iter().copied().max().unwrap_or(radius);
         Self {
@@ -411,7 +402,6 @@ impl WorldState {
             bucket_radius,
             churn_rate: world.churn_rate,
             immortal: world.num_sources,
-            walls,
         }
     }
 
@@ -511,84 +501,6 @@ impl<P: Process, T: Topology> Simulation<P, T> {
         Ok(Self::on_engine(engine, radius, max_steps, process, scratch))
     }
 
-    /// As [`Simulation::new_with_scratch`], additionally installing the
-    /// world-model axes of `world`: per-agent heterogeneous radii and
-    /// speed classes, churn, and wall-aware radio contact. When the
-    /// world declares barriers, `topo` should be the matching
-    /// [`BarrierGrid::city_blocks`] map so mobility respects the same
-    /// walls as contact (the [`WorldSim`](crate::WorldSim) front door
-    /// guarantees this).
-    ///
-    /// A [trivial](WorldConfig::is_trivial) world reproduces the plain
-    /// constructor draw for draw.
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulation::new_with_scratch`], plus
-    /// [`SimError::InvalidWorldSetting`] for out-of-range axes and
-    /// [`SimError::Grid`] if the barrier layout is invalid.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the full constructor axis set; WorldSim is the ergonomic front door"
-    )]
-    pub fn new_in_world_with_scratch<R: RngExt>(
-        topo: T,
-        k: usize,
-        radius: u32,
-        max_steps: u64,
-        process: P,
-        world: &WorldConfig,
-        rng: &mut R,
-        scratch: SimScratch,
-    ) -> Result<Self, SimError> {
-        world.validate()?;
-        Self::validate(&process, k, max_steps)?;
-        let walls = world.build_barriers(topo.side())?;
-        let engine = WalkEngine::uniform(topo, k, rng)?;
-        Ok(Self::on_engine_world(
-            engine,
-            radius,
-            max_steps,
-            process,
-            scratch,
-            WorldState::resolve(world, k, radius, walls),
-        ))
-    }
-
-    /// As [`Simulation::from_positions_with_scratch`], additionally
-    /// installing the world-model axes of `world` (see
-    /// [`Simulation::new_in_world_with_scratch`]); the explicit
-    /// placement serves adversarial source layouts.
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulation::from_positions_with_scratch`], plus
-    /// [`SimError::InvalidWorldSetting`] for out-of-range axes and
-    /// [`SimError::Grid`] if the barrier layout is invalid.
-    pub fn from_positions_in_world_with_scratch(
-        topo: T,
-        positions: Vec<Point>,
-        radius: u32,
-        max_steps: u64,
-        process: P,
-        world: &WorldConfig,
-        scratch: SimScratch,
-    ) -> Result<Self, SimError> {
-        world.validate()?;
-        Self::validate(&process, positions.len(), max_steps)?;
-        let walls = world.build_barriers(topo.side())?;
-        let k = positions.len();
-        let engine = WalkEngine::from_positions(topo, positions)?;
-        Ok(Self::on_engine_world(
-            engine,
-            radius,
-            max_steps,
-            process,
-            scratch,
-            WorldState::resolve(world, k, radius, walls),
-        ))
-    }
-
     fn validate(process: &P, k: usize, max_steps: u64) -> Result<(), SimError> {
         if max_steps == 0 {
             return Err(SimError::ZeroStepCap);
@@ -611,7 +523,7 @@ impl<P: Process, T: Topology> Simulation<P, T> {
         process: P,
         scratch: SimScratch,
     ) -> Self {
-        let world = WorldState::trivial(radius);
+        let world = WorldState::resolve(&WorldConfig::DEFAULT, engine.len(), radius);
         Self::on_engine_world(engine, radius, max_steps, process, scratch, world)
     }
 
@@ -648,7 +560,7 @@ impl<P: Process, T: Topology> Simulation<P, T> {
         let contact = WorldContact::new(
             self.radius,
             self.world.radii_opt(),
-            self.world.walls.as_ref(),
+            self.engine.topology().radio_walls(),
         );
         let scope = if P::NEEDS_COMPONENTS {
             self.process.components_scope()
@@ -789,15 +701,13 @@ impl<P: Process, T: Topology> Simulation<P, T> {
     /// included). A diagnostic accessor — it allocates.
     #[must_use]
     pub fn current_components(&self) -> Components {
-        let side = self.engine.topology().side();
-        if self.world.radii.is_empty() && self.world.walls.is_none() {
+        let topo = self.engine.topology();
+        let side = topo.side();
+        if self.world.radii.is_empty() && topo.radio_walls().is_none() {
             components(self.engine.positions(), self.radius, side)
         } else {
-            let contact = WorldContact::new(
-                self.radius,
-                self.world.radii_opt(),
-                self.world.walls.as_ref(),
-            );
+            let contact =
+                WorldContact::new(self.radius, self.world.radii_opt(), topo.radio_walls());
             components_brute_by(self.engine.positions(), &contact, side)
         }
     }
@@ -867,7 +777,7 @@ impl<P: Process, T: Topology> Simulation<P, T> {
         let contact = WorldContact::new(
             self.radius,
             self.world.radii_opt(),
-            self.world.walls.as_ref(),
+            self.engine.topology().radio_walls(),
         );
         // The observer gate: a scope below Full applies only when the
         // observer does not demand the complete partition.
@@ -950,6 +860,60 @@ impl<P: Process, T: Topology> Simulation<P, T> {
     #[must_use]
     pub fn outcome(&self) -> P::Outcome {
         self.process.outcome(self.engine.time())
+    }
+}
+
+impl<P: Process> Simulation<P, WorldGrid> {
+    /// As [`Simulation::new_with_scratch`] on the [`WorldGrid`] that
+    /// `world` declares for a `side × side` grid, installing its axes:
+    /// city-block walls that block motion and radio contact alike,
+    /// per-agent heterogeneous radii and speed classes, and churn. With
+    /// [`adversarial_sources`](WorldConfig::adversarial_sources), the
+    /// agents `process` starts informed are then pinned to the first
+    /// open node in row-major order; every other agent keeps its
+    /// uniform draw.
+    ///
+    /// The topology is built here, from the same `(side, world)` the
+    /// contact model reads, so motion and radio always see one map. A
+    /// [trivial](WorldConfig::is_trivial) world reproduces the plain
+    /// constructor draw for draw.
+    ///
+    /// # Errors
+    ///
+    /// As [`Simulation::new_with_scratch`], plus
+    /// [`SimError::InvalidWorldSetting`] for out-of-range axes and
+    /// [`SimError::Grid`] if the side or the barrier layout is invalid.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the full constructor axis set; Simulation::from_spec is the ergonomic front door"
+    )]
+    pub fn new_in_world_with_scratch<R: RngExt>(
+        side: u32,
+        k: usize,
+        radius: u32,
+        max_steps: u64,
+        process: P,
+        world: &WorldConfig,
+        rng: &mut R,
+        scratch: SimScratch,
+    ) -> Result<Self, SimError> {
+        world.validate()?;
+        Self::validate(&process, k, max_steps)?;
+        let mut engine = WalkEngine::uniform(WorldGrid::new(side, world)?, k, rng)?;
+        if world.adversarial_sources {
+            let topo = engine.topology();
+            let anchor = topo
+                .points()
+                .find(|&p| topo.contains(p))
+                .ok_or(GridError::NoOpenNodes)?;
+            for i in process.informed().into_iter().flat_map(BitSet::iter_ones) {
+                engine.set_position(i, anchor);
+            }
+        }
+        let world = WorldState::resolve(world, k, radius);
+        Ok(Self::on_engine_world(
+            engine, radius, max_steps, process, scratch, world,
+        ))
     }
 }
 

@@ -38,15 +38,15 @@ use core::mem;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sparsegossip_grid::{Grid, Point};
+use sparsegossip_grid::{Grid, Topology};
 
 use crate::spec_key::{self, Field, KeyDefault, SPEC_KEYS};
 use crate::toml::{TomlDoc, TomlError};
 use crate::world::build_world_sim;
 use crate::{
     BroadcastOutcome, Coverage, CoverageOutcome, ExchangeRule, FaultConfig, GossipOutcome,
-    Infection, InfectionOutcome, Mobility, NetworkConfig, ProtocolOutcome, SimConfig, SimError,
-    SimScratch, Simulation, WorldConfig, WorldSim,
+    Infection, InfectionOutcome, Mobility, NetworkConfig, Process, ProtocolOutcome, SimConfig,
+    SimError, SimScratch, Simulation, WorldConfig, WorldGrid,
 };
 
 /// Which dissemination [`Process`](crate::Process) a scenario runs.
@@ -428,110 +428,73 @@ impl ScenarioSpec {
     /// As [`run_outcome`](Self::run_outcome), recycling the caller's
     /// [`SimScratch`]. Scratch contents never influence the result.
     pub fn run_outcome_with_scratch(&self, scratch: &mut SimScratch, seed: u64) -> ScenarioOutcome {
+        #[expect(
+            clippy::expect_used,
+            reason = "spec was validated with the constructors' own rules"
+        )]
+        let outcome = self.try_run(scratch, seed).expect("validated spec");
+        outcome
+    }
+
+    /// The run behind [`run_outcome_with_scratch`](Self::run_outcome_with_scratch),
+    /// with each constructor's error propagated. The spec was validated
+    /// with the same rules the constructors apply, so none is returned.
+    fn try_run(&self, scratch: &mut SimScratch, seed: u64) -> Result<ScenarioOutcome, SimError> {
         let mut rng = SmallRng::seed_from_u64(seed);
         let cfg = &self.config;
-        // The spec was validated with the same rules the constructors
-        // apply, so construction cannot fail here.
-        match self.settings.kind {
+        let taken = mem::take(scratch);
+        Ok(match self.settings.kind {
+            // A trivial world reproduces `Simulation::broadcast` and
+            // `Simulation::infection` draw for draw (pinned by
+            // `tests/trivial_world.rs`).
             ProcessKind::Broadcast => {
-                // A trivial world reproduces `Simulation::broadcast`
-                // draw for draw (pinned by `tests/trivial_world.rs`).
-                #[expect(
-                    clippy::expect_used,
-                    reason = "spec was validated with the constructor's own rules"
-                )]
-                let mut sim = WorldSim::from_spec_with_scratch(self, &mut rng, mem::take(scratch))
-                    .expect("validated spec");
-                let out = sim.run(&mut rng);
-                *scratch = sim.into_scratch();
-                ScenarioOutcome::Broadcast(out)
-            }
-            ProcessKind::Gossip => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "spec was validated with the constructor's own rules"
-                )]
-                let mut sim = Simulation::gossip_with_scratch(cfg, &mut rng, mem::take(scratch))
-                    .expect("validated spec");
-                let out = sim.run(&mut rng);
-                *scratch = sim.into_scratch();
-                ScenarioOutcome::Gossip(out)
+                let sim = Simulation::from_spec_with_scratch(self, &mut rng, taken)?;
+                ScenarioOutcome::Broadcast(finish(sim, &mut rng, scratch))
             }
             ProcessKind::Infection => {
                 // Infection honors only the source axes (the build gate
-                // rejects every other world axis for it) and is
-                // contact-only, so it always walks the open grid.
+                // rejects every other world axis for it), so it always
+                // walks the open grid.
                 let w = &self.settings.world;
-                #[expect(
-                    clippy::expect_used,
-                    reason = "spec validation mirrors the Infection constructors"
-                )]
                 let process = if w.num_sources > 1 {
-                    Infection::with_sources(cfg.k(), w.num_sources)
+                    Infection::with_sources(cfg.k(), w.num_sources)?
                 } else {
-                    Infection::new(cfg.k(), cfg.source())
+                    Infection::new(cfg.k(), cfg.source())?
                 }
-                .expect("validated spec")
                 .mobility(cfg.mobility());
-                #[expect(clippy::expect_used, reason = "spec validation checked side >= 1")]
-                let grid = Grid::new(cfg.side()).expect("validated spec");
-                let anchor = Point::new(0, 0);
-                #[expect(
-                    clippy::expect_used,
-                    reason = "spec was validated with the constructor's own rules"
-                )]
-                let mut sim =
-                    build_world_sim(grid, cfg, w, process, anchor, &mut rng, mem::take(scratch))
-                        .expect("validated spec");
-                let out = sim.run(&mut rng);
-                *scratch = sim.into_scratch();
-                ScenarioOutcome::Infection(out)
+                let sim = build_world_sim(self, process, &mut rng, taken)?;
+                ScenarioOutcome::Infection(finish(sim, &mut rng, scratch))
+            }
+            ProcessKind::Gossip => {
+                let sim = Simulation::gossip_with_scratch(cfg, &mut rng, taken)?;
+                ScenarioOutcome::Gossip(finish(sim, &mut rng, scratch))
             }
             ProcessKind::ProtocolBroadcast => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "spec was validated with the constructor's own rules"
-                )]
-                let mut sim = Simulation::protocol_broadcast_with_faults_with_scratch(
+                let sim = Simulation::protocol_broadcast_with_faults_with_scratch(
                     cfg,
                     self.settings.network,
                     &self.settings.faults,
                     seed,
                     &mut rng,
-                    mem::take(scratch),
-                )
-                .expect("validated spec");
-                let out = sim.run(&mut rng);
-                *scratch = sim.into_scratch();
-                ScenarioOutcome::ProtocolBroadcast(out)
+                    taken,
+                )?;
+                ScenarioOutcome::ProtocolBroadcast(finish(sim, &mut rng, scratch))
             }
             ProcessKind::Coverage => {
-                #[expect(clippy::expect_used, reason = "spec validation checked side >= 1")]
-                let grid = Grid::new(cfg.side()).expect("validated spec");
-                #[expect(
-                    clippy::expect_used,
-                    reason = "spec validation mirrors Coverage::from_config"
-                )]
-                let process = Coverage::from_config(grid, cfg).expect("validated spec");
-                #[expect(
-                    clippy::expect_used,
-                    reason = "spec was validated with the constructor's own rules"
-                )]
-                let mut sim = Simulation::new_with_scratch(
+                let grid = Grid::new(cfg.side())?;
+                let process = Coverage::from_config(grid, cfg)?;
+                let sim = Simulation::new_with_scratch(
                     grid,
                     cfg.k(),
                     cfg.radius(),
                     cfg.max_steps(),
                     process,
                     &mut rng,
-                    mem::take(scratch),
-                )
-                .expect("validated spec");
-                let out = sim.run(&mut rng);
-                *scratch = sim.into_scratch();
-                ScenarioOutcome::Coverage(out)
+                    taken,
+                )?;
+                ScenarioOutcome::Coverage(finish(sim, &mut rng, scratch))
             }
-        }
+        })
     }
 
     /// FNV-1a 64 hash of the spec's canonical TOML rendering
@@ -859,13 +822,25 @@ impl ScenarioSpecBuilder {
         }
         // The wall layout is part of validity: a density that closes
         // every door (or a grid too small for blocks) must fail at
-        // build time, with the same GridError the constructors raise.
-        w.build_barriers(self.side)?;
+        // build time, through the constructor's own topology build.
+        WorldGrid::new(self.side, w)?;
         Ok(ScenarioSpec {
             settings: self,
             config,
         })
     }
+}
+
+/// Runs `sim` to completion or its step cap and hands its warmed-up
+/// buffers back to `scratch`.
+fn finish<P: Process, T: Topology>(
+    mut sim: Simulation<P, T>,
+    rng: &mut SmallRng,
+    scratch: &mut SimScratch,
+) -> P::Outcome {
+    let out = sim.run(rng);
+    *scratch = sim.into_scratch();
+    out
 }
 
 #[cfg(test)]

@@ -3,10 +3,12 @@
 //! agent churn, and multi-source / adversarial source placement.
 //!
 //! A [`WorldConfig`] declares the axes; a [`ScenarioSpec`] carries one
-//! and gates invalid combinations at build time; the [`Simulation`]
-//! driver's `*_in_world_*` constructors install the derived per-agent
-//! state; and [`WorldSim`] packages the broadcast run over either
-//! topology so sweeps and experiments can stay topology-agnostic.
+//! and gates invalid combinations at build time; [`WorldGrid`] is the
+//! one topology of every world, open or walled; and
+//! [`Simulation::new_in_world_with_scratch`] builds that topology from
+//! `(side, world)` and installs the derived per-agent state, so one
+//! `Simulation<P, WorldGrid>` serves every world and callers never
+//! branch on the topology type.
 //!
 //! The axes deform the model of Pettarin, Pietracaprina, Pucci and
 //! Upfal in ways the theory does not cover — the point is to measure
@@ -15,7 +17,8 @@
 //! * **Barriers** ([`barrier_density`](WorldConfig::barrier_density)):
 //!   agents walk a [`BarrierGrid::city_blocks`] map and two agents hear
 //!   each other only if some axis-aligned L-path between them is fully
-//!   open (walls block radio as well as motion).
+//!   open (walls block radio as well as motion; the contact test reads
+//!   the walls from the topology, so the map is built once).
 //! * **Heterogeneous radii**
 //!   ([`hetero_fraction`](WorldConfig::hetero_fraction) /
 //!   [`hetero_factor`](WorldConfig::hetero_factor)): a leading class of
@@ -35,7 +38,8 @@
 //! # Examples
 //!
 //! ```
-//! use sparsegossip_core::{ProcessKind, ScenarioSpec, WorldSim};
+//! use sparsegossip_core::{ProcessKind, ScenarioSpec, Simulation, WorldGrid};
+//! use sparsegossip_grid::Topology;
 //! use rand::rngs::SmallRng;
 //! use rand::SeedableRng;
 //!
@@ -45,22 +49,20 @@
 //!     .churn_rate(0.02)
 //!     .build()?;
 //! let mut rng = SmallRng::seed_from_u64(7);
-//! let mut sim = WorldSim::from_spec(&spec, &mut rng)?;
+//! let mut sim = Simulation::from_spec(&spec, &mut rng)?;
+//! // The walls the agents walk are the walls that block their radio.
+//! assert!(matches!(sim.topology(), WorldGrid::Walled(_)));
+//! assert!(sim.topology().radio_walls().is_some());
 //! let out = sim.run(&mut rng);
 //! assert_eq!(out.k, 8);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use core::ops::ControlFlow;
-
 use rand::RngExt;
 use sparsegossip_conngraph::Contact;
-use sparsegossip_grid::{BarrierGrid, Grid, Point, Topology};
+use sparsegossip_grid::{BarrierGrid, Direction, Grid, Point, Topology};
 
-use crate::{
-    Broadcast, BroadcastOutcome, Observer, Process, ProcessKind, ScenarioSpec, SimError,
-    SimScratch, Simulation,
-};
+use crate::{Broadcast, Process, ProcessKind, ScenarioSpec, SimError, SimScratch, Simulation};
 
 /// Declarative world-model axes of a scenario; all defaults reproduce
 /// the paper's homogeneous open-grid model exactly.
@@ -237,19 +239,6 @@ impl WorldConfig {
         speeds[..m].fill(self.speed_factor);
         Some(speeds)
     }
-
-    /// Builds the city-block wall map for this world on a `side × side`
-    /// grid, or `None` when the barrier axis is inactive.
-    ///
-    /// # Errors
-    ///
-    /// As [`BarrierGrid::city_blocks`].
-    pub fn build_barriers(&self, side: u32) -> Result<Option<BarrierGrid>, SimError> {
-        if !self.has_barriers() {
-            return Ok(None);
-        }
-        Ok(Some(BarrierGrid::city_blocks(side, self.barrier_density)?))
-    }
 }
 
 /// The world-aware contact model: the symmetric `min(r_i, r_j)` rule
@@ -299,39 +288,131 @@ impl Contact for WorldContact<'_> {
     }
 }
 
-/// A broadcast simulation in a declared world, over whichever topology
-/// the world requires: the open [`Grid`] or a city-block
-/// [`BarrierGrid`]. Built from a validated [`ScenarioSpec`] of kind
-/// [`ProcessKind::Broadcast`], trivial world or not; every spec
-/// broadcast ([`ScenarioSpec::run_outcome`], hence the sweep engine and
-/// the CLI) and the `exp_worlds` experiment run through it, so callers
-/// never branch on the topology type themselves.
-#[derive(Clone, Debug)]
-pub enum WorldSim {
+/// The topology of a declared world: the open [`Grid`], or the
+/// city-block [`BarrierGrid`] its barrier axis asks for.
+///
+/// Built from `(side, world)` by [`WorldGrid::new`], which both the
+/// world-aware [`Simulation`] constructor and spec validation call, so
+/// a buildable spec always builds its topology. The walled variant is
+/// the one map of the run: agents walk it, and the contact test reads
+/// it through [`Topology::radio_walls`], so walls block radio as well
+/// as motion. Each [`Topology`] method runs its variant's own, and
+/// [`Topology::open_grid`] hands the walk engine the plain grid of an
+/// open world, so that world steps on [`Grid`]'s own kernel and draws
+/// exactly as a plain [`Grid`] does.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum WorldGrid {
     /// The world has no barriers: agents walk the open grid.
-    Open(Simulation<Broadcast, Grid>),
+    Open(Grid),
     /// The world has city-block walls obstructing motion and contact.
-    Walled(Simulation<Broadcast, BarrierGrid>),
+    Walled(BarrierGrid),
 }
 
-impl WorldSim {
-    /// As [`WorldSim::from_spec`], with a fresh scratch.
+impl WorldGrid {
+    /// The `side × side` topology of `world`: a
+    /// [`BarrierGrid::city_blocks`] map when its barrier axis is
+    /// active, the open [`Grid`] otherwise.
     ///
     /// # Errors
     ///
-    /// As [`WorldSim::from_spec_with_scratch`].
+    /// [`SimError::Grid`] as [`Grid::new`] or
+    /// [`BarrierGrid::city_blocks`].
+    pub fn new(side: u32, world: &WorldConfig) -> Result<Self, SimError> {
+        Ok(if world.has_barriers() {
+            Self::Walled(BarrierGrid::city_blocks(side, world.barrier_density)?)
+        } else {
+            Self::Open(Grid::new(side)?)
+        })
+    }
+}
+
+impl Topology for WorldGrid {
+    #[inline]
+    fn side(&self) -> u32 {
+        match self {
+            Self::Open(g) => g.side(),
+            Self::Walled(g) => g.side(),
+        }
+    }
+
+    #[inline]
+    fn neighbor(&self, p: Point, dir: Direction) -> Option<Point> {
+        match self {
+            Self::Open(g) => g.neighbor(p, dir),
+            Self::Walled(g) => g.neighbor(p, dir),
+        }
+    }
+
+    #[inline]
+    fn num_nodes(&self) -> u64 {
+        match self {
+            Self::Open(g) => g.num_nodes(),
+            Self::Walled(g) => g.num_nodes(),
+        }
+    }
+
+    #[inline]
+    fn contains(&self, p: Point) -> bool {
+        match self {
+            Self::Open(g) => g.contains(p),
+            Self::Walled(g) => g.contains(p),
+        }
+    }
+
+    #[inline]
+    fn lazy_target(&self, p: Point, u: usize) -> Point {
+        match self {
+            Self::Open(g) => g.lazy_target(p, u),
+            Self::Walled(g) => g.lazy_target(p, u),
+        }
+    }
+
+    #[inline]
+    fn random_point<R: RngExt>(&self, rng: &mut R) -> Point {
+        match self {
+            Self::Open(g) => g.random_point(rng),
+            Self::Walled(g) => g.random_point(rng),
+        }
+    }
+
+    #[inline]
+    fn radio_walls(&self) -> Option<&BarrierGrid> {
+        match self {
+            Self::Open(_) => None,
+            Self::Walled(g) => Some(g),
+        }
+    }
+
+    #[inline]
+    fn open_grid(&self) -> Option<Grid> {
+        match self {
+            Self::Open(g) => Some(*g),
+            Self::Walled(_) => None,
+        }
+    }
+}
+
+impl Simulation<Broadcast, WorldGrid> {
+    /// As [`Simulation::from_spec_with_scratch`], with a fresh scratch.
+    ///
+    /// # Errors
+    ///
+    /// As [`Simulation::from_spec_with_scratch`].
     pub fn from_spec<R: RngExt>(spec: &ScenarioSpec, rng: &mut R) -> Result<Self, SimError> {
         Self::from_spec_with_scratch(spec, rng, SimScratch::new())
     }
 
     /// Instantiates the broadcast run a spec describes — topology,
-    /// placement, process and world axes — for one seed.
+    /// placement, process and world axes — for one seed. Every spec
+    /// broadcast ([`ScenarioSpec::run_outcome`], hence the sweep engine
+    /// and the CLI) runs through it, trivial world or not.
     ///
     /// # Errors
     ///
     /// [`SimError::UnsupportedSetting`] if the spec's kind is not
-    /// [`ProcessKind::Broadcast`]; otherwise as the world-aware
-    /// [`Simulation`] constructors (a validated spec cannot fail them).
+    /// [`ProcessKind::Broadcast`]; otherwise as
+    /// [`Simulation::new_in_world_with_scratch`] (a validated spec
+    /// cannot fail it).
     pub fn from_spec_with_scratch<R: RngExt>(
         spec: &ScenarioSpec,
         rng: &mut R,
@@ -340,11 +421,10 @@ impl WorldSim {
         if spec.kind() != ProcessKind::Broadcast {
             return Err(SimError::UnsupportedSetting {
                 kind: spec.kind().as_str(),
-                setting: "WorldSim (broadcast only)",
+                setting: "a broadcast world simulation",
             });
         }
-        let cfg = spec.config();
-        let world = spec.world();
+        let (cfg, world) = (spec.config(), spec.world());
         let process = if world.num_sources > 1 {
             Broadcast::with_sources(cfg.k(), world.num_sources)?
         } else {
@@ -352,158 +432,30 @@ impl WorldSim {
         }
         .mobility(cfg.mobility())
         .exchange_rule(cfg.exchange_rule());
-        if world.has_barriers() {
-            let topo = BarrierGrid::city_blocks(cfg.side(), world.barrier_density)?;
-            #[expect(
-                clippy::expect_used,
-                reason = "NoOpenNodes is rejected at construction"
-            )]
-            let anchor = topo.first_open().expect("city_blocks maps keep open nodes");
-            build_world_sim(topo, cfg, world, process, anchor, rng, scratch).map(Self::Walled)
-        } else {
-            let topo = Grid::new(cfg.side())?;
-            let anchor = Point::new(0, 0);
-            build_world_sim(topo, cfg, world, process, anchor, rng, scratch).map(Self::Open)
-        }
-    }
-
-    /// Advances one step; see [`Simulation::step`].
-    pub fn step<R: RngExt, O: Observer>(
-        &mut self,
-        rng: &mut R,
-        observer: &mut O,
-    ) -> ControlFlow<()> {
-        match self {
-            Self::Open(sim) => sim.step(rng, observer),
-            Self::Walled(sim) => sim.step(rng, observer),
-        }
-    }
-
-    /// Runs to completion or the step cap; see [`Simulation::run`].
-    pub fn run<R: RngExt>(&mut self, rng: &mut R) -> BroadcastOutcome {
-        match self {
-            Self::Open(sim) => sim.run(rng),
-            Self::Walled(sim) => sim.run(rng),
-        }
-    }
-
-    /// Runs with an observer; see [`Simulation::run_with`].
-    pub fn run_with<R: RngExt, O: Observer>(
-        &mut self,
-        rng: &mut R,
-        observer: &mut O,
-    ) -> BroadcastOutcome {
-        match self {
-            Self::Open(sim) => sim.run_with(rng, observer),
-            Self::Walled(sim) => sim.run_with(rng, observer),
-        }
-    }
-
-    /// The outcome at the current state.
-    pub fn outcome(&self) -> BroadcastOutcome {
-        match self {
-            Self::Open(sim) => sim.outcome(),
-            Self::Walled(sim) => sim.outcome(),
-        }
-    }
-
-    /// Whether every agent is informed.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        match self {
-            Self::Open(sim) => sim.is_complete(),
-            Self::Walled(sim) => sim.is_complete(),
-        }
-    }
-
-    /// Steps taken so far.
-    #[must_use]
-    pub fn time(&self) -> u64 {
-        match self {
-            Self::Open(sim) => sim.time(),
-            Self::Walled(sim) => sim.time(),
-        }
-    }
-
-    /// The number of agents.
-    #[must_use]
-    pub fn k(&self) -> usize {
-        match self {
-            Self::Open(sim) => sim.k(),
-            Self::Walled(sim) => sim.k(),
-        }
-    }
-
-    /// Current agent positions.
-    #[must_use]
-    pub fn positions(&self) -> &[Point] {
-        match self {
-            Self::Open(sim) => sim.positions(),
-            Self::Walled(sim) => sim.positions(),
-        }
-    }
-
-    /// The broadcast process state.
-    #[must_use]
-    pub fn process(&self) -> &Broadcast {
-        match self {
-            Self::Open(sim) => sim.process(),
-            Self::Walled(sim) => sim.process(),
-        }
-    }
-
-    /// Consumes the simulation, yielding its warmed-up buffers.
-    #[must_use]
-    pub fn into_scratch(self) -> SimScratch {
-        match self {
-            Self::Open(sim) => sim.into_scratch(),
-            Self::Walled(sim) => sim.into_scratch(),
-        }
+        build_world_sim(spec, process, rng, scratch)
     }
 }
 
-/// The topology- and process-generic tail of every spec run in a
-/// world ([`WorldSim`] broadcasts and spec infections): uniform or
-/// adversarial placement, then the world-aware constructor.
-pub(crate) fn build_world_sim<P: Process, T: Topology, R: RngExt>(
-    topo: T,
-    cfg: &crate::SimConfig,
-    world: &WorldConfig,
+/// The process-generic world build of every spec run in a world
+/// (broadcasts and infections): the spec's grid, agents, radius, step
+/// cap and world axes, around the spec's `process`.
+pub(crate) fn build_world_sim<P: Process, R: RngExt>(
+    spec: &ScenarioSpec,
     process: P,
-    anchor: Point,
     rng: &mut R,
     scratch: SimScratch,
-) -> Result<Simulation<P, T>, SimError> {
-    if world.adversarial_sources {
-        // Worst-case placement: draw the usual uniform positions (so
-        // the non-source draws match the uniform run), then pin the
-        // sources `source..source + num_sources` to the anchor corner.
-        let mut positions: Vec<Point> = (0..cfg.k()).map(|_| topo.random_point(rng)).collect();
-        let sources = positions.iter_mut().skip(cfg.source());
-        for p in sources.take(world.num_sources) {
-            *p = anchor;
-        }
-        Simulation::from_positions_in_world_with_scratch(
-            topo,
-            positions,
-            cfg.radius(),
-            cfg.max_steps(),
-            process,
-            world,
-            scratch,
-        )
-    } else {
-        Simulation::new_in_world_with_scratch(
-            topo,
-            cfg.k(),
-            cfg.radius(),
-            cfg.max_steps(),
-            process,
-            world,
-            rng,
-            scratch,
-        )
-    }
+) -> Result<Simulation<P, WorldGrid>, SimError> {
+    let cfg = spec.config();
+    Simulation::new_in_world_with_scratch(
+        cfg.side(),
+        cfg.k(),
+        cfg.radius(),
+        cfg.max_steps(),
+        process,
+        spec.world(),
+        rng,
+        scratch,
+    )
 }
 
 #[cfg(test)]
@@ -518,7 +470,10 @@ mod tests {
         w.validate().unwrap();
         assert_eq!(w.radii(8, 3), None);
         assert_eq!(w.speeds(8), None);
-        assert!(w.build_barriers(16).unwrap().is_none());
+        assert_eq!(
+            WorldGrid::new(16, &w).unwrap(),
+            WorldGrid::Open(Grid::new(16).unwrap())
+        );
     }
 
     #[test]
@@ -640,6 +595,40 @@ mod tests {
     }
 
     #[test]
+    fn world_grid_walks_exactly_like_its_variant() {
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        use sparsegossip_walks::WalkEngine;
+        fn walk<T: Topology>(topo: T) -> Vec<Point> {
+            let mut rng = SmallRng::seed_from_u64(3);
+            let mut engine = WalkEngine::uniform(topo, 16, &mut rng).unwrap();
+            for _ in 0..200 {
+                engine.step_with(None, &[], &mut rng);
+            }
+            engine.positions().to_vec()
+        }
+        let open = WorldConfig::DEFAULT;
+        let walled = WorldConfig {
+            barrier_density: 0.6,
+            ..WorldConfig::DEFAULT
+        };
+        let walls = BarrierGrid::city_blocks(24, 0.6).unwrap();
+        assert_eq!(
+            walk(WorldGrid::new(24, &open).unwrap()),
+            walk(Grid::new(24).unwrap())
+        );
+        assert_eq!(
+            walk(WorldGrid::new(24, &walled).unwrap()),
+            walk(walls.clone())
+        );
+        assert_eq!(
+            WorldGrid::new(24, &walled).unwrap().radio_walls(),
+            Some(&walls)
+        );
+        assert_eq!(walls.radio_walls(), None);
+    }
+
+    #[test]
     fn adversarial_placement_pins_the_configured_source() {
         use rand::rngs::SmallRng;
         use rand::SeedableRng;
@@ -649,7 +638,7 @@ mod tests {
             .build()
             .unwrap();
         let mut rng = SmallRng::seed_from_u64(1);
-        let sim = WorldSim::from_spec(&spec, &mut rng).unwrap();
+        let sim = Simulation::from_spec(&spec, &mut rng).unwrap();
         assert_eq!(sim.positions()[3], Point::new(0, 0));
         assert_ne!(sim.positions()[0], Point::new(0, 0));
         // Infection shares the placement and starts from the same agent.
@@ -673,7 +662,7 @@ mod tests {
             .unwrap();
         let mut rng = SmallRng::seed_from_u64(1);
         assert!(matches!(
-            WorldSim::from_spec(&spec, &mut rng),
+            Simulation::from_spec(&spec, &mut rng),
             Err(SimError::UnsupportedSetting { .. })
         ));
     }

@@ -6,9 +6,10 @@
 //! hash rebuilt each step) must stay step-for-step identical to the full path
 //! (an observer that demands the whole partition) for `Broadcast`,
 //! `Infection` and the Frog configuration, across multi-source starts,
-//! churn and speed classes. The seed-pure work counts pin how many
-//! agents the frontier path labels, for broadcast to `T_B` and over a
-//! window of a sub-critical Frog run.
+//! churn and speed classes, and for `Broadcast` and Frog also across
+//! city-block walls and heterogeneous radii. The seed-pure work counts
+//! pin how many agents the frontier path labels, for broadcast to `T_B`
+//! and over a window of a sub-critical Frog run.
 
 use core::ops::ControlFlow;
 
@@ -19,9 +20,8 @@ use sparsegossip_conngraph::{components_from_seeds_on_by, SeededScratch, Spatial
 use sparsegossip_conngraph::{Components, UniformContact};
 use sparsegossip_core::{
     Broadcast, ComponentsScope, Infection, Mobility, NullObserver, Observer, Process, SimConfig,
-    SimScratch, Simulation, StepContext, WorldConfig,
+    SimScratch, Simulation, StepContext, WorldConfig, WorldGrid,
 };
-use sparsegossip_grid::Grid;
 use sparsegossip_walks::BitSet;
 
 /// Step cap of the lockstep runs; churned runs may never complete.
@@ -41,7 +41,8 @@ enum Kind {
     Frog,
 }
 
-/// One world: grid, agents, radius, multi-source prefix, churn, speeds.
+/// One world: grid, agents, radius, multi-source prefix, churn, speeds,
+/// walls and heterogeneous radii.
 #[derive(Clone, Copy, Debug)]
 struct Case {
     kind: Kind,
@@ -52,6 +53,9 @@ struct Case {
     churn_rate: f64,
     speed_fraction: f64,
     speed_factor: u32,
+    barrier_density: f64,
+    hetero_fraction: f64,
+    hetero_factor: f64,
     seed: u64,
 }
 
@@ -61,15 +65,18 @@ impl Case {
             churn_rate: self.churn_rate,
             speed_fraction: self.speed_fraction,
             speed_factor: self.speed_factor,
+            barrier_density: self.barrier_density,
+            hetero_fraction: self.hetero_fraction,
+            hetero_factor: self.hetero_factor,
             num_sources: self.sources,
             ..WorldConfig::DEFAULT
         }
     }
 
-    fn sim<P: Process>(&self, process: P, max_steps: u64) -> (Simulation<P, Grid>, SmallRng) {
+    fn sim<P: Process>(&self, process: P, max_steps: u64) -> (Simulation<P, WorldGrid>, SmallRng) {
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let sim = Simulation::new_in_world_with_scratch(
-            Grid::new(self.side).unwrap(),
+            self.side,
             self.k,
             self.radius,
             max_steps,
@@ -187,15 +194,30 @@ fn infected(p: &Infection) -> &BitSet {
 fn arb_case() -> impl Strategy<Value = Case> {
     (
         (0usize..3, 0usize..3, 0usize..3),
+        (0usize..3, 0usize..3),
         (6u32..20, 2usize..40, 0u32..4),
         (any::<u16>(), any::<bool>()),
         any::<u64>(),
     )
         .prop_map(
-            |((kind, churn, speeds), (side, k, radius), (pick, majority), seed)| {
+            |(
+                (kind, churn, speeds),
+                (walls, hetero),
+                (side, k, radius),
+                (pick, majority),
+                seed,
+            )| {
                 let kind = [Kind::Broadcast, Kind::Infection, Kind::Frog][kind];
                 let churn_rate = [0.0, 0.05, 0.3][churn];
                 let speeds = [(0.0, 1), (0.5, 2), (0.25, 3)][speeds];
+                // Walls and mixed radii are broadcast axes: infection
+                // is contact-only in an open world.
+                let (walls, hetero) = match kind {
+                    Kind::Infection => (0, 0),
+                    Kind::Broadcast | Kind::Frog => (walls, hetero),
+                };
+                let barrier_density = [0.0, 0.3, 0.9][walls];
+                let hetero = [(0.0, 1.0), (0.5, 2.0), (0.25, 0.0)][hetero];
                 // Half the cases start with more than k/2 sources, so
                 // placement already labels from the uninformed side.
                 let sources = if majority {
@@ -212,6 +234,9 @@ fn arb_case() -> impl Strategy<Value = Case> {
                     churn_rate,
                     speed_fraction: speeds.0,
                     speed_factor: speeds.1,
+                    barrier_density,
+                    hetero_fraction: hetero.0,
+                    hetero_factor: hetero.1,
                     seed,
                 }
             },
@@ -243,6 +268,9 @@ fn churn_crosses_the_split_both_ways_and_stays_identical() {
             churn_rate: 0.3,
             speed_fraction: 0.5,
             speed_factor: 2,
+            barrier_density: 0.0,
+            hetero_fraction: 0.0,
+            hetero_factor: 1.0,
             seed: 7,
         };
         let crossings = run_case(&case);

@@ -9,7 +9,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_core::{
     Broadcast, ExchangeRule, Infection, Metric, NetworkConfig, ProcessKind, ScenarioSpec,
-    SimConfig, SimError, Simulation, WorldConfig, WorldSim,
+    SimConfig, SimError, Simulation, WorldConfig, WorldGrid,
 };
 
 fn arb_kind() -> impl Strategy<Value = ProcessKind> {
@@ -90,10 +90,10 @@ proptest! {
                 let mut rng = SmallRng::seed_from_u64(1);
                 match kind {
                     ProcessKind::Broadcast => {
-                        let built = WorldSim::from_spec(&spec, &mut rng).map(|_| ());
+                        let built = Simulation::from_spec(&spec, &mut rng).map(|_| ());
                         prop_assert!(
                             built.is_ok(),
-                            "buildable world spec rejected by WorldSim: {:?}",
+                            "buildable world spec rejected by Simulation::from_spec: {:?}",
                             built.unwrap_err()
                         );
                     }
@@ -154,7 +154,7 @@ proptest! {
                     SimError::Grid(_) => {
                         prop_assert_eq!(
                             &e,
-                            &world.build_barriers(side).map(|_| ()).unwrap_err()
+                            &WorldGrid::new(side, &world).map(|_| ()).unwrap_err()
                         );
                     }
                     other => panic!("unexpected world rejection: {other}"),

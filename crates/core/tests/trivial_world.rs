@@ -1,8 +1,8 @@
 //! A trivial world reproduces the plain constructors draw for draw.
 //!
-//! `ScenarioSpec::run_outcome` runs every broadcast through `WorldSim`
-//! and every infection through the world-aware constructor, trivial
-//! world or not. That is only sound if a trivial world (the default, or
+//! `ScenarioSpec::run_outcome` runs every broadcast and every infection
+//! through the world-aware constructor on a `WorldGrid`, trivial world
+//! or not. That is only sound if a trivial world (the default, or
 //! one whose declared axes change nothing) gives the same outcome as
 //! `Simulation::broadcast`, `Simulation::frog` and
 //! `Simulation::infection` for every seed; this suite pins it, for the
@@ -12,9 +12,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_core::{
     ExchangeRule, Infection, Mobility, ProcessKind, ScenarioOutcome, ScenarioSpec, SimConfig,
-    SimScratch, Simulation, WorldConfig, WorldSim,
+    SimScratch, Simulation, WorldConfig,
 };
-use sparsegossip_grid::Grid;
 
 /// `(side, k, radius)`: dense and sparse, below and above `r_c`.
 const GEOMETRIES: [(u32, usize, u32); 4] = [(12, 6, 0), (16, 8, 1), (20, 10, 2), (24, 4, 3)];
@@ -55,7 +54,9 @@ fn trivial_world_broadcast_matches_the_plain_constructors() {
                 assert!(spec.world().is_trivial());
                 for seed in 0..SEEDS {
                     let mut rng = SmallRng::seed_from_u64(seed);
-                    let world_out = WorldSim::from_spec(&spec, &mut rng).unwrap().run(&mut rng);
+                    let world_out = Simulation::from_spec(&spec, &mut rng)
+                        .unwrap()
+                        .run(&mut rng);
                     let mut rng = SmallRng::seed_from_u64(seed);
                     let plain_out = match mobility {
                         Mobility::All => Simulation::broadcast(spec.config(), &mut rng),
@@ -95,7 +96,7 @@ fn trivial_world_infection_matches_the_plain_constructor() {
                 for seed in 0..SEEDS {
                     let mut rng = SmallRng::seed_from_u64(seed);
                     let world_out = Simulation::new_in_world_with_scratch(
-                        Grid::new(side).unwrap(),
+                        side,
                         k,
                         0,
                         config.max_steps(),

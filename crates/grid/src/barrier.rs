@@ -224,21 +224,26 @@ impl BarrierGrid {
     /// `r = 0`.
     #[must_use]
     pub fn is_connected(&self) -> bool {
-        let Some(start) = self.first_open() else {
+        let Some(start) = self.points().find(|&p| self.is_open(p)) else {
             return true;
         };
-        let n = (u64::from(self.side) * u64::from(self.side)) as usize;
-        let mut seen = vec![false; n];
+        // A bitset like `open`: n bits, not n bytes, so the check fits
+        // wherever the map itself does.
+        let mut seen = vec![0u64; self.open.len()];
         let mut queue = std::collections::VecDeque::new();
-        let id = |p: Point| (p.y * self.side + p.x) as usize;
-        seen[id(start)] = true;
+        let mut visit = |p: Point| {
+            let id = (u64::from(p.y) * u64::from(self.side) + u64::from(p.x)) as usize;
+            let fresh = seen[id / 64] >> (id % 64) & 1 == 0;
+            seen[id / 64] |= 1 << (id % 64);
+            fresh
+        };
+        visit(start);
         queue.push_back(start);
         let mut reached = 1u64;
         while let Some(p) = queue.pop_front() {
             for dir in Direction::ALL {
                 if let Some(q) = self.neighbor(p, dir) {
-                    if !seen[id(q)] {
-                        seen[id(q)] = true;
+                    if visit(q) {
                         reached += 1;
                         queue.push_back(q);
                     }
@@ -246,23 +251,6 @@ impl BarrierGrid {
             }
         }
         reached == self.open_count
-    }
-
-    /// The first open node in row-major order, if any — the
-    /// deterministic anchor adversarial source placement pins rumor
-    /// sources to.
-    #[must_use]
-    pub fn first_open(&self) -> Option<Point> {
-        for (w, &word) in self.open.iter().enumerate() {
-            if word != 0 {
-                let id = w as u64 * 64 + u64::from(word.trailing_zeros());
-                return Some(Point::new(
-                    (id % u64::from(self.side)) as u32,
-                    (id / u64::from(self.side)) as u32,
-                ));
-            }
-        }
-        None
     }
 }
 
@@ -464,13 +452,20 @@ mod tests {
     }
 
     #[test]
-    fn first_open_is_row_major() {
-        let g = BarrierGrid::with_barriers(4, &[(Point::new(0, 0), Point::new(3, 0))]).unwrap();
-        assert_eq!(g.first_open(), Some(Point::new(0, 1)));
-        assert_eq!(
-            BarrierGrid::new(4).unwrap().first_open(),
-            Some(Point::new(0, 0))
-        );
+    fn connectivity_search_starts_past_a_blocked_prefix() {
+        // The first open node (8) lies past `open_count` (6), and the
+        // wall at x = 1 cuts (0, 2)–(0, 3) off from the rest.
+        let g = BarrierGrid::with_barriers(
+            4,
+            &[
+                (Point::new(0, 0), Point::new(3, 1)),
+                (Point::new(1, 2), Point::new(1, 3)),
+            ],
+        )
+        .unwrap();
+        assert_eq!(g.open_count(), 6);
+        assert_eq!(g.points().count(), 16);
+        assert!(!g.is_connected());
     }
 
     #[test]

@@ -113,6 +113,11 @@ impl Topology for Grid {
             self.neighbors(p).get(u).unwrap_or(p)
         }
     }
+
+    #[inline]
+    fn open_grid(&self) -> Option<Grid> {
+        Some(*self)
+    }
 }
 
 #[cfg(test)]

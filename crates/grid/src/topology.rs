@@ -1,6 +1,6 @@
 use rand::RngExt;
 
-use crate::{Direction, NodeId, Point};
+use crate::{BarrierGrid, Direction, Grid, NodeId, Point};
 
 /// A walkable 2-D square domain of `side × side` nodes.
 ///
@@ -86,6 +86,26 @@ pub trait Topology {
         self.neighbors(p).get(u).unwrap_or(p)
     }
 
+    /// The wall map that blocks radio contact as well as motion, if
+    /// any. Defaults to `None`: radio propagates over the walls of a
+    /// plain [`BarrierGrid`], which block motion only. A topology that
+    /// also shadows radio returns its own map here, so the contact test
+    /// and the walk read the same walls.
+    #[inline]
+    fn radio_walls(&self) -> Option<&BarrierGrid> {
+        None
+    }
+
+    /// This topology as the plain open [`Grid`] it walks exactly like
+    /// (the same neighbors at every node), or `None` (the default). The
+    /// walk engine then steps all agents on that grid's own kernel, so a
+    /// topology that wraps a grid pays one dispatch per step instead of
+    /// one per agent.
+    #[inline]
+    fn open_grid(&self) -> Option<Grid> {
+        None
+    }
+
     /// The row-major node index of `p`.
     ///
     /// # Panics
@@ -112,13 +132,16 @@ pub trait Topology {
         Point::new(id.index() % self.side(), id.index() / self.side())
     }
 
-    /// Iterates over all points in row-major order.
+    /// Iterates over all points of the `side × side` square in
+    /// row-major order, blocked nodes of a [`BarrierGrid`] included
+    /// (its [`num_nodes`](Topology::num_nodes) counts only open ones).
     #[inline]
     fn points(&self) -> PointsIter {
+        let s = u64::from(self.side());
         PointsIter {
             side: self.side(),
             next: 0,
-            end: self.num_nodes(),
+            end: s * s,
         }
     }
 

@@ -211,12 +211,32 @@ impl<T: Topology> WalkEngine<T> {
         if let Some(mask) = mask {
             assert_eq!(mask.len(), k, "mask capacity mismatch");
         }
-        let (topo, positions) = (&self.topo, self.positions.as_mut_slice());
-        match (mask, speeds.is_empty()) {
-            (None, true) => walk::<_, _, _, false>(topo, positions, 0..k, speeds, rng),
-            (None, false) => walk::<_, _, _, true>(topo, positions, 0..k, speeds, rng),
-            (Some(m), true) => walk::<_, _, _, false>(topo, positions, m.iter_ones(), speeds, rng),
-            (Some(m), false) => walk::<_, _, _, true>(topo, positions, m.iter_ones(), speeds, rng),
+        #[inline(always)]
+        fn walk_on<T: Topology, R: RngExt>(
+            topo: &T,
+            positions: &mut [Point],
+            mask: Option<&BitSet>,
+            speeds: &[u32],
+            rng: &mut R,
+        ) {
+            let k = positions.len();
+            match (mask, speeds.is_empty()) {
+                (None, true) => walk::<_, _, _, false>(topo, positions, 0..k, speeds, rng),
+                (None, false) => walk::<_, _, _, true>(topo, positions, 0..k, speeds, rng),
+                (Some(m), true) => {
+                    walk::<_, _, _, false>(topo, positions, m.iter_ones(), speeds, rng)
+                }
+                (Some(m), false) => {
+                    walk::<_, _, _, true>(topo, positions, m.iter_ones(), speeds, rng)
+                }
+            }
+        }
+        let positions = self.positions.as_mut_slice();
+        // A topology that walks like the open grid runs the grid's own
+        // kernel: one dispatch per step, not per agent.
+        match self.topo.open_grid() {
+            Some(grid) => walk_on(&grid, positions, mask, speeds, rng),
+            None => walk_on(&self.topo, positions, mask, speeds, rng),
         }
         self.time += 1;
     }

@@ -113,7 +113,7 @@ pub mod prelude {
         Broadcast, BroadcastOutcome, ComponentsScope, Coverage, ExchangeRule, FaultConfig, Gossip,
         GossipOutcome, Infection, Metric, Mobility, NetworkConfig, Observer, PredatorPrey, Process,
         ProcessKind, ProtocolBroadcast, ProtocolOutcome, ScenarioSpec, SimConfig, SimError,
-        SimScratch, Simulation, WorldConfig, WorldSim,
+        SimScratch, Simulation, WorldConfig, WorldGrid,
     };
     pub use sparsegossip_grid::{BarrierGrid, Grid, Point, Tessellation, Topology, Torus};
     pub use sparsegossip_protocol::NodeRuntime;

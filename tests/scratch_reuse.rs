@@ -501,12 +501,12 @@ fn churn_runs_are_identical_across_scratch_reuse() {
     let mut scratch = SimScratch::new();
     for seed in 0..8u64 {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut sim = WorldSim::from_spec_with_scratch(&spec, &mut rng, scratch).unwrap();
+        let mut sim = Simulation::from_spec_with_scratch(&spec, &mut rng, scratch).unwrap();
         let reused = sim.run(&mut rng);
         scratch = sim.into_scratch();
 
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut fresh = WorldSim::from_spec(&spec, &mut rng).unwrap();
+        let mut fresh = Simulation::from_spec(&spec, &mut rng).unwrap();
         assert_eq!(reused, fresh.run(&mut rng), "seed={seed}");
     }
 }
@@ -603,7 +603,7 @@ fn world_step_allocs<O: sparsegossip::core::Observer>(
     mut observer: O,
 ) -> u64 {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut sim = WorldSim::from_spec(spec, &mut rng).unwrap();
+    let mut sim = Simulation::from_spec(spec, &mut rng).unwrap();
     for _ in 0..60 {
         let _ = sim.step(&mut rng, &mut observer);
     }

@@ -1,6 +1,6 @@
 //! Seed-restricted component labelling: flood-fill `G_t(r)` starting
-//! only from a given seed set, labelling exactly the components that
-//! contain a seed.
+//! only from a given seed set, labelling exactly the components of two
+//! or more agents that contain a seed.
 //!
 //! This is the frontier-sparse half of the connectivity engine. A
 //! broadcast-style process only ever changes components that hold both
@@ -9,20 +9,23 @@
 //! agents early in a run, the uninformed ones once most agents know the
 //! rumor) costs work proportional to that side's neighborhood instead
 //! of a full O(k) partition. Which set to pass is the caller's choice;
-//! this module labels from any seed set.
+//! this module labels from any seed set. A lone seed is left out: no
+//! exchange can change it, and below the percolation point almost every
+//! seed is alone, so one candidate scan per seed is all it costs.
 //!
 //! On the components it covers, the seeded labelling is *identical* to
 //! the full [`components`](crate::components) build: same member lists
 //! in the same order, with dense component ids assigned in first-agent
 //! order among the covered components (the property tests in
 //! `tests/proptests.rs` pin this against arbitrary layouts, radii and
-//! seed sets). Agents in unseeded components keep the sentinel label
-//! [`Components::NO_LABEL`] and appear in no member list.
+//! seed sets). Lone agents and agents in unseeded components keep the
+//! sentinel label [`Components::NO_LABEL`] and appear in no member list.
 //!
-//! The contact-only build ([`contact_components_on_by`]) is the same
-//! restriction with a different cover: every component of two or more
-//! agents, found by one union pass over the candidate pairs. It serves
-//! processes such as gossip whose exchange is a no-op on a lone agent.
+//! The contact-only build ([`contact_components_on_by`]) follows the
+//! same "no lone agents" rule with a wider cover: every component of two
+//! or more agents, found by one union pass over the candidate pairs. It
+//! serves processes such as gossip whose exchange is a no-op on a lone
+//! agent. With every agent seeded, the two builds agree exactly.
 
 use sparsegossip_grid::Point;
 use sparsegossip_walks::BitSet;
@@ -37,9 +40,10 @@ use crate::{Components, ComponentsScratch, Contact, SpatialHash, UniformContact,
 /// One scratch amortizes every per-step restricted labelling of a
 /// simulation, and may serve seeded and contact-only calls in any
 /// order: after warm-up, a call performs no heap allocation. A seeded
-/// call costs the covered components plus k/64 bitset words
-/// (previously covered labels are un-set one by one rather than by an
-/// O(k) sweep); a contact-only call adds one O(k) candidate-pair pass.
+/// call costs one candidate scan per seed, the covered components (of
+/// two or more agents) and k/64 bitset words (previously covered labels
+/// are un-set one by one rather than by an O(k) sweep); a contact-only
+/// call adds one O(k) candidate-pair pass.
 ///
 /// # Examples
 ///
@@ -145,10 +149,11 @@ impl SeededScratch {
     }
 }
 
-/// Computes the components of `G_t(r)` that contain at least one seed,
-/// flood-filling over the buckets of an already-built (or incrementally
-/// maintained) `hash`. The simulator rebuilds that hash from the
-/// positions every step; a maintained one serves the benchmark replay.
+/// Computes the components of `G_t(r)` of two or more agents that
+/// contain at least one seed, flood-filling over the buckets of an
+/// already-built (or incrementally maintained) `hash`. The simulator
+/// rebuilds that hash from the positions every step; a maintained one
+/// serves the benchmark replay.
 ///
 /// The `hash` must describe exactly `positions` — the pairing produced
 /// by [`SpatialHash::build`]/[`rebuild`](SpatialHash::rebuild) on these
@@ -160,9 +165,10 @@ impl SeededScratch {
 /// On the covered components the result is identical to the full
 /// [`components`](crate::components) partition: the same member slices
 /// in the same order, with dense ids in first-agent order among covered
-/// components. Uncovered agents keep [`Components::NO_LABEL`] and the
-/// partition's [`count`](Components::count)/[`iter`](Components::iter)
-/// span only the covered components.
+/// components. A seed without a contact is not covered. Uncovered
+/// agents keep [`Components::NO_LABEL`] and the partition's
+/// [`count`](Components::count)/[`iter`](Components::iter) span only the
+/// covered components.
 ///
 /// # Panics
 ///
@@ -179,10 +185,11 @@ pub fn components_from_seeds_on<'a>(
     components_from_seeds_on_by(hash, scratch, positions, seeds, &UniformContact(r))
 }
 
-/// Computes the seed-containing components of the contact graph over an
-/// already-built `hash`, under an arbitrary [`Contact`] model — the
-/// heterogeneous counterpart of [`components_from_seeds_on`] (which is
-/// this function at [`UniformContact`]).
+/// Computes the seed-containing components of two or more agents of the
+/// contact graph over an already-built `hash`, under an arbitrary
+/// [`Contact`] model — the heterogeneous counterpart of
+/// [`components_from_seeds_on`] (which is this function at
+/// [`UniformContact`]).
 ///
 /// The hash's bucket radius must bound the contact model's reach, so
 /// the reach-aware candidate scan
@@ -193,6 +200,12 @@ pub fn components_from_seeds_on<'a>(
 /// The equivalence contract is unchanged: on covered components the
 /// result matches the full partition under the same contact model
 /// (e.g. [`components_brute_by`](crate::components_brute_by)).
+///
+/// Each unlabelled seed is labelled tentatively and its candidates are
+/// scanned once; a seed without a contact goes back to
+/// [`Components::NO_LABEL`] and costs no discovery id. Only a seed with
+/// a contact starts a flood fill. With every agent seeded, the result
+/// equals [`contact_components_on_by`].
 ///
 /// # Panics
 ///
@@ -219,12 +232,12 @@ pub fn components_from_seeds_on_by<'a, C: Contact>(
         if comps.labels[s] != Components::NO_LABEL {
             continue;
         }
+        // Label the seed tentatively and scan its candidates once; the
+        // same loop then floods from whatever that scan queued.
         let tmp = discovered;
-        discovered += 1;
         comps.labels[s] = tmp;
-        covered.insert(s);
-        scratch.queue.push(s as u32);
-        while let Some(a) = scratch.queue.pop() {
+        let mut a = s as u32;
+        loop {
             let pa = positions[a as usize];
             hash.for_each_candidate(pa, |b| {
                 let b = b as usize;
@@ -236,6 +249,24 @@ pub fn components_from_seeds_on_by<'a, C: Contact>(
                     scratch.queue.push(b as u32);
                 }
             });
+            if a as usize == s {
+                // A seed whose scan found no contact is a lone agent:
+                // it goes back unlabelled, with no discovery id and no
+                // covered bit. Contact is symmetric, so a contact that an
+                // earlier flood labelled would have labelled `s` too: an
+                // unlabelled seed never has a labelled contact, and no
+                // later flood can reach it.
+                if scratch.queue.is_empty() {
+                    comps.labels[s] = Components::NO_LABEL;
+                    break;
+                }
+                discovered += 1;
+                covered.insert(s);
+            }
+            match scratch.queue.pop() {
+                Some(next) => a = next,
+                None => break,
+            }
         }
     }
     scratch.canonicalize(discovered as usize)
@@ -310,9 +341,9 @@ pub fn contact_components_on_by<'a, C: Contact>(
     scratch.canonicalize(k)
 }
 
-/// Computes the seed-containing components of `G_t(r)` inside
-/// `scratch`, rebuilding the spatial hash from `positions` first — the
-/// seed-restricted counterpart of
+/// Computes the seed-containing components of two or more agents of
+/// `G_t(r)` inside `scratch`, rebuilding the spatial hash from
+/// `positions` first — the seed-restricted counterpart of
 /// [`components_into`](crate::components_into).
 ///
 /// See [`components_from_seeds_on`] for the equivalence contract; use
@@ -334,9 +365,9 @@ pub fn components_from_seeds_into<'a>(
     components_from_seeds_on(&scratch.spatial, &mut scratch.seeded, positions, seeds, r)
 }
 
-/// Computes the seed-containing components of `G_t(r)`, allocating a
-/// fresh partition — the seed-restricted counterpart of
-/// [`components`](crate::components).
+/// Computes the seed-containing components of two or more agents of
+/// `G_t(r)`, allocating a fresh partition — the seed-restricted
+/// counterpart of [`components`](crate::components).
 ///
 /// # Panics
 ///
@@ -391,16 +422,47 @@ mod tests {
             Point::new(4, 4),
             Point::new(8, 8),
             Point::new(0, 1),
+            Point::new(8, 9),
         ];
-        let c = components_from_seeds(&pts, &seeds_of(4, &[2, 3]), 1, 10);
+        let c = components_from_seeds(&pts, &seeds_of(5, &[2, 3]), 1, 10);
         assert_eq!(c.count(), 2);
         // Component of agent 0 (members {0, 3}) comes first.
         assert_eq!(c.members(0), &[0, 3]);
-        assert_eq!(c.members(1), &[2]);
+        assert_eq!(c.members(1), &[2, 4]);
+        assert!(!c.is_covered(1));
     }
 
     #[test]
-    fn all_seeds_reproduces_the_full_partition() {
+    fn lone_seed_stays_uncovered() {
+        // Agent 1 is seeded but alone; agent 0's component {0, 2} is
+        // covered, agent 1 gets no label and no component id.
+        let pts = [Point::new(0, 0), Point::new(5, 5), Point::new(1, 0)];
+        let c = components_from_seeds(&pts, &seeds_of(3, &[0, 1]), 1, 10);
+        assert_eq!(c.count(), 1);
+        assert_eq!(c.members(0), &[0, 2]);
+        assert!(!c.is_covered(1));
+        assert_eq!(c.label_of(1), Components::NO_LABEL);
+        // A seed set of lone agents only covers nothing.
+        let c = components_from_seeds(&pts, &seeds_of(3, &[1]), 1, 10);
+        assert_eq!(c.count(), 0);
+        assert!((0..3).all(|i| !c.is_covered(i)));
+    }
+
+    #[test]
+    fn seed_whose_only_contact_is_a_seed_forms_one_component() {
+        // Agents 1 and 2 are both seeded and touch only each other; the
+        // first one's scan finds the second, so the pair is one
+        // component and the second seed starts nothing new.
+        let pts = [Point::new(0, 0), Point::new(6, 6), Point::new(6, 7)];
+        let c = components_from_seeds(&pts, &seeds_of(3, &[1, 2]), 1, 10);
+        assert_eq!(c.count(), 1);
+        assert_eq!(c.members(0), &[1, 2]);
+        assert_eq!(c.label_of(1), c.label_of(2));
+        assert!(!c.is_covered(0));
+    }
+
+    #[test]
+    fn all_seeds_reproduces_the_contact_only_partition() {
         let pts: Vec<Point> = (0..40)
             .map(|i| Point::new((i * 13) % 16, (i * 7) % 16))
             .collect();
@@ -408,8 +470,14 @@ mod tests {
         all.set_all();
         for r in [0u32, 1, 2, 5] {
             let seeded = components_from_seeds(&pts, &all, r, 16);
+            let hash = SpatialHash::build(&pts, r, 16);
+            let mut scratch = SeededScratch::new();
+            let contact = contact_components_on_by(&hash, &mut scratch, &pts, &UniformContact(r));
+            assert_eq!(&seeded, contact, "r={r}");
+            // Off the lone agents, that is the full partition.
             let full = components(&pts, r, 16);
-            assert_eq!(seeded, full, "r={r}");
+            let multi: Vec<&[u32]> = full.iter().filter(|m| m.len() >= 2).collect();
+            assert_eq!(seeded.iter().collect::<Vec<_>>(), multi, "r={r}");
         }
     }
 
@@ -432,11 +500,11 @@ mod tests {
         all.set_all();
         let mut scratch = SeededScratch::new();
         components_from_seeds_on(&hash, &mut scratch, &pts, &all, 2);
-        let far = [Point::new(0, 0), Point::new(7, 7)];
+        let far = [Point::new(0, 0), Point::new(7, 7), Point::new(7, 7)];
         let far_hash = SpatialHash::build(&far, 0, 8);
-        let c = components_from_seeds_on(&far_hash, &mut scratch, &far, &seeds_of(2, &[1]), 0);
+        let c = components_from_seeds_on(&far_hash, &mut scratch, &far, &seeds_of(3, &[1]), 0);
         assert_eq!(c.count(), 1);
-        assert_eq!(c.members(0), &[1]);
+        assert_eq!(c.members(0), &[1, 2]);
         assert!(!c.is_covered(0));
     }
 
@@ -445,9 +513,11 @@ mod tests {
         let mut pts = vec![Point::new(0, 0), Point::new(3, 0), Point::new(7, 7)];
         let mut hash = SpatialHash::build(&pts, 1, 8);
         let mut scratch = SeededScratch::new();
-        // Initially agent 1 is isolated from agent 0.
+        // Initially agent 1 is isolated from agent 0, so the lone seed
+        // covers nothing.
         let c = components_from_seeds_on(&hash, &mut scratch, &pts, &seeds_of(3, &[0]), 1);
-        assert_eq!(c.members(0), &[0]);
+        assert_eq!(c.count(), 0);
+        assert!(!c.is_covered(0));
         // Agent 1 walks next to agent 0; the maintained hash must see it.
         let moves = [(1u32, Point::new(3, 0), Point::new(1, 0))];
         pts[1] = Point::new(1, 0);

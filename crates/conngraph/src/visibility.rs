@@ -45,7 +45,8 @@ impl Default for Components {
 impl Components {
     /// The label of agents not covered by a seed-restricted build (see
     /// [`components_from_seeds`](crate::components_from_seeds)): their
-    /// component was not labelled because it contains no seed.
+    /// component was not labelled because it contains no seed or is a
+    /// lone agent.
     pub const NO_LABEL: u32 = u32::MAX;
 
     /// A shared empty partition over zero agents — the placeholder for

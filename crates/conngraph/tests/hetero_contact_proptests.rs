@@ -47,7 +47,8 @@ fn max_radius(radii: &[u32]) -> u32 {
 }
 
 /// Seeded labelling over `hash` equals the brute-force partition on
-/// every seed-containing component and covers nothing else.
+/// every seed-containing component of two or more agents and covers
+/// nothing else: a lone seed stays uncovered.
 fn assert_seeded_matches_brute<C: Contact>(
     hash: &SpatialHash,
     positions: &[Point],
@@ -65,16 +66,20 @@ fn assert_seeded_matches_brute<C: Contact>(
     for s in seeds.iter_ones() {
         full_has_seed[full.label_of(s) as usize] = true;
     }
-    let covered: Vec<usize> = (0..full.count()).filter(|&c| full_has_seed[c]).collect();
+    let is_cover = |c: usize| full_has_seed[c] && full.size(c) >= 2;
+    let covered: Vec<usize> = (0..full.count()).filter(|&c| is_cover(c)).collect();
     assert_eq!(seeded.count(), covered.len());
     for (sc, &fc) in covered.iter().enumerate() {
         assert_eq!(seeded.members(sc), full.members(fc));
     }
     for i in 0..k {
-        let in_seeded = full_has_seed[full.label_of(i) as usize];
+        let in_seeded = is_cover(full.label_of(i) as usize);
         assert_eq!(seeded.is_covered(i), in_seeded);
         if !in_seeded {
             assert_eq!(seeded.label_of(i), Components::NO_LABEL);
+        }
+        if seeds.contains(i) && full.size_of_agent(i) == 1 {
+            assert!(!seeded.is_covered(i), "lone seed {i} covered");
         }
     }
 }
@@ -214,9 +219,14 @@ proptest! {
                 components_from_seeds_on_by(&hash, &mut scratch, &positions, &seeds, &contact);
             let full = components_brute_by(&positions, &contact, side);
             for s in seeds.iter_ones() {
+                let fc = full.label_of(s) as usize;
+                if full.size(fc) == 1 {
+                    prop_assert!(!seeded.is_covered(s), "lone seed {} covered", s);
+                    continue;
+                }
                 prop_assert_eq!(
                     seeded.members(seeded.label_of(s) as usize),
-                    full.members(full.label_of(s) as usize),
+                    full.members(fc),
                     "seed {} component diverged", s
                 );
             }

@@ -2,9 +2,10 @@
 //! agree exactly with the O(k²) brute-force reference on arbitrary
 //! agent layouts and radii, including r = 0 grids large enough for
 //! coarsened buckets; the seed-restricted builder must agree with the
-//! reference on every seed-containing component, and the contact-only
-//! builder on every component of two or more agents, with
-//! one scratch serving both in any order; a hash
+//! reference on every seed-containing component of two or more agents
+//! (equal to the contact-only build when every agent is seeded), and
+//! the contact-only builder on every component of two or more agents,
+//! with one scratch serving both in any order; a hash
 //! maintained move by move, or rebuilt warm at old and new geometries,
 //! must equal a fresh build; the reach-aware candidate scan must cover
 //! every brute-force contact, with a division-free bucket index equal
@@ -243,15 +244,16 @@ proptest! {
         let seeded = components_from_seeds(&positions, &seeds, r, side);
         prop_assert_eq!(seeded.num_agents(), k);
 
-        // Which full components contain a seed?
+        // Which full components of two or more agents contain a seed?
         let mut full_has_seed = vec![false; full.count()];
         for s in seeds.iter_ones() {
             full_has_seed[full.label_of(s) as usize] = true;
         }
+        let is_cover = |c: usize| full_has_seed[c] && full.size(c) >= 2;
         // The seeded view has exactly one component per seed-containing
-        // full component, with an identical member slice, and covers
-        // nothing else.
-        let covered: Vec<usize> = (0..full.count()).filter(|&c| full_has_seed[c]).collect();
+        // full component of two or more agents, with an identical
+        // member slice, and covers nothing else.
+        let covered: Vec<usize> = (0..full.count()).filter(|&c| is_cover(c)).collect();
         prop_assert_eq!(seeded.count(), covered.len());
         for (sc, &fc) in covered.iter().enumerate() {
             // Both sides label dense ids in first-agent order, so the
@@ -262,13 +264,39 @@ proptest! {
                 prop_assert_eq!(seeded.label_of(m as usize) as usize, sc);
             }
         }
-        // Uncovered agents carry the sentinel label.
+        // Uncovered agents carry the sentinel label; a lone seed is
+        // uncovered.
         for i in 0..k {
-            let in_seeded = full_has_seed[full.label_of(i) as usize];
+            let in_seeded = is_cover(full.label_of(i) as usize);
             prop_assert_eq!(seeded.is_covered(i), in_seeded);
             if !in_seeded {
                 prop_assert_eq!(seeded.label_of(i), Components::NO_LABEL);
             }
+            if seeds.contains(i) && full.size_of_agent(i) == 1 {
+                prop_assert!(!seeded.is_covered(i), "lone seed {} covered", i);
+            }
+        }
+    }
+
+    #[test]
+    fn all_seeded_labelling_equals_contact_labelling(
+        (positions, r, side) in arb_any_layout(),
+        coarse in arb_coarse_layout(),
+    ) {
+        // With every agent seeded, the seeded build covers exactly the
+        // components of two or more agents: the contact-only build's
+        // cover, label for label. Checked on a mixed layout and on a
+        // coarse r = 0 layout every case.
+        for (positions, r, side) in [(positions, r, side), coarse] {
+            let k = positions.len();
+            let mut all = BitSet::new(k);
+            all.set_all();
+            let hash = SpatialHash::build(&positions, r, side);
+            let (mut a, mut b) = (SeededScratch::new(), SeededScratch::new());
+            prop_assert_eq!(
+                components_from_seeds_on(&hash, &mut a, &positions, &all, r),
+                contact_components_on_by(&hash, &mut b, &positions, &UniformContact(r))
+            );
         }
     }
 

@@ -231,6 +231,8 @@ impl Broadcast {
         let mut fresh = 0;
         for c in 0..comps.count() {
             let members = comps.members(c);
+            // Only the `Full` scope hands out lone agents; the seeded
+            // build never labels one.
             if members.len() == 1 {
                 continue;
             }

@@ -22,9 +22,9 @@ pub struct StepContext<'a> {
     /// not need one ([`Observer::wants_full_components`] is `false`)
     /// *and* the process runs under a restricted scope. Under a
     /// [`Seeded`](crate::ComponentsScope::Seeded) scope only the
-    /// seed-containing components are labelled; under a
-    /// [`Contacts`](crate::ComponentsScope::Contacts) scope (gossip)
-    /// only the components of two or more agents are. Either way the
+    /// seed-containing components of two or more agents are labelled;
+    /// under a [`Contacts`](crate::ComponentsScope::Contacts) scope
+    /// (gossip) all components of two or more agents are. Either way the
     /// labelled components are identical to the full build's. The
     /// seeds are whatever the process declared for that step;
     /// broadcast declares the smaller side of its informed/uninformed

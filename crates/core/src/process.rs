@@ -129,9 +129,11 @@ impl SimScratch {
 ///
 /// Declaring anything but `Full` is a promise: the exchange (and
 /// [`on_placement`](Process::on_placement)) outcome must depend only on
-/// the components of `G_t(r)` that contain a set bit of the `Seeded`
-/// seed set, only on the components of two or more agents for
-/// `Contacts`, or on no components at all for `None`. For
+/// the components of two or more agents of `G_t(r)` that contain a set
+/// bit of the `Seeded` seed set, only on the components of two or more
+/// agents for `Contacts`, or on no components at all for `None`. Both
+/// restricted scopes share one rule, "no lone agents": a lone agent's
+/// exchange changes nothing, so neither labels it. For
 /// broadcast-style processes only components holding both an informed
 /// and an uninformed agent can change the informed set, so either side
 /// of that split keeps the `Seeded` promise.
@@ -153,10 +155,11 @@ impl SimScratch {
 pub enum ComponentsScope<'a> {
     /// The exchange consumes the entire partition.
     Full,
-    /// The exchange only reads components containing a set bit of the
-    /// given seed set. The set is the process's choice and may change
-    /// from step to step: broadcast passes whichever side of its
-    /// informed/uninformed split is smaller.
+    /// The exchange only reads components of two or more agents
+    /// containing a set bit of the given seed set; a lone seed is left
+    /// at [`Components::NO_LABEL`]. The set is the process's choice and
+    /// may change from step to step: broadcast passes whichever side of
+    /// its informed/uninformed split is smaller.
     Seeded(&'a BitSet),
     /// The exchange reads only components of two or more agents: the
     /// driver rebuilds the spatial hash and labels just the agents that
@@ -188,8 +191,8 @@ pub struct ExchangeCtx<'a> {
     /// Connected components of `G_t(r)` at these positions. Empty when
     /// the process opts out via [`Process::NEEDS_COMPONENTS`] or
     /// declares [`ComponentsScope::None`]; restricted to the
-    /// seed-containing components under an active
-    /// [`ComponentsScope::Seeded`] scope, and to the components of two
+    /// seed-containing components of two or more agents under an active
+    /// [`ComponentsScope::Seeded`] scope, and to all components of two
     /// or more agents under an active [`ComponentsScope::Contacts`]
     /// scope.
     pub components: &'a Components,

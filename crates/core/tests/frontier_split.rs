@@ -341,7 +341,7 @@ fn work_counts(side: u32, k: usize, radius: u32, seed: u64) -> (u64, u64) {
 fn smaller_side_seeding_labels_fewer_agents() {
     // Seed-pure: the totals depend only on the seed, so they are pinned
     // exactly. A change to the work must update them on purpose.
-    for (radius, pinned, pinned_informed_seeded) in [(0, 134_948, 285_854), (4, 64_241, 139_553)] {
+    for (radius, pinned, pinned_informed_seeded) in [(0, 1_056, 2_495), (4, 17_069, 40_324)] {
         let (frontier, informed_seeded) = work_counts(128, 128, radius, 11);
         assert_eq!(frontier, pinned, "r {radius}: covered agents");
         assert_eq!(
@@ -375,7 +375,7 @@ fn frog_frontier_path_labels_at_most_half_the_full_path() {
         observer.agents
     };
     let (frontier, full) = (labelled(false), labelled(true));
-    assert_eq!((frontier, full), (1_323, 19_200), "covered agents");
+    assert_eq!((frontier, full), (639, 19_200), "covered agents");
     assert!(
         2 * frontier <= full,
         "frontier {frontier} > full {full} / 2"

@@ -1,7 +1,8 @@
 //! The reach-0 referee on the walled world axis: seed-restricted
 //! labelling over a bucket-radius-0 spatial hash, under the world
 //! contact model with city-block walls, must equal the O(k²)
-//! brute-force partition on every seed-containing component.
+//! brute-force partition on every seed-containing component of two or
+//! more agents.
 
 use proptest::prelude::*;
 use sparsegossip_conngraph::{
@@ -43,16 +44,22 @@ fn assert_seeded_matches_brute<C: Contact>(
     for s in seeds.iter_ones() {
         full_has_seed[full.label_of(s) as usize] = true;
     }
-    let covered: Vec<usize> = (0..full.count()).filter(|&c| full_has_seed[c]).collect();
+    // The cover is every seed-containing component of two or more
+    // agents; a lone seed stays uncovered.
+    let is_cover = |c: usize| full_has_seed[c] && full.size(c) >= 2;
+    let covered: Vec<usize> = (0..full.count()).filter(|&c| is_cover(c)).collect();
     assert_eq!(seeded.count(), covered.len());
     for (sc, &fc) in covered.iter().enumerate() {
         assert_eq!(seeded.members(sc), full.members(fc));
     }
     for (i, p) in positions.iter().enumerate() {
-        let in_seeded = full_has_seed[full.label_of(i) as usize];
+        let in_seeded = is_cover(full.label_of(i) as usize);
         assert_eq!(seeded.is_covered(i), in_seeded, "agent {i} at {p}");
         if !in_seeded {
             assert_eq!(seeded.label_of(i), Components::NO_LABEL);
+        }
+        if seeds.contains(i) && full.size_of_agent(i) == 1 {
+            assert!(!seeded.is_covered(i), "lone seed {i} at {p} covered");
         }
     }
 }

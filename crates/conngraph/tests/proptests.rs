@@ -264,16 +264,13 @@ proptest! {
                 prop_assert_eq!(seeded.label_of(m as usize) as usize, sc);
             }
         }
-        // Uncovered agents carry the sentinel label; a lone seed is
-        // uncovered.
+        // Uncovered agents carry the sentinel label; `is_cover` leaves
+        // every lone seed uncovered.
         for i in 0..k {
             let in_seeded = is_cover(full.label_of(i) as usize);
             prop_assert_eq!(seeded.is_covered(i), in_seeded);
             if !in_seeded {
                 prop_assert_eq!(seeded.label_of(i), Components::NO_LABEL);
-            }
-            if seeds.contains(i) && full.size_of_agent(i) == 1 {
-                prop_assert!(!seeded.is_covered(i), "lone seed {} covered", i);
             }
         }
     }

@@ -58,9 +58,6 @@ fn assert_seeded_matches_brute<C: Contact>(
         if !in_seeded {
             assert_eq!(seeded.label_of(i), Components::NO_LABEL);
         }
-        if seeds.contains(i) && full.size_of_agent(i) == 1 {
-            assert!(!seeded.is_covered(i), "lone seed {i} at {p} covered");
-        }
     }
 }
 

@@ -634,6 +634,9 @@ fn percolation(args: &ParsedArgs) -> Result<(), CliError> {
     if args.has_option(option(RADIUS)) {
         eprintln!("note: --radius is ignored; percolation sweeps radii around r_c");
     }
+    if c.k == 0 {
+        return Err(bad("k", 0));
+    }
     let samples: u32 = args.get("samples", 30u32)?;
     if samples == 0 {
         return Err(bad("samples", 0));
@@ -1069,6 +1072,7 @@ mod tests {
     fn zero_counts_are_bad_values() {
         for (cmd, key) in [
             ("percolation --side 16 --k 8 --samples 0", "samples"),
+            ("percolation --side 16 --k 0", "k"),
             ("broadcast --side 12 --k 6 --reps 0", "reps"),
         ] {
             let e = dispatch(&parsed(cmd)).unwrap_err();

@@ -44,8 +44,8 @@ pub use percolation::{
     critical_radius, estimate_threshold, giant_fraction, percolation_profile, PercolationPoint,
 };
 pub use seeded::{
-    components_from_seeds, components_from_seeds_into, components_from_seeds_on,
-    components_from_seeds_on_by, contact_components_on_by, SeededScratch,
+    components_from_seeds, components_from_seeds_on, components_from_seeds_on_by,
+    contact_components_on_by, SeededScratch,
 };
 pub use spatial::SpatialHash;
 pub use stats::DegreeStats;

@@ -30,7 +30,7 @@
 use sparsegossip_grid::Point;
 use sparsegossip_walks::BitSet;
 
-use crate::{Components, ComponentsScratch, Contact, SpatialHash, UniformContact, UnionFind};
+use crate::{Components, Contact, SpatialHash, UniformContact, UnionFind};
 
 /// Reusable buffers for restricted labelling: the BFS queue, the
 /// union–find forest of the contact-only build, the covered-agent
@@ -342,36 +342,13 @@ pub fn contact_components_on_by<'a, C: Contact>(
 }
 
 /// Computes the seed-containing components of two or more agents of
-/// `G_t(r)` inside `scratch`, rebuilding the spatial hash from
-/// `positions` first — the seed-restricted counterpart of
-/// [`components_into`](crate::components_into).
-///
-/// See [`components_from_seeds_on`] for the equivalence contract; use
-/// that entry point directly to label over an incrementally maintained
-/// hash instead of rebuilding one.
-///
-/// # Panics
-///
-/// As [`components`](crate::components) and
-/// [`components_from_seeds_on`].
-pub fn components_from_seeds_into<'a>(
-    scratch: &'a mut ComponentsScratch,
-    positions: &[Point],
-    seeds: &BitSet,
-    r: u32,
-    side: u32,
-) -> &'a Components {
-    scratch.spatial.rebuild(positions, r, side);
-    components_from_seeds_on(&scratch.spatial, &mut scratch.seeded, positions, seeds, r)
-}
-
-/// Computes the seed-containing components of two or more agents of
 /// `G_t(r)`, allocating a fresh partition — the seed-restricted
 /// counterpart of [`components`](crate::components).
 ///
 /// # Panics
 ///
-/// As [`components_from_seeds_into`].
+/// Panics if `side == 0`, if any position lies outside the grid, or if
+/// `seeds.len() != positions.len()`.
 #[must_use]
 pub fn components_from_seeds(positions: &[Point], seeds: &BitSet, r: u32, side: u32) -> Components {
     let hash = SpatialHash::build(positions, r, side);

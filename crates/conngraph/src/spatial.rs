@@ -29,8 +29,7 @@ use sparsegossip_grid::Point;
 ///
 /// The simulator rebuilds its hash from the positions every step, on
 /// every labelling path. `apply_moves` (fed by the move log of
-/// `WalkEngine::step_all_into`) is kept for the benchmark replay and
-/// the `components` micro-benchmark only.
+/// `WalkEngine::step_all_into`) is kept for the benchmark replay only.
 ///
 /// # Examples
 ///

@@ -244,14 +244,11 @@ impl Components {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ComponentsScratch {
-    pub(crate) spatial: SpatialHash,
+    spatial: SpatialHash,
     uf: UnionFind,
     root_label: Vec<u32>,
     cursor: Vec<u32>,
     comps: Components,
-    /// Buffers for the seed-restricted labelling entry point
-    /// ([`components_from_seeds_into`](crate::components_from_seeds_into)).
-    pub(crate) seeded: crate::SeededScratch,
 }
 
 impl ComponentsScratch {
@@ -304,8 +301,9 @@ fn union_visible_by<C: Contact>(
 /// `r = 0` agents are adjacent only when co-located, matching the
 /// paper's most restricted case.
 ///
-/// Allocates a fresh partition per call; the per-step hot path uses
-/// [`components_into`] with a persistent [`ComponentsScratch`] instead.
+/// Allocates a fresh partition per call; the simulator's full path
+/// labels through [`components_into_by`] with a persistent
+/// [`ComponentsScratch`] instead.
 ///
 /// # Panics
 ///
@@ -365,7 +363,6 @@ pub fn components_into_by<'a, C: Contact>(
         root_label,
         cursor,
         comps,
-        seeded: _,
     } = scratch;
     spatial.rebuild(positions, bucket_radius, side);
     uf.reset_to(positions.len());
@@ -404,7 +401,6 @@ pub fn components_on_by<'a, C: Contact>(
         root_label,
         cursor,
         comps,
-        seeded: _,
     } = scratch;
     uf.reset_to(positions.len());
     union_visible_by(hash, positions, contact, uf);

@@ -7,31 +7,52 @@
 //! (an observer that demands the whole partition) for `Broadcast`,
 //! `Infection` and the Frog configuration, across multi-source starts,
 //! churn and speed classes, and for `Broadcast` and Frog also across
-//! city-block walls and heterogeneous radii. The seed-pure work counts
-//! pin how many agents the frontier path labels, for broadcast to `T_B`
-//! and over a window of a sub-critical Frog run.
+//! city-block walls and heterogeneous radii. Each step, the full path's
+//! partition must equal the brute-force referee under the same walls
+//! and radii. The seed-pure work counts pin how many agents the
+//! frontier path labels, for broadcast to `T_B` and over a window of a
+//! sub-critical Frog run.
 
 use core::ops::ControlFlow;
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sparsegossip_conngraph::{components_from_seeds_on_by, SeededScratch, SpatialHash};
-use sparsegossip_conngraph::{Components, UniformContact};
+use sparsegossip_conngraph::{components_brute_by, components_from_seeds_on_by, SeededScratch};
+use sparsegossip_conngraph::{Components, SpatialHash, UniformContact};
 use sparsegossip_core::{
     Broadcast, ComponentsScope, Infection, Mobility, NullObserver, Observer, Process, SimConfig,
-    SimScratch, Simulation, StepContext, WorldConfig, WorldGrid,
+    SimScratch, Simulation, StepContext, WorldConfig, WorldContact, WorldGrid,
 };
+use sparsegossip_grid::Topology;
 use sparsegossip_walks::BitSet;
 
 /// Step cap of the lockstep runs; churned runs may never complete.
 const MAX_STEPS: u64 = 120;
 
-/// Demands the full partition, forcing the driver's full path.
-struct FullView;
+/// Demands the full partition, forcing the driver's full path, and
+/// checks it each step against the brute-force referee under the case's
+/// whole contact model: radius, mixed radii and walls.
+struct FullView {
+    radius: u32,
+    radii: Option<Vec<u32>>,
+    topology: WorldGrid,
+}
 
 impl Observer for FullView {
-    fn on_step(&mut self, _ctx: StepContext<'_>) {}
+    fn on_step(&mut self, ctx: StepContext<'_>) {
+        let contact = WorldContact::new(
+            self.radius,
+            self.radii.as_deref(),
+            self.topology.radio_walls(),
+        );
+        assert_eq!(
+            ctx.components,
+            &components_brute_by(ctx.positions, &contact, ctx.side),
+            "full partition differs from brute force at t={}",
+            ctx.time
+        );
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -130,6 +151,11 @@ where
 {
     let (mut sparse, mut rng_s) = case.sim(make(), MAX_STEPS);
     let (mut full, mut rng_f) = case.sim(make(), MAX_STEPS);
+    let mut view = FullView {
+        radius: case.radius,
+        radii: case.world().radii(case.k, case.radius),
+        topology: full.topology().clone(),
+    };
     let mut crossings = Crossings::default();
     let mut above = 2 * informed(sparse.process()).count_ones() > case.k;
     assert_smaller_side(
@@ -138,7 +164,7 @@ where
     );
     while !sparse.is_complete() && sparse.time() < MAX_STEPS {
         let a = sparse.step(&mut rng_s, &mut NullObserver);
-        let b = full.step(&mut rng_f, &mut FullView);
+        let b = full.step(&mut rng_f, &mut view);
         assert_eq!(a, b, "{case:?}: flow at t={}", sparse.time());
         assert_eq!(sparse.positions(), full.positions(), "{case:?}");
         let (si, fi) = (informed(sparse.process()), informed(full.process()));

@@ -149,9 +149,8 @@ impl<T: Topology> WalkEngine<T> {
     ///
     /// Draw-for-draw identical to [`step_all`](WalkEngine::step_all).
     /// Benchmark-replay API: the simulator rebuilds its spatial hash
-    /// from positions every step; only the benchmark replay and the
-    /// `components` micro-benchmark feed this log to
-    /// `SpatialHash::apply_moves`.
+    /// from positions every step; only the benchmark replay feeds this
+    /// log to `SpatialHash::apply_moves`.
     // hot: census row `replay_steps_are_allocation_free`
     pub fn step_all_into<R: RngExt>(&mut self, rng: &mut R, moves: &mut Vec<(u32, Point, Point)>) {
         moves.clear();

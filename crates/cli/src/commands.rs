@@ -1,11 +1,11 @@
 //! Subcommand implementations.
 //!
-//! `broadcast`, `infection` and `coverage` build a [`ScenarioSpec`]
-//! from their options and run it through [`ScenarioSpec::run_outcome`],
-//! the path sweeps take; `gossip` and `protocol`, whose `--rumors` and
-//! `--workers` have no spec key, build their [`Simulation`] directly
-//! (`protocol` from a spec's parts). Every option that sets a spec key
-//! is that key's CLI spelling in [`SPEC_KEYS`], read by [`run_spec`].
+//! `broadcast`, `infection`, `coverage` and `protocol` build a
+//! [`ScenarioSpec`] from their options and run it through
+//! [`ScenarioSpec::run_outcome`], the path sweeps take; `gossip`, whose
+//! `--rumors` has no spec key, builds its [`Simulation`] directly.
+//! Every option that sets a spec key is that key's CLI spelling in
+//! [`SPEC_KEYS`], read by [`run_spec`].
 //! `--reps`/`--threads` route multi-seed ensembles through the
 //! [`Runner`], and `--json` emits machine-readable outcome lines so
 //! results are scriptable.
@@ -23,8 +23,8 @@ use sparsegossip_core::spec_key::{
 };
 use sparsegossip_core::{
     BroadcastOutcome, CoverageOutcome, ExtinctionOutcome, FaultConfig, Gossip, GossipOutcome,
-    InfectionOutcome, PredatorPrey, ProcessKind, ProtocolBroadcast, ProtocolOutcome, RuntimeError,
-    ScenarioOutcome, ScenarioSpec, SimConfig, Simulation, SpecError,
+    InfectionOutcome, PredatorPrey, ProcessKind, ProtocolOutcome, ScenarioOutcome, ScenarioSpec,
+    SimConfig, Simulation, SpecError,
 };
 use sparsegossip_grid::{Grid, Topology};
 use sparsegossip_walks::multi_cover;
@@ -63,7 +63,6 @@ COMMANDS:
                --crash P --restart-delay D (per-tick node crashes)
                --partition-start T --partition-len L (network partition)
                --retransmit --anti-entropy I (recovery layer)
-               --workers W (scheduler threads; never changes results)
   percolation  giant-component fraction around r_c = sqrt(n/k)
                --side N --k K --samples S --seed S
   cover        cover time of k independent walks
@@ -114,8 +113,6 @@ pub enum CliError {
     Spec(SpecError),
     /// The sweep result store failed (I/O, corruption, version).
     Store(StoreError),
-    /// The protocol runtime aborted mid-run (worker panic).
-    Runtime(RuntimeError),
     /// Unknown subcommand.
     UnknownCommand(String),
 }
@@ -129,7 +126,6 @@ impl fmt::Display for CliError {
             Self::Io { path, error } => write!(f, "cannot read {path:?}: {error}"),
             Self::Spec(e) => write!(f, "{e}"),
             Self::Store(e) => write!(f, "{e}"),
-            Self::Runtime(e) => write!(f, "{e}"),
             Self::UnknownCommand(c) => {
                 write!(f, "unknown command {c:?}; try `sparsegossip help`")
             }
@@ -207,13 +203,7 @@ pub fn dispatch(args: &ParsedArgs) -> Result<(), CliError> {
         // the sources with its own error.
         "infection" => (infection, RUN, &[World], &[&["seed"]], &["json"]),
         "coverage" => (coverage, RUN, &[], &[&["seed"]], &["json"]),
-        "protocol" => (
-            protocol,
-            RUN,
-            &[Network, Fault],
-            &[&["seed", "workers"]],
-            &["json"],
-        ),
+        "protocol" => (protocol, RUN, &[Network, Fault], &[&["seed"]], &["json"]),
         "percolation" => (
             percolation,
             &[SIDE, K, RADIUS],
@@ -413,7 +403,8 @@ fn run_header(spec: &ScenarioSpec, seeds: &str) -> String {
 }
 
 /// Prints the outcome of one run of `spec` at `seed`: its JSON line, or
-/// its text form (a broadcast leads with its run header).
+/// its text form (a broadcast leads with its run header, a protocol run
+/// with its network settings and ends with its message counters).
 fn print_outcome(spec: &ScenarioSpec, seed: u64, out: &ScenarioOutcome, json: bool) {
     if json {
         let line = match out {
@@ -445,7 +436,33 @@ fn print_outcome(spec: &ScenarioSpec, seed: u64, out: &ScenarioOutcome, json: bo
         }
         ScenarioOutcome::Gossip(o) => println!("{o}"),
         ScenarioOutcome::Infection(o) => println!("{o}"),
-        ScenarioOutcome::ProtocolBroadcast(o) => println!("{o}"),
+        ScenarioOutcome::ProtocolBroadcast(o) => {
+            let (cfg, net) = (spec.config(), spec.network());
+            println!(
+                "n = {}, k = {}, r = {} (r_c = {:.1}), seed = {seed}, drop = {}, \
+                 delay <= {}, cap = {}, interval = {}",
+                cfg.n(),
+                cfg.k(),
+                cfg.radius(),
+                cfg.critical_radius(),
+                net.drop_prob(),
+                net.delay_max(),
+                net.send_cap(),
+                net.gossip_interval()
+            );
+            println!("{o}");
+            let st = &o.stats;
+            println!(
+                "messages: {} sent, {} delivered, {} dropped; {} timer firings; log hash {:016x}",
+                st.sent, st.delivered, st.dropped, st.timers, o.log_hash
+            );
+            if !spec.faults().is_trivial() {
+                println!(
+                    "faults: {} crashes, {} restarts; recovery: {} retransmits, {} digests",
+                    st.crashes, st.restarts, st.retransmits, st.digests
+                );
+            }
+        }
     }
 }
 
@@ -579,53 +596,7 @@ fn protocol(args: &ParsedArgs) -> Result<(), CliError> {
     let c = common(args)?;
     let default_cap = SimConfig::default_step_cap(c.side, c.k);
     let spec = run_spec(args, ProcessKind::ProtocolBroadcast, &c, default_cap)?;
-    let workers: usize = args.get("workers", 1usize)?;
-    let (config, net, faults) = (spec.config(), *spec.network(), spec.faults());
-    let mut rng = SmallRng::seed_from_u64(c.seed);
-    let process = ProtocolBroadcast::from_config(config, net, c.seed)?
-        .workers(workers)
-        .faults(faults.to_plan())
-        .recovery(faults.to_recovery());
-    let mut sim = Simulation::new(
-        Grid::new(c.side)?,
-        config.k(),
-        config.radius(),
-        config.max_steps(),
-        process,
-        &mut rng,
-    )?;
-    let out = sim.run(&mut rng);
-    if let Some(err) = out.error {
-        return Err(CliError::Runtime(err));
-    }
-    if c.json {
-        println!("{}", protocol_json(&out, faults));
-        return Ok(());
-    }
-    println!(
-        "n = {}, k = {}, r = {} (r_c = {:.1}), seed = {}, drop = {}, \
-         delay <= {}, cap = {}, interval = {}",
-        config.n(),
-        config.k(),
-        config.radius(),
-        config.critical_radius(),
-        c.seed,
-        net.drop_prob(),
-        net.delay_max(),
-        net.send_cap(),
-        net.gossip_interval()
-    );
-    println!("{out}");
-    println!(
-        "messages: {} sent, {} delivered, {} dropped; {} timer firings; log hash {:016x}",
-        out.stats.sent, out.stats.delivered, out.stats.dropped, out.stats.timers, out.log_hash
-    );
-    if !faults.is_trivial() {
-        println!(
-            "faults: {} crashes, {} restarts; recovery: {} retransmits, {} digests",
-            out.stats.crashes, out.stats.restarts, out.stats.retransmits, out.stats.digests
-        );
-    }
+    print_outcome(&spec, c.seed, &spec.run_outcome(c.seed), c.json);
     Ok(())
 }
 
@@ -665,6 +636,9 @@ fn percolation(args: &ParsedArgs) -> Result<(), CliError> {
 fn cover(args: &ParsedArgs) -> Result<(), CliError> {
     let c = common(args)?;
     let cap: u64 = args.get("cap", 200 * u64::from(c.side) * u64::from(c.side))?;
+    if cap == 0 {
+        return Err(bad("cap", 0));
+    }
     let grid = Grid::new(c.side)?;
     let mut rng = SmallRng::seed_from_u64(c.seed);
     let run = multi_cover(grid, c.k, cap, &mut rng)?;
@@ -684,9 +658,10 @@ fn predator(args: &ParsedArgs) -> Result<(), CliError> {
     let preys: usize = args.get("preys", 8usize)?;
     let cap = 500 * u64::from(c.side) * u64::from(c.side);
     if predators == 0 {
-        return Err(CliError::Sim(sparsegossip_core::SimError::TooFewAgents {
-            k: predators,
-        }));
+        return Err(bad("predators", 0));
+    }
+    if preys == 0 {
+        return Err(bad("preys", 0));
     }
     let grid = Grid::new(c.side)?;
     let mut rng = SmallRng::seed_from_u64(c.seed);
@@ -892,12 +867,12 @@ mod tests {
             "protocol --side 12 --k 6 --radius 2 --seed 1",
             "protocol --side 12 --k 6 --radius 2 --seed 1 --json",
             "protocol --side 12 --k 6 --radius 2 --drop 0.3 --delay 1 --cap 2 --interval 2 \
-             --workers 2 --seed 1",
+             --seed 1",
             "protocol --side 12 --k 6 --radius 2 --crash 0.05 --restart-delay 2 --seed 1",
             "protocol --side 12 --k 6 --radius 2 --partition-start 3 --partition-len 5 \
              --anti-entropy 4 --seed 1",
             "protocol --side 12 --k 6 --radius 2 --drop 0.3 --crash 0.02 --retransmit \
-             --anti-entropy 2 --workers 2 --seed 1 --json",
+             --anti-entropy 2 --seed 1 --json",
             "percolation --side 16 --k 8 --samples 3 --seed 1",
             "cover --side 8 --k 4 --seed 1",
             "predator --side 10 --predators 4 --preys 3 --seed 1",
@@ -1074,6 +1049,9 @@ mod tests {
             ("percolation --side 16 --k 8 --samples 0", "samples"),
             ("percolation --side 16 --k 0", "k"),
             ("broadcast --side 12 --k 6 --reps 0", "reps"),
+            ("cover --side 8 --k 2 --cap 0", "cap"),
+            ("predator --side 8 --predators 4 --preys 0", "preys"),
+            ("predator --side 8 --predators 0 --preys 2", "predators"),
         ] {
             let e = dispatch(&parsed(cmd)).unwrap_err();
             assert!(
@@ -1181,8 +1159,6 @@ mod tests {
         let e = dispatch(&parsed("broadcast --side 0 --k 4")).unwrap_err();
         assert!(e.to_string().contains("grid"));
         let e = dispatch(&parsed("broadcast --side 8 --k 1")).unwrap_err();
-        assert!(e.to_string().contains("agents"));
-        let e = dispatch(&parsed("predator --side 8 --predators 0 --preys 2")).unwrap_err();
         assert!(e.to_string().contains("agents"));
         let e = dispatch(&parsed("protocol --side 8 --k 4 --drop 1.5")).unwrap_err();
         assert!(matches!(e, CliError::Args(ArgError::BadValue { .. })));

@@ -105,6 +105,20 @@ fn run_command_text_goldens() {
         "coverage --side 10 --k 6 --seed 1",
         "T_B = 305\nT_C = 349 (100/100 nodes)\nT_C/T_B = 1.14\n",
     );
+    assert_golden(
+        "protocol --side 12 --k 6 --radius 2 --seed 1",
+        "n = 144, k = 6, r = 2 (r_c = 4.9), seed = 1, drop = 0, delay <= 0, cap = 0, interval = 1\n\
+         protocol broadcast completed at tick 50\n\
+         messages: 14 sent, 14 delivered, 0 dropped; 175 timer firings; log hash e50ff5335a1b1ed4\n",
+    );
+    assert_golden(
+        "protocol --side 12 --k 6 --radius 2 --seed 1 --drop 0.3 --crash 0.05 --restart-delay 2 \
+         --retransmit --anti-entropy 2",
+        "n = 144, k = 6, r = 2 (r_c = 4.9), seed = 1, drop = 0.3, delay <= 0, cap = 0, interval = 1\n\
+         protocol broadcast completed at tick 226\n\
+         messages: 323 sent, 202 delivered, 121 dropped; 453 timer firings; log hash af5a5ac374b54b86\n\
+         faults: 45 crashes, 45 restarts; recovery: 8 retransmits, 239 digests\n",
+    );
 }
 
 #[test]
@@ -227,35 +241,6 @@ fn protocol_twin_matches_broadcast_golden() {
         "broadcast --side 12 --k 6 --radius 2 --seed 1 --json",
         "{\"process\":\"broadcast\",\"broadcast_time\":50,\"informed\":6,\"k\":6}\n",
     );
-}
-
-#[test]
-fn protocol_worker_count_never_changes_output() {
-    let reference = run(&[
-        "protocol", "--side", "12", "--k", "6", "--radius", "2", "--seed", "3", "--drop", "0.25",
-        "--json",
-    ]);
-    assert!(reference.2, "reference run failed: {}", reference.1);
-    for workers in ["2", "8"] {
-        let out = run(&[
-            "protocol",
-            "--side",
-            "12",
-            "--k",
-            "6",
-            "--radius",
-            "2",
-            "--seed",
-            "3",
-            "--drop",
-            "0.25",
-            "--workers",
-            workers,
-            "--json",
-        ]);
-        assert!(out.2, "workers={workers} run failed: {}", out.1);
-        assert_eq!(out.0, reference.0, "workers={workers} changed the output");
-    }
 }
 
 const SWEEP_SPEC: &str = "[scenario]\n\

@@ -104,6 +104,6 @@ pub use scenario::{
 };
 pub use sparsegossip_protocol::{
     FaultError, FaultPlan, NetworkConfig, NetworkError, PartitionSchedule, PartitionWindow,
-    RecoveryConfig, RuntimeError, RuntimeStats,
+    RecoveryConfig, RuntimeStats,
 };
 pub use world::{WorldConfig, WorldContact, WorldGrid};

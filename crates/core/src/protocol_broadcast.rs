@@ -13,14 +13,13 @@
 //! trajectory when given the same seed; all protocol-level randomness
 //! (loss, delay) lives in the runtime's private per-node streams.
 
+use core::convert::Infallible;
 use core::fmt;
 use core::ops::ControlFlow;
 
 use rand::RngExt;
 use sparsegossip_grid::Grid;
-use sparsegossip_protocol::{
-    FaultPlan, NetworkConfig, NodeRuntime, RecoveryConfig, RuntimeError, RuntimeStats,
-};
+use sparsegossip_protocol::{FaultPlan, NetworkConfig, NodeRuntime, RecoveryConfig, RuntimeStats};
 use sparsegossip_walks::BitSet;
 
 use crate::process::{ComponentsScope, ExchangeCtx, Process, SimScratch, Simulation};
@@ -52,7 +51,6 @@ use crate::{SimConfig, SimError};
 pub struct ProtocolBroadcast {
     runtime: NodeRuntime,
     k: usize,
-    error: Option<RuntimeError>,
 }
 
 impl ProtocolBroadcast {
@@ -75,9 +73,8 @@ impl ProtocolBroadcast {
             return Err(SimError::SourceOutOfRange { source, k });
         }
         Ok(Self {
-            runtime: NodeRuntime::new(k, source, net, protocol_seed, 1),
+            runtime: NodeRuntime::new(k, source, net, protocol_seed),
             k,
-            error: None,
         })
     }
 
@@ -92,14 +89,6 @@ impl ProtocolBroadcast {
         protocol_seed: u64,
     ) -> Result<Self, SimError> {
         Self::new(config.k(), config.source(), net, protocol_seed)
-    }
-
-    /// Sets the scheduler worker-thread count (`≥ 1`). Purely a
-    /// wall-clock knob: results are identical for every value.
-    #[must_use]
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.runtime.set_workers(workers);
-        self
     }
 
     /// Enables full event-record keeping (the log hash is always on).
@@ -151,19 +140,13 @@ impl Process for ProtocolBroadcast {
     }
 
     fn exchange(&mut self, ctx: ExchangeCtx<'_>) -> ControlFlow<()> {
-        match self
+        if self
             .runtime
             .tick(ctx.time, ctx.positions, ctx.radius, ctx.side)
         {
-            Ok(true) => ControlFlow::Break(()),
-            Ok(false) => ControlFlow::Continue(()),
-            Err(e) => {
-                // The runtime is unusable; end the run and surface the
-                // failure on the outcome instead of panicking the
-                // driver.
-                self.error = Some(e);
-                ControlFlow::Break(())
-            }
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
         }
     }
 
@@ -178,7 +161,7 @@ impl Process for ProtocolBroadcast {
             k: self.k,
             stats: *self.runtime.stats(),
             log_hash: self.runtime.log().hash(),
-            error: self.error,
+            error: None,
         }
     }
 }
@@ -198,8 +181,9 @@ pub struct ProtocolOutcome {
     /// Rolling hash of the full event log — byte-reproducibility in
     /// one comparable word.
     pub log_hash: u64,
-    /// A runtime failure that aborted the run (worker panic), if any.
-    pub error: Option<RuntimeError>,
+    /// Always `None`: a run cannot fail once built. The field stays
+    /// while the benchmark harness still reads it.
+    pub error: Option<Infallible>,
 }
 
 impl ProtocolOutcome {
@@ -328,31 +312,6 @@ mod tests {
             assert_eq!(out.completion_time, sim_time, "seed {seed}");
             assert!(out.completed());
             assert_eq!(out.informed_fraction(), 1.0);
-        }
-    }
-
-    #[test]
-    fn runs_reproduce_and_ignore_worker_count() {
-        let config = SimConfig::builder(20, 6).radius(2).build().unwrap();
-        let run = |workers: usize| {
-            let mut rng = SmallRng::seed_from_u64(3);
-            let process = ProtocolBroadcast::from_config(&config, NetworkConfig::IDEAL, 3)
-                .unwrap()
-                .workers(workers);
-            let mut sim = Simulation::new(
-                Grid::new(config.side()).unwrap(),
-                config.k(),
-                config.radius(),
-                config.max_steps(),
-                process,
-                &mut rng,
-            )
-            .unwrap();
-            sim.run(&mut rng)
-        };
-        let reference = run(1);
-        for workers in [1usize, 2, 8] {
-            assert_eq!(run(workers), reference, "workers = {workers}");
         }
     }
 

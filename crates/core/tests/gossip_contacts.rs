@@ -5,14 +5,20 @@
 //! flag and the outcome — for full and partial rumor populations across
 //! radii below and above the percolation point. The maintained
 //! completion count, and the step's `Break`, must equal a brute-force
-//! scan after every exchange.
+//! scan after every exchange. The same lockstep runs on worlds with
+//! city-block walls and mixed contact radii, where the full path's
+//! partition must also equal the brute-force referee at every step.
 
 use core::ops::ControlFlow;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sparsegossip_core::{Gossip, Observer, RumorSets, Simulation, StepContext};
-use sparsegossip_grid::Grid;
+use sparsegossip_conngraph::components_brute_by;
+use sparsegossip_core::{
+    Gossip, Observer, RumorSets, SimScratch, Simulation, StepContext, WorldConfig, WorldContact,
+    WorldGrid,
+};
+use sparsegossip_grid::{Grid, Topology};
 
 const SIDE: u32 = 32;
 const K: usize = 16;
@@ -24,6 +30,31 @@ struct FullView;
 
 impl Observer for FullView {
     fn on_step(&mut self, _ctx: StepContext<'_>) {}
+}
+
+/// Demands the full partition, like [`FullView`], and checks it each
+/// step against the brute-force referee under the world's radius, mixed
+/// radii and walls.
+struct RefereeView {
+    radius: u32,
+    radii: Option<Vec<u32>>,
+    topology: WorldGrid,
+}
+
+impl Observer for RefereeView {
+    fn on_step(&mut self, ctx: StepContext<'_>) {
+        let contact = WorldContact::new(
+            self.radius,
+            self.radii.as_deref(),
+            self.topology.radio_walls(),
+        );
+        assert_eq!(
+            ctx.components,
+            &components_brute_by(ctx.positions, &contact, ctx.side),
+            "full partition differs from brute force at t={}",
+            ctx.time
+        );
+    }
 }
 
 /// Accepts a restricted partition, so gossip takes the contact-only
@@ -67,6 +98,27 @@ fn sim(process: Gossip, radius: u32, seed: u64) -> (Simulation<Gossip, Grid>, Sm
     (sim, rng)
 }
 
+fn world_sim(
+    process: Gossip,
+    radius: u32,
+    world: &WorldConfig,
+    seed: u64,
+) -> (Simulation<Gossip, WorldGrid>, SmallRng) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let sim = Simulation::new_in_world_with_scratch(
+        SIDE,
+        K,
+        radius,
+        MAX_STEPS,
+        process,
+        world,
+        &mut rng,
+        SimScratch::new(),
+    )
+    .unwrap();
+    (sim, rng)
+}
+
 fn counts(sets: &RumorSets) -> Vec<usize> {
     (0..sets.k()).map(|a| sets.count(a)).collect()
 }
@@ -75,39 +127,85 @@ fn scanned_complete(sets: &RumorSets) -> bool {
     (0..sets.k()).all(|a| sets.count(a) == sets.num_rumors())
 }
 
+/// Steps the contact path (`contact`, under a [`ContactView`]) and the
+/// full path (`full`, under `view`) in lockstep, comparing rumor counts,
+/// completion and outcome before every step, and flow and positions
+/// after it.
+fn lockstep<T: Topology>(
+    case: &str,
+    (mut contact, mut rng_c): (Simulation<Gossip, T>, SmallRng),
+    (mut full, mut rng_f): (Simulation<Gossip, T>, SmallRng),
+    view: &mut impl Observer,
+) {
+    let mut contact_view = ContactView::default();
+    loop {
+        let (c, f) = (contact.process(), full.process());
+        let (cs, fs) = (c.rumor_sets(), f.rumor_sets());
+        assert_eq!(counts(cs), counts(fs), "{case} t={}", contact.time());
+        assert_eq!(cs.all_complete(), fs.all_complete());
+        assert_eq!(cs.all_complete(), scanned_complete(cs));
+        assert_eq!(fs.all_complete(), scanned_complete(fs));
+        assert_eq!(contact.outcome(), full.outcome());
+        if contact.is_complete() || contact.time() >= MAX_STEPS {
+            break;
+        }
+        let flow_c = contact.step(&mut rng_c, &mut contact_view);
+        let flow_f = full.step(&mut rng_f, view);
+        assert_eq!(flow_c, flow_f, "{case} t={}", contact.time());
+        assert_eq!(
+            flow_c == ControlFlow::Break(()),
+            scanned_complete(contact.process().rumor_sets())
+        );
+        assert_eq!(contact.positions(), full.positions());
+    }
+    assert_eq!(contact.is_complete(), full.is_complete());
+    assert!(
+        !contact_view.saw_singleton,
+        "{case}: a lone agent was labelled"
+    );
+}
+
 #[test]
 fn contact_path_matches_full_path_at_every_step() {
     for (name, make) in rumor_processes() {
         for r in RADII {
             let seed = 40 + u64::from(r);
-            let (mut contact, mut rng_c) = sim(make(), r, seed);
-            let (mut full, mut rng_f) = sim(make(), r, seed);
-            let mut view = ContactView::default();
-            loop {
-                let (c, f) = (contact.process(), full.process());
-                let (cs, fs) = (c.rumor_sets(), f.rumor_sets());
-                assert_eq!(counts(cs), counts(fs), "{name} r={r} t={}", contact.time());
-                assert_eq!(cs.all_complete(), fs.all_complete());
-                assert_eq!(cs.all_complete(), scanned_complete(cs));
-                assert_eq!(fs.all_complete(), scanned_complete(fs));
-                assert_eq!(contact.outcome(), full.outcome());
-                if contact.is_complete() || contact.time() >= MAX_STEPS {
-                    break;
-                }
-                let flow_c = contact.step(&mut rng_c, &mut view);
-                let flow_f = full.step(&mut rng_f, &mut FullView);
-                assert_eq!(flow_c, flow_f, "{name} r={r} t={}", contact.time());
-                assert_eq!(
-                    flow_c == ControlFlow::Break(()),
-                    scanned_complete(contact.process().rumor_sets())
-                );
-                assert_eq!(contact.positions(), full.positions());
-            }
-            assert_eq!(contact.is_complete(), full.is_complete());
-            assert!(
-                !view.saw_singleton,
-                "{name} r={r}: a lone agent was labelled"
+            let case = format!("{name} r={r}");
+            lockstep(
+                &case,
+                sim(make(), r, seed),
+                sim(make(), r, seed),
+                &mut FullView,
             );
+        }
+    }
+}
+
+#[test]
+fn contact_path_matches_full_path_on_walled_and_mixed_radius_worlds() {
+    // Churn stays out: `Gossip` cannot reset an agent.
+    for barrier_density in [0.0, 0.3] {
+        for (hetero_fraction, hetero_factor) in [(0.0, 1.0), (0.5, 2.0)] {
+            let world = WorldConfig {
+                barrier_density,
+                hetero_fraction,
+                hetero_factor,
+                ..WorldConfig::DEFAULT
+            };
+            for (name, make) in rumor_processes() {
+                for r in RADII {
+                    let seed = 60 + u64::from(r);
+                    let full = world_sim(make(), r, &world, seed);
+                    let mut view = RefereeView {
+                        radius: r,
+                        radii: world.radii(K, r),
+                        topology: full.0.topology().clone(),
+                    };
+                    let case =
+                        format!("{name} r={r} walls {barrier_density} hetero {hetero_fraction}");
+                    lockstep(&case, world_sim(make(), r, &world, seed), full, &mut view);
+                }
+            }
         }
     }
 }

@@ -14,8 +14,7 @@ pub const PARTITION_SALT: u64 = 0x7061_7274_6974_696F;
 /// blocked.
 ///
 /// Side membership is a pure hash of `(start, node)` — no RNG stream is
-/// consumed, so enabling a partition never perturbs any other draw and
-/// the split is identical for every worker count.
+/// consumed, so enabling a partition never perturbs any other draw.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PartitionWindow {
     /// First tick of the window (inclusive).
@@ -110,8 +109,8 @@ impl PartitionSchedule {
 ///
 /// Crash draws come from the existing per-node RNG streams (one draw
 /// per node per tick whenever `crash_prob > 0`, regardless of the
-/// node's up/down state), so worker count stays invisible and crash
-/// realizations are identical across recovery configurations. With
+/// node's up/down state), so crash realizations are identical across
+/// recovery configurations. With
 /// [`FaultPlan::NONE`] no fault draw is ever made and the runtime is
 /// event-log-hash-identical to the fault-free build.
 ///

@@ -27,8 +27,7 @@
 //! Scheduling is a seeded discrete-event loop over logical ticks and
 //! intra-tick rounds with canonical event ordering; node randomness
 //! comes from per-node RNG streams derived via
-//! [`sparsegossip_walks::derive_seed`]. Runs are byte-reproducible and
-//! independent of the configured scheduler worker-thread count — the
+//! [`sparsegossip_walks::derive_seed`]. Runs are byte-reproducible — the
 //! [`EventLog`]'s rolling hash makes that cheap to assert.
 //!
 //! # Examples
@@ -40,8 +39,8 @@
 //! use sparsegossip_protocol::{NetworkConfig, NodeRuntime};
 //!
 //! let positions = vec![Point::new(0, 0), Point::new(1, 0), Point::new(2, 0)];
-//! let mut runtime = NodeRuntime::new(3, 0, NetworkConfig::IDEAL, 42, 1);
-//! assert!(runtime.tick(0, &positions, 1, 8).expect("no worker panicked"));
+//! let mut runtime = NodeRuntime::new(3, 0, NetworkConfig::IDEAL, 42);
+//! assert!(runtime.tick(0, &positions, 1, 8));
 //! assert_eq!(runtime.completed_at(), Some(0));
 //! ```
 
@@ -58,4 +57,4 @@ pub use fault::{
 };
 pub use message::{Envelope, Event, EventLog, Payload};
 pub use network::{NetworkConfig, NetworkError};
-pub use runtime::{NodeRuntime, RuntimeError, RuntimeStats, NODE_STREAM_SALT};
+pub use runtime::{NodeRuntime, RuntimeStats, NODE_STREAM_SALT};

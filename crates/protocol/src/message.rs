@@ -92,8 +92,7 @@ impl Envelope {
 ///
 /// The log pins the complete observable behavior of a run — timer
 /// firings and every send, drop, and delivery in scheduling order — so
-/// snapshot tests can assert byte-identical replay across reruns and
-/// scheduler worker counts.
+/// snapshot tests can assert byte-identical replay across reruns.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Event {
     /// A node's `StartGossip` timer fired.

@@ -1,4 +1,3 @@
-use core::fmt;
 use core::mem;
 
 use rand::rngs::SmallRng;
@@ -39,24 +38,6 @@ pub struct RuntimeStats {
     /// Anti-entropy digests sent (timer digests and digest replies).
     pub digests: u64,
 }
-
-/// Why a tick could not complete.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RuntimeError {
-    /// A send-phase worker thread panicked; the runtime's state is no
-    /// longer trustworthy and the run must be abandoned.
-    SendWorkerPanicked,
-}
-
-impl fmt::Display for RuntimeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::SendWorkerPanicked => write!(f, "a send-phase worker thread panicked"),
-        }
-    }
-}
-
-impl std::error::Error for RuntimeError {}
 
 /// One unacked `Gossip` offer remembered for retransmission.
 #[derive(Clone, Copy, Debug)]
@@ -116,7 +97,7 @@ struct SendAction {
 /// All scheduling is by logical (tick, round) order with canonical
 /// within-round sorting, and all randomness comes from per-node
 /// [`SmallRng`] streams derived via [`derive_seed`] — runs are
-/// byte-reproducible and independent of the worker-thread count.
+/// byte-reproducible.
 ///
 /// A tick proceeds in *rounds*: messages sent with zero delay are
 /// delivered in the next round of the same tick, so on an ideal network
@@ -133,7 +114,6 @@ pub struct NodeRuntime {
     net: NetworkConfig,
     fault: FaultPlan,
     recovery: RecoveryConfig,
-    workers: usize,
     source: u32,
     nodes: Vec<NodeState>,
     /// Mirror of the per-node `informed` flags, for cheap iteration.
@@ -157,8 +137,6 @@ pub struct NodeRuntime {
     offsets: Vec<usize>,
     log: EventLog,
     stats: RuntimeStats,
-    #[cfg(test)]
-    force_worker_panic: bool,
 }
 
 impl NodeRuntime {
@@ -166,14 +144,13 @@ impl NodeRuntime {
     ///
     /// `seed` roots every node's private RNG stream
     /// (`derive_seed(seed ^ NODE_STREAM_SALT, node)`); it may safely
-    /// equal the mobility seed. `workers` is the scheduler thread
-    /// count — it never affects results, only wall-clock time.
+    /// equal the mobility seed.
     ///
     /// # Panics
     ///
     /// Panics if `source >= k` (callers validate agent counts).
     #[must_use]
-    pub fn new(k: usize, source: usize, net: NetworkConfig, seed: u64, workers: usize) -> Self {
+    pub fn new(k: usize, source: usize, net: NetworkConfig, seed: u64) -> Self {
         assert!(source < k, "source {source} out of range for k = {k}");
         let nodes = (0..k)
             .map(|i| NodeState {
@@ -194,7 +171,6 @@ impl NodeRuntime {
             net,
             fault: FaultPlan::NONE,
             recovery: RecoveryConfig::OFF,
-            workers: workers.max(1),
             source: source as u32,
             nodes,
             informed,
@@ -211,21 +187,7 @@ impl NodeRuntime {
             offsets: Vec::new(),
             log: EventLog::new(false),
             stats: RuntimeStats::default(),
-            #[cfg(test)]
-            force_worker_panic: false,
         }
-    }
-
-    /// Sets the scheduler worker-thread count (`≥ 1`; results are
-    /// identical for every value).
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
-
-    /// The configured worker-thread count.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Installs a fault plan. With [`FaultPlan::NONE`] (the default)
@@ -336,28 +298,17 @@ impl NodeRuntime {
     /// the walkers at `positions` and visibility radius `radius` on a
     /// `side × side` grid. Returns whether the broadcast is complete.
     ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::SendWorkerPanicked`] if a send-phase worker
-    /// thread panicked; the runtime must then be abandoned.
-    ///
     /// # Panics
     ///
     /// Panics if `positions.len()` differs from the node count.
-    pub fn tick(
-        &mut self,
-        time: u64,
-        positions: &[Point],
-        radius: u32,
-        side: u32,
-    ) -> Result<bool, RuntimeError> {
+    pub fn tick(&mut self, time: u64, positions: &[Point], radius: u32, side: u32) -> bool {
         assert_eq!(
             positions.len(),
             self.nodes.len(),
             "position count must match node count"
         );
         if self.completed_at.is_some() {
-            return Ok(true);
+            return true;
         }
         self.rebuild_adjacency(positions, radius, side);
         self.fault_phase(time);
@@ -422,7 +373,7 @@ impl NodeRuntime {
             // others' eligible peer sets can only have shrunk).
             if gossip_tick {
                 if round == 0 {
-                    self.send_phase_all(time)?;
+                    self.send_phase_all(time);
                 } else {
                     self.send_phase_fresh(time);
                 }
@@ -448,13 +399,13 @@ impl NodeRuntime {
         if self.informed_count == self.nodes.len() {
             self.completed_at = Some(time);
         }
-        Ok(self.completed_at.is_some())
+        self.completed_at.is_some()
     }
 
     /// The crash/restart phase, run at tick start before any delivery.
     /// When `crash_prob > 0` every node consumes exactly one crash draw
     /// per tick — up or down, source or not — so crash realizations
-    /// are identical across recovery configurations and worker counts.
+    /// are identical across recovery configurations.
     /// The source is exempt from crashing (the rumor itself must
     /// survive, as in the paper's model); down nodes restart once
     /// `down_until` is reached, still state-less.
@@ -698,74 +649,20 @@ impl NodeRuntime {
     }
 
     /// Round-0 send phase: every informed node offers the rumor to its
-    /// eligible neighbors. This is the only phase that fans out across
-    /// worker threads — each node's sends depend only on its own state
-    /// and RNG plus the shared read-only adjacency, and the per-chunk
-    /// results are concatenated in node order, so the outcome is
-    /// identical for every worker count.
-    fn send_phase_all(&mut self, time: u64) -> Result<(), RuntimeError> {
+    /// eligible neighbors, in node order.
+    fn send_phase_all(&mut self, time: u64) {
         self.actions.clear();
-        let net = self.net;
-        let rec = self.recovery;
-        let neighbors = &self.neighbors;
-        let offsets = &self.offsets;
-        let workers = self.workers.min(self.nodes.len()).max(1);
-        if workers == 1 {
-            for (i, node) in self.nodes.iter_mut().enumerate() {
-                if node.informed {
-                    let nb = &neighbors[offsets[i]..offsets[i + 1]];
-                    node_sends(node, i as u32, nb, net, rec, time, &mut self.actions);
-                }
-            }
-            return Ok(());
-        }
-        #[cfg(test)]
-        let force_panic = self.force_worker_panic;
-        let chunk = self.nodes.len().div_ceil(workers);
-        let chunk_results: Vec<Option<Vec<SendAction>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .nodes
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(ci, nodes)| {
-                    scope.spawn(move || {
-                        #[cfg(test)]
-                        assert!(!force_panic, "test-injected worker panic");
-                        let base = ci * chunk;
-                        let mut out = Vec::new();
-                        for (off, node) in nodes.iter_mut().enumerate() {
-                            if node.informed {
-                                let i = base + off;
-                                let nb = &neighbors[offsets[i]..offsets[i + 1]];
-                                node_sends(node, i as u32, nb, net, rec, time, &mut out);
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            // Join *every* handle before the scope ends: an unjoined
-            // panicked thread re-panics the scope itself, whereas a
-            // joined one surfaces here as `None` and becomes a typed
-            // error the caller can propagate.
-            handles.into_iter().map(|h| h.join().ok()).collect()
-        });
-        let mut panicked = false;
-        for part in chunk_results {
-            match part {
-                Some(mut p) => self.actions.append(&mut p),
-                None => panicked = true,
+        let (net, rec) = (self.net, self.recovery);
+        for (i, node) in self.nodes.iter_mut().enumerate() {
+            if node.informed {
+                let nb = &self.neighbors[self.offsets[i]..self.offsets[i + 1]];
+                node_sends(node, i as u32, nb, net, rec, time, &mut self.actions);
             }
         }
-        if panicked {
-            self.actions.clear();
-            return Err(RuntimeError::SendWorkerPanicked);
-        }
-        Ok(())
     }
 
     /// Later-round send phase: only nodes informed during the round
-    /// just delivered flood further (sequential — `fresh` is tiny).
+    /// just delivered flood further.
     fn send_phase_fresh(&mut self, time: u64) {
         let net = self.net;
         let rec = self.recovery;
@@ -953,7 +850,7 @@ mod tests {
         max_ticks: u64,
     ) -> Option<u64> {
         for t in 0..max_ticks {
-            if rt.tick(t, positions, radius, side).expect("tick runs") {
+            if rt.tick(t, positions, radius, side) {
                 return rt.completed_at();
             }
         }
@@ -989,7 +886,7 @@ mod tests {
             // edge, offset and neighbor buffers are reused across
             // geometries and graph sizes.
             let k = ticks[0].0.len();
-            let mut rt = NodeRuntime::new(k, 0, NetworkConfig::IDEAL, 1, 1);
+            let mut rt = NodeRuntime::new(k, 0, NetworkConfig::IDEAL, 1);
             for (positions, r, side) in &ticks {
                 rt.rebuild_adjacency(positions, *r, *side);
                 prop_assert_eq!(rt.offsets.len(), k + 1);
@@ -1019,7 +916,7 @@ mod tests {
                 .map(|w| rt.neighbors[w[0]..w[1]].to_vec())
                 .collect()
         };
-        let mut rt = NodeRuntime::new(5, 0, NetworkConfig::IDEAL, 1, 1);
+        let mut rt = NodeRuntime::new(5, 0, NetworkConfig::IDEAL, 1);
         rt.rebuild_adjacency(&positions, 0, 4);
         let stacks: [&[u32]; 5] = [&[2, 3], &[], &[0, 3], &[0, 2], &[]];
         assert_eq!(rows(&rt), stacks);
@@ -1038,7 +935,7 @@ mod tests {
     #[test]
     fn ideal_network_floods_a_component_in_one_tick() {
         let positions = line(5, 1);
-        let mut rt = NodeRuntime::new(5, 0, NetworkConfig::IDEAL, 7, 1);
+        let mut rt = NodeRuntime::new(5, 0, NetworkConfig::IDEAL, 7);
         let done = run_static(&mut rt, &positions, 1, 16, 10);
         assert_eq!(done, Some(0), "a connected line floods at placement");
         assert_eq!(rt.informed_count(), 5);
@@ -1051,7 +948,7 @@ mod tests {
     #[test]
     fn disconnected_nodes_stay_uninformed() {
         let positions = line(3, 10);
-        let mut rt = NodeRuntime::new(3, 1, NetworkConfig::IDEAL, 7, 1);
+        let mut rt = NodeRuntime::new(3, 1, NetworkConfig::IDEAL, 7);
         let done = run_static(&mut rt, &positions, 1, 64, 5);
         assert_eq!(done, None);
         assert_eq!(rt.informed_count(), 1);
@@ -1063,7 +960,7 @@ mod tests {
     fn total_loss_never_informs_anyone() {
         let positions = line(4, 1);
         let net = NetworkConfig::new(1.0, 0, 0, 1).unwrap();
-        let mut rt = NodeRuntime::new(4, 0, net, 7, 1);
+        let mut rt = NodeRuntime::new(4, 0, net, 7);
         let done = run_static(&mut rt, &positions, 1, 16, 20);
         assert_eq!(done, None);
         assert_eq!(rt.informed_count(), 1);
@@ -1080,14 +977,14 @@ mod tests {
         // test pins the deferred path deterministically.
         let seed = (0..64)
             .find(|&s| {
-                let mut rt = NodeRuntime::new(2, 0, net, s, 1);
-                rt.tick(0, &positions, 1, 8).expect("tick runs");
+                let mut rt = NodeRuntime::new(2, 0, net, s);
+                rt.tick(0, &positions, 1, 8);
                 rt.informed_count() == 1
             })
             .expect("some seed draws delay 1 first");
-        let mut rt = NodeRuntime::new(2, 0, net, seed, 1);
-        assert!(!rt.tick(0, &positions, 1, 8).expect("tick runs"));
-        assert!(rt.tick(1, &positions, 1, 8).expect("tick runs"));
+        let mut rt = NodeRuntime::new(2, 0, net, seed);
+        assert!(!rt.tick(0, &positions, 1, 8));
+        assert!(rt.tick(1, &positions, 1, 8));
         assert_eq!(rt.informed_at(1), Some(1));
     }
 
@@ -1102,13 +999,13 @@ mod tests {
             Point::new(1, 2),
         ];
         let net = NetworkConfig::new(0.0, 0, 1, 1).unwrap();
-        let mut rt = NodeRuntime::new(5, 0, net, 7, 1);
-        rt.tick(0, &positions, 1, 8).expect("tick runs");
+        let mut rt = NodeRuntime::new(5, 0, net, 7);
+        rt.tick(0, &positions, 1, 8);
         // Peers of node 0 can also relay among themselves only if
         // adjacent; in this star they are not (pairwise distance 2),
         // so exactly one new node learns per tick.
         assert_eq!(rt.informed_count(), 2);
-        rt.tick(1, &positions, 1, 8).expect("tick runs");
+        rt.tick(1, &positions, 1, 8);
         assert_eq!(rt.informed_count(), 3);
     }
 
@@ -1116,72 +1013,20 @@ mod tests {
     fn gossip_interval_pauses_flooding_between_firings() {
         let positions = line(2, 1);
         let net = NetworkConfig::new(0.0, 0, 0, 3).unwrap();
-        let mut rt = NodeRuntime::new(2, 0, net, 7, 1);
+        let mut rt = NodeRuntime::new(2, 0, net, 7);
         // Tick 0 is divisible by every interval: floods immediately.
-        assert!(rt.tick(0, &positions, 1, 8).expect("tick runs"));
+        assert!(rt.tick(0, &positions, 1, 8));
         assert_eq!(rt.completed_at(), Some(0));
 
         // With the source informed only *after* tick 0 (source = 1 and
         // nodes apart at t=0), nothing can happen on ticks 1..3.
         let apart = line(2, 5);
-        let mut rt = NodeRuntime::new(2, 0, net, 7, 1);
-        assert!(!rt.tick(0, &apart, 1, 16).expect("tick runs"));
-        assert!(!rt.tick(1, &positions, 1, 16).expect("tick runs"));
-        assert!(!rt.tick(2, &positions, 1, 16).expect("tick runs"));
-        assert!(rt.tick(3, &positions, 1, 16).expect("tick runs"));
+        let mut rt = NodeRuntime::new(2, 0, net, 7);
+        assert!(!rt.tick(0, &apart, 1, 16));
+        assert!(!rt.tick(1, &positions, 1, 16));
+        assert!(!rt.tick(2, &positions, 1, 16));
+        assert!(rt.tick(3, &positions, 1, 16));
         assert_eq!(rt.completed_at(), Some(3));
-    }
-
-    #[test]
-    fn worker_counts_do_not_change_the_log_hash() {
-        let positions: Vec<Point> = (0..32)
-            .map(|i| Point::new((i % 8) * 2, (i / 8) * 2))
-            .collect();
-        let net = NetworkConfig::new(0.2, 2, 2, 1).unwrap();
-        let mut reference = None;
-        for workers in [1usize, 2, 8] {
-            let mut rt = NodeRuntime::new(32, 0, net, 99, workers);
-            for t in 0..50 {
-                if rt.tick(t, &positions, 3, 32).expect("tick runs") {
-                    break;
-                }
-            }
-            let signature = (rt.log().hash(), rt.completed_at(), *rt.stats());
-            match &reference {
-                None => reference = Some(signature),
-                Some(r) => assert_eq!(*r, signature, "workers={workers} diverged"),
-            }
-        }
-    }
-
-    #[test]
-    fn worker_counts_do_not_change_the_log_hash_under_faults() {
-        let positions: Vec<Point> = (0..32)
-            .map(|i| Point::new((i % 8) * 2, (i / 8) * 2))
-            .collect();
-        let net = NetworkConfig::new(0.2, 1, 2, 1).unwrap();
-        let plan = FaultPlan::new(
-            0.05,
-            3,
-            PartitionSchedule::new(vec![PartitionWindow { start: 5, end: 15 }]).unwrap(),
-        )
-        .unwrap();
-        let mut reference = None;
-        for workers in [1usize, 2, 8] {
-            let mut rt = NodeRuntime::new(32, 0, net, 99, workers);
-            rt.set_fault_plan(plan.clone());
-            rt.set_recovery(RecoveryConfig::new(true, 4));
-            for t in 0..60 {
-                if rt.tick(t, &positions, 3, 32).expect("tick runs") {
-                    break;
-                }
-            }
-            let signature = (rt.log().hash(), rt.completed_at(), *rt.stats());
-            match &reference {
-                None => reference = Some(signature),
-                Some(r) => assert_eq!(*r, signature, "workers={workers} diverged"),
-            }
-        }
     }
 
     #[test]
@@ -1190,16 +1035,16 @@ mod tests {
         // exempt). With restart_delay 1 it oscillates down/up forever.
         let positions = line(2, 1);
         let plan = FaultPlan::new(1.0, 1, PartitionSchedule::EMPTY).unwrap();
-        let mut rt = NodeRuntime::new(2, 0, NetworkConfig::IDEAL, 7, 1);
+        let mut rt = NodeRuntime::new(2, 0, NetworkConfig::IDEAL, 7);
         rt.set_fault_plan(plan);
         rt.set_recording(true);
         // t0: node 1 crashes before delivery; the offer is dropped.
-        assert!(!rt.tick(0, &positions, 1, 8).expect("tick runs"));
+        assert!(!rt.tick(0, &positions, 1, 8));
         assert!(!rt.is_up(1));
         assert_eq!(rt.informed_count(), 1);
         assert_eq!(rt.stats().crashes, 1);
         // t1: node 1 restarts (state-less) and learns via the offer.
-        assert!(rt.tick(1, &positions, 1, 8).expect("tick runs"));
+        assert!(rt.tick(1, &positions, 1, 8));
         assert!(rt.is_up(1));
         assert_eq!(rt.stats().restarts, 1);
         assert_eq!(rt.informed_at(1), Some(1));
@@ -1217,10 +1062,10 @@ mod tests {
     fn source_is_exempt_from_crashing() {
         let positions = line(3, 1);
         let plan = FaultPlan::new(1.0, 2, PartitionSchedule::EMPTY).unwrap();
-        let mut rt = NodeRuntime::new(3, 1, NetworkConfig::IDEAL, 11, 1);
+        let mut rt = NodeRuntime::new(3, 1, NetworkConfig::IDEAL, 11);
         rt.set_fault_plan(plan);
         for t in 0..10 {
-            rt.tick(t, &positions, 1, 8).expect("tick runs");
+            rt.tick(t, &positions, 1, 8);
             assert!(rt.is_up(1), "source went down at t={t}");
             assert!(rt.informed().contains(1), "source lost the rumor at t={t}");
             assert!(rt.informed_count() >= 1);
@@ -1245,7 +1090,7 @@ mod tests {
         assert!(sched.blocks(0, 0, 1), "window must separate the pair");
         let positions = line(2, 1);
         let plan = FaultPlan::new(0.0, 1, sched).unwrap();
-        let mut rt = NodeRuntime::new(2, 0, NetworkConfig::IDEAL, 7, 1);
+        let mut rt = NodeRuntime::new(2, 0, NetworkConfig::IDEAL, 7);
         rt.set_fault_plan(plan);
         let done = run_static(&mut rt, &positions, 1, 8, 20);
         assert_eq!(done, Some(5), "completion lands exactly on the heal tick");
@@ -1256,7 +1101,7 @@ mod tests {
     fn retransmission_recovers_from_heavy_loss() {
         let positions = line(4, 1);
         let net = NetworkConfig::new(0.6, 0, 0, 1).unwrap();
-        let mut rt = NodeRuntime::new(4, 0, net, 3, 1);
+        let mut rt = NodeRuntime::new(4, 0, net, 3);
         rt.set_recovery(RecoveryConfig::new(true, 0));
         let done = run_static(&mut rt, &positions, 1, 16, 400);
         assert!(done.is_some(), "retransmission must push through 60% loss");
@@ -1275,7 +1120,7 @@ mod tests {
         let positions = line(2, 1);
         let ticks = 64;
         let sends_with = |rec: RecoveryConfig| {
-            let mut rt = NodeRuntime::new(2, 0, NetworkConfig::IDEAL, 7, 1);
+            let mut rt = NodeRuntime::new(2, 0, NetworkConfig::IDEAL, 7);
             rt.set_fault_plan(FaultPlan::new(0.0, 1, sched.clone()).unwrap());
             rt.set_recovery(rec);
             run_static(&mut rt, &positions, 1, 8, ticks);
@@ -1298,13 +1143,13 @@ mod tests {
         let net = NetworkConfig::new(0.0, 0, 0, 1_000).unwrap();
         let plan = FaultPlan::new(1.0, 1, PartitionSchedule::EMPTY).unwrap();
         let run = |anti_entropy: u64| {
-            let mut rt = NodeRuntime::new(2, 0, net, 7, 1);
+            let mut rt = NodeRuntime::new(2, 0, net, 7);
             rt.set_fault_plan(plan.clone());
             rt.set_recovery(RecoveryConfig::new(false, anti_entropy));
             // t0: node 1 crashes; the t0 offer is dropped on arrival.
-            rt.tick(0, &positions, 1, 8).expect("tick runs");
+            rt.tick(0, &positions, 1, 8);
             // t1: node 1 restarts, state-less; no gossip timer fires.
-            rt.tick(1, &positions, 1, 8).expect("tick runs");
+            rt.tick(1, &positions, 1, 8);
             rt.informed_at(1)
         };
         assert_eq!(run(0), None, "without anti-entropy the node stays dark");
@@ -1334,7 +1179,7 @@ mod tests {
         let plan = FaultPlan::new(0.05, 2, PartitionSchedule::EMPTY).unwrap();
         let ticks = 40;
         let run = |seed: u64, anti_entropy: u64| {
-            let mut rt = NodeRuntime::new(3, 0, NetworkConfig::IDEAL, seed, 1);
+            let mut rt = NodeRuntime::new(3, 0, NetworkConfig::IDEAL, seed);
             rt.set_fault_plan(plan.clone());
             rt.set_recovery(RecoveryConfig::new(false, anti_entropy));
             rt.set_recording(true);
@@ -1361,12 +1206,12 @@ mod tests {
         // Replay the anti-entropy run up to the crash tick: node 0 still
         // holds node 1's ack although node 1 lost the rumor.
         let crash = crash_ticks(&run(seed, 1), 1)[0];
-        let mut rt = NodeRuntime::new(3, 0, NetworkConfig::IDEAL, seed, 1);
+        let mut rt = NodeRuntime::new(3, 0, NetworkConfig::IDEAL, seed);
         rt.set_fault_plan(plan.clone());
         rt.set_recovery(RecoveryConfig::new(false, 1));
         rt.set_recording(true);
         for t in 0..=crash {
-            rt.tick(t, &positions, 1, 8).expect("tick runs");
+            rt.tick(t, &positions, 1, 8);
         }
         assert!(acked_at_t0(&rt));
         assert!(!rt.informed().contains(1));
@@ -1396,7 +1241,7 @@ mod tests {
         // node 0, which pushes `Gossip` in the same tick and re-informs
         // node 1.
         for t in crash + 1..ticks {
-            rt.tick(t, &positions, 1, 8).expect("tick runs");
+            rt.tick(t, &positions, 1, 8);
         }
         let records = rt.log().records();
         let at = records
@@ -1430,12 +1275,12 @@ mod tests {
         let plan = FaultPlan::new(0.02, 2, PartitionSchedule::EMPTY).unwrap();
         // Mean informed count over the second half of the run.
         let run = |rec: RecoveryConfig| {
-            let mut rt = NodeRuntime::new(16, 0, net, 2011, 1);
+            let mut rt = NodeRuntime::new(16, 0, net, 2011);
             rt.set_fault_plan(plan.clone());
             rt.set_recovery(rec);
             let mut informed = 0;
             for t in 0..600 {
-                assert!(!rt.tick(t, &positions, 2, 8).expect("tick runs"));
+                assert!(!rt.tick(t, &positions, 2, 8));
                 if t >= 300 {
                     informed += rt.informed_count();
                 }
@@ -1454,21 +1299,11 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_surfaces_as_typed_error() {
-        let positions = line(8, 1);
-        let mut rt = NodeRuntime::new(8, 0, NetworkConfig::IDEAL, 7, 4);
-        rt.force_worker_panic = true;
-        let err = rt.tick(0, &positions, 1, 16).expect_err("worker panicked");
-        assert_eq!(err, RuntimeError::SendWorkerPanicked);
-        assert!(err.to_string().contains("worker thread panicked"));
-    }
-
-    #[test]
     fn recording_captures_the_event_sequence() {
         let positions = line(2, 1);
-        let mut rt = NodeRuntime::new(2, 0, NetworkConfig::IDEAL, 7, 1);
+        let mut rt = NodeRuntime::new(2, 0, NetworkConfig::IDEAL, 7);
         rt.set_recording(true);
-        rt.tick(0, &positions, 1, 8).expect("tick runs");
+        rt.tick(0, &positions, 1, 8);
         let lines: Vec<String> = rt.log().records().iter().map(Event::to_string).collect();
         assert_eq!(
             lines,

@@ -1,8 +1,7 @@
 //! Golden event-log snapshot: the exact send/deliver/drop/timer
 //! ordering of a fixed-seed lossy run is pinned byte-for-byte, and must
-//! be identical across worker-thread counts (1, 2, 8) and across
-//! reruns — the protocol twin's byte-reproducibility contract, in the
-//! style of the `scenario_sweep_regression` suite.
+//! be identical across reruns — the protocol twin's byte-reproducibility
+//! contract, in the style of the `scenario_sweep_regression` suite.
 //!
 //! If a change legitimately alters canonical event ordering, update the
 //! snapshot deliberately — that is the point of the test.
@@ -32,13 +31,12 @@ fn positions_at(time: u64) -> Vec<Point> {
 
 /// Runs the scripted scenario on a lossy, delayed, capped, paced
 /// network and returns the rendered event log plus the rolling hash.
-fn run_log(workers: usize) -> (String, u64) {
+fn run_log() -> (String, u64) {
     let net = NetworkConfig::new(0.3, 1, 2, 2).expect("valid network");
-    let mut rt = NodeRuntime::new(K, 0, net, SEED, workers);
+    let mut rt = NodeRuntime::new(K, 0, net, SEED);
     rt.set_recording(true);
     for time in 0..TICKS {
-        rt.tick(time, &positions_at(time), RADIUS, SIDE)
-            .expect("tick runs");
+        rt.tick(time, &positions_at(time), RADIUS, SIDE);
     }
     let rendered: Vec<String> = rt.log().records().iter().map(|e| e.to_string()).collect();
     (rendered.join("\n"), rt.log().hash())
@@ -69,7 +67,7 @@ t=4 timer node=4";
 
 #[test]
 fn fixed_seed_event_log_matches_the_snapshot() {
-    let (log, _) = run_log(1);
+    let (log, _) = run_log();
     assert_eq!(
         log, GOLDEN,
         "event ordering drifted from the golden snapshot"
@@ -77,32 +75,26 @@ fn fixed_seed_event_log_matches_the_snapshot() {
 }
 
 #[test]
-fn event_log_is_identical_across_worker_counts_and_reruns() {
-    let (reference_log, reference_hash) = run_log(1);
-    for workers in [1usize, 2, 8] {
-        for rerun in 0..2 {
-            let (log, hash) = run_log(workers);
-            assert_eq!(
-                log, reference_log,
-                "workers={workers} rerun={rerun} changed the event ordering"
-            );
-            assert_eq!(
-                hash, reference_hash,
-                "workers={workers} rerun={rerun} changed the log hash"
-            );
-        }
+fn event_log_is_identical_across_reruns() {
+    let (reference_log, reference_hash) = run_log();
+    for rerun in 0..2 {
+        let (log, hash) = run_log();
+        assert_eq!(
+            log, reference_log,
+            "rerun={rerun} changed the event ordering"
+        );
+        assert_eq!(hash, reference_hash, "rerun={rerun} changed the log hash");
     }
 }
 
 #[test]
 fn hash_is_maintained_without_recording() {
     // The rolling hash must not depend on whether records are kept.
-    let (_, recorded_hash) = run_log(1);
+    let (_, recorded_hash) = run_log();
     let net = NetworkConfig::new(0.3, 1, 2, 2).expect("valid network");
-    let mut rt = NodeRuntime::new(K, 0, net, SEED, 1);
+    let mut rt = NodeRuntime::new(K, 0, net, SEED);
     for time in 0..TICKS {
-        rt.tick(time, &positions_at(time), RADIUS, SIDE)
-            .expect("tick runs");
+        rt.tick(time, &positions_at(time), RADIUS, SIDE);
     }
     assert!(rt.log().records().is_empty());
     assert_eq!(rt.log().hash(), recorded_hash);
@@ -115,13 +107,12 @@ fn hash_is_maintained_without_recording() {
 #[test]
 fn explicit_none_plan_and_recovery_off_match_the_golden() {
     let net = NetworkConfig::new(0.3, 1, 2, 2).expect("valid network");
-    let mut rt = NodeRuntime::new(K, 0, net, SEED, 1);
+    let mut rt = NodeRuntime::new(K, 0, net, SEED);
     rt.set_fault_plan(FaultPlan::NONE);
     rt.set_recovery(RecoveryConfig::OFF);
     rt.set_recording(true);
     for time in 0..TICKS {
-        rt.tick(time, &positions_at(time), RADIUS, SIDE)
-            .expect("tick runs");
+        rt.tick(time, &positions_at(time), RADIUS, SIDE);
     }
     let rendered: Vec<String> = rt.log().records().iter().map(|e| e.to_string()).collect();
     assert_eq!(
@@ -129,17 +120,17 @@ fn explicit_none_plan_and_recovery_off_match_the_golden() {
         GOLDEN,
         "a no-op fault config altered the event log"
     );
-    assert_eq!(rt.log().hash(), run_log(1).1);
+    assert_eq!(rt.log().hash(), run_log().1);
 }
 
 /// Byte-reproducibility also holds when the trajectory itself is
 /// random: a seeded random walk over positions gives the same hash on
-/// every rerun and worker count.
+/// every rerun.
 #[test]
 fn random_trajectory_log_hash_is_reproducible() {
-    let run = |workers: usize| {
+    let run = || {
         let net = NetworkConfig::new(0.2, 0, 0, 1).expect("valid network");
-        let mut rt = NodeRuntime::new(K, 0, net, 7, workers);
+        let mut rt = NodeRuntime::new(K, 0, net, 7);
         let mut walk_rng = SmallRng::seed_from_u64(99);
         let mut positions = positions_at(0);
         for time in 0..20 {
@@ -150,13 +141,12 @@ fn random_trajectory_log_hash_is_reproducible() {
                     p.x = (p.x + 1) % SIDE;
                 }
             }
-            rt.tick(time, &positions, RADIUS, SIDE).expect("tick runs");
+            rt.tick(time, &positions, RADIUS, SIDE);
         }
         rt.log().hash()
     };
-    let reference = run(1);
-    for workers in [2usize, 8] {
-        assert_eq!(run(workers), reference, "workers={workers}");
+    let reference = run();
+    for rerun in 0..2 {
+        assert_eq!(run(), reference, "rerun={rerun}");
     }
-    assert_eq!(run(1), reference, "rerun");
 }

@@ -18,8 +18,8 @@
 //!    tick-64 timer) is recorded alongside.
 //!
 //! The twin's invariants are pinned by the test suite, not here: the
-//! fault-free goldens (`golden_json.rs`, `event_log_golden.rs`), worker
-//! and rerun identity under a fault storm (`fault_model.rs`) and the
+//! fault-free goldens (`golden_json.rs`, `event_log_golden.rs`), rerun
+//! identity under a fault storm (`fault_model.rs`) and the
 //! faulty tick's allocation count (`tests/scratch_reuse.rs`).
 //!
 //! Results are printed as tables and written to `BENCH_faults.json`

@@ -19,7 +19,7 @@
 //! 3. an ungated lossy showcase sweeping the `drop_probs` network axis,
 //!    recorded so the fault-injection surface shows up in the artifact.
 //!
-//! Worker-count and rerun identity of lossy runs are pinned by
+//! Rerun identity of lossy runs is pinned by
 //! `event_log_golden.rs` and `fault_model.rs`, not here.
 //!
 //! Results are printed as tables and written to `BENCH_protocol.json`

@@ -640,16 +640,16 @@ fn faulty_twin_ticks_allocate_only_for_queue_growth() {
     ]
     .map(|(x, y)| Point::new(x, y));
     let net = NetworkConfig::new(0.3, 1, 2, 4).unwrap();
-    let mut runtime = NodeRuntime::new(positions.len(), 0, net, 99, 1);
+    let mut runtime = NodeRuntime::new(positions.len(), 0, net, 99);
     runtime.set_recording(false);
     runtime.set_fault_plan(FaultPlan::new(0.2, 3, PartitionSchedule::EMPTY).unwrap());
     runtime.set_recovery(RecoveryConfig::new(true, 2));
     for t in 0..64 {
-        runtime.tick(t, &positions, RADIUS, SIDE).unwrap();
+        runtime.tick(t, &positions, RADIUS, SIDE);
     }
     let before = thread_allocs();
     for t in 64..192 {
-        runtime.tick(t, &positions, RADIUS, SIDE).unwrap();
+        runtime.tick(t, &positions, RADIUS, SIDE);
     }
     assert_eq!(
         thread_allocs() - before,

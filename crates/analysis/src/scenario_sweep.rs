@@ -944,6 +944,9 @@ impl ScenarioSweep {
             sweep.master_seed = seed;
         }
         if let Some(threads) = table.opt_usize("threads")? {
+            if threads == 0 {
+                return Err(bad("threads".to_string(), "a positive integer"));
+            }
             sweep = sweep.threads(threads);
         }
         let adaptive_on = matches!(table.opt_bool("adaptive")?, Some(true));
@@ -1651,6 +1654,14 @@ mod tests {
         assert!(ScenarioSweep::from_toml_str(&with("radii = []\n")).is_err());
         assert!(ScenarioSweep::from_toml_str(&with("r_factors = [-1.0]\n")).is_err());
         assert!(ScenarioSweep::from_toml_str(&with("replicates = 0\n")).is_err());
+        assert_eq!(
+            ScenarioSweep::from_toml_str(&with("threads = 0\n")).unwrap_err(),
+            SpecError::Toml(TomlError::BadValue {
+                section: "sweep".to_string(),
+                key: "threads".to_string(),
+                expected: "a positive integer",
+            })
+        );
         assert!(
             ScenarioSweep::from_toml_str(&with("radii = [1]\nr_factors = [1.0]\n")).is_err(),
             "both radius axes at once must be rejected"

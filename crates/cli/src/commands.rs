@@ -1,28 +1,29 @@
 //! Subcommand implementations.
 //!
-//! `broadcast`, `infection`, `coverage` and `protocol` build a
-//! [`ScenarioSpec`] from their options and run it through
-//! [`ScenarioSpec::run_outcome`], the path sweeps take; `gossip`, whose
-//! `--rumors` has no spec key, builds its [`Simulation`] directly.
-//! Every option that sets a spec key is that key's CLI spelling in
-//! [`SPEC_KEYS`], read by [`run_spec`].
-//! `--reps`/`--threads` route multi-seed ensembles through the
-//! [`Runner`], and `--json` emits machine-readable outcome lines so
-//! results are scriptable.
+//! `broadcast`, `gossip`, `infection`, `coverage` and `protocol` are one
+//! function, [`run`], keyed by their [`ProcessKind`]: it builds a
+//! [`ScenarioSpec`] from the options, a spec key's option being its CLI
+//! spelling in [`SPEC_KEYS`], and runs it through
+//! [`ScenarioSpec::run_outcome`], the path sweeps take. Only
+//! `percolation`, `cover` and `predator`, which have no spec kind, build
+//! their runs directly.
+//! `broadcast --reps`/`--threads` route multi-seed ensembles through
+//! the [`Runner`], `sweep --axis` sets one `[sweep]` config axis, and
+//! `--json` emits machine-readable outcome lines so results are
+//! scriptable.
 
 use core::fmt;
+use core::str::FromStr;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sparsegossip_analysis::{
-    ResultStore, Runner, ScenarioSweep, StoreError, SweepError, Table, AXIS_KEYS,
-};
+use sparsegossip_analysis::{ResultStore, Runner, ScenarioSweep, StoreError, SweepError, Table};
 use sparsegossip_conngraph::{critical_radius, percolation_profile};
 use sparsegossip_core::spec_key::{
-    KeyFamily, KeyValue, SpecKey, EXCHANGE, K, MAX_STEPS, MOBILITY, RADIUS, SIDE, SPEC_KEYS,
+    KeyFamily, KeyValue, SpecKey, EXCHANGE, K, MAX_STEPS, MOBILITY, RADIUS, RUMORS, SIDE, SPEC_KEYS,
 };
 use sparsegossip_core::{
-    BroadcastOutcome, CoverageOutcome, ExtinctionOutcome, FaultConfig, Gossip, GossipOutcome,
+    BroadcastOutcome, CoverageOutcome, ExtinctionOutcome, FaultConfig, GossipOutcome,
     InfectionOutcome, PredatorPrey, ProcessKind, ProtocolOutcome, ScenarioOutcome, ScenarioSpec,
     SimConfig, Simulation, SpecError,
 };
@@ -74,11 +75,11 @@ COMMANDS:
                most one network, world and fault axis each, with
                phase-transition detection against r_c = sqrt(n/k)
                --spec file.toml [--replicates R --threads T --seed S]
-               --barrier-densities A,B | --churn-rates A,B |
-               --radius-mixes A,B (world axis; at most one, replaces
-               the spec's)
-               --crash-probs A,B | --partition-lens A,B
-               (fault axis; at most one, replaces the spec's)
+               --axis KEY=A,B (one config axis, replacing the spec's
+               axis of its family; KEY is a [sweep] axis key:
+               drop_probs, gossip_intervals, send_caps,
+               barrier_densities, churn_rates, radius_mixes,
+               crash_probs, partition_lens)
                --adaptive [--budget N --replicate-budget N]
                (knee refinement: bisect each curve's knee bracket to
                1% of r_c under the cell budget, then top up replicates
@@ -171,70 +172,99 @@ impl From<sparsegossip_walks::WalkError> for CliError {
     }
 }
 
-/// A command's implementation, the spec keys it takes as options (the
-/// listed keys and every key of the listed families), and the groups of
-/// other `--key value` options and the bare `--flag`s it takes.
+/// How a command runs.
+enum Action {
+    /// [`run`] a spec of this kind, to this multiple of
+    /// [`SimConfig::default_step_cap`]; a kind that ignores `--radius`
+    /// names why.
+    Spec(ProcessKind, u64, Option<&'static str>),
+    /// A command with no spec kind.
+    Own(fn(&ParsedArgs) -> Result<(), CliError>),
+}
+
+/// A command's action, the spec keys it takes as options (the listed
+/// keys and every key of the listed families), and the other
+/// `--key value` options and the bare `--flag`s it takes. Every command
+/// takes `--seed`; a spec command also takes the geometry, the step cap
+/// and `--json`.
 type Command = (
-    fn(&ParsedArgs) -> Result<(), CliError>,
+    Action,
     &'static [SpecKey],
     &'static [KeyFamily],
-    &'static [&'static [&'static str]],
+    &'static [&'static str],
     &'static [&'static str],
 );
-
-/// The spec keys every run command takes.
-const RUN: &[SpecKey] = &[SIDE, K, RADIUS, MAX_STEPS];
 
 /// Routes a parsed command line to its implementation, after rejecting
 /// any option or flag the command does not read.
 pub fn dispatch(args: &ParsedArgs) -> Result<(), CliError> {
+    use Action::{Own, Spec};
     use KeyFamily::{Fault, Network, World};
-    let (run, keys, families, values, flags): Command = match args.command.as_str() {
+    use ProcessKind::{Broadcast, Coverage, Gossip, Infection, ProtocolBroadcast};
+    let (action, keys, families, values, flags): Command = match args.command.as_str() {
         "broadcast" => (
-            broadcast,
-            &[SIDE, K, RADIUS, MAX_STEPS, MOBILITY, EXCHANGE],
+            Spec(Broadcast, 1, None),
+            &[MOBILITY, EXCHANGE],
             &[World],
-            &[&["seed", "reps", "threads"]],
-            &["json"],
+            &["reps", "threads"],
+            &[],
         ),
-        "gossip" => (gossip, RUN, &[], &[&["seed", "rumors"]], &["json"]),
+        "gossip" => (Spec(Gossip, 1, None), &[RUMORS], &[], &[], &[]),
         // `--radius` is read only to note that it is ignored; the world
         // options are read so the spec builder rejects every axis but
         // the sources with its own error.
-        "infection" => (infection, RUN, &[World], &[&["seed"]], &["json"]),
-        "coverage" => (coverage, RUN, &[], &[&["seed"]], &["json"]),
-        "protocol" => (protocol, RUN, &[Network, Fault], &[&["seed"]], &["json"]),
-        "percolation" => (
-            percolation,
-            &[SIDE, K, RADIUS],
+        "infection" => (
+            Spec(Infection, 1, Some("infection is contact-only (r = 0)")),
             &[],
-            &[&["seed", "samples"]],
+            &[World],
+            &[],
             &[],
         ),
-        "cover" => (cover, &[SIDE, K], &[], &[&["seed", "cap"]], &[]),
+        // Coverage runs past T_B, so it gets four times the default cap.
+        "coverage" => (Spec(Coverage, 4, None), &[], &[], &[], &[]),
+        "protocol" => (
+            Spec(ProtocolBroadcast, 1, None),
+            &[],
+            &[Network, Fault],
+            &[],
+            &[],
+        ),
+        "percolation" => (Own(percolation), &[SIDE, K, RADIUS], &[], &["samples"], &[]),
+        "cover" => (Own(cover), &[SIDE, K], &[], &["cap"], &[]),
         "predator" => (
-            predator,
+            Own(predator),
             &[SIDE, RADIUS],
             &[],
-            &[&["seed", "predators", "preys"]],
+            &["predators", "preys"],
             &["json", "static-preys"],
         ),
         "sweep" => (
-            sweep,
+            Own(sweep),
             &[],
             &[],
             &[
-                &["spec", "replicates", "threads", "seed", "budget"],
-                &["barrier-densities", "churn-rates", "radius-mixes"],
-                &["crash-probs", "partition-lens", "replicate-budget", "store"],
+                "spec",
+                "replicates",
+                "threads",
+                "budget",
+                "axis",
+                "replicate-budget",
+                "store",
             ],
             &["json", "adaptive", "resume"],
         ),
         other => return Err(CliError::UnknownCommand(other.to_string())),
     };
-    let (mut values, mut flags) = (values.concat(), flags.to_vec());
+    let (mut values, mut flags) = ([&["seed"], values].concat(), flags.to_vec());
+    let run_keys: &[SpecKey] = match action {
+        Spec(..) => {
+            flags.push("json");
+            &[SIDE, K, RADIUS, MAX_STEPS]
+        }
+        Own(_) => &[],
+    };
     let family_keys = SPEC_KEYS.iter().filter(|k| families.contains(&k.family));
-    for key in keys.iter().chain(family_keys) {
+    for key in run_keys.iter().chain(keys).chain(family_keys) {
         match key.cli {
             Some(cli) if key.range.is_flag() => flags.push(cli),
             Some(cli) => values.push(cli),
@@ -242,7 +272,10 @@ pub fn dispatch(args: &ParsedArgs) -> Result<(), CliError> {
         }
     }
     args.expect_only(&values, &flags)?;
-    run(args)
+    match action {
+        Spec(kind, cap_factor, radius_note) => run(args, kind, cap_factor, radius_note),
+        Own(command) => command(args),
+    }
 }
 
 /// The command-line spelling of `key`.
@@ -273,6 +306,17 @@ fn bad(key: &str, value: impl ToString) -> CliError {
         key: key.to_string(),
         value: value.to_string(),
     })
+}
+
+/// The count `--name`, if given; 0 is a bad value.
+fn count<T: FromStr + Default + PartialEq + ToString>(
+    args: &ParsedArgs,
+    name: &str,
+) -> Result<Option<T>, CliError> {
+    match args.get_opt(name)? {
+        Some(n) if n == T::default() => Err(bad(name, n)),
+        n => Ok(n),
+    }
 }
 
 /// Renders `Option<u64>` as JSON (`null` when absent).
@@ -327,36 +371,6 @@ fn extinction_json(out: &ExtinctionOutcome) -> String {
         out.survivors,
         out.num_preys
     )
-}
-
-/// Builds the [`ScenarioSpec`] a run command's options describe, validated
-/// exactly like a spec file: the [`Common`] geometry, the step cap
-/// `default_cap`, and every spec key whose option the command line gives
-/// (a flag sets a boolean key or picks a name key's second name).
-/// Options a command does not take were rejected by [`dispatch`], so
-/// they are absent here.
-fn run_spec(
-    args: &ParsedArgs,
-    kind: ProcessKind,
-    c: &Common,
-    default_cap: u64,
-) -> Result<ScenarioSpec, CliError> {
-    let mut builder = ScenarioSpec::builder(kind, c.side, c.k).max_steps(default_cap);
-    for key in &SPEC_KEYS {
-        let Some(cli) = key.cli else { continue };
-        if key.range.is_flag() {
-            if args.flag(cli) {
-                key.set(&mut builder, KeyValue::Int(1))?;
-            }
-        } else if let Some(raw) = args.get_opt::<String>(cli)? {
-            key.parse(&raw)
-                .and_then(|value| key.set(&mut builder, value).ok())
-                .ok_or_else(|| bad(cli, raw))?;
-        }
-    }
-    // The common radius last: infection reads `--radius` only to note
-    // that it ignores it.
-    Ok(builder.radius(c.radius).build()?)
 }
 
 /// The broadcast run header: the geometry, `seeds` (which seed or seeds
@@ -417,6 +431,7 @@ fn print_outcome(spec: &ScenarioSpec, seed: u64, out: &ScenarioOutcome, json: bo
         println!("{line}");
         return;
     }
+    let cfg = spec.config();
     match out {
         ScenarioOutcome::Broadcast(o) => {
             println!("{}", run_header(spec, &format!("seed = {seed}")));
@@ -434,10 +449,18 @@ fn print_outcome(spec: &ScenarioSpec, seed: u64, out: &ScenarioOutcome, json: bo
                 println!("T_C/T_B = {r:.2}");
             }
         }
-        ScenarioOutcome::Gossip(o) => println!("{o}"),
+        ScenarioOutcome::Gossip(o) => match o.gossip_time {
+            Some(t) => println!("T_G = {t} ({} rumors to {} agents)", o.num_rumors, cfg.k()),
+            None => println!(
+                "not finished after {} steps (min {}/{} rumors per agent)",
+                cfg.max_steps(),
+                o.min_rumors,
+                o.num_rumors
+            ),
+        },
         ScenarioOutcome::Infection(o) => println!("{o}"),
         ScenarioOutcome::ProtocolBroadcast(o) => {
-            let (cfg, net) = (spec.config(), spec.network());
+            let net = spec.network();
             println!(
                 "n = {}, k = {}, r = {} (r_c = {:.1}), seed = {seed}, drop = {}, \
                  delay <= {}, cap = {}, interval = {}",
@@ -466,18 +489,48 @@ fn print_outcome(spec: &ScenarioSpec, seed: u64, out: &ScenarioOutcome, json: bo
     }
 }
 
-/// One broadcast, or with `--reps R` an ensemble of `R` seeds through
-/// the [`Runner`], each seed measured by [`ScenarioSpec::run_seed`] —
-/// the entry the sweep engine uses.
-fn broadcast(args: &ParsedArgs) -> Result<(), CliError> {
-    let c = common(args)?;
-    let reps: u32 = args.get("reps", 1u32)?;
-    if reps == 0 {
-        return Err(bad("reps", 0));
+/// Builds the [`ScenarioSpec`] of `kind` the options describe, validated
+/// exactly like a spec file, and runs it once at `--seed`, or with
+/// `--reps R` (which only `broadcast` takes) an ensemble of `R` seeds
+/// through the [`Runner`], each measured by [`ScenarioSpec::run_seed`],
+/// the entry the sweep engine uses. The step cap defaults to
+/// `cap_factor` times [`SimConfig::default_step_cap`]; a kind with a
+/// `radius_note` runs at r = 0 and prints the note when `--radius` is
+/// given.
+fn run(
+    args: &ParsedArgs,
+    kind: ProcessKind,
+    cap_factor: u64,
+    radius_note: Option<&str>,
+) -> Result<(), CliError> {
+    let mut c = common(args)?;
+    let reps: u32 = count(args, "reps")?.unwrap_or(1);
+    let threads: usize = count(args, "threads")?.unwrap_or(1);
+    if let Some(note) = radius_note {
+        c.radius = 0;
+        if args.has_option(option(RADIUS)) {
+            eprintln!("note: --radius is ignored; {note}");
+        }
     }
-    let threads: usize = args.get("threads", 1usize)?;
-    let default_cap = SimConfig::default_step_cap(c.side, c.k);
-    let spec = run_spec(args, ProcessKind::Broadcast, &c, default_cap)?;
+    let default_cap = SimConfig::default_step_cap(c.side, c.k) * cap_factor;
+    let mut builder = ScenarioSpec::builder(kind, c.side, c.k).max_steps(default_cap);
+    // Every spec key whose option the command line gives (a flag sets a
+    // boolean key or picks a name key's second name); `dispatch` rejected
+    // the options the command does not take.
+    for key in &SPEC_KEYS {
+        let Some(cli) = key.cli else { continue };
+        if key.range.is_flag() {
+            if args.flag(cli) {
+                key.set(&mut builder, KeyValue::Int(1))?;
+            }
+        } else if let Some(raw) = args.get_opt::<String>(cli)? {
+            key.parse(&raw)
+                .and_then(|value| key.set(&mut builder, value).ok())
+                .ok_or_else(|| bad(cli, raw))?;
+        }
+    }
+    // The common radius last, so a kind that ignores `--radius` runs at 0.
+    let spec = builder.radius(c.radius).build()?;
     if reps == 1 {
         print_outcome(&spec, c.seed, &spec.run_outcome(c.seed), c.json);
         return Ok(());
@@ -505,52 +558,6 @@ fn broadcast(args: &ParsedArgs) -> Result<(), CliError> {
         report.summary.min(),
         report.summary.max()
     );
-    Ok(())
-}
-
-fn gossip(args: &ParsedArgs) -> Result<(), CliError> {
-    let c = common(args)?;
-    let rumors: usize = args.get("rumors", c.k)?;
-    let grid = Grid::new(c.side)?;
-    let cap = args.get(option(MAX_STEPS), SimConfig::default_step_cap(c.side, c.k))?;
-    let mut rng = SmallRng::seed_from_u64(c.seed);
-    let process = Gossip::with_rumors(c.k, rumors)?;
-    let mut sim = Simulation::new(grid, c.k, c.radius, cap, process, &mut rng)?;
-    let out = sim.run(&mut rng);
-    if c.json {
-        println!("{}", gossip_json(&out));
-        return Ok(());
-    }
-    match out.gossip_time {
-        Some(t) => println!("T_G = {t} ({} rumors to {} agents)", out.num_rumors, c.k),
-        None => println!(
-            "not finished after {cap} steps (min {}/{} rumors per agent)",
-            out.min_rumors, out.num_rumors
-        ),
-    }
-    Ok(())
-}
-
-fn infection(args: &ParsedArgs) -> Result<(), CliError> {
-    let c = Common {
-        radius: 0,
-        ..common(args)?
-    };
-    if args.has_option(option(RADIUS)) {
-        eprintln!("note: --radius is ignored; infection is contact-only (r = 0)");
-    }
-    let default_cap = SimConfig::default_step_cap(c.side, c.k);
-    let spec = run_spec(args, ProcessKind::Infection, &c, default_cap)?;
-    print_outcome(&spec, c.seed, &spec.run_outcome(c.seed), c.json);
-    Ok(())
-}
-
-fn coverage(args: &ParsedArgs) -> Result<(), CliError> {
-    let c = common(args)?;
-    // Coverage runs past T_B, so it gets four times the default cap.
-    let default_cap = SimConfig::default_step_cap(c.side, c.k) * 4;
-    let spec = run_spec(args, ProcessKind::Coverage, &c, default_cap)?;
-    print_outcome(&spec, c.seed, &spec.run_outcome(c.seed), c.json);
     Ok(())
 }
 
@@ -590,16 +597,6 @@ fn protocol_json(out: &ProtocolOutcome, faults: &FaultConfig) -> String {
     )
 }
 
-/// Runs the message-passing protocol twin over the same seeded
-/// trajectory the `broadcast` command would use.
-fn protocol(args: &ParsedArgs) -> Result<(), CliError> {
-    let c = common(args)?;
-    let default_cap = SimConfig::default_step_cap(c.side, c.k);
-    let spec = run_spec(args, ProcessKind::ProtocolBroadcast, &c, default_cap)?;
-    print_outcome(&spec, c.seed, &spec.run_outcome(c.seed), c.json);
-    Ok(())
-}
-
 fn percolation(args: &ParsedArgs) -> Result<(), CliError> {
     let c = common(args)?;
     if args.has_option(option(RADIUS)) {
@@ -608,10 +605,7 @@ fn percolation(args: &ParsedArgs) -> Result<(), CliError> {
     if c.k == 0 {
         return Err(bad("k", 0));
     }
-    let samples: u32 = args.get("samples", 30u32)?;
-    if samples == 0 {
-        return Err(bad("samples", 0));
-    }
+    let samples: u32 = count(args, "samples")?.unwrap_or(30);
     let grid = Grid::new(c.side)?;
     let rc = critical_radius(grid.num_nodes() as f64, c.k as f64);
     let radii: Vec<u32> = [0.25f64, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0]
@@ -635,10 +629,7 @@ fn percolation(args: &ParsedArgs) -> Result<(), CliError> {
 
 fn cover(args: &ParsedArgs) -> Result<(), CliError> {
     let c = common(args)?;
-    let cap: u64 = args.get("cap", 200 * u64::from(c.side) * u64::from(c.side))?;
-    if cap == 0 {
-        return Err(bad("cap", 0));
-    }
+    let cap: u64 = count(args, "cap")?.unwrap_or(200 * u64::from(c.side) * u64::from(c.side));
     let grid = Grid::new(c.side)?;
     let mut rng = SmallRng::seed_from_u64(c.seed);
     let run = multi_cover(grid, c.k, cap, &mut rng)?;
@@ -654,15 +645,9 @@ fn cover(args: &ParsedArgs) -> Result<(), CliError> {
 
 fn predator(args: &ParsedArgs) -> Result<(), CliError> {
     let c = common(args)?;
-    let predators: usize = args.get("predators", 16usize)?;
-    let preys: usize = args.get("preys", 8usize)?;
+    let predators: usize = count(args, "predators")?.unwrap_or(16);
+    let preys: usize = count(args, "preys")?.unwrap_or(8);
     let cap = 500 * u64::from(c.side) * u64::from(c.side);
-    if predators == 0 {
-        return Err(bad("predators", 0));
-    }
-    if preys == 0 {
-        return Err(bad("preys", 0));
-    }
     let grid = Grid::new(c.side)?;
     let mut rng = SmallRng::seed_from_u64(c.seed);
     let process =
@@ -692,46 +677,24 @@ fn sweep(args: &ParsedArgs) -> Result<(), CliError> {
         error: e.to_string(),
     })?;
     let mut sweep = ScenarioSweep::from_toml_str(&text)?;
-    if let Some(reps) = args.get_opt::<u32>("replicates")? {
-        if reps == 0 {
-            return Err(bad("replicates", 0));
-        }
+    if let Some(reps) = count(args, "replicates")? {
         sweep = sweep.replicates(reps);
     }
-    if let Some(threads) = args.get_opt("threads")? {
+    if let Some(threads) = count(args, "threads")? {
         sweep = sweep.threads(threads);
     }
     if let Some(seed) = args.get_opt("seed")? {
         sweep = sweep.seed(seed);
     }
-    // Axis overrides replace the spec file's axis of the same family;
-    // two overrides of one family are an error.
-    let mut families = Vec::new();
-    for option in [
-        "barrier-densities",
-        "churn-rates",
-        "radius-mixes",
-        "crash-probs",
-        "partition-lens",
-    ] {
-        let Some(raw) = args.get_opt::<String>(option)? else {
-            continue;
-        };
-        let key = option.replace('-', "_");
-        let family = AXIS_KEYS
-            .iter()
-            .find(|row| row.sweep == key)
-            .map(|row| row.family);
-        if families.contains(&family) {
-            return Err(bad(option, "at most one axis override per family"));
-        }
-        families.push(family);
-        let values = raw
+    // `--axis KEY=A,B` replaces the spec file's axis of KEY's family.
+    if let Some(raw) = args.get_opt::<String>("axis")? {
+        let (key, list) = raw.split_once('=').ok_or_else(|| bad("axis", &raw))?;
+        let values = list
             .split(',')
-            .map(|part| part.trim().parse())
+            .map(|v| v.trim().parse())
             .collect::<Result<Vec<f64>, _>>()
-            .map_err(|_| bad(option, &raw))?;
-        sweep = sweep.axis(&key, values).map_err(|_| bad(option, &raw))?;
+            .map_err(|_| bad("axis", &raw))?;
+        sweep = sweep.axis(key, values).map_err(|_| bad("axis", &raw))?;
     }
     // Adaptive-mode overrides: --adaptive switches the mode on (the
     // spec's own `[sweep] adaptive` keys, if any, supply defaults);
@@ -1052,6 +1015,8 @@ mod tests {
             ("cover --side 8 --k 2 --cap 0", "cap"),
             ("predator --side 8 --predators 4 --preys 0", "preys"),
             ("predator --side 8 --predators 0 --preys 2", "predators"),
+            ("broadcast --side 8 --k 4 --reps 2 --threads 0", "threads"),
+            ("broadcast --side 8 --k 4 --threads 0", "threads"),
         ] {
             let e = dispatch(&parsed(cmd)).unwrap_err();
             assert!(
@@ -1061,89 +1026,86 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sweep_world_axis_overrides() {
-        let path = std::env::temp_dir().join("sparsegossip_cli_sweep_world.toml");
+    /// Writes a sweep spec of `process` over radii {0, 2} to a temporary
+    /// file named after `name`.
+    fn sweep_spec(name: &str, process: &str) -> String {
+        let path = std::env::temp_dir().join(format!("sparsegossip_cli_sweep_{name}.toml"));
         std::fs::write(
             &path,
-            "[scenario]\nprocess = \"broadcast\"\nside = 10\nk = 5\n\n\
-             [sweep]\nradii = [0, 2]\nreplicates = 1\nseed = 7\n",
+            format!(
+                "[scenario]\nprocess = \"{process}\"\nside = 10\nk = 5\n\n\
+                 [sweep]\nradii = [0, 2]\nreplicates = 1\nseed = 7\n"
+            ),
         )
         .unwrap();
-        let path = path.to_str().unwrap();
+        path.to_str().unwrap().to_string()
+    }
+
+    fn assert_bad_axis(cmd: &str) {
+        assert!(
+            matches!(
+                dispatch(&parsed(cmd)),
+                Err(CliError::Args(ArgError::BadValue { ref key, .. })) if key == "axis"
+            ),
+            "{cmd}"
+        );
+    }
+
+    #[test]
+    fn sweep_world_axis_overrides() {
+        let path = sweep_spec("world", "broadcast");
         dispatch(&parsed(&format!(
-            "sweep --spec {path} --churn-rates 0.0,0.1"
+            "sweep --spec {path} --axis churn_rates=0.0,0.1"
         )))
         .unwrap();
         dispatch(&parsed(&format!(
-            "sweep --spec {path} --barrier-densities 0.0,0.2 --json"
+            "sweep --spec {path} --axis barrier_densities=0.0,0.2 --json"
         )))
         .unwrap();
         dispatch(&parsed(&format!(
-            "sweep --spec {path} --radius-mixes 0.0,0.5"
+            "sweep --spec {path} --axis radius_mixes=0.0,0.5"
         )))
         .unwrap();
-        // At most one world axis per invocation.
-        assert!(matches!(
-            dispatch(&parsed(&format!(
-                "sweep --spec {path} --churn-rates 0.1 --radius-mixes 0.5"
-            ))),
-            Err(CliError::Args(ArgError::BadValue { .. }))
-        ));
+        // At most one axis per invocation.
+        assert_eq!(
+            ParsedArgs::parse(
+                format!("sweep --spec {path} --axis churn_rates=0.1 --axis radius_mixes=0.5")
+                    .split_whitespace()
+                    .map(String::from)
+            ),
+            Err(ArgError::Repeated { key: "axis".into() })
+        );
         // Malformed or out-of-range lists are argument errors, not
         // panics.
-        assert!(matches!(
-            dispatch(&parsed(&format!(
-                "sweep --spec {path} --churn-rates 0.1,zap"
-            ))),
-            Err(CliError::Args(ArgError::BadValue { .. }))
-        ));
-        assert!(matches!(
-            dispatch(&parsed(&format!(
-                "sweep --spec {path} --barrier-densities 1.5"
-            ))),
-            Err(CliError::Args(ArgError::BadValue { .. }))
-        ));
+        assert_bad_axis(&format!("sweep --spec {path} --axis churn_rates=0.1,zap"));
+        assert_bad_axis(&format!("sweep --spec {path} --axis barrier_densities=1.5"));
     }
 
     #[test]
     fn sweep_fault_axis_overrides() {
         // The fault axes only exist on the protocol twin; any other
         // kind rejects them at cell validation.
-        let path = std::env::temp_dir().join("sparsegossip_cli_sweep_fault.toml");
-        std::fs::write(
-            &path,
-            "[scenario]\nprocess = \"protocol-broadcast\"\nside = 10\nk = 5\n\n\
-             [sweep]\nradii = [0, 2]\nreplicates = 1\nseed = 7\n",
-        )
-        .unwrap();
-        let path = path.to_str().unwrap();
+        let path = sweep_spec("fault", "protocol-broadcast");
         dispatch(&parsed(&format!(
-            "sweep --spec {path} --crash-probs 0.0,0.05"
+            "sweep --spec {path} --axis crash_probs=0.0,0.05"
         )))
         .unwrap();
         dispatch(&parsed(&format!(
-            "sweep --spec {path} --partition-lens 0,6 --json"
+            "sweep --spec {path} --axis partition_lens=0,6 --json"
         )))
         .unwrap();
-        // At most one fault axis per invocation.
-        assert!(matches!(
-            dispatch(&parsed(&format!(
-                "sweep --spec {path} --crash-probs 0.1 --partition-lens 4"
-            ))),
-            Err(CliError::Args(ArgError::BadValue { .. }))
-        ));
+        // At most one axis per invocation.
+        assert_eq!(
+            ParsedArgs::parse(
+                format!("sweep --spec {path} --axis crash_probs=0.1 --axis partition_lens=4")
+                    .split_whitespace()
+                    .map(String::from)
+            ),
+            Err(ArgError::Repeated { key: "axis".into() })
+        );
         // Malformed lists are argument errors, not panics.
-        assert!(matches!(
-            dispatch(&parsed(&format!(
-                "sweep --spec {path} --partition-lens 4,zap"
-            ))),
-            Err(CliError::Args(ArgError::BadValue { .. }))
-        ));
-        assert!(matches!(
-            dispatch(&parsed(&format!("sweep --spec {path} --crash-probs 1.5"))),
-            Err(CliError::Args(ArgError::BadValue { .. }))
-        ));
+        assert_bad_axis(&format!("sweep --spec {path} --axis partition_lens=4,zap"));
+        assert_bad_axis(&format!("sweep --spec {path} --axis crash_probs=1.5"));
     }
 
     #[test]
@@ -1305,6 +1267,9 @@ mod tests {
             "--json",
         ] {
             assert!(USAGE.contains(cmd), "usage missing {cmd}");
+        }
+        for row in &sparsegossip_analysis::AXIS_KEYS {
+            assert!(USAGE.contains(row.sweep), "usage missing {}", row.sweep);
         }
     }
 }

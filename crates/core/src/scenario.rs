@@ -44,7 +44,7 @@ use crate::spec_key::{self, Field, KeyDefault, SPEC_KEYS};
 use crate::toml::{TomlDoc, TomlError};
 use crate::world::build_world_sim;
 use crate::{
-    BroadcastOutcome, Coverage, CoverageOutcome, ExchangeRule, FaultConfig, GossipOutcome,
+    BroadcastOutcome, Coverage, CoverageOutcome, ExchangeRule, FaultConfig, Gossip, GossipOutcome,
     Infection, InfectionOutcome, Mobility, NetworkConfig, Process, ProtocolOutcome, SimConfig,
     SimError, SimScratch, Simulation, WorldConfig, WorldGrid,
 };
@@ -59,9 +59,10 @@ pub enum ProcessKind {
     /// Single-rumor broadcast (Theorems 1 and 2).
     #[default]
     Broadcast,
-    /// All-to-all gossip with one distinct rumor per agent
-    /// (Corollary 2). Implements neither mobility rules nor one-hop
-    /// exchange; declaring them is a build error.
+    /// All-to-all gossip (Corollary 2): one distinct rumor per agent,
+    /// or the `rumors` key's count held by the first agents. Implements
+    /// neither mobility rules nor one-hop exchange; declaring them is a
+    /// build error.
     Gossip,
     /// Contact infection with per-agent infection times. The process is
     /// contact-only by definition ([`Simulation::infection`] always
@@ -293,6 +294,7 @@ impl ScenarioSpec {
             radius: 0,
             source: 0,
             max_steps: None,
+            rumors: None,
             mobility: Mobility::All,
             exchange_rule: ExchangeRule::Component,
             metric: Metric::Time,
@@ -444,9 +446,9 @@ impl ScenarioSpec {
         let cfg = &self.config;
         let taken = mem::take(scratch);
         Ok(match self.settings.kind {
-            // A trivial world reproduces `Simulation::broadcast` and
-            // `Simulation::infection` draw for draw (pinned by
-            // `tests/trivial_world.rs`).
+            // Every kind but the twin runs on the spec's world; a trivial
+            // world reproduces the plain constructors draw for draw
+            // (pinned by `tests/trivial_world.rs`).
             ProcessKind::Broadcast => {
                 let sim = Simulation::from_spec_with_scratch(self, &mut rng, taken)?;
                 ScenarioOutcome::Broadcast(finish(sim, &mut rng, scratch))
@@ -466,7 +468,9 @@ impl ScenarioSpec {
                 ScenarioOutcome::Infection(finish(sim, &mut rng, scratch))
             }
             ProcessKind::Gossip => {
-                let sim = Simulation::gossip_with_scratch(cfg, &mut rng, taken)?;
+                let rumors = self.settings.rumors.unwrap_or(cfg.k());
+                let process = Gossip::with_rumors(cfg.k(), rumors)?;
+                let sim = build_world_sim(self, process, &mut rng, taken)?;
                 ScenarioOutcome::Gossip(finish(sim, &mut rng, scratch))
             }
             ProcessKind::ProtocolBroadcast => {
@@ -481,17 +485,8 @@ impl ScenarioSpec {
                 ScenarioOutcome::ProtocolBroadcast(finish(sim, &mut rng, scratch))
             }
             ProcessKind::Coverage => {
-                let grid = Grid::new(cfg.side())?;
-                let process = Coverage::from_config(grid, cfg)?;
-                let sim = Simulation::new_with_scratch(
-                    grid,
-                    cfg.k(),
-                    cfg.radius(),
-                    cfg.max_steps(),
-                    process,
-                    &mut rng,
-                    taken,
-                )?;
+                let process = Coverage::from_config(Grid::new(cfg.side())?, cfg)?;
+                let sim = build_world_sim(self, process, &mut rng, taken)?;
                 ScenarioOutcome::Coverage(finish(sim, &mut rng, scratch))
             }
         })
@@ -590,6 +585,7 @@ pub struct ScenarioSpecBuilder {
     pub(crate) radius: u32,
     pub(crate) source: usize,
     pub(crate) max_steps: Option<u64>,
+    pub(crate) rumors: Option<usize>,
     pub(crate) mobility: Mobility,
     pub(crate) exchange_rule: ExchangeRule,
     pub(crate) metric: Metric,
@@ -683,6 +679,14 @@ impl ScenarioSpecBuilder {
         self
     }
 
+    /// Sets the number of rumors, held by the first `rumors` agents
+    /// (default one per agent; gossip only).
+    #[must_use]
+    pub fn rumors(mut self, rumors: usize) -> Self {
+        self.rumors = Some(rumors);
+        self
+    }
+
     /// Declares a partition window of `len` ticks starting at `start`
     /// (default none; protocol twin only).
     #[must_use]
@@ -701,8 +705,8 @@ impl ScenarioSpecBuilder {
     /// the chosen kind would silently ignore is rejected: gossip
     /// implements neither mobility rules nor one-hop exchange, and
     /// infection (contact-only by definition) implements neither
-    /// one-hop exchange nor a nonzero radius — a spec must describe
-    /// the run that actually happens.
+    /// one-hop exchange nor a nonzero radius, and only gossip takes a
+    /// rumor count — a spec must describe the run that actually happens.
     ///
     /// [`SimConfigBuilder::build`]: crate::SimConfigBuilder::build
     ///
@@ -710,7 +714,8 @@ impl ScenarioSpecBuilder {
     ///
     /// As [`SimConfigBuilder::build`] ([`SimError::Grid`],
     /// [`SimError::TooFewAgents`], [`SimError::SourceOutOfRange`],
-    /// [`SimError::ZeroStepCap`]), plus
+    /// [`SimError::ZeroStepCap`]), [`SimError::RumorCountOutOfRange`]
+    /// as [`Gossip::with_rumors`], plus
     /// [`SimError::UnsupportedSetting`] for kind/setting combinations
     /// the processes do not implement,
     /// [`SimError::InvalidWorldSetting`] for out-of-range world axes,
@@ -742,6 +747,12 @@ impl ScenarioSpecBuilder {
                 if self.exchange_rule != ExchangeRule::Component {
                     return Err(unsupported("exchange = \"one-hop\""));
                 }
+                if let Some(num_rumors) = self.rumors.filter(|&n| n == 0 || n > self.k) {
+                    return Err(SimError::RumorCountOutOfRange {
+                        num_rumors,
+                        k: self.k,
+                    });
+                }
             }
             ProcessKind::Infection => {
                 if self.exchange_rule != ExchangeRule::Component {
@@ -760,6 +771,9 @@ impl ScenarioSpecBuilder {
                 }
             }
             ProcessKind::Broadcast | ProcessKind::Coverage => {}
+        }
+        if self.kind != ProcessKind::Gossip && self.rumors.is_some() {
+            return Err(unsupported("rumors"));
         }
         // Only the protocol twin implements network faults; any other
         // kind would silently ignore them.

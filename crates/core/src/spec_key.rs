@@ -115,7 +115,7 @@ pub enum KeyDefault {
 /// The config a key sets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KeyFamily {
-    /// The process, geometry, rules, step cap and metric.
+    /// The process, geometry, rules, step cap, rumor count and metric.
     Run,
     /// The protocol twin's [`NetworkConfig`].
     Network,
@@ -147,7 +147,8 @@ pub struct SpecKey {
 }
 
 impl SpecKey {
-    /// The key's value in `builder`. An unset step cap reads 0.
+    /// The key's value in `builder`. An unset step cap or rumor count
+    /// reads 0.
     #[must_use]
     pub fn get(&self, builder: &ScenarioSpecBuilder) -> KeyValue {
         (self.get)(builder)
@@ -326,12 +327,12 @@ fn set_network(
 
 /// The getter (`get`) or setter (`set`) of a builder field path;
 /// `network.<i> <getter>` is field `i` of [`set_network`]'s tuple, and
-/// `max_steps` reads 0 when unset.
+/// `?field` is an `Option` field that reads 0 when unset.
 macro_rules! access {
     (get network.$i:tt $get:ident) => { |b| b.network.$get().to_value() };
     (set network.$i:tt $get:ident) => { |b, v| set_network(b, |n| n.$i = Field::from_value(v)) };
-    (get max_steps) => { |b| b.max_steps.unwrap_or_default().to_value() };
-    (set max_steps) => { |b, v| { b.max_steps = Some(v.int()); Ok(()) } };
+    (get ?$field:ident) => { |b| b.$field.unwrap_or_default().to_value() };
+    (set ?$field:ident) => { |b, v| { b.$field = Some(Field::from_value(v)); Ok(()) } };
     (get $($field:ident).+) => { |b| b.$($field).+.to_value() };
     (set $($field:ident).+) => { |b, v| { b.$($field).+ = Field::from_value(v); Ok(()) } };
 }
@@ -353,7 +354,7 @@ macro_rules! spec_keys {
             };
         )+
         /// Every `[scenario]` key, in rendering order.
-        pub const SPEC_KEYS: [SpecKey; 27] = [$($id),+];
+        pub const SPEC_KEYS: [SpecKey; 28] = [$($id),+];
     };
 }
 
@@ -383,7 +384,8 @@ spec_keys! {
     SOURCE "source" USIZE, Always, "", Run, false, (source);
     MOBILITY "mobility" Names("all, informed-only"), Always, "frog", Run, false, (mobility);
     EXCHANGE "exchange" Names("component, one-hop"), Always, "one-hop", Run, false, (exchange_rule);
-    MAX_STEPS "max_steps" U64, Omitted(Int(0)), "max-steps", Run, false, (max_steps);
+    MAX_STEPS "max_steps" U64, Omitted(Int(0)), "max-steps", Run, false, (?max_steps);
+    RUMORS "rumors" USIZE_POS, Omitted(Int(0)), "rumors", Run, false, (?rumors);
     DROP_PROB "drop_prob" Unit, Omitted(Real(0.0)), "drop", Network, true, (network.0 drop_prob);
     DELAY_MAX "delay_max" U64, Omitted(Int(0)), "delay", Network, false, (network.1 delay_max);
     SEND_CAP "send_cap" U32, Omitted(Int(0)), "cap", Network, true, (network.2 send_cap);

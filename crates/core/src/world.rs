@@ -436,9 +436,9 @@ impl Simulation<Broadcast, WorldGrid> {
     }
 }
 
-/// The process-generic world build of every spec run in a world
-/// (broadcasts and infections): the spec's grid, agents, radius, step
-/// cap and world axes, around the spec's `process`.
+/// The process-generic world build of every spec run but the protocol
+/// twin's: the spec's grid, agents, radius, step cap and world axes,
+/// around the spec's `process`.
 pub(crate) fn build_world_sim<P: Process, R: RngExt>(
     spec: &ScenarioSpec,
     process: P,

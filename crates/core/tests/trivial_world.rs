@@ -1,12 +1,12 @@
 //! A trivial world reproduces the plain constructors draw for draw.
 //!
-//! `ScenarioSpec::run_outcome` runs every broadcast and every infection
+//! `ScenarioSpec::run_outcome` runs every kind but the protocol twin
 //! through the world-aware constructor on a `WorldGrid`, trivial world
 //! or not. That is only sound if a trivial world (the default, or
 //! one whose declared axes change nothing) gives the same outcome as
-//! `Simulation::broadcast`, `Simulation::frog` and
-//! `Simulation::infection` for every seed; this suite pins it, for the
-//! world constructors and for the spec run.
+//! `Simulation::broadcast`, `Simulation::frog`, `Simulation::gossip`,
+//! `Simulation::infection` and `Simulation::coverage` for every seed;
+//! this suite pins it, for the world constructors and for the spec run.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -121,6 +121,38 @@ fn trivial_world_infection_matches_the_plain_constructor() {
                     );
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn gossip_and_coverage_specs_match_the_plain_constructors() {
+    for (side, k, radius) in GEOMETRIES {
+        let config = SimConfig::builder(side, k).radius(radius).build().unwrap();
+        let spec = |kind| {
+            ScenarioSpec::builder(kind, side, k)
+                .radius(radius)
+                .build()
+                .unwrap()
+        };
+        let (gossip, coverage) = (spec(ProcessKind::Gossip), spec(ProcessKind::Coverage));
+        for seed in 0..SEEDS {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let plain = Simulation::gossip(&config, &mut rng).unwrap().run(&mut rng);
+            assert_eq!(
+                gossip.run_outcome(seed),
+                ScenarioOutcome::Gossip(plain),
+                "gossip side={side} k={k} r={radius} seed={seed}"
+            );
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let plain = Simulation::coverage(&config, &mut rng)
+                .unwrap()
+                .run(&mut rng);
+            assert_eq!(
+                coverage.run_outcome(seed),
+                ScenarioOutcome::Coverage(plain),
+                "coverage side={side} k={k} r={radius} seed={seed}"
+            );
         }
     }
 }

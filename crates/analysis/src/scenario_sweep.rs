@@ -636,21 +636,23 @@ impl ScenarioSweep {
         if adaptive.is_some() {
             evals.sort_by_key(|e| (e.curve, e.cell.radius));
         }
-        let cells = evals
-            .into_iter()
-            .map(|e| {
-                let n = f64::from(e.cell.side) * f64::from(e.cell.side);
-                SweepCell {
-                    side: e.cell.side,
-                    k: e.cell.k,
-                    radius: e.cell.radius,
-                    labels: e.cell.labels,
-                    critical_radius: theory::critical_radius(n, e.cell.k as f64),
-                    summary: Summary::from_slice(&e.samples),
-                    samples: e.samples,
-                }
-            })
-            .collect();
+        // A fresh buffer, not an in-place collect: reusing `evals`'
+        // buffer would shrink it with a `realloc` whose presence depends
+        // on the two element sizes, so the allocation census would move
+        // with struct layout.
+        let mut cells = Vec::with_capacity(evals.len());
+        cells.extend(evals.into_iter().map(|e| {
+            let n = f64::from(e.cell.side) * f64::from(e.cell.side);
+            SweepCell {
+                side: e.cell.side,
+                k: e.cell.k,
+                radius: e.cell.radius,
+                labels: e.cell.labels,
+                critical_radius: theory::critical_radius(n, e.cell.k as f64),
+                summary: Summary::from_slice(&e.samples),
+                samples: e.samples,
+            }
+        }));
         Ok(ScenarioSweepReport {
             process: self.base.kind(),
             metric: self.base.metric(),

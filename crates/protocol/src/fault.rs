@@ -210,69 +210,37 @@ impl Default for FaultPlan {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecoveryConfig {
     retransmit: bool,
-    retry_cap: u32,
-    max_retries: u32,
     anti_entropy_interval: u64,
 }
 
 impl RecoveryConfig {
-    /// Default retry-queue capacity per node.
+    /// Retry-queue capacity per node: unacked offers beyond it are not
+    /// remembered.
     pub const DEFAULT_RETRY_CAP: u32 = 64;
-    /// Default retransmission budget per retry entry.
+    /// Retransmissions per retry entry before the node gives up.
     pub const DEFAULT_MAX_RETRIES: u32 = 5;
 
     /// No retransmission, no anti-entropy.
     pub const OFF: Self = Self {
         retransmit: false,
-        retry_cap: Self::DEFAULT_RETRY_CAP,
-        max_retries: Self::DEFAULT_MAX_RETRIES,
         anti_entropy_interval: 0,
     };
 
-    /// A config with the default retry limits. `anti_entropy_interval`
-    /// is the digest-timer period in ticks (`0` disables anti-entropy).
+    /// A config with the fixed retry limits ([`Self::DEFAULT_RETRY_CAP`],
+    /// [`Self::DEFAULT_MAX_RETRIES`]). `anti_entropy_interval` is the
+    /// digest-timer period in ticks (`0` disables anti-entropy).
     #[must_use]
     pub fn new(retransmit: bool, anti_entropy_interval: u64) -> Self {
         Self {
             retransmit,
             anti_entropy_interval,
-            ..Self::OFF
         }
-    }
-
-    /// Overrides the retry-queue capacity and per-entry retry budget.
-    ///
-    /// # Errors
-    ///
-    /// [`FaultError::ZeroRetryCap`] if `retry_cap == 0` (retransmission
-    /// could never remember an unacked offer).
-    pub fn with_retry_limits(self, retry_cap: u32, max_retries: u32) -> Result<Self, FaultError> {
-        if retry_cap == 0 {
-            return Err(FaultError::ZeroRetryCap);
-        }
-        Ok(Self {
-            retry_cap,
-            max_retries,
-            ..self
-        })
     }
 
     /// Whether ack-driven retransmission is enabled.
     #[must_use]
     pub fn retransmit(&self) -> bool {
         self.retransmit
-    }
-
-    /// Maximum unacked offers a node remembers (`≥ 1`).
-    #[must_use]
-    pub fn retry_cap(&self) -> u32 {
-        self.retry_cap
-    }
-
-    /// Retransmissions allowed per entry before the node gives up.
-    #[must_use]
-    pub fn max_retries(&self) -> u32 {
-        self.max_retries
     }
 
     /// The anti-entropy digest period in ticks (`0` = disabled).
@@ -294,8 +262,7 @@ impl Default for RecoveryConfig {
     }
 }
 
-/// Why a [`FaultPlan`], [`PartitionSchedule`] or [`RecoveryConfig`]
-/// could not be built.
+/// Why a [`FaultPlan`] or [`PartitionSchedule`] could not be built.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultError {
     /// `crash_prob` was NaN, infinite, or outside `[0, 1]`.
@@ -304,8 +271,6 @@ pub enum FaultError {
     ZeroRestartDelay,
     /// A partition window had `start >= end` (it could never block).
     EmptyPartitionWindow,
-    /// The retry-queue capacity was zero.
-    ZeroRetryCap,
 }
 
 impl fmt::Display for FaultError {
@@ -318,7 +283,6 @@ impl fmt::Display for FaultError {
             Self::EmptyPartitionWindow => {
                 write!(f, "partition windows must satisfy start < end")
             }
-            Self::ZeroRetryCap => write!(f, "retry queue capacity must be at least 1"),
         }
     }
 }
@@ -335,6 +299,9 @@ mod tests {
         assert_eq!(FaultPlan::default(), FaultPlan::NONE);
         assert!(RecoveryConfig::OFF.is_off());
         assert_eq!(RecoveryConfig::default(), RecoveryConfig::OFF);
+        let rec = RecoveryConfig::new(true, 4);
+        assert!(rec.retransmit() && !rec.is_off());
+        assert_eq!(rec.anti_entropy_interval(), 4);
     }
 
     #[test]
@@ -404,22 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn recovery_retry_limits_validate() {
-        assert_eq!(
-            RecoveryConfig::new(true, 0).with_retry_limits(0, 3),
-            Err(FaultError::ZeroRetryCap)
-        );
-        let rec = RecoveryConfig::new(true, 4)
-            .with_retry_limits(8, 2)
-            .unwrap();
-        assert_eq!(rec.retry_cap(), 8);
-        assert_eq!(rec.max_retries(), 2);
-        assert_eq!(rec.anti_entropy_interval(), 4);
-        assert!(rec.retransmit());
-        assert!(!rec.is_off());
-    }
-
-    #[test]
     fn errors_display() {
         assert!(FaultError::CrashProbOutOfRange
             .to_string()
@@ -428,6 +379,5 @@ mod tests {
         assert!(FaultError::EmptyPartitionWindow
             .to_string()
             .contains("start < end"));
-        assert!(FaultError::ZeroRetryCap.to_string().contains("at least 1"));
     }
 }

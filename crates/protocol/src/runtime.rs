@@ -78,15 +78,6 @@ struct NodeState {
     retry: Vec<RetryEntry>,
 }
 
-/// One computed (not yet applied) send, produced by a node's send phase.
-#[derive(Clone, Copy, Debug)]
-struct SendAction {
-    env: Envelope,
-    dropped: bool,
-    /// Whether the retry queue (not a first offer) produced this send.
-    retransmit: bool,
-}
-
 /// The deterministic message-passing runtime the protocol twin runs on.
 ///
 /// Each agent of the mobility model is a node; per logical tick the
@@ -128,7 +119,6 @@ pub struct NodeRuntime {
     next_pending: Vec<Envelope>,
     /// Nodes informed during the current round (they flood next).
     fresh: Vec<u32>,
-    actions: Vec<SendAction>,
     hash: SpatialHash,
     /// Visible pairs of the current tick, each once.
     edges: Vec<(u32, u32)>,
@@ -180,7 +170,6 @@ impl NodeRuntime {
             pending: Vec::new(),
             next_pending: Vec::new(),
             fresh: Vec::new(),
-            actions: Vec::new(),
             hash: SpatialHash::default(),
             edges: Vec::new(),
             neighbors: Vec::new(),
@@ -196,28 +185,16 @@ impl NodeRuntime {
         self.fault = plan;
     }
 
-    /// The installed fault plan.
-    #[must_use]
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault
-    }
-
-    /// Installs a recovery configuration. Retry queues pre-reserve the
-    /// configured capacity so steady-state ticks stay allocation-free.
+    /// Installs a recovery configuration. Retry queues pre-reserve
+    /// their fixed capacity so steady-state ticks stay allocation-free.
     pub fn set_recovery(&mut self, recovery: RecoveryConfig) {
         self.recovery = recovery;
         if recovery.retransmit() {
-            let cap = recovery.retry_cap() as usize;
             for node in &mut self.nodes {
-                node.retry.reserve(cap);
+                node.retry
+                    .reserve(RecoveryConfig::DEFAULT_RETRY_CAP as usize);
             }
         }
-    }
-
-    /// The installed recovery configuration.
-    #[must_use]
-    pub fn recovery(&self) -> &RecoveryConfig {
-        &self.recovery
     }
 
     /// Enables or disables full event-record keeping (the rolling log
@@ -236,24 +213,6 @@ impl NodeRuntime {
     #[must_use]
     pub fn stats(&self) -> &RuntimeStats {
         &self.stats
-    }
-
-    /// The network configuration this runtime was built with.
-    #[must_use]
-    pub fn net(&self) -> &NetworkConfig {
-        &self.net
-    }
-
-    /// Number of nodes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the runtime has zero nodes (never true — `k ≥ 1`).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// The set of informed nodes.
@@ -314,7 +273,9 @@ impl NodeRuntime {
         self.fault_phase(time);
         let gossip_tick = time.is_multiple_of(self.net.gossip_interval());
 
-        // Arrivals scheduled by earlier ticks, in canonical order.
+        // Arrivals scheduled by earlier ticks, plus this tick's
+        // zero-delay digests (`send` queues them on `next_pending`,
+        // which is empty between ticks), in canonical order.
         self.pending.clear();
         let mut i = 0;
         while i < self.future.len() {
@@ -325,6 +286,7 @@ impl NodeRuntime {
             }
         }
         self.anti_entropy_phase(time);
+        self.pending.append(&mut self.next_pending);
         self.pending.sort_unstable_by_key(Envelope::canonical_key);
 
         // Timers fire at tick start, for nodes informed before the tick.
@@ -371,13 +333,16 @@ impl NodeRuntime {
             // Send phase: round 0 floods from every informed node;
             // later rounds only from nodes informed this round (the
             // others' eligible peer sets can only have shrunk).
-            if gossip_tick {
-                if round == 0 {
-                    self.send_phase_all(time);
-                } else {
-                    self.send_phase_fresh(time);
+            if gossip_tick && round == 0 {
+                for i in 0..self.nodes.len() {
+                    if self.nodes[i].informed {
+                        self.node_sends(i, time, round);
+                    }
                 }
-                self.apply_actions(time, round);
+            } else if gossip_tick {
+                for idx in 0..self.fresh.len() {
+                    self.node_sends(self.fresh[idx] as usize, time, round);
+                }
             }
 
             if self.next_pending.is_empty() {
@@ -461,7 +426,6 @@ impl NodeRuntime {
         if interval == 0 || !time.is_multiple_of(interval) {
             return;
         }
-        let net = self.net;
         // hot: census row `faulty_twin_ticks_allocate_only_for_queue_growth`
         for i in 0..self.nodes.len() {
             let (start, end) = (self.offsets[i], self.offsets[i + 1]);
@@ -470,41 +434,8 @@ impl NodeRuntime {
             }
             let node = &mut self.nodes[i];
             let dst = self.neighbors[node.rng.random_range(start..end)];
-            let dropped = node.rng.random_bool(net.drop_prob());
-            let delay = if !dropped && net.delay_max() > 0 {
-                node.rng.random_range(0..=net.delay_max())
-            } else {
-                0
-            };
-            let env = Envelope {
-                src: i as u32,
-                dst,
-                payload: Payload::Digest {
-                    rumor: 0,
-                    has: node.informed,
-                },
-                sent_at: time,
-                deliver_at: time.saturating_add(delay),
-            };
-            self.stats.sent += 1;
-            self.stats.digests += 1;
-            self.log.push(Event::Send {
-                tick: time,
-                round: 0,
-                env,
-            });
-            if dropped {
-                self.stats.dropped += 1;
-                self.log.push(Event::Drop {
-                    tick: time,
-                    round: 0,
-                    env,
-                });
-            } else if delay == 0 {
-                self.pending.push(env);
-            } else {
-                self.future.push(env);
-            }
+            let has = node.informed;
+            self.send(i, dst, Payload::Digest { rumor: 0, has }, time, 0, false);
         }
     }
 
@@ -547,30 +478,39 @@ impl NodeRuntime {
         }
     }
 
-    /// Sends a control-plane reply (`GossipAck`, digest reply, or
-    /// digest-pulled `Gossip`) from `src`: loss and delay drawn from
-    /// the replier's own stream, cap-exempt, routed to the next round
-    /// (zero delay) or a future tick.
-    fn control_reply(&mut self, src: u32, dst: u32, payload: Payload, time: u64, round: u32) {
+    /// Sends one message from `src`; every message of the twin leaves
+    /// through here. Loss, then (for a kept message, when `delay_max >
+    /// 0`) delay, are drawn from the sender's own stream; the send is
+    /// counted and logged, and a kept message is routed to the next
+    /// round (zero delay) or a later tick.
+    // hot: census row `faulty_twin_ticks_allocate_only_for_queue_growth`
+    fn send(
+        &mut self,
+        src: usize,
+        dst: u32,
+        payload: Payload,
+        time: u64,
+        round: u32,
+        retransmit: bool,
+    ) {
         let net = self.net;
-        let node = &mut self.nodes[src as usize];
-        let dropped = node.rng.random_bool(net.drop_prob());
+        let rng = &mut self.nodes[src].rng;
+        let dropped = rng.random_bool(net.drop_prob());
         let delay = if !dropped && net.delay_max() > 0 {
-            node.rng.random_range(0..=net.delay_max())
+            rng.random_range(0..=net.delay_max())
         } else {
             0
         };
         let env = Envelope {
-            src,
+            src: src as u32,
             dst,
             payload,
             sent_at: time,
             deliver_at: time.saturating_add(delay),
         };
         self.stats.sent += 1;
-        if matches!(payload, Payload::Digest { .. }) {
-            self.stats.digests += 1;
-        }
+        self.stats.digests += u64::from(matches!(payload, Payload::Digest { .. }));
+        self.stats.retransmits += u64::from(retransmit);
         self.log.push(Event::Send {
             tick: time,
             round,
@@ -606,7 +546,8 @@ impl NodeRuntime {
                 }
                 // Ack so the sender stops re-offering. Control traffic:
                 // subject to loss and delay, exempt from the send cap.
-                self.control_reply(env.dst, env.src, Payload::GossipAck { rumor }, time, round);
+                let ack = Payload::GossipAck { rumor };
+                self.send(dst, env.src, ack, time, round, false);
             }
             Payload::GossipAck { .. } => {
                 self.nodes[dst].peers_known.insert(env.src as usize);
@@ -618,13 +559,8 @@ impl NodeRuntime {
                     // confessing its own miss.
                     self.nodes[dst].peers_known.insert(env.src as usize);
                     if !self.nodes[dst].informed {
-                        self.control_reply(
-                            env.dst,
-                            env.src,
-                            Payload::Digest { rumor, has: false },
-                            time,
-                            round,
-                        );
+                        let payload = Payload::Digest { rumor, has: false };
+                        self.send(dst, env.src, payload, time, round, false);
                     }
                 } else {
                     // The sender lacks the rumor: any recorded ack
@@ -635,197 +571,86 @@ impl NodeRuntime {
                     if self.nodes[dst].informed {
                         self.nodes[dst].sent_to.insert(env.src as usize);
                         self.nodes[dst].sent_this_tick += 1;
-                        self.control_reply(
-                            env.dst,
-                            env.src,
-                            Payload::Gossip { rumor },
-                            time,
-                            round,
-                        );
+                        self.send(dst, env.src, Payload::Gossip { rumor }, time, round, false);
                     }
                 }
             }
         }
     }
 
-    /// Round-0 send phase: every informed node offers the rumor to its
-    /// eligible neighbors, in node order.
-    fn send_phase_all(&mut self, time: u64) {
-        self.actions.clear();
-        let (net, rec) = (self.net, self.recovery);
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            if node.informed {
-                let nb = &self.neighbors[self.offsets[i]..self.offsets[i + 1]];
-                node_sends(node, i as u32, nb, net, rec, time, &mut self.actions);
-            }
-        }
-    }
-
-    /// Later-round send phase: only nodes informed during the round
-    /// just delivered flood further.
-    fn send_phase_fresh(&mut self, time: u64) {
-        let net = self.net;
-        let rec = self.recovery;
-        let neighbors = &self.neighbors;
-        let offsets = &self.offsets;
-        for idx in 0..self.fresh.len() {
-            let i = self.fresh[idx] as usize;
-            let nb = &neighbors[offsets[i]..offsets[i + 1]];
-            node_sends(
-                &mut self.nodes[i],
-                i as u32,
-                nb,
-                net,
-                rec,
-                time,
-                &mut self.actions,
-            );
-        }
-    }
-
-    /// Commits computed sends in node order: logs them, routes each to
-    /// the next round (zero delay), a future tick, or the drop counter.
-    fn apply_actions(&mut self, time: u64, round: u32) {
-        let mut actions = mem::take(&mut self.actions);
-        for a in &actions {
-            self.stats.sent += 1;
-            if a.retransmit {
-                self.stats.retransmits += 1;
-            }
-            self.log.push(Event::Send {
-                tick: time,
-                round,
-                env: a.env,
-            });
-            if a.dropped {
-                self.stats.dropped += 1;
-                self.log.push(Event::Drop {
-                    tick: time,
-                    round,
-                    env: a.env,
-                });
-            } else if a.env.deliver_at == time {
-                self.next_pending.push(a.env);
-            } else {
-                self.future.push(a.env);
-            }
-        }
-        actions.clear();
-        self.actions = actions;
-    }
-}
-
-/// One node's send computation: first service the retry queue (when
-/// retransmission is on), then offer the rumor to every neighbor not
-/// yet known informed, not yet offered this tick, and not already
-/// queued for backoff — up to the per-tick cap, drawing loss and delay
-/// from the node's private RNG.
-fn node_sends(
-    node: &mut NodeState,
-    i: u32,
-    neighbors: &[u32],
-    net: NetworkConfig,
-    rec: RecoveryConfig,
-    time: u64,
-    out: &mut Vec<SendAction>,
-) {
-    if rec.retransmit() {
-        retry_pass(node, i, neighbors, net, rec, time, out);
-    }
-    for &j in neighbors {
-        if net.send_cap() != 0 && node.sent_this_tick >= net.send_cap() {
-            break;
-        }
-        if node.peers_known.contains(j as usize) || node.sent_to.contains(j as usize) {
-            continue;
-        }
-        if rec.retransmit() && node.retry.iter().any(|e| e.peer == j) {
-            // Already offered and awaiting ack: the retry queue owns
-            // the resend schedule, don't re-offer eagerly.
-            continue;
-        }
-        node.sent_to.insert(j as usize);
-        node.sent_this_tick += 1;
-        let dropped = node.rng.random_bool(net.drop_prob());
-        let delay = if !dropped && net.delay_max() > 0 {
-            node.rng.random_range(0..=net.delay_max())
-        } else {
-            0
-        };
-        out.push(SendAction {
-            env: Envelope {
-                src: i,
-                dst: j,
-                payload: Payload::Gossip { rumor: 0 },
-                sent_at: time,
-                deliver_at: time.saturating_add(delay),
-            },
-            dropped,
-            retransmit: false,
-        });
-        if rec.retransmit() && (node.retry.len() as u32) < rec.retry_cap() {
-            node.retry.push(RetryEntry {
-                peer: j,
-                attempt: 0,
-                next_at: time.saturating_add(backoff(0)),
-            });
-        }
-    }
-}
-
-/// Services one node's retry queue: drop entries whose peer has acked,
-/// retransmit entries that are due and whose peer is visible (with
-/// exponential backoff, sharing the per-tick send budget but never
-/// blocked by the cap), and give up past `max_retries`.
-fn retry_pass(
-    node: &mut NodeState,
-    i: u32,
-    neighbors: &[u32],
-    net: NetworkConfig,
-    rec: RecoveryConfig,
-    time: u64,
-    out: &mut Vec<SendAction>,
-) {
+    /// One node's sends: first service the retry queue (when
+    /// retransmission is on), then offer the rumor to every neighbor not
+    /// yet known informed, not yet offered this tick, and not already
+    /// queued for backoff — up to the per-tick cap.
     // hot: census row `faulty_twin_ticks_allocate_only_for_queue_growth`
-    {
+    fn node_sends(&mut self, i: usize, time: u64, round: u32) {
+        let (cap, retransmit) = (self.net.send_cap(), self.recovery.retransmit());
+        if retransmit {
+            self.retry_pass(i, time, round);
+        }
+        for idx in self.offsets[i]..self.offsets[i + 1] {
+            let j = self.neighbors[idx];
+            let node = &mut self.nodes[i];
+            if cap != 0 && node.sent_this_tick >= cap {
+                break;
+            }
+            if node.peers_known.contains(j as usize) || node.sent_to.contains(j as usize) {
+                continue;
+            }
+            if retransmit && node.retry.iter().any(|e| e.peer == j) {
+                // Already offered and awaiting ack: the retry queue owns
+                // the resend schedule, don't re-offer eagerly.
+                continue;
+            }
+            node.sent_to.insert(j as usize);
+            node.sent_this_tick += 1;
+            if retransmit && (node.retry.len() as u32) < RecoveryConfig::DEFAULT_RETRY_CAP {
+                node.retry.push(RetryEntry {
+                    peer: j,
+                    attempt: 0,
+                    next_at: time.saturating_add(backoff(0)),
+                });
+            }
+            self.send(i, j, Payload::Gossip { rumor: 0 }, time, round, false);
+        }
+    }
+
+    /// Services node `i`'s retry queue: drop entries whose peer has
+    /// acked, retransmit entries that are due and whose peer is visible
+    /// (with exponential backoff, sharing the per-tick send budget but
+    /// never blocked by the cap), and give up after
+    /// [`RecoveryConfig::DEFAULT_MAX_RETRIES`] retransmissions.
+    // hot: census row `faulty_twin_ticks_allocate_only_for_queue_growth`
+    fn retry_pass(&mut self, i: usize, time: u64, round: u32) {
+        let (start, end) = (self.offsets[i], self.offsets[i + 1]);
         let mut idx = 0;
-        while idx < node.retry.len() {
+        while idx < self.nodes[i].retry.len() {
+            let node = &mut self.nodes[i];
             let entry = node.retry[idx];
             if node.peers_known.contains(entry.peer as usize) {
                 node.retry.swap_remove(idx);
                 continue;
             }
-            if entry.next_at > time || neighbors.binary_search(&entry.peer).is_err() {
+            if entry.next_at > time
+                || self.neighbors[start..end]
+                    .binary_search(&entry.peer)
+                    .is_err()
+            {
                 idx += 1;
                 continue;
             }
             node.sent_to.insert(entry.peer as usize);
             node.sent_this_tick += 1;
-            let dropped = node.rng.random_bool(net.drop_prob());
-            let delay = if !dropped && net.delay_max() > 0 {
-                node.rng.random_range(0..=net.delay_max())
-            } else {
-                0
-            };
-            out.push(SendAction {
-                env: Envelope {
-                    src: i,
-                    dst: entry.peer,
-                    payload: Payload::Gossip { rumor: 0 },
-                    sent_at: time,
-                    deliver_at: time.saturating_add(delay),
-                },
-                dropped,
-                retransmit: true,
-            });
             let attempt = entry.attempt + 1;
-            if attempt >= rec.max_retries() {
+            if attempt >= RecoveryConfig::DEFAULT_MAX_RETRIES {
                 node.retry.swap_remove(idx);
             } else {
                 node.retry[idx].attempt = attempt;
                 node.retry[idx].next_at = time.saturating_add(backoff(attempt));
                 idx += 1;
             }
+            let gossip = Payload::Gossip { rumor: 0 };
+            self.send(i, entry.peer, gossip, time, round, true);
         }
     }
 }
@@ -896,6 +721,45 @@ mod tests {
                         .filter(|&j| j as usize != i && positions[j as usize].manhattan(*p) <= *r)
                         .collect();
                     prop_assert_eq!(&rt.neighbors[rt.offsets[i]..rt.offsets[i + 1]], &brute[..]);
+                }
+            }
+        }
+
+        #[test]
+        fn every_sent_message_is_delivered_dropped_or_in_flight(
+            k in 2usize..=24,
+            // Drop in percent, delay, send cap, gossip interval.
+            (drop, delay, cap, interval) in (0u32..=100, 0u64..=4, 0u32..=3, 1u64..=3),
+            // Crash rate in percent; partition start and length (0: none).
+            (crash, start, len) in (0u32..=20, 0u64..=8, 0u64..=8),
+            (retransmit, anti_entropy) in (any::<bool>(), 0u64..=3),
+            seed in any::<u64>(),
+        ) {
+            let net = NetworkConfig::new(f64::from(drop) / 100.0, delay, cap, interval).unwrap();
+            let windows = if len == 0 {
+                Vec::new()
+            } else {
+                vec![PartitionWindow { start, end: start + len }]
+            };
+            let sched = PartitionSchedule::new(windows).unwrap();
+            let mut rt = NodeRuntime::new(k, 0, net, seed);
+            rt.set_fault_plan(FaultPlan::new(f64::from(crash) / 100.0, 2, sched).unwrap());
+            rt.set_recovery(RecoveryConfig::new(retransmit, anti_entropy));
+            // Lazy walkers on a 6 × 6 torus, so the graph changes while
+            // messages are in flight.
+            let side = 6;
+            let mut walk = SmallRng::seed_from_u64(seed);
+            let mut positions: Vec<Point> = (0..k)
+                .map(|_| Point::new(walk.random_range(0..side), walk.random_range(0..side)))
+                .collect();
+            for t in 0..40 {
+                rt.tick(t, &positions, 1, side);
+                let s = rt.stats();
+                prop_assert_eq!(s.sent, s.delivered + s.dropped + rt.future.len() as u64);
+                prop_assert!(rt.pending.is_empty() && rt.next_pending.is_empty());
+                for p in &mut positions {
+                    p.x = (p.x + side - 1 + walk.random_range(0..3u32)) % side;
+                    p.y = (p.y + side - 1 + walk.random_range(0..3u32)) % side;
                 }
             }
         }

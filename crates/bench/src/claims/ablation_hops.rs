@@ -6,13 +6,12 @@
 //! rumor to a single hop per step should barely change `T_B`. Above
 //! the percolation point the assumption matters enormously.
 
-use std::process::ExitCode;
-
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{Sweep, Table};
-use sparsegossip_bench::{verdict, ExpCtx};
 use sparsegossip_core::{ExchangeRule, SimConfig, Simulation};
+
+use crate::common::{verdict, ExpCtx};
 
 fn tb_with_rule(side: u32, k: usize, r: u32, rule: ExchangeRule, seed: u64) -> f64 {
     let config = SimConfig::builder(side, k)
@@ -27,12 +26,7 @@ fn tb_with_rule(side: u32, k: usize, r: u32, rule: ExchangeRule, seed: u64) -> f
         .unwrap_or(config.max_steps()) as f64
 }
 
-fn main() -> ExitCode {
-    let ctx = ExpCtx::init(
-        "A1",
-        "ablation: component flooding vs one-hop-per-step exchange",
-        "below r_c the two models coincide up to small factors; above r_c they diverge",
-    );
+pub fn run(ctx: &ExpCtx) -> bool {
     let side: u32 = ctx.pick(96, 128);
     let k: usize = 64;
     let n = f64::from(side) * f64::from(side);

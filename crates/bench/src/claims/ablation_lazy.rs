@@ -4,14 +4,13 @@
 //! principle; constants (not shapes) absorb the boundary. Running the
 //! identical broadcast on a torus should preserve the `k`-exponent.
 
-use std::process::ExitCode;
-
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{power_law_fit, Sweep, Table};
-use sparsegossip_bench::{fmt_exponent, measure_broadcast, verdict, ExpCtx};
-use sparsegossip_core::{Broadcast, SimConfig, Simulation};
+use sparsegossip_core::{Broadcast, ProcessKind, ScenarioSpec, SimConfig, Simulation};
 use sparsegossip_grid::Torus;
+
+use crate::common::{completion_time, fmt_exponent, verdict, ExpCtx};
 
 fn torus_tb(side: u32, k: usize, seed: u64) -> f64 {
     let torus = Torus::new(side).expect("valid side");
@@ -22,18 +21,15 @@ fn torus_tb(side: u32, k: usize, seed: u64) -> f64 {
     sim.run(&mut rng).broadcast_time.unwrap_or(cap) as f64
 }
 
-fn main() -> ExitCode {
-    let ctx = ExpCtx::init(
-        "A2",
-        "ablation: bounded grid vs torus broadcast scaling",
-        "boundary affects constants only; the k-exponent stays about -1/2",
-    );
+pub fn run(ctx: &ExpCtx) -> bool {
     let side: u32 = ctx.pick(64, 128);
     let ks: Vec<usize> = ctx.pick(vec![8, 16, 32, 64, 128], vec![8, 16, 32, 64, 128, 256]);
     let reps = ctx.pick(8, 16);
 
     let sweep = Sweep::new(ctx.seed).replicates(reps).threads(ctx.threads);
-    let grid = sweep.run(&ks, |&k, seed| measure_broadcast(side, k, 0, seed));
+    let grid = sweep.run(&ks, |&k, seed| {
+        completion_time(ScenarioSpec::builder(ProcessKind::Broadcast, side, k), seed)
+    });
     let torus = sweep.run(&ks, |&k, seed| torus_tb(side, k, seed));
 
     let mut table = Table::new(vec![

@@ -6,17 +6,12 @@
 //! We run the same simulator at `r = 2 r_c` and at `r = r_c/2` and
 //! contrast the k-scaling: polynomial below, near-flat (polylog) above.
 
-use std::process::ExitCode;
-
 use sparsegossip_analysis::{power_law_fit, Sweep, Table};
-use sparsegossip_bench::{fmt_exponent, measure_broadcast, verdict, ExpCtx};
+use sparsegossip_core::{ProcessKind, ScenarioSpec};
 
-fn main() -> ExitCode {
-    let ctx = ExpCtx::init(
-        "E18",
-        "broadcast scaling above vs below the percolation point",
-        "below r_c: T_B ~ k^{-1/2}; above r_c: polylog in k (near-zero exponent)",
-    );
+use crate::common::{completion_time, fmt_exponent, verdict, ExpCtx};
+
+pub fn run(ctx: &ExpCtx) -> bool {
     let side: u32 = ctx.pick(128, 192);
     let n = f64::from(side) * f64::from(side);
     let ks: Vec<usize> = ctx.pick(vec![16, 32, 64, 128, 256], vec![16, 32, 64, 128, 256, 512]);
@@ -26,11 +21,13 @@ fn main() -> ExitCode {
     // Radii scale with k so each point sits at the same r/r_c.
     let below = sweep.run(&ks, |&k, seed| {
         let rc = (n / k as f64).sqrt();
-        measure_broadcast(side, k, (0.5 * rc) as u32, seed)
+        let spec = ScenarioSpec::builder(ProcessKind::Broadcast, side, k);
+        completion_time(spec.radius((0.5 * rc) as u32), seed)
     });
     let above = sweep.run(&ks, |&k, seed| {
         let rc = (n / k as f64).sqrt();
-        measure_broadcast(side, k, (2.0 * rc).ceil() as u32, seed)
+        let spec = ScenarioSpec::builder(ProcessKind::Broadcast, side, k);
+        completion_time(spec.radius((2.0 * rc).ceil() as u32), seed)
     });
 
     let mut table = Table::new(vec![

@@ -1,8 +1,8 @@
 //! E24 — adaptive knee refinement: the bisection sweep locates every
 //! phase-transition knee at a fraction of the dense grid's cost.
 //!
-//! Where E21 (`exp_sweep`) measures a fixed {side} × {k} × {r/r_c}
-//! grid, this binary runs the *adaptive* mode: a coarse 5-point radius
+//! Where E21 (`sweep`) measures a fixed {side} × {k} × {r/r_c}
+//! grid, this claim runs the *adaptive* mode: a coarse 5-point radius
 //! axis per (side, k) curve, then per-curve bisection of the knee
 //! bracket down to `max(1 grid step, 1% · r_c)`, then a
 //! confidence-aware replicate top-up where the CI is widest. Gates:
@@ -20,25 +20,13 @@
 //!
 //! Results are printed as a table and written to `BENCH_adaptive.json`
 //! (uploaded by CI next to `BENCH_sweep.json`).
-//!
-//! Scale via `SG_SCALE` (`quick`/`full`) or the `--quick`/`--full`
-//! arguments; seed via `SG_SEED`, threads via `SG_THREADS`, like every
-//! other `exp_*` binary.
-
-use std::process::ExitCode;
 
 use sparsegossip_analysis::{AdaptiveConfig, ScenarioSweep};
-use sparsegossip_bench::{verdict, ExpCtx};
 use sparsegossip_core::{ProcessKind, ScenarioSpec};
 
-fn main() -> ExitCode {
-    let ctx = ExpCtx::init(
-        "E24",
-        "adaptive knee refinement against the dense-grid comparator",
-        "bisection finds every knee in [r_c/4, 4 r_c] to one-step/1% precision \
-         at <= 40% of the dense grid's cells",
-    );
+use crate::common::{verdict, ExpCtx};
 
+pub fn run(ctx: &ExpCtx) -> bool {
     let base = ScenarioSpec::builder(ProcessKind::Broadcast, 64, 32)
         .build()
         .expect("valid base spec");
@@ -126,8 +114,6 @@ fn main() -> ExitCode {
     );
 
     let ok = accuracy_ok && economy_ok;
-    // A MISMATCH must fail the caller (this binary is a CI gate for
-    // the adaptive mode), not just print.
     verdict(
         ok,
         &format!("accuracy {accuracy_ok}, economy {economy_ok} ({evaluated}/{dense_cells} cells)"),

@@ -7,14 +7,13 @@
 //! bottleneck, inflating `T_B` relative to the open grid — and the
 //! inflation grows as the gap narrows.
 
-use std::process::ExitCode;
-
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{Sweep, Table};
-use sparsegossip_bench::{verdict, ExpCtx};
 use sparsegossip_core::{Broadcast, SimConfig, Simulation};
 use sparsegossip_grid::{BarrierGrid, Point};
+
+use crate::common::{verdict, ExpCtx};
 
 /// Broadcast time on a grid with a vertical wall at x = side/2 with a
 /// centered gap of the given height (`gap == side` means no wall).
@@ -43,12 +42,7 @@ fn tb_with_gap(side: u32, k: usize, gap: u32, seed: u64) -> f64 {
     sim.run(&mut rng).broadcast_time.unwrap_or(cap) as f64
 }
 
-fn main() -> ExitCode {
-    let ctx = ExpCtx::init(
-        "E19",
-        "mobility barriers: broadcast through a wall with a gap (future work, Section 4)",
-        "narrower gaps inflate T_B monotonically over the open grid",
-    );
+pub fn run(ctx: &ExpCtx) -> bool {
     let side: u32 = ctx.pick(64, 96);
     let k: usize = 32;
     let gaps: Vec<u32> = vec![side, side / 2, side / 8, 2];

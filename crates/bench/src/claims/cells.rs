@@ -8,21 +8,15 @@
 //! cell reach times should grow with distance from the source cell
 //! (the spreading front).
 
-use std::process::ExitCode;
-
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{linear_fit, Summary, Table};
-use sparsegossip_bench::{verdict, ExpCtx};
 use sparsegossip_core::{CellReachTimes, SimConfig, Simulation};
 use sparsegossip_grid::Tessellation;
 
-fn main() -> ExitCode {
-    let ctx = ExpCtx::init(
-        "E17",
-        "cell-by-cell exploration of the tessellation (Theorem 1 machinery)",
-        "all cells reached within O~(T_B); reach time grows with distance from source",
-    );
+use crate::common::{verdict, ExpCtx};
+
+pub fn run(ctx: &ExpCtx) -> bool {
     let side: u32 = ctx.pick(96, 160);
     let k: usize = 48;
     let cell_side: u32 = ctx.pick(12, 20);

@@ -4,13 +4,12 @@
 //! within radius `R` per step; result `T_B = Θ(√n / R)` w.h.p. for
 //! `ρ = O(R)`. Expect a log–log slope of ≈ −1 in `R`.
 
-use std::process::ExitCode;
-
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{power_law_fit, Sweep, Table};
-use sparsegossip_bench::{fmt_exponent, verdict, ExpCtx};
 use sparsegossip_core::baseline::{ClementiConfig, ClementiSim};
+
+use crate::common::{fmt_exponent, verdict, ExpCtx};
 
 fn clementi_tb(side: u32, k: usize, big_r: u32, rho: u32, seed: u64) -> f64 {
     let config = ClementiConfig {
@@ -25,12 +24,7 @@ fn clementi_tb(side: u32, k: usize, big_r: u32, rho: u32, seed: u64) -> f64 {
     sim.run(&mut rng).broadcast_time.unwrap_or(config.max_steps) as f64
 }
 
-fn main() -> ExitCode {
-    let ctx = ExpCtx::init(
-        "E14",
-        "dense-MANET baseline (Clementi et al.): T_B vs exchange radius R",
-        "for k = Theta(n), rho = O(R): T_B = Theta(sqrt(n)/R) => slope -1 in R",
-    );
+pub fn run(ctx: &ExpCtx) -> bool {
     let side: u32 = ctx.pick(48, 96);
     let k = (u64::from(side) * u64::from(side) / 2) as usize; // dense: k = n/2
     let rs: Vec<u32> = ctx.pick(vec![2, 3, 4, 6, 8, 12], vec![2, 3, 4, 6, 8, 12, 16, 24]);

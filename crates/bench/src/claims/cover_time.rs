@@ -4,15 +4,14 @@
 //! is `O(n log²n / k + n log n)` w.h.p. — near-linear speedup in `k`
 //! until the additive `n log n` term takes over.
 
-use std::process::ExitCode;
-
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{power_law_fit, Sweep, Table};
-use sparsegossip_bench::{fmt_exponent, verdict, ExpCtx};
 use sparsegossip_core::theory::cover_time_shape;
 use sparsegossip_grid::Grid;
 use sparsegossip_walks::multi_cover;
+
+use crate::common::{fmt_exponent, verdict, ExpCtx};
 
 fn cover(side: u32, k: usize, seed: u64) -> f64 {
     let grid = Grid::new(side).expect("valid side");
@@ -22,12 +21,7 @@ fn cover(side: u32, k: usize, seed: u64) -> f64 {
     run.cover_time.unwrap_or(cap) as f64
 }
 
-fn main() -> ExitCode {
-    let ctx = ExpCtx::init(
-        "E7",
-        "cover time of k independent walks (Section 4)",
-        "T_cover = O(n log^2 n / k + n log n): ~1/k decay, flattening at large k",
-    );
+pub fn run(ctx: &ExpCtx) -> bool {
     let side: u32 = ctx.pick(64, 96);
     let n = f64::from(side) * f64::from(side);
     let ks: Vec<usize> = ctx.pick(

@@ -4,13 +4,12 @@
 //! informed agents to touch every grid node scales like the broadcast
 //! time (coverage completes within a polylog factor of broadcast).
 
-use std::process::ExitCode;
-
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{power_law_fit, Sweep, Table};
-use sparsegossip_bench::{fmt_exponent, verdict, ExpCtx};
 use sparsegossip_core::{SimConfig, Simulation};
+
+use crate::common::{fmt_exponent, verdict, ExpCtx};
 
 fn coverage_pair(side: u32, k: usize, seed: u64) -> (f64, f64) {
     let config = SimConfig::builder(side, k)
@@ -28,12 +27,7 @@ fn coverage_pair(side: u32, k: usize, seed: u64) -> (f64, f64) {
     )
 }
 
-fn main() -> ExitCode {
-    let ctx = ExpCtx::init(
-        "E10",
-        "coverage time T_C vs broadcast time T_B (Section 4)",
-        "T_C ~ T_B = O~(n/sqrt(k)): bounded T_C/T_B, same k-exponent",
-    );
+pub fn run(ctx: &ExpCtx) -> bool {
     let side: u32 = ctx.pick(48, 96);
     let ks: Vec<usize> = ctx.pick(vec![8, 16, 32, 64], vec![8, 16, 32, 64, 128]);
     let reps = ctx.pick(8, 16);

@@ -6,21 +6,15 @@
 //! in the interior (move probability 4/5), saturating at the boundary
 //! scale. We verify the slope and the saturation.
 
-use std::process::ExitCode;
-
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{linear_fit, Table};
-use sparsegossip_bench::{verdict, ExpCtx};
 use sparsegossip_grid::{Grid, Point};
 use sparsegossip_walks::{msd_curve, LAZY_WALK_MSD_SLOPE};
 
-fn main() -> ExitCode {
-    let ctx = ExpCtx::init(
-        "E20",
-        "mean squared displacement of the lazy walk",
-        "MSD(t) = (4/5) t in the interior; saturation at the boundary scale",
-    );
+use crate::common::{verdict, ExpCtx};
+
+pub fn run(ctx: &ExpCtx) -> bool {
     let side: u32 = ctx.pick(512, 1024);
     let trials: u32 = ctx.pick(800, 3000);
     let checkpoints: Vec<u64> = vec![25, 50, 100, 200, 400, 800];

@@ -24,18 +24,14 @@
 //!
 //! Results are printed as tables and written to `BENCH_faults.json`
 //! (uploaded by CI next to `BENCH_protocol.json`).
-//!
-//! Scale via `SG_SCALE` (`quick`/`full`) or `--quick`/`--full`; seed
-//! via `SG_SEED`.
-
-use std::process::ExitCode;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sparsegossip_bench::{verdict, ExpCtx};
 use sparsegossip_core::{
     FaultConfig, NetworkConfig, ProtocolOutcome, SimConfig, SimScratch, Simulation,
 };
+
+use crate::common::{verdict, ExpCtx};
 
 /// One twin run with the given network and fault axes.
 fn run_twin(
@@ -75,14 +71,8 @@ fn median(ticks: &mut [u64]) -> u64 {
     ticks[ticks.len() / 2]
 }
 
-fn main() -> ExitCode {
-    let (ctx, flags) = ExpCtx::init_with_flags(
-        "E25",
-        "fault-tolerant protocol twin: crashes, partitions, retransmission, anti-entropy",
-        "recovery bounds degradation: all faulty runs complete with median <= 3x ideal T_B",
-        &["--no-recovery"],
-    );
-    let no_recovery = flags.contains(&"--no-recovery");
+pub fn run(ctx: &ExpCtx) -> bool {
+    let no_recovery = ctx.flags.contains(&"--no-recovery");
     if no_recovery {
         println!("(--no-recovery: retransmission and anti-entropy disabled; gate 1 should FAIL)\n");
     }

@@ -5,24 +5,24 @@
 //! argument). Expect a `k`-exponent near −1/2 again, with a larger
 //! constant than the fully mobile model.
 
-use std::process::ExitCode;
-
 use sparsegossip_analysis::{power_law_fit, Sweep, Table};
-use sparsegossip_bench::{fmt_exponent, measure_broadcast, measure_frog, verdict, ExpCtx};
+use sparsegossip_core::{Mobility, ProcessKind, ScenarioSpec};
 
-fn main() -> ExitCode {
-    let ctx = ExpCtx::init(
-        "E8",
-        "Frog model: broadcast time vs k (only informed agents move)",
-        "same Theta~(n/sqrt(k)) scaling as the fully mobile model",
-    );
+use crate::common::{completion_time, fmt_exponent, verdict, ExpCtx};
+
+pub fn run(ctx: &ExpCtx) -> bool {
     let side: u32 = ctx.pick(64, 128);
     let ks: Vec<usize> = ctx.pick(vec![8, 16, 32, 64, 128], vec![8, 16, 32, 64, 128, 256]);
     let reps = ctx.pick(8, 20);
 
     let sweep = Sweep::new(ctx.seed).replicates(reps).threads(ctx.threads);
-    let frog = sweep.run(&ks, |&k, seed| measure_frog(side, k, 0, seed));
-    let free = sweep.run(&ks, |&k, seed| measure_broadcast(side, k, 0, seed));
+    let frog = sweep.run(&ks, |&k, seed| {
+        let spec = ScenarioSpec::builder(ProcessKind::Broadcast, side, k);
+        completion_time(spec.mobility(Mobility::InformedOnly), seed)
+    });
+    let free = sweep.run(&ks, |&k, seed| {
+        completion_time(ScenarioSpec::builder(ProcessKind::Broadcast, side, k), seed)
+    });
 
     let mut table = Table::new(vec![
         "k".into(),

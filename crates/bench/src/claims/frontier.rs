@@ -7,21 +7,15 @@
 //! and check its average speed is far below the naive ballistic rate
 //! and consistent with `T_B = Ω̃(n/√k)`.
 
-use std::process::ExitCode;
-
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{Summary, Table};
-use sparsegossip_bench::{verdict, ExpCtx};
 use sparsegossip_core::theory::broadcast_lower_bound_shape;
 use sparsegossip_core::{FrontierTracker, SimConfig, Simulation};
 
-fn main() -> ExitCode {
-    let ctx = ExpCtx::init(
-        "E15",
-        "frontier advance rate of the informed area (Theorem 2)",
-        "frontier speed O~(sqrt(k)/sqrt(n)) per step => T_B = Omega~(n/sqrt(k))",
-    );
+use crate::common::{verdict, ExpCtx};
+
+pub fn run(ctx: &ExpCtx) -> bool {
     let side: u32 = ctx.pick(128, 192);
     let k: usize = 64;
     let n = f64::from(side) * f64::from(side);

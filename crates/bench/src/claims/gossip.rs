@@ -4,24 +4,23 @@
 //! agents to learn all rumors is also `Õ(n/√k)` — i.e. the same
 //! scaling as broadcast, with a bounded `T_G/T_B` ratio.
 
-use std::process::ExitCode;
-
 use sparsegossip_analysis::{power_law_fit, Sweep, Table};
-use sparsegossip_bench::{fmt_exponent, measure_broadcast, measure_gossip, verdict, ExpCtx};
+use sparsegossip_core::{ProcessKind, ScenarioSpec};
 
-fn main() -> ExitCode {
-    let ctx = ExpCtx::init(
-        "E9",
-        "gossip time vs k (all k rumors to all agents)",
-        "T_G = O~(n/sqrt(k)); T_G/T_B bounded by a polylog factor",
-    );
+use crate::common::{completion_time, fmt_exponent, verdict, ExpCtx};
+
+pub fn run(ctx: &ExpCtx) -> bool {
     let side: u32 = ctx.pick(64, 128);
     let ks: Vec<usize> = ctx.pick(vec![8, 16, 32, 64], vec![8, 16, 32, 64, 128, 256]);
     let reps = ctx.pick(8, 20);
 
     let sweep = Sweep::new(ctx.seed).replicates(reps).threads(ctx.threads);
-    let gossip = sweep.run(&ks, |&k, seed| measure_gossip(side, k, 0, seed));
-    let broadcast = sweep.run(&ks, |&k, seed| measure_broadcast(side, k, 0, seed));
+    let gossip = sweep.run(&ks, |&k, seed| {
+        completion_time(ScenarioSpec::builder(ProcessKind::Gossip, side, k), seed)
+    });
+    let broadcast = sweep.run(&ks, |&k, seed| {
+        completion_time(ScenarioSpec::builder(ProcessKind::Broadcast, side, k), seed)
+    });
 
     let mut table = Table::new(vec![
         "k".into(),

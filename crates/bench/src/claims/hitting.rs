@@ -4,14 +4,13 @@
 //! within `d²` steps with probability at least `c₁ / max{1, log d}`.
 //! As in E5, we check `P(d) · ln d` is bounded below and roughly flat.
 
-use std::process::ExitCode;
-
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{Sweep, Table};
-use sparsegossip_bench::{verdict, ExpCtx};
 use sparsegossip_grid::{Grid, Point};
 use sparsegossip_walks::hitting_probability;
+
+use crate::common::{verdict, ExpCtx};
 
 fn hit_rate(side: u32, d: u32, trials: u32, seed: u64) -> f64 {
     let grid = Grid::new(side).expect("valid side");
@@ -22,12 +21,7 @@ fn hit_rate(side: u32, d: u32, trials: u32, seed: u64) -> f64 {
     hitting_probability(&grid, from, target, trials, &mut rng)
 }
 
-fn main() -> ExitCode {
-    let ctx = ExpCtx::init(
-        "E16",
-        "P(walk visits node at distance d within d^2 steps) (Lemma 1)",
-        "P >= c1 / log d: P(d) * ln d bounded below by a constant",
-    );
+pub fn run(ctx: &ExpCtx) -> bool {
     let side: u32 = ctx.pick(512, 1024);
     let trials: u32 = ctx.pick(600, 2000);
     let reps = ctx.pick(5, 10);

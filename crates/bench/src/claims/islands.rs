@@ -6,15 +6,14 @@
 //! sub-critical maxima stay `O(log n)` while super-critical ones grow
 //! to `Θ(k)`.
 
-use std::process::ExitCode;
-
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{Sweep, Table};
-use sparsegossip_bench::{verdict, ExpCtx};
 use sparsegossip_conngraph::IslandSampler;
 use sparsegossip_grid::Grid;
 use sparsegossip_walks::WalkEngine;
+
+use crate::common::{verdict, ExpCtx};
 
 fn max_island_over_time(side: u32, k: usize, gamma: u32, steps: u64, seed: u64) -> f64 {
     let grid = Grid::new(side).expect("valid side");
@@ -29,12 +28,7 @@ fn max_island_over_time(side: u32, k: usize, gamma: u32, steps: u64, seed: u64) 
     sampler.max_island_ever() as f64
 }
 
-fn main() -> ExitCode {
-    let ctx = ExpCtx::init(
-        "E4",
-        "maximum island size vs island parameter gamma (Lemma 6)",
-        "below ~sqrt(n/k): max island O(log n); above: giant Theta(k) islands",
-    );
+pub fn run(ctx: &ExpCtx) -> bool {
     let side: u32 = ctx.pick(128, 192);
     let k: usize = ctx.pick(256, 512);
     let steps: u64 = ctx.pick(300, 1500);

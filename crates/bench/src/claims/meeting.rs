@@ -5,14 +5,13 @@
 //! least `c₃ / log d`. We measure the probability over `d` and check
 //! that `P(d) · ln d` stays bounded below (no faster-than-1/log decay).
 
-use std::process::ExitCode;
-
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{Sweep, Table};
-use sparsegossip_bench::{verdict, ExpCtx};
 use sparsegossip_grid::{Grid, Point};
 use sparsegossip_walks::meeting_within;
+
+use crate::common::{verdict, ExpCtx};
 
 fn meet_rate(side: u32, d: u32, trials: u32, seed: u64) -> f64 {
     let grid = Grid::new(side).expect("valid side");
@@ -31,12 +30,7 @@ fn meet_rate(side: u32, d: u32, trials: u32, seed: u64) -> f64 {
     f64::from(hits) / f64::from(trials)
 }
 
-fn main() -> ExitCode {
-    let ctx = ExpCtx::init(
-        "E5",
-        "P(two walks meet in D within d^2 steps) vs initial distance d (Lemma 3)",
-        "P >= c3 / log d: P(d) * ln d bounded below by a constant",
-    );
+pub fn run(ctx: &ExpCtx) -> bool {
     let side: u32 = ctx.pick(512, 1024);
     let trials: u32 = ctx.pick(400, 1500);
     let reps = ctx.pick(5, 10);

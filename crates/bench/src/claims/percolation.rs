@@ -5,21 +5,15 @@
 //! `r/r_c` at several `(n, k)` and check the curves cross 1/2 at a
 //! common multiple of `r_c` (the hidden constant).
 
-use std::process::ExitCode;
-
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::Table;
-use sparsegossip_bench::{verdict, ExpCtx};
 use sparsegossip_conngraph::{critical_radius, estimate_threshold, percolation_profile};
 use sparsegossip_grid::{Grid, Topology};
 
-fn main() -> ExitCode {
-    let ctx = ExpCtx::init(
-        "E13",
-        "giant-component fraction vs r/r_c; threshold location",
-        "percolation at r_c ~ sqrt(n/k): thresholds collapse at a common r/r_c",
-    );
+use crate::common::{verdict, ExpCtx};
+
+pub fn run(ctx: &ExpCtx) -> bool {
     let samples: u32 = ctx.pick(30, 100);
     let configs: Vec<(u32, usize)> = ctx.pick(
         vec![(64, 64), (128, 64), (128, 256)],

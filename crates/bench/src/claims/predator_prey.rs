@@ -4,15 +4,14 @@
 //! `O(n log²n / k)` steps w.h.p. — note the `1/k` (not `1/√k`) decay,
 //! distinguishing this from the broadcast bound.
 
-use std::process::ExitCode;
-
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{power_law_fit, Sweep, Table};
-use sparsegossip_bench::{fmt_exponent, verdict, ExpCtx};
 use sparsegossip_core::theory::extinction_time_shape;
 use sparsegossip_core::{PredatorPrey, Simulation};
 use sparsegossip_grid::Grid;
+
+use crate::common::{fmt_exponent, verdict, ExpCtx};
 
 fn extinction(side: u32, k: usize, m: usize, seed: u64) -> f64 {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -23,12 +22,7 @@ fn extinction(side: u32, k: usize, m: usize, seed: u64) -> f64 {
     sim.run(&mut rng).extinction_time.unwrap_or(cap) as f64
 }
 
-fn main() -> ExitCode {
-    let ctx = ExpCtx::init(
-        "E11",
-        "predator-prey extinction time vs number of predators (Section 4)",
-        "T_ext = O(n log^2 n / k): ~1/k decay (contrast broadcast's 1/sqrt(k))",
-    );
+pub fn run(ctx: &ExpCtx) -> bool {
     let side: u32 = ctx.pick(48, 64);
     let n = f64::from(side) * f64::from(side);
     let m: usize = 16;

@@ -25,19 +25,12 @@
 //! Results are printed as tables and written to `BENCH_protocol.json`
 //! (uploaded by CI next to `BENCH_sweep.json`).
 
-use std::process::ExitCode;
-
 use sparsegossip_analysis::{Family, ScenarioSweep};
-use sparsegossip_bench::{verdict, ExpCtx};
 use sparsegossip_core::{ProcessKind, ScenarioSpec};
 
-fn main() -> ExitCode {
-    let ctx = ExpCtx::init(
-        "E22",
-        "message-passing protocol twin vs the simulator's broadcast curves",
-        "ideal-network twin reproduces T_B draw-for-draw (ratio exactly 1) and the r_c knee",
-    );
+use crate::common::{verdict, ExpCtx};
 
+pub fn run(ctx: &ExpCtx) -> bool {
     let sides = ctx.pick(vec![32, 48, 64], vec![64, 96, 128]);
     let ks = ctx.pick(vec![16, 32, 64], vec![32, 64, 128]);
     let r_factors = ctx.pick(
@@ -194,8 +187,6 @@ fn main() -> ExitCode {
         lossy.cells.len()
     );
 
-    // Both gates must fail the caller: this binary is the CI smoke for
-    // the protocol twin.
     verdict(
         knees_ok && ratios_ok,
         &format!(

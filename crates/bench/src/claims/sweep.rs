@@ -1,8 +1,8 @@
 //! E21 — the headline phase transition, driven by the declarative
 //! scenario subsystem end to end.
 //!
-//! Where E3 (`exp_tb_vs_r`) hand-codes one time-vs-radius curve, this
-//! binary *declares* the experiment: one base [`ScenarioSpec`] expanded
+//! Where E3 (`tb_vs_r`) hand-codes one time-vs-radius curve, this
+//! claim *declares* the experiment: one base [`ScenarioSpec`] expanded
 //! by [`ScenarioSweep`] over a {side} × {k} × {r/r_c} grid of cells,
 //! every cell replicated with deterministic per-cell seeds and executed
 //! with per-worker scratch recycling. The report's transition detector
@@ -13,24 +13,13 @@
 //!
 //! Results are printed as a table and written to `BENCH_sweep.json`
 //! (uploaded by CI as an artifact).
-//!
-//! Scale via `SG_SCALE` (`quick`/`full`) or the `--quick`/`--full`
-//! arguments; seed via `SG_SEED`, threads via `SG_THREADS`, like every
-//! other `exp_*` binary.
-
-use std::process::ExitCode;
 
 use sparsegossip_analysis::ScenarioSweep;
-use sparsegossip_bench::{verdict, ExpCtx};
 use sparsegossip_core::{ProcessKind, ScenarioSpec};
 
-fn main() -> ExitCode {
-    let ctx = ExpCtx::init(
-        "E21",
-        "declarative multi-axis sweep across the percolation threshold",
-        "mean T_B collapses as r crosses r_c = sqrt(n/k); the knee sits in [r_c/4, 4 r_c]",
-    );
+use crate::common::{verdict, ExpCtx};
 
+pub fn run(ctx: &ExpCtx) -> bool {
     let base = ScenarioSpec::builder(ProcessKind::Broadcast, 64, 32)
         .build()
         .expect("valid base spec");
@@ -83,8 +72,6 @@ fn main() -> ExitCode {
     );
 
     let ok = transitions.len() == expected_knees && within == transitions.len();
-    // A MISMATCH must fail the caller (this binary is a CI gate for
-    // the transition detector), not just print.
     verdict(
         ok,
         &format!(

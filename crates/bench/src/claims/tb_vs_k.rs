@@ -4,17 +4,12 @@
 //! against `k` is ≈ −1/2 (slightly steeper/shallower within the polylog
 //! slack).
 
-use std::process::ExitCode;
-
 use sparsegossip_analysis::{power_law_fit, Sweep, Table};
-use sparsegossip_bench::{fmt_exponent, measure_broadcast, verdict, ExpCtx};
+use sparsegossip_core::{ProcessKind, ScenarioSpec};
 
-fn main() -> ExitCode {
-    let ctx = ExpCtx::init(
-        "E2",
-        "broadcast time vs k (fixed n, r = 0)",
-        "T_B = Theta~(n/sqrt(k)) => slope of log T_B vs log k is about -1/2",
-    );
+use crate::common::{completion_time, fmt_exponent, verdict, ExpCtx};
+
+pub fn run(ctx: &ExpCtx) -> bool {
     let side: u32 = ctx.pick(128, 256);
     let ks: Vec<usize> = ctx.pick(
         vec![8, 16, 32, 64, 128, 256],
@@ -23,7 +18,9 @@ fn main() -> ExitCode {
     let reps = ctx.pick(10, 24);
 
     let sweep = Sweep::new(ctx.seed).replicates(reps).threads(ctx.threads);
-    let points = sweep.run(&ks, |&k, seed| measure_broadcast(side, k, 0, seed));
+    let points = sweep.run(&ks, |&k, seed| {
+        completion_time(ScenarioSpec::builder(ProcessKind::Broadcast, side, k), seed)
+    });
 
     let n = f64::from(side) * f64::from(side);
     let mut table = Table::new(vec![

@@ -3,17 +3,12 @@
 //! Claim: `T_B = Θ̃(n/√k)`, so at fixed `k` the log–log slope of `T_B`
 //! against `n` is ≈ 1 (up to polylog).
 
-use std::process::ExitCode;
-
 use sparsegossip_analysis::{power_law_fit, Sweep, Table};
-use sparsegossip_bench::{fmt_exponent, measure_broadcast, verdict, ExpCtx};
+use sparsegossip_core::{ProcessKind, ScenarioSpec};
 
-fn main() -> ExitCode {
-    let ctx = ExpCtx::init(
-        "E1",
-        "broadcast time vs n (fixed k, r = 0)",
-        "T_B = Theta~(n/sqrt(k)) => slope of log T_B vs log n is about 1",
-    );
+use crate::common::{completion_time, fmt_exponent, verdict, ExpCtx};
+
+pub fn run(ctx: &ExpCtx) -> bool {
     let k: usize = 32;
     let sides: Vec<u32> = ctx.pick(
         vec![32, 48, 64, 96, 128],
@@ -22,7 +17,9 @@ fn main() -> ExitCode {
     let reps = ctx.pick(10, 24);
 
     let sweep = Sweep::new(ctx.seed).replicates(reps).threads(ctx.threads);
-    let points = sweep.run(&sides, |&side, seed| measure_broadcast(side, k, 0, seed));
+    let points = sweep.run(&sides, |&side, seed| {
+        completion_time(ScenarioSpec::builder(ProcessKind::Broadcast, side, k), seed)
+    });
 
     let mut table = Table::new(vec![
         "side".into(),

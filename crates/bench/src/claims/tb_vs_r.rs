@@ -6,17 +6,12 @@
 //! complement). Expect a flat profile for `r < r_c` and a sharp drop
 //! past `r_c`.
 
-use std::process::ExitCode;
-
 use sparsegossip_analysis::{Sweep, Table};
-use sparsegossip_bench::{measure_broadcast, verdict, ExpCtx};
+use sparsegossip_core::{ProcessKind, ScenarioSpec};
 
-fn main() -> ExitCode {
-    let ctx = ExpCtx::init(
-        "E3",
-        "broadcast time vs r across the percolation point",
-        "T_B independent of r for r < r_c; collapse above r_c",
-    );
+use crate::common::{completion_time, verdict, ExpCtx};
+
+pub fn run(ctx: &ExpCtx) -> bool {
     let side: u32 = ctx.pick(128, 192);
     let k: usize = 64;
     let n = f64::from(side) * f64::from(side);
@@ -28,7 +23,9 @@ fn main() -> ExitCode {
     let reps = ctx.pick(10, 24);
 
     let sweep = Sweep::new(ctx.seed).replicates(reps).threads(ctx.threads);
-    let points = sweep.run(&radii, |&r, seed| measure_broadcast(side, k, r, seed));
+    let points = sweep.run(&radii, |&r, seed| {
+        completion_time(ScenarioSpec::builder(ProcessKind::Broadcast, side, k).radius(r), seed)
+    });
 
     let mut table = Table::new(vec![
         "r".into(),

@@ -4,14 +4,13 @@
 //! distinct nodes with probability > 1/2; (2.1) the deviation from the
 //! start exceeds `λ√ℓ` with probability at most `~e^{−λ²/2}`.
 
-use std::process::ExitCode;
-
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sparsegossip_analysis::{power_law_fit, Sweep, Table};
-use sparsegossip_bench::{fmt_exponent, verdict, ExpCtx};
 use sparsegossip_grid::{Grid, Point};
 use sparsegossip_walks::{azuma_deviation_bound, lazy_step, DisplacementTracker, RangeTracker};
+
+use crate::common::{fmt_exponent, verdict, ExpCtx};
 
 fn walk_stats(side: u32, ell: u64, seed: u64) -> (f64, f64) {
     let grid = Grid::new(side).expect("valid side");
@@ -29,12 +28,7 @@ fn walk_stats(side: u32, ell: u64, seed: u64) -> (f64, f64) {
     (range.distinct() as f64, f64::from(disp.last_deviation()))
 }
 
-fn main() -> ExitCode {
-    let ctx = ExpCtx::init(
-        "E6",
-        "walk range R_ell and displacement after ell steps (Lemma 2)",
-        "R_ell = Omega(ell/log ell); P(dev >= lambda sqrt(ell)) <= ~exp(-lambda^2/2)",
-    );
+pub fn run(ctx: &ExpCtx) -> bool {
     let side: u32 = ctx.pick(1024, 2048);
     let ells: Vec<u64> = ctx.pick(
         vec![1 << 10, 1 << 12, 1 << 14, 1 << 16],

@@ -5,18 +5,13 @@
 //! both shapes (constants profiled out) against measured broadcast
 //! times must decisively favor `n/√k`.
 
-use std::process::ExitCode;
-
 use sparsegossip_analysis::{Sweep, Table};
-use sparsegossip_bench::{measure_broadcast, verdict, ExpCtx};
 use sparsegossip_core::baseline::{claimed_infection_time, fit_error_against};
+use sparsegossip_core::{ProcessKind, ScenarioSpec};
 
-fn main() -> ExitCode {
-    let ctx = ExpCtx::init(
-        "E12",
-        "which law fits measured T_B: n/sqrt(k) (paper) or n log n log k / k (Wang)",
-        "the paper's n/sqrt(k) fits; the Wang bound's 1/k decay does not",
-    );
+use crate::common::{completion_time, verdict, ExpCtx};
+
+pub fn run(ctx: &ExpCtx) -> bool {
     // Discriminating the k^{-1/2} law from k^{-1}·log needs a grid
     // large enough that finite-size polylog corrections do not bend the
     // measured slope toward Wang's; 256² is the quick-scale minimum.
@@ -29,7 +24,9 @@ fn main() -> ExitCode {
     let reps = ctx.pick(10, 24);
 
     let sweep = Sweep::new(ctx.seed).replicates(reps).threads(ctx.threads);
-    let points = sweep.run(&ks, |&k, seed| measure_broadcast(side, k, 0, seed));
+    let points = sweep.run(&ks, |&k, seed| {
+        completion_time(ScenarioSpec::builder(ProcessKind::Broadcast, side, k), seed)
+    });
 
     let kf: Vec<f64> = points.iter().map(|p| p.param as f64).collect();
     let tb: Vec<f64> = points.iter().map(|p| p.summary.mean()).collect();

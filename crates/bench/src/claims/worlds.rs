@@ -1,7 +1,7 @@
 //! E23 — heterogeneous, obstructed, churning worlds.
 //!
-//! Where E21 (`exp_sweep`) sweeps the clean model of the paper, this
-//! binary exercises the world axes the scenario subsystem layers on
+//! Where E21 (`sweep`) sweeps the clean model of the paper, this
+//! claim exercises the world axes the scenario subsystem layers on
 //! top of it — city-block barriers, seeded agent churn, mixed contact
 //! radii, fast-mover speed classes and multi-source (including
 //! adversarial corner) placements — and gates the claim the axes must
@@ -20,15 +20,11 @@
 //! On top of the gate it measures how each world axis shifts the
 //! percolation knee (barrier density and churn rate mini-sweeps at one
 //! (side, k)), and writes everything to `BENCH_worlds.json`.
-//!
-//! Scale via `SG_SCALE` (`quick`/`full`) or `--quick`/`--full`; seed
-//! via `SG_SEED`, threads via `SG_THREADS`.
-
-use std::process::ExitCode;
 
 use sparsegossip_analysis::{Family, ScenarioSweep, ScenarioSweepReport};
-use sparsegossip_bench::{verdict, ExpCtx};
 use sparsegossip_core::{ProcessKind, ScenarioSpec};
+
+use crate::common::{verdict, ExpCtx};
 
 /// Prints a report's knees, tagged with their world-axis label.
 fn print_transitions(report: &ScenarioSweepReport) {
@@ -51,13 +47,7 @@ fn print_transitions(report: &ScenarioSweepReport) {
     }
 }
 
-fn main() -> ExitCode {
-    let ctx = ExpCtx::init(
-        "E23",
-        "heterogeneous, obstructed, churning worlds",
-        "world axes leave the trivial-world phase transition intact and shift the knee",
-    );
-
+pub fn run(ctx: &ExpCtx) -> bool {
     // The gate: the all-axes-off baseline reproduces E21's nine knees.
     let base = ScenarioSpec::builder(ProcessKind::Broadcast, 64, 32)
         .build()
